@@ -204,7 +204,10 @@ def cmd_scan_a(args):
 def cmd_analyze(args):
     if not args.field:
         raise ConfigError("analyze requires --field <dump>")
-    phi, omega = fields.read_field(args.field)
+    try:
+        phi, omega = fields.read_field(args.field)
+    except ValueError as exc:
+        raise ConfigError(f"bad field dump {args.field}: {exc}")
     report = {
         "dim": phi.grid.dim,
         "n": phi.grid.n,
@@ -289,7 +292,6 @@ def cmd_dyson_check(args):
     )
 
     problem = gp.harmonic_problem(dim=2, n=int(cfg["n"]), length=float(cfg["box"]))
-    kappa = dyson.kappa_eta(problem, float(cfg["eta"]))
     k0 = dyson.build_K0(problem, chi, float(cfg["eta"]), int(cfg["J"]))
 
     result = {
@@ -301,7 +303,7 @@ def cmd_dyson_check(args):
         "slope": scaling["slope"],
         "min_eig": check["min_eig"],
         "dyson_passed": check["passed"],
-        "kappa": kappa,
+        "kappa": k0.kappa,
         "e_spectrum": k0.e,
     }
     _write_json(os.path.join(_outdir(args), "results.json"), result)

@@ -29,11 +29,12 @@ the minimal eigenvalue under refinement is reported alongside.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .fields import ComplexField, Grid
 from .gp import GpProblem
+from .quadrature import gauss_legendre
 from .scattering import RadialPotential
 
 
@@ -82,7 +83,7 @@ class CutoffFunction:
 
 def _h_radial(chi: CutoffFunction, r):
     """h(r) = (2 pi^2)^{-1} int_0^{2/s} q^2 (1-chi)(q) sinc(q r) dq."""
-    q, wq = np.polynomial.legendre.leggauss(400)
+    q, wq = gauss_legendre(400)
     q = 0.5 * chi.p_hi * (q + 1.0)
     wq = 0.5 * chi.p_hi * wq
     amp = wq * q * q * (1.0 - chi(q))
@@ -225,21 +226,20 @@ def verify_wr_scaling(s, R_values, epsilon=0.5):
 
 def _bessel_zeros(ell, count):
     """First `count` positive zeros of the spherical Bessel function j_ell."""
-    # j_ell zeros interlace between those of j_{ell-1}; bracket on a scan
-    zeros = []
-    f = lambda x: special.spherical_jn(ell, x)
-    x = max(1.0, ell)  # j_ell > 0 on (0, first zero)
-    step = 0.1
-    prev = f(x)
-    while len(zeros) < count:
-        x2 = x + step
-        cur = f(x2)
-        if prev == 0.0:
-            zeros.append(x)
-        elif prev * cur < 0.0:
-            zeros.append(optimize.brentq(f, x, x2))
-        x, prev = x2, cur
-    return np.array(zeros)
+    # j_ell > 0 on (0, first zero), and the count-th zero lies below
+    # (count + ell/2) pi; bracket every zero on one scan, then bisect all
+    # brackets together down to adjacent floats
+    x = np.arange(max(1.0, ell), (count + 0.5 * ell + 1.0) * np.pi, 0.1)
+    fx = special.spherical_jn(ell, x)
+    idx = np.nonzero((fx[:-1] == 0.0) | (fx[:-1] * fx[1:] < 0.0))[0][:count]
+    lo, hi, flo = x[idx], x[idx + 1], fx[idx]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        fmid = special.spherical_jn(ell, mid)
+        left = flo * fmid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
+    return lo
 
 
 def _channel_min_eig(ell, K, L, pieces, kin_mult):
@@ -253,7 +253,7 @@ def _channel_min_eig(ell, K, L, pieces, kin_mult):
     norms = np.sqrt(L**3 / 2.0) * np.abs(special.spherical_jn(ell + 1, alph))
     H = np.diag(kin_mult(p))
     for r_lo, r_hi, n_quad, potfunc in pieces:
-        x, w = np.polynomial.legendre.leggauss(n_quad)
+        x, w = gauss_legendre(n_quad)
         r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
         wq = 0.5 * (r_hi - r_lo) * w * potfunc(r) * r * r
         B = special.spherical_jn(ell, np.outer(p, r)) / norms[:, None]

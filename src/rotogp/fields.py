@@ -268,5 +268,9 @@ def read_field(path: str):
         side = json.load(fh)
     grid = Grid(int(side["dim"]), int(side["n"]), float(side["L"]))
     flat = np.fromfile(path, dtype="<f8")
+    expected = 2 * grid.n**grid.dim
+    if flat.size != expected:
+        raise ValueError(f"dump holds {flat.size} float64 values, its sidecar "
+                         f"implies {expected}")
     vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
     return ComplexField(grid, vals), np.asarray(side["omega"])

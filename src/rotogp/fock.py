@@ -25,8 +25,8 @@ import numpy as np
 from scipy import optimize, sparse, special
 from scipy.sparse.linalg import eigsh
 
-from .backend import USE_NUMBA, njit
 from .fields import ComplexField, norm4_pow4, norm_p, grad_norm_sq
+from .quadrature import gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -141,69 +141,34 @@ class ModeBasis:
         return self.e.size
 
 
-@njit(cache=True)
-def _two_body_coo(states, lookup, radix, W, rows, cols, vals):  # pragma: no cover
-    dim, J = states.shape
-    cnt = 0
-    for s in range(dim):
-        n = states[s]
-        for l in range(J):
-            if n[l] == 0:
-                continue
-            amp_l = np.sqrt(n[l])
-            for k in range(J):
-                mk = n[k] - (1 if k == l else 0)
-                if mk < 1:
-                    continue
-                amp_k = np.sqrt(mk)
-                for j in range(J):
-                    mj = n[j] - (1 if j == l else 0) - (1 if j == k else 0)
-                    amp_j = np.sqrt(mj + 1.0)
-                    for i in range(J):
-                        if W[i, j, k, l] == 0.0:
-                            continue
-                        mi = (n[i] - (1 if i == l else 0) - (1 if i == k else 0)
-                              + (1 if i == j else 0))
-                        amp_i = np.sqrt(mi + 1.0)
-                        code = 0
-                        for t in range(J):
-                            nt = n[t]
-                            if t == l:
-                                nt -= 1
-                            if t == k:
-                                nt -= 1
-                            if t == j:
-                                nt += 1
-                            if t == i:
-                                nt += 1
-                            code += nt * radix[t]
-                        tgt = lookup[code]
-                        rows[cnt] = tgt
-                        cols[cnt] = s
-                        vals[cnt] = W[i, j, k, l] * amp_l * amp_k * amp_j * amp_i
-                        cnt += 1
-    return cnt
+def _two_body(mb: ModeBasis, basis: FockBasis):
+    """sum W_ijkl a+_i a+_j a_k a_l as B^H (Wp x Id) B in one sparse product.
 
-
-def _two_body_sparse(mb: ModeBasis, basis: FockBasis):
-    """Fallback: assemble sum W_ijkl a+_i a+_j a_k a_l from ladder products."""
-    J = mb.modes
-    a = [lowering_operator(basis, j) for j in range(J)]
-    pair = {}
-    for k in range(J):
-        for l in range(J):
-            pair[(k, l)] = (a[k] @ a[l]).tocsr()
-    n = len(basis)
-    H = sparse.csr_matrix((n, n), dtype=mb.W.dtype)
-    for i in range(J):
-        for j in range(J):
-            left = pair[(j, i)].conj().T  # a+_i a+_j
-            for k in range(J):
-                for l in range(J):
-                    w = mb.W[i, j, k, l]
-                    if w != 0:
-                        H = H + w * (left @ pair[(k, l)])
-    return H
+    B stacks the pair annihilators B_p = a_k a_l over unordered pairs
+    p = (k <= l); Wp[q, p] sums W over the orderings of both pairs, which
+    is exact because a_k a_l = a_l a_k.  (Wp x Id) B is formed directly from
+    B's entries, never as a Kronecker product.
+    """
+    J, n, occ = mb.modes, len(basis), basis.states
+    kk, ll = np.triu_indices(J)
+    pairs = np.arange(kk.size)
+    amp = np.sqrt(occ[:, ll] * (occ[:, kk] - (kk == ll)))  # a_l first, then a_k
+    src, pair = np.nonzero(amp)
+    amp = amp[src, pair]
+    codes = occ[src] @ basis._radix - basis._radix[kk[pair]] - basis._radix[ll[pair]]
+    tgt = basis._lookup[codes]
+    fold = np.zeros((J * J, kk.size))
+    fold[kk * J + ll, pairs] = 1.0
+    fold[ll * J + kk, pairs] = 1.0
+    Wp = fold.T @ mb.W.reshape(J * J, J * J) @ fold
+    B = sparse.csr_matrix((amp, (pair * n + tgt, src)), shape=(kk.size * n, n))
+    rows = pairs[:, None] * n + tgt[None, :]
+    vals = Wp[:, pair] * amp[None, :]
+    WB = sparse.csr_matrix(
+        (vals.ravel(), (rows.ravel(), np.broadcast_to(src, rows.shape).ravel())),
+        shape=B.shape,
+    )
+    return B.T @ WB
 
 
 def build_hamiltonian(mb: ModeBasis, basis: FockBasis, include_penalty=False):
@@ -215,24 +180,7 @@ def build_hamiltonian(mb: ModeBasis, basis: FockBasis, include_penalty=False):
         if mb.M <= 0:
             raise ValueError("penalty requires a positive target M")
         diag = diag + (mb.C / mb.M) * (basis.totals - mb.M) ** 2
-    H = sparse.diags(diag)
-    if USE_NUMBA and np.isrealobj(mb.W):
-        J = mb.modes
-        cap = len(basis) * J**4
-        rows = np.empty(cap, dtype=np.int64)
-        cols = np.empty(cap, dtype=np.int64)
-        vals = np.empty(cap, dtype=np.float64)
-        cnt = _two_body_coo(
-            basis.states, basis._lookup, basis._radix,
-            np.ascontiguousarray(mb.W, dtype=np.float64), rows, cols, vals,
-        )
-        H2 = sparse.csr_matrix(
-            (vals[:cnt], (rows[:cnt], cols[:cnt])), shape=(len(basis),) * 2
-        )
-    else:
-        H2 = _two_body_sparse(mb, basis)
-    H = (H + H2).tocsr()
-    return H
+    return (sparse.diags(diag) + _two_body(mb, basis)).tocsr()
 
 
 def ground_state(H, basis: FockBasis, total: int):
@@ -431,7 +379,7 @@ def verify_resolution(
         raise ValueError("resolution check implemented for a single mode")
     if n_cut >= basis.n_max:
         raise ValueError("n_cut must sit strictly below the truncation")
-    r, wr = np.polynomial.legendre.leggauss(n_radial)
+    r, wr = gauss_legendre(n_radial)
     r = 0.5 * Z * (r + 1.0)
     wr = 0.5 * Z * wr
     th = 2.0 * np.pi * np.arange(n_angle) / n_angle

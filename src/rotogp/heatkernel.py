@@ -28,9 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-_THETA, _WTHETA = np.polynomial.legendre.leggauss(200)
-_THETA = 0.25 * np.pi * (_THETA + 1.0)
-_WTHETA = 0.25 * np.pi * _WTHETA
+from .quadrature import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,10 @@ def h_alpha(x, alpha, d=1):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    t = (alpha / 4.0) * np.sin(_THETA) ** 2
-    w = np.sin(_THETA) * _WTHETA
+    u, wu = gauss_legendre(200)
+    theta = 0.25 * np.pi * (u + 1.0)
+    t = (alpha / 4.0) * np.sin(theta) ** 2
+    w = np.sin(theta) * (0.25 * np.pi * wu)
     vals = j_t(x[:, None], t[None, :], d=d) @ w
     return vals[0] if scalar else vals
 
@@ -124,7 +124,7 @@ def _shell_average(r, rho, alpha):
     if r == 0.0 or rho == 0.0:
         return h_alpha(max(r, rho), alpha, d=3)
     lo, hi = abs(r - rho), r + rho
-    u, w = np.polynomial.legendre.leggauss(48)
+    u, w = gauss_legendre(48)
     sig = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
     ws = 0.5 * (hi - lo) * w
     return float(np.sum(ws * sig * h_alpha(sig, alpha, d=3))) / (2.0 * r * rho)
@@ -204,12 +204,19 @@ def _diag_bound_grid(V: ConfiningPotential, alpha, xs, d, y_max, dy=0.01):
 # brute-force diagonals
 # ---------------------------------------------------------------------------
 
-def _fd_modes(potential_on_grid, spacing):
-    """Dirichlet finite-difference eigenpairs of -d^2/dx^2 + V, continuum-normalized."""
+def _fd_modes(potential_on_grid, spacing, alpha):
+    """Dirichlet finite-difference eigenpairs of -d^2/dx^2 + V, continuum-normalized.
+
+    Only the window lam <= lam_0 + 80/alpha is computed: every mode above it
+    carries a weight e^{-alpha lam} below e^{-80} relative to the ground mode.
+    """
     n = potential_on_grid.size
     diag = 2.0 / spacing**2 + potential_on_grid
     off = np.full(n - 1, -1.0 / spacing**2)
-    lam, vecs = eigh_tridiagonal(diag, off)
+    lam0 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(0, 0))[0]
+    lam, vecs = eigh_tridiagonal(diag, off, select="v",
+                                 select_range=(-np.inf, lam0 + 80.0 / alpha))
     return lam, vecs / np.sqrt(spacing)
 
 
@@ -227,10 +234,8 @@ def brute_diag(V: ConfiningPotential, alpha, xs, d=1, box=None, n=2400,
     _check_nonneg(V, box)
     if d == 1:
         grid = np.linspace(-box, box, n)
-        lam, psi = _fd_modes(V(grid), grid[1] - grid[0])
-        keep = lam <= lam[0] + 80.0 / alpha
-        w = np.exp(-alpha * lam[keep])
-        dens = (psi[:, keep] ** 2) @ w
+        lam, psi = _fd_modes(V(grid), grid[1] - grid[0], alpha)
+        dens = (psi**2) @ np.exp(-alpha * lam)
         return np.interp(xs, grid, dens)
     if d == 3:
         r = np.linspace(0.0, box, n)[1:]
@@ -238,12 +243,10 @@ def brute_diag(V: ConfiningPotential, alpha, xs, d=1, box=None, n=2400,
         out = np.zeros(xs.size)
         for ell in range(ell_max + 1):
             veff = V(r) + ell * (ell + 1) / r**2
-            lam, u = _fd_modes(veff, h)
+            lam, u = _fd_modes(veff, h, alpha)
             if ell > 0 and np.exp(-alpha * lam[0]) < 1e-14 * max(out.max(), 1e-300):
                 break
-            keep = lam <= lam[0] + 80.0 / alpha
-            w = np.exp(-alpha * lam[keep])
-            dens_r = ((u[:, keep] ** 2) @ w) / r**2
+            dens_r = ((u**2) @ np.exp(-alpha * lam)) / r**2
             out += (2.0 * ell + 1.0) / (4.0 * np.pi) * np.interp(np.abs(xs), r, dens_r)
         return out
     raise ValueError("d must be 1 or 3")
@@ -338,7 +341,7 @@ def perturbed_bound_check(V: ConfiningPotential, alpha, B, D, box=14.0, n=1400):
     _check_nonneg(V, box)
     grid = np.linspace(-box, box, n)
     h = grid[1] - grid[0]
-    lam0, psi0 = _fd_modes(V(grid), h)
+    lam0, psi0 = _fd_modes(V(grid), h, alpha)
     kern_free = (psi0 * np.exp(-alpha * lam0)) @ psi0.T
     phi = np.sqrt(B) * np.exp(-D * np.abs(grid))
     mat = np.diag(2.0 / h**2 + V(grid))

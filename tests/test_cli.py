@@ -73,6 +73,20 @@ class TestAnalyzeAndScan:
         assert rep["total_winding"] == 0
         assert abs(rep["norm"] - 1.0) < 1e-10
 
+    def test_truncated_or_mismatched_dump_exits_2(self, tmp_path):
+        from rotogp import fields
+
+        dump = tmp_path / "field.f64"
+        fields.write_field(fields.gaussian_field(fields.Grid(2, 16, 8.0)), str(dump))
+        data = dump.read_bytes()
+        dump.write_bytes(data[:-8])
+        assert run(["analyze", "--field", str(dump), "--out", str(tmp_path)]) == 2
+        dump.write_bytes(data)
+        side = json.loads((tmp_path / "field.f64.json").read_text())
+        (tmp_path / "field.f64.json").write_text(json.dumps({**side, "n": 32}))
+        assert run(["analyze", "--field", str(dump), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "vortex_report.json").exists()
+
     def test_scan_a_csv(self, tmp_path):
         assert run(["scan-a", "--dim", "2", "--n", "24", "--box", "12",
                     "--a-min", "0", "--a-max", "2", "--num", "3",

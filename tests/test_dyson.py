@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from rotogp.dyson import (
     CutoffFunction,
@@ -178,3 +179,16 @@ def test_build_k0_validation():
 def test_bessel_zeros_channel0_are_n_pi():
     z = _bessel_zeros(0, 5)
     assert np.allclose(z, np.pi * np.arange(1, 6), atol=1e-10)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_bessel_zeros_match_brentq(ell):
+    z = _bessel_zeros(ell, 350)
+    assert z.size == 350 and np.all(np.diff(z) > 0)
+    # independent reference: a finer scan, each bracket refined by brentq
+    x = np.arange(max(1.0, ell), 1200.0, 0.01)
+    fx = special.spherical_jn(ell, x)
+    idx = np.nonzero(fx[:-1] * fx[1:] < 0.0)[0][:350]
+    f = lambda t: special.spherical_jn(ell, t)
+    ref = np.array([optimize.brentq(f, x[i], x[i + 1], xtol=1e-14) for i in idx])
+    assert np.max(np.abs(z / ref - 1.0)) < 1e-12

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from math import comb
+from scipy import sparse
 
 from rotogp.fields import ComplexField, Grid, gaussian_field
 from rotogp.fock import (
@@ -23,8 +25,25 @@ from rotogp.fock import (
     smoothing_estimate_check,
     upper_symbol,
     verify_resolution,
-    _two_body_sparse,
 )
+
+
+def _two_body_reference(mb, basis):
+    """sum W_ijkl a+_i a+_j a_k a_l accumulated from ladder products."""
+    J = mb.modes
+    a = [lowering_operator(basis, j) for j in range(J)]
+    pair = {(k, l): (a[k] @ a[l]).tocsr() for k in range(J) for l in range(J)}
+    n = len(basis)
+    H = sparse.csr_matrix((n, n), dtype=mb.W.dtype)
+    for i in range(J):
+        for j in range(J):
+            left = pair[(j, i)].conj().T  # a+_i a+_j
+            for k in range(J):
+                for l in range(J):
+                    w = mb.W[i, j, k, l]
+                    if w != 0:
+                        H = H + w * (left @ pair[(k, l)])
+    return H
 
 
 def test_basis_dimension_and_index_roundtrip():
@@ -96,16 +115,35 @@ def test_hamiltonian_hermitian_commutes_with_number():
 
 
 def test_backends_build_identical_hamiltonian():
-    from scipy import sparse
-
     b = FockBasis(3, 5)
     rng = np.random.default_rng(2)
     u = rng.standard_normal((3, 3))
     u = u @ u.T  # PSD symmetric
     mb = ModeBasis(e=[0.5, 1.0, 2.0], W=pair_interaction_tensor(u, 0.1), M=3)
     H = build_hamiltonian(mb, b)
-    ref = sparse.diags(b.states.astype(float) @ mb.e) + _two_body_sparse(mb, b)
+    ref = sparse.diags(b.states.astype(float) @ mb.e) + _two_body_reference(mb, b)
     assert abs(H - ref.tocsr()).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    J=st.integers(1, 3),
+    n_max=st.integers(0, 5),
+    entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+    g=st.floats(-1.0, 1.0),
+)
+def test_assembly_properties(J, n_max, entries, g):
+    u = np.array(entries[: J * J]).reshape(J, J)
+    u = 0.5 * (u + u.T)
+    b = FockBasis(J, n_max)
+    mb = ModeBasis(e=np.arange(1.0, J + 1.0), W=pair_interaction_tensor(u, g))
+    H = build_hamiltonian(mb, b)
+    ref = sparse.diags(b.states.astype(float) @ mb.e) + _two_body_reference(mb, b)
+    scale = max(1.0, abs(ref).max())
+    assert abs(H - ref).max() <= 1e-12 * scale
+    assert is_hermitian(H, tol=1e-12 * scale)
+    n_op = number_operator(b)
+    assert abs(H @ n_op - n_op @ H).max() <= 1e-12 * scale * b.n_max
 
 
 def test_mode_relabel_symmetry():
