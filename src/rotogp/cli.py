@@ -157,6 +157,9 @@ def cmd_solve_gp(args):
             if problem.grid.dim == 2 else None
         ),
         "converged": state.converged,
+        "termination": state.termination,
+        "boundary_ok": state.boundary_ok,
+        "restart_energies": state.restart_energies,
         "iterations": state.iterations,
         "tolerance": float(cfg["tol"]),
         "seconds": time.perf_counter() - t0,

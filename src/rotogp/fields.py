@@ -5,9 +5,15 @@ the rotation gauge field is A(x) = (1/2) Omega ^ x.  The box is centred at
 the origin, x_i = -L/2 + i*L/n, and all integrals use midpoint quadrature
 (spacing**dim weights), which is spectrally accurate for fields that have
 decayed at the boundary.
+
+Since A_i never depends on x_i, the gauge kinetic operator splits exactly
+into sum_i (-i d_i + A_i)^2, each term the multiplier (k_i + A_i)^2 of the
+1D transform along axis i.  Each Grid caches its wavenumber grids
+(read-only) and each GaugeField builds its multipliers once.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,38 +51,38 @@ class Grid:
         """1D coordinate axis, shared by every dimension."""
         return -0.5 * self.length + self.spacing * np.arange(self.n)
 
+    def _per_axis(self, v):
+        return [v.reshape((1,) * d + (self.n,) + (1,) * (self.dim - d - 1))
+                for d in range(self.dim)]
+
     def coords(self):
         """Broadcastable coordinate arrays, one per axis."""
-        ax = self.axis
-        return [
-            ax.reshape((1,) * d + (self.n,) + (1,) * (self.dim - d - 1))
-            for d in range(self.dim)
-        ]
+        return self._per_axis(self.axis)
 
     @property
     def wavenumbers(self) -> np.ndarray:
         """1D wavenumber axis 2*pi*k/L, k = -n/2 .. n/2-1, fft order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
-    def kvecs(self):
-        """Broadcastable wavenumber arrays, one per axis."""
+    @cached_property
+    def _spectrum(self):
         k = self.wavenumbers
-        return [
-            k.reshape((1,) * d + (self.n,) + (1,) * (self.dim - d - 1))
-            for d in range(self.dim)
-        ]
+        k.setflags(write=False)  # the per-axis views inherit the flag
+        kv = self._per_axis(k)
+        ksq = sum(kk**2 for kk in kv)
+        ksq.setflags(write=False)
+        return kv, ksq
+
+    def kvecs(self):
+        """Broadcastable wavenumber arrays, one per axis (cached, read-only)."""
+        return list(self._spectrum[0])
 
     def ksq(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for k in self.kvecs():
-            out = out + k**2
-        return out
+        """|k|^2 on the full grid (cached, read-only)."""
+        return self._spectrum[1]
 
     def radius_sq(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for x in self.coords():
-            out = out + x**2
-        return out
+        return sum(x**2 for x in self.coords())
 
 
 @dataclass
@@ -111,6 +117,7 @@ class GaugeField:
     grid: Grid
     omega: np.ndarray
     components: list = field(init=False)
+    symbols: list = field(init=False)
 
     def __post_init__(self):
         self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
@@ -130,12 +137,11 @@ class GaugeField:
                 0.5 * (wz * x[0] - wx * x[2]),
                 0.5 * (wx * x[1] - wy * x[0]),
             ]
+        # multipliers (k_i + A_i)^2 of apply_gauge_kinetic, axis by axis
+        self.symbols = [(k + a) ** 2 for k, a in zip(self.grid.kvecs(), self.components)]
 
     def magnitude_sq(self) -> np.ndarray:
-        out = np.zeros(self.grid.shape)
-        for a in self.components:
-            out = out + a**2
-        return out
+        return sum(a**2 for a in self.components)
 
 
 def _check_same_grid(*objs):
@@ -162,21 +168,12 @@ def gradient_arrays(f: ComplexField):
     return [np.fft.ifftn(1j * k * fhat) for k in f.grid.kvecs()]
 
 
-def laplacian_array(f: ComplexField) -> np.ndarray:
-    return np.fft.ifftn(-f.grid.ksq() * np.fft.fftn(f.values))
-
-
 def apply_gauge_kinetic(phi: ComplexField, A: GaugeField) -> ComplexField:
-    """(-i grad + A)^2 phi = -Lap phi - 2i A.grad phi + |A|^2 phi.
-
-    Uses div A = 0, exact for A = (1/2) Omega ^ x.
-    """
+    """(-i grad + A)^2 phi = sum_i ifft_i((k_i + A_i)^2 fft_i(phi)): dim 1D
+    transform pairs, about two n-D transforms, a bare Laplacian's cost at Omega = 0."""
     _check_same_grid(phi, A)
-    grads = gradient_arrays(phi)
-    out = laplacian_array(phi) * (-1.0)
-    for a, dphi in zip(A.components, grads):
-        out = out - 2j * a * dphi
-    out = out + A.magnitude_sq() * phi.values
+    out = sum(np.fft.ifft(sym * np.fft.fft(phi.values, axis=ax), axis=ax)
+              for ax, sym in enumerate(A.symbols))
     return ComplexField(phi.grid, out)
 
 

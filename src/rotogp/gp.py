@@ -10,7 +10,9 @@ residual descent on the unit sphere: each step subtracts
 dt * (1 - Laplacian)^{-1} (H[phi] phi - mu phi) and renormalizes, with
 backtracking on dt so the energy never increases.  The fixed points of
 this iteration are exactly the solutions of the GP equation (no O(dt)
-bias, unlike the usual semi-implicit splitting).
+bias, unlike the usual semi-implicit splitting).  Each line-search trial
+costs one operator apply: its gradient g gives its energy as
+Re<phi, g> - 4 pi a int|phi|^4, and an accepted trial's g is reused.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -26,7 +28,6 @@ from .fields import (
     apply_gauge_kinetic,
     boundary_decay_ok,
     gaussian_field,
-    gradient_arrays,
     inner,
     norm,
     norm4_pow4,
@@ -73,6 +74,7 @@ class GpState:
     converged: bool
     restart_energies: list = dc_field(default_factory=list)
     boundary_ok: bool = True
+    termination: str = "converged"   # or "max_iter", "stalled" (dt collapsed)
 
 
 @dataclass
@@ -98,14 +100,17 @@ def _check_normalized(phi: ComplexField, tol=1e-8):
 def gp_energy(p: GpProblem, phi: ComplexField) -> float:
     """E[phi] for a normalized phi."""
     _check_normalized(phi)
-    return _energy_unchecked(p, phi)
-
-
-def _energy_unchecked(p: GpProblem, phi: ComplexField) -> float:
     kin = inner(phi, apply_gauge_kinetic(phi, p.gauge)).real
     w = p.grid.spacing**p.grid.dim
     pot = w * float(np.sum(p.potential * np.abs(phi.values) ** 2))
     return kin + pot + 4.0 * np.pi * p.a * norm4_pow4(phi)
+
+
+def _gradient_energy(p: GpProblem, vals):
+    """(gradient, energy) of the normalized field vals from one apply."""
+    f = ComplexField(p.grid, vals)
+    g = gp_gradient(p, f)
+    return g.values, inner(f, g).real - 4.0 * np.pi * p.a * norm4_pow4(f)
 
 
 def gp_gradient(p: GpProblem, phi: ComplexField) -> ComplexField:
@@ -200,7 +205,7 @@ def _descend(p: GpProblem, phi: ComplexField, opts: GpSolverOptions):
     precond = 1.0 / (1.0 + grid.ksq())
     dt = opts.dt
     vals = phi.values
-    energy = _energy_unchecked(p, phi)
+    g, energy = _gradient_energy(p, vals)
     # with a momentum stage to follow, the monotone stage only roughs in
     stage_tol = opts.tol if opts.momentum == 0.0 else max(opts.tol, 1e-3)
     # Energy differences near the fixed point drop below double-precision
@@ -209,48 +214,50 @@ def _descend(p: GpProblem, phi: ComplexField, opts: GpSolverOptions):
     # (overstepping) trigger dt backtracking.
     slack = 1e-11
     mu = res = np.inf
+    stalled = False
     it = 0
     while it < opts.max_iter:
         it += 1
-        f = ComplexField(grid, vals)
-        g = gp_gradient(p, f)
-        mu = inner(f, g).real
-        r = g.values - mu * vals
+        mu = w * np.vdot(vals, g).real
+        r = g - mu * vals
         res = np.sqrt(w * np.sum(np.abs(r) ** 2))
         if res <= stage_tol:
             break
         step = np.fft.ifftn(precond * np.fft.fftn(r))
-        accepted = False
         while dt > 1e-12:
             trial = vals - dt * step
             trial = trial / np.sqrt(w * np.sum(np.abs(trial) ** 2))
             if not np.all(np.isfinite(trial)):
                 raise FloatingPointError("non-finite field in descent step")
-            e_trial = _energy_unchecked(p, ComplexField(grid, trial))
+            g_trial, e_trial = _gradient_energy(p, trial)
             if e_trial <= energy + slack * max(1.0, abs(energy)):
-                vals = trial
+                vals, g = trial, g_trial
                 energy = min(energy, e_trial)
                 dt = min(dt * 1.05, 2.0)
-                accepted = True
                 break
             dt *= 0.5
-        if not accepted:
+        else:
+            stalled = True
             break
 
     if opts.momentum > 0.0 and res > opts.tol:
         vals, extra = _momentum_stage(p, vals, opts)
         it += extra
+        stalled = extra < opts.max_iter  # stopped early: converged or non-finite
 
     phi_out = ComplexField(grid, vals)
     mu, res = gp_residual(p, phi_out)
+    converged = res <= opts.tol
     return GpState(
         phi=phi_out,
-        energy=_energy_unchecked(p, phi_out),
+        energy=gp_energy(p, phi_out),
         mu=mu,
         residual=res,
         iterations=it,
-        converged=res <= opts.tol,
+        converged=converged,
         boundary_ok=boundary_decay_ok(phi_out),
+        termination=("converged" if converged
+                     else "stalled" if stalled else "max_iter"),
     )
 
 

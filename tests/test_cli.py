@@ -35,6 +35,15 @@ class TestSolveGp:
         assert (tmp_path / "field.f64").exists()
         assert (tmp_path / "field.f64.json").exists()
 
+    def test_stop_reason_and_certificates_written(self, tmp_path):
+        assert run(["solve-gp", "--dim", "2", "--n", "24", "--box", "12", "--a", "0.5",
+                    "--restarts", "2", "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert res["termination"] == "converged"
+        assert isinstance(res["boundary_ok"], bool)
+        assert len(res["restart_energies"]) == 2
+        assert res["energy"] in res["restart_energies"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dim": 2, "a": 0.0, "omega": 0.3}))

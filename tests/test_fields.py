@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from rotogp.fields import (
@@ -114,6 +115,46 @@ def test_gauge_kinetic_hermitian_and_positive():
     rhs = inner(apply_gauge_kinetic(f, A), h)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
     assert inner(f, apply_gauge_kinetic(f, A)).real > -1e-12
+
+
+def _gauge_kinetic_reference(phi, A):
+    """-Lap phi - 2i A.grad phi + |A|^2 phi with five n-D transforms (div A = 0)."""
+    g = phi.grid
+    fhat = np.fft.fftn(phi.values)
+    out = np.fft.ifftn(g.ksq() * fhat)
+    for a, k in zip(A.components, g.kvecs()):
+        out = out - 2j * a * np.fft.ifftn(1j * k * fhat)
+    return out + A.magnitude_sq() * phi.values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    half_n=st.integers(4, 12),
+    length=st.floats(2.0, 30.0),
+    omega=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gauge_kinetic_matches_five_fft_reference(dim, half_n, length, omega, seed):
+    g = Grid(dim, 2 * half_n, length)
+    A = GaugeField(g, omega[2] if dim == 2 else omega)
+    rng = np.random.default_rng(seed)
+    f, h = (ComplexField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+            for _ in range(2))
+    hf, hh = apply_gauge_kinetic(f, A), apply_gauge_kinetic(h, A)
+    ref = _gauge_kinetic_reference(f, A)
+    assert np.max(np.abs(hf.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert abs(inner(f, hh) - inner(hf, h)) <= 1e-12 * norm(f) * norm(hh)
+    assert inner(f, hf).real >= -1e-12
+
+
+def test_cached_k_grids_are_read_only():
+    g = Grid(2, 16, 8.0)
+    assert g.ksq() is g.ksq()
+    with pytest.raises(ValueError):
+        g.ksq()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.kvecs()[1][0, 0] = 1.0
 
 
 def test_inner_normalized_gaussian():

@@ -119,6 +119,40 @@ def test_minimize_energy_never_increases_with_restarts():
     assert st.energy <= min(st.restart_energies) + 1e-12
 
 
+def test_fused_energy_matches_direct_energy():
+    # one apply gives the gradient g, and E = Re<phi, g> - 4 pi a int|phi|^4
+    rng = np.random.default_rng(11)
+    p = harmonic_problem(dim=2, n=32, length=12.0, omega=-0.7, a=3.0)
+    base = gaussian_field(p.grid).values
+    phi = ComplexField(p.grid, base * (1.0 + 0.3 * rng.standard_normal(p.grid.shape))
+                       * np.exp(2j * np.pi * rng.random(p.grid.shape))).normalized()
+    fused = inner(phi, gp_gradient(p, phi)).real - 4.0 * np.pi * p.a * norm4_pow4(phi)
+    assert abs(fused - gp_energy(p, phi)) <= 1e-12 * abs(gp_energy(p, phi))
+    # the line search's trial energy is this formula
+    from rotogp.gp import _gradient_energy
+
+    g, e = _gradient_energy(p, phi.values)
+    assert np.array_equal(g, gp_gradient(p, phi).values)
+    assert abs(e - gp_energy(p, phi)) <= 1e-12 * abs(gp_energy(p, phi))
+
+
+def test_minimize_energy_is_gp_energy_of_result():
+    p = harmonic_problem(dim=2, n=32, length=12.0, omega=-0.5, a=2.0)
+    st = gp_minimize(p, init=("vortex", 1))
+    assert st.converged and st.termination == "converged"
+    assert abs(st.energy - gp_energy(p, st.phi)) <= 1e-12 * abs(st.energy)
+
+
+def test_termination_reasons():
+    p = harmonic_problem(dim=2, n=32, length=12.0, a=1.0)
+    stalled = gp_minimize(p, opts=GpSolverOptions(dt=1e-13))
+    assert not stalled.converged and stalled.termination == "stalled"
+    assert stalled.iterations == 1
+    capped = gp_minimize(p, opts=GpSolverOptions(max_iter=3))
+    assert not capped.converged and capped.termination == "max_iter"
+    assert capped.iterations == 3
+
+
 def test_negative_inputs_rejected():
     g = Grid(2, 16, 10.0)
     with pytest.raises(ValueError):
