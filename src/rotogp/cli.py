@@ -124,7 +124,10 @@ def _build_problem(cfg):
         V = np.load(str(cfg["trap"])[5:])
     else:
         raise ConfigError("trap must be 'harmonic' or 'file:<path.npy>'")
-    return gp.GpProblem(grid, V, float(cfg["omega"]), float(cfg["a"]))
+    try:
+        return gp.GpProblem(grid, V, float(cfg["omega"]), float(cfg["a"]))
+    except ValueError as exc:
+        raise ConfigError(f"bad problem: {exc}")
 
 
 def _init_strategy(spec):
@@ -161,6 +164,7 @@ def cmd_solve_gp(args):
         "boundary_ok": state.boundary_ok,
         "restart_energies": state.restart_energies,
         "iterations": state.iterations,
+        "gradient_evals": state.gradient_evals,
         "tolerance": float(cfg["tol"]),
         "seconds": time.perf_counter() - t0,
     }

@@ -40,9 +40,32 @@ class TestSolveGp:
                     "--restarts", "2", "--out", str(tmp_path)]) == 0
         res = json.loads((tmp_path / "results.json").read_text())
         assert res["termination"] == "converged"
-        assert isinstance(res["boundary_ok"], bool)
+        assert res["boundary_ok"] is True
         assert len(res["restart_energies"]) == 2
         assert res["energy"] in res["restart_energies"]
+
+    def test_small_box_flags_boundary(self, tmp_path):
+        assert run(["solve-gp", "--dim", "2", "--n", "24", "--box", "5", "--a", "0.5",
+                    "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert res["converged"] is True and res["boundary_ok"] is False
+
+    def test_gradient_evals_written(self, tmp_path):
+        # the README 2D vortex config
+        assert run(["solve-gp", "--dim", "2", "--n", "64", "--box", "14", "--omega", "-0.9",
+                    "--a", "8", "--init", "vortex:1", "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert res["iterations"] <= res["gradient_evals"] <= 2 * res["iterations"] + 2
+
+    def test_non_finite_trap_exits_2(self, tmp_path):
+        from rotogp import fields
+
+        V = fields.Grid(2, 16, 10.0).radius_sq()
+        V[2, 3] = np.nan
+        np.save(tmp_path / "nan.npy", V)
+        assert run(["solve-gp", "--dim", "2", "--n", "16", "--box", "10",
+                    "--trap", f"file:{tmp_path / 'nan.npy'}", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

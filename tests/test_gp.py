@@ -159,3 +159,63 @@ def test_negative_inputs_rejected():
         GpProblem(g, -g.radius_sq(), 0.0, 1.0)
     with pytest.raises(ValueError):
         GpProblem(g, g.radius_sq(), 0.0, -1.0)
+
+
+def test_non_finite_inputs_rejected(monkeypatch):
+    g = Grid(2, 16, 10.0)
+    V = g.radius_sq()
+    V[3, 4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        GpProblem(g, V, 0.0, 1.0)
+    p = harmonic_problem(dim=2, n=16, length=10.0, a=1.0)
+    bad = gaussian_field(p.grid).values.copy()
+    bad[5, 5] = np.inf
+
+    def no_gradient(*args):
+        raise AssertionError("gradient evaluated on a non-finite start")
+
+    monkeypatch.setattr("rotogp.gp.gp_gradient", no_gradient)
+    with pytest.raises(ValueError, match="finite"):
+        gp_minimize(p, init=ComplexField(p.grid, bad))
+
+
+# Energies of the preconditioned residual descent at commit 12a0de9, the
+# minimizer CG replaced (6351 and 358 iterations there).
+@pytest.mark.parametrize("dim, n, length, omega, a, init, energy, ceiling", [
+    (2, 32, 12.0, -0.6, 4.0, ("vortex", 1), 6.060900715876088, 400),
+    (3, 24, 12.0, 0.0, 1.0, "gaussian", 3.622436098396141, 100),
+], ids=["2d-vortex-start", "3d"])
+def test_cg_reproduces_descent_energy(dim, n, length, omega, a, init, energy, ceiling):
+    st = gp_minimize(harmonic_problem(dim, n, length, omega, a), init=init)
+    assert st.converged
+    assert abs(st.energy / energy - 1.0) <= 1e-9
+    assert st.iterations < ceiling
+
+
+def test_cg_iteration_ceiling_3d_coupling_sweep():
+    # the acceptance suite's coupling sweep: 670-755 iterations per solve
+    # under residual descent
+    for a in (0.5, 1.0, 2.0, 4.0):
+        st = gp_minimize(harmonic_problem(dim=3, n=32, length=16.0, a=a))
+        assert st.converged and st.iterations < 100, (a, st.iterations)
+
+
+def test_cg_iteration_ceiling_vortex_pair():
+    # the solve-gp vortex-pair config: 10,254 iterations under residual descent
+    from rotogp.analysis import total_vortex_charge
+
+    p = harmonic_problem(dim=2, n=64, length=16.0, omega=-0.9, a=20.0)
+    st = gp_minimize(p, init=("vortex", 2))
+    assert st.converged and st.iterations < 500
+    assert total_vortex_charge(st.phi) == 2
+
+
+def test_heavy_ball_path_unchanged():
+    # momentum > 0 keeps the descent rough-in and heavy-ball stage of
+    # commit 12a0de9 exactly: same iterate sequence, same energy
+    p = harmonic_problem(dim=2, n=32, length=12.0, omega=-0.8, a=10.0)
+    st = gp_minimize(p, init=("vortex", 2),
+                     opts=GpSolverOptions(momentum=0.95, max_iter=5000))
+    assert st.converged
+    assert st.iterations == 516
+    assert st.energy == 9.448453767689319
