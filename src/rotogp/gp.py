@@ -12,11 +12,6 @@ and an energy-monotone secant line search; its fixed points are exactly
 the solutions of the GP equation.  Each line-search trial costs one
 operator apply: its gradient g gives its energy as
 Re<phi, g> - 4 pi a int|phi|^4, and an accepted trial's g is reused.
-
-GpSolverOptions.momentum > 0 selects the older heavy-ball path, unchanged
-iterate for iterate, because the acceptance suite's 96^2 multivortex fixture
-is defined by it; CG reaches the same state there (energy within 5e-12) in
-2271 instead of 9926 iterations.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -91,9 +86,6 @@ class GpSolverOptions:
     max_iter: int = 20000
     restarts: int = 1
     seed: int = 0
-    # heavy-ball weight; > 0 replaces CG by a descent rough-in and a
-    # non-monotone heavy-ball stage (see the module docstring).
-    momentum: float = 0.0
 
 
 def _check_normalized(phi: ComplexField, tol=1e-8):
@@ -174,13 +166,6 @@ def _precond_weight(p: GpProblem, vals):
     return 1.0 / np.sqrt(1.0 + p.potential + 8.0 * np.pi * p.a * np.abs(vals) ** 2)
 
 
-def _normalize_finite(trial, w):
-    trial = trial / np.sqrt(w * np.sum(np.abs(trial) ** 2))
-    if not np.all(np.isfinite(trial)):
-        raise FloatingPointError("non-finite field in descent step")
-    return trial
-
-
 def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     """Preconditioned nonlinear CG (Polak-Ribiere+) on the unit sphere.
 
@@ -215,7 +200,10 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
             d, slope = -z, -2.0 * rz
         r_old, rz_old = r, rz
         while t > 1e-12:
-            trial = _normalize_finite(vals + t * d, w)
+            trial = vals + t * d
+            trial /= np.sqrt(w * np.sum(np.abs(trial) ** 2))
+            if not np.all(np.isfinite(trial)):
+                raise FloatingPointError("non-finite field in CG step")
             g_t, e_t = _gradient_energy(p, trial)
             evals += 1
             r_t = g_t - w * np.vdot(trial, g_t).real * trial
@@ -231,74 +219,9 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     return vals, it, evals, False
 
 
-def _heavy_ball(p: GpProblem, vals, opts: GpSolverOptions):
-    """Monotone residual descent along -(1 - Lap)^{-1} r to residual 1e-3,
-    then heavy-ball with restarts; returns like `_conjugate_gradient`.
-
-    The heavy-ball preconditioner D (1 - Lap)^{-1} D, D refreshed every 200
-    steps, keeps dt ~ 1 stable for strongly interacting clouds.  The stage
-    is non-monotone, so it returns the lowest-residual iterate seen.
-    """
-    w = p.grid.spacing**p.grid.dim
-    kp = 1.0 / (1.0 + p.grid.ksq())
-    dt = opts.dt
-    g, energy = _gradient_energy(p, vals)
-    evals, res, stalled, it = 1, np.inf, False, 0
-    while it < opts.max_iter:
-        it += 1
-        r = g - w * np.vdot(vals, g).real * vals
-        res = np.sqrt(w * np.sum(np.abs(r) ** 2))
-        if res <= max(opts.tol, 1e-3):
-            break
-        step = np.fft.ifftn(kp * np.fft.fftn(r))
-        while dt > 1e-12:
-            trial = _normalize_finite(vals - dt * step, w)
-            g_trial, e_trial = _gradient_energy(p, trial)
-            evals += 1
-            if e_trial <= energy + _SLACK * max(1.0, abs(energy)):
-                vals, g, energy = trial, g_trial, min(energy, e_trial)
-                dt = min(dt * 1.05, 2.0)
-                break
-            dt *= 0.5
-        else:
-            stalled = True
-            break
-    if res <= opts.tol:
-        return vals, it, evals, stalled
-
-    dt = min(opts.dt, 0.9)
-    prev = vals.copy()
-    best_vals, best_res = vals, np.inf
-    hb = 0
-    while hb < opts.max_iter:
-        hb += 1
-        g = gp_gradient(p, ComplexField(p.grid, vals)).values
-        r = g - w * np.vdot(vals, g).real * vals
-        res = np.sqrt(w * np.sum(np.abs(r) ** 2))
-        if res < best_res:
-            best_vals, best_res = vals, res
-        if res <= opts.tol:
-            break
-        if hb == 1 or hb % 200 == 0:
-            dinv = _precond_weight(p, vals)
-        step = dinv * np.fft.ifftn(kp * np.fft.fftn(dinv * r))
-        momentum = vals - prev
-        # restart when the momentum points against the descent direction
-        if w * np.real(np.sum(np.conj(momentum) * (-r))) < 0:
-            momentum = 0.0
-        trial = vals - dt * step + opts.momentum * momentum
-        trial = trial / np.sqrt(w * np.sum(np.abs(trial) ** 2))
-        if not np.all(np.isfinite(trial)):
-            break
-        prev, vals = vals, trial
-    # stopped early: converged or non-finite
-    return best_vals, it + hb, evals + hb, hb < opts.max_iter
-
-
 def _descend(p: GpProblem, phi: ComplexField, opts: GpSolverOptions) -> GpState:
-    """Minimize from one start: CG, or heavy-ball when opts.momentum > 0."""
-    solver = _heavy_ball if opts.momentum > 0.0 else _conjugate_gradient
-    vals, it, evals, stalled = solver(p, phi.values, opts)
+    """Minimize by CG from one start."""
+    vals, it, evals, stalled = _conjugate_gradient(p, phi.values, opts)
     phi_out = ComplexField(p.grid, vals)
     mu, res = gp_residual(p, phi_out)
     converged = res <= opts.tol

@@ -45,7 +45,7 @@ def coupling_sweep():
 def multivortex():
     """Converged symmetry-broken minimizer above the multi-vortex threshold."""
     problem = gp.harmonic_problem(dim=2, n=96, length=20.0, omega=-0.9, a=50.0)
-    opts = gp.GpSolverOptions(tol=1e-7, max_iter=40000, momentum=0.95)
+    opts = gp.GpSolverOptions(tol=1e-7, max_iter=40000)
     state = gp.gp_minimize(problem, init=("vortex", 2), opts=opts)
     return problem, state, opts
 

@@ -209,13 +209,3 @@ def test_cg_iteration_ceiling_vortex_pair():
     assert st.converged and st.iterations < 500
     assert total_vortex_charge(st.phi) == 2
 
-
-def test_heavy_ball_path_unchanged():
-    # momentum > 0 keeps the descent rough-in and heavy-ball stage of
-    # commit 12a0de9 exactly: same iterate sequence, same energy
-    p = harmonic_problem(dim=2, n=32, length=12.0, omega=-0.8, a=10.0)
-    st = gp_minimize(p, init=("vortex", 2),
-                     opts=GpSolverOptions(momentum=0.95, max_iter=5000))
-    assert st.converged
-    assert st.iterations == 516
-    assert st.energy == 9.448453767689319
