@@ -257,15 +257,10 @@ def cmd_scattering(args):
     pot = _parse_potential(args.potential)
     if args.scale is not None:
         pot = pot.scaled(float(args.scale))
-    r, u = scattering.radial_solution(pot)
-    mask = r >= pot.rrange
-    slope, intercept = np.polyfit(r[mask], u[mask], 1)
-    residual = float(np.max(np.abs(u[mask] - (slope * r[mask] + intercept))))
-    scale = max(np.max(np.abs(u[mask])), 1e-300)
-    result = {
-        "a": float(-intercept / slope),
-        "residual": residual / scale,
-    }
+    a = scattering.scattering_length(pot)
+    # RK4 step doubling: the relative change from half as many steps
+    a_half = scattering.scattering_length(pot, n_steps=10000)
+    result = {"a": a, "residual": abs(a - a_half) / max(abs(a), 1e-300)}
     _write_json(os.path.join(_outdir(args), "results.json"), result)
     return 0 if result["residual"] < 1e-10 else 1
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .fields import ComplexField, Grid
+from .fields import ComplexField, apply_gauge_kinetic
 from .gp import GpProblem
 from .quadrature import gauss_legendre
 from .scattering import RadialPotential
@@ -69,10 +69,6 @@ class CutoffFunction:
         return self.ell(self.s * np.asarray(p, dtype=float))
 
     @property
-    def p_lo(self):
-        return 1.0 / self.s
-
-    @property
     def p_hi(self):
         return 2.0 / self.s
 
@@ -82,14 +78,15 @@ class CutoffFunction:
 # ---------------------------------------------------------------------------
 
 def _h_radial(chi: CutoffFunction, r):
-    """h(r) = (2 pi^2)^{-1} int_0^{2/s} q^2 (1-chi)(q) sinc(q r) dq."""
+    """h(r) = (2 pi^2)^{-1} int_0^{2/s} q^2 (1-chi)(q) sin(q r)/(q r) dq."""
     q, wq = gauss_legendre(400)
     q = 0.5 * chi.p_hi * (q + 1.0)
     wq = 0.5 * chi.p_hi * wq
     amp = wq * q * q * (1.0 - chi(q))
-    qr = np.outer(np.asarray(r, dtype=float), q)
-    kern = np.sinc(qr / np.pi)  # sin(qr)/(qr), = 1 at r = 0
-    return kern @ amp / (2.0 * np.pi**2)
+    r = np.asarray(r, dtype=float)
+    rs = np.where(r > 0.0, r, 1.0)  # Gauss nodes q > 0; the r = 0 kernel is 1
+    h = np.where(r > 0.0, np.sin(np.multiply.outer(rs, q)) @ (amp / q) / rs, amp.sum())
+    return h / (2.0 * np.pi**2)
 
 
 @dataclass
@@ -144,11 +141,12 @@ def _windowed_extremes(h, r, R):
     h_hi = np.interp(hi_r, r, h, right=h[-1])
     hmax = np.maximum(h_lo, h_hi)
     hmin = np.minimum(h_lo, h_hi)
-    for i in range(r.size):
-        if hi[i] > lo[i]:
-            seg = h[lo[i] : hi[i]]
-            hmax[i] = max(hmax[i], seg.max())
-            hmin[i] = min(hmin[i], seg.min())
+    # reduceat over the (lo, hi) pairs: even slots reduce h[lo:hi], odd
+    # slots are discarded; the pad keeps the index hi = n in range
+    pairs = np.stack([lo, hi], axis=1).ravel()
+    hp, live = np.append(h, h[-1]), hi > lo
+    hmin[live] = np.minimum(hmin, np.minimum.reduceat(hp, pairs)[::2])[live]
+    hmax[live] = np.maximum(hmax, np.maximum.reduceat(hp, pairs)[::2])[live]
     return hmin, hmax
 
 
@@ -242,11 +240,13 @@ def _bessel_zeros(ell, count):
     return lo
 
 
-def _channel_min_eig(ell, K, L, pieces, kin_mult):
-    """Min eigenvalue of the compressed form in channel ell with K modes.
+def _channel_matrix(ell, K, L, pieces, kin_mult):
+    """Compressed form in channel ell on the first K Dirichlet modes.
 
     pieces: list of (r_lo, r_hi, n_quad, potfunc) quadrature segments for
     the multiplicative part; kin_mult(p) is the diagonal kinetic symbol.
+    Entry (i, j) depends on modes i and j only, so the matrix for K' < K
+    is exactly its leading K' x K' block.
     """
     alph = _bessel_zeros(ell, K)
     p = alph / L
@@ -258,8 +258,7 @@ def _channel_min_eig(ell, K, L, pieces, kin_mult):
         wq = 0.5 * (r_hi - r_lo) * w * potfunc(r) * r * r
         B = special.spherical_jn(ell, np.outer(p, r)) / norms[:, None]
         H += (B * wq[None, :]) @ B.T
-    H = 0.5 * (H + H.T)
-    return float(np.linalg.eigvalsh(H)[0])
+    return 0.5 * (H + H.T)
 
 
 def check_dyson_inequality(
@@ -298,8 +297,9 @@ def check_dyson_inequality(
         raise ValueError("approximate a hard core by a tall finite barrier")
 
     table = {}
-    for ell in ell_list:
-        table[ell] = [_channel_min_eig(ell, K, L, pieces, kin) for K in basis_sizes]
+    for ell in ell_list:  # one matrix per channel; each size is a leading block
+        H = _channel_matrix(ell, max(basis_sizes), L, pieces, kin)
+        table[ell] = [float(np.linalg.eigvalsh(H[:K, :K])[0]) for K in basis_sizes]
     min_eig = min(table[ell][-1] for ell in ell_list)
     slack = 1e-6 * a_scatt * sp.UR_height if a_scatt > 0 else 1e-10
     drift = max(
@@ -326,27 +326,28 @@ class ModifiedOneBody:
     modes: list             # matching eigenfields
 
 
-def _fft_apply(grid: Grid, multiplier, gauge, scalar, vec):
-    """(multiplier(k) + 2 p.A + scalar(x)) vec, vectorized over the grid."""
-    v = vec.reshape(grid.shape)
-    vhat = np.fft.fftn(v)
-    out = np.fft.ifftn(multiplier * vhat)
-    if gauge is not None:
-        kv = grid.kvecs()
-        for ax, a_comp in enumerate(gauge.components):
-            out += 2.0 * a_comp * np.fft.ifftn(kv[ax] * vhat)  # 2 A . p
-    out += scalar * v
-    return out.reshape(-1)
+def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
+    """Lowest J eigenpairs of multiplier(k) + 2 p.A + |A|^2 + scalar(x).
 
+    p^2 + 2 p.A + |A|^2 is fields.apply_gauge_kinetic, the rest of the
+    multiplier one n-D transform pair; at Omega = 0, A = 0 and the pair is
+    all.  ARPACK starts from a seeded vector: repeated solves agree bitwise.
+    """
+    grid, gauge = p.grid, p.gauge
+    rotating = bool(np.any(gauge.omega))
+    rest = multiplier - grid.ksq() if rotating else multiplier
 
-def _lowest_eigs(grid: Grid, multiplier, gauge, scalar, J):
+    def apply(x):
+        v = x.reshape(grid.shape)
+        out = np.fft.ifftn(rest * np.fft.fftn(v)) + scalar * v
+        if rotating:
+            out += apply_gauge_kinetic(ComplexField(grid, v), gauge).values
+        return out.reshape(-1)
+
     n = int(np.prod(grid.shape))
-    op = LinearOperator(
-        (n, n),
-        matvec=lambda x: _fft_apply(grid, multiplier, gauge, scalar, x),
-        dtype=complex,
-    )
-    vals, vecs = eigsh(op, k=J, which="SA")
+    op = LinearOperator((n, n), matvec=apply, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals, vecs = eigsh(op, k=J, which="SA", v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
@@ -355,9 +356,8 @@ def kappa_eta(p: GpProblem, eta: float) -> float:
     """inf spec(-eta Lap + 2 p.A + eta |x|^4) on the problem's grid."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    grid = p.grid
-    quartic = grid.radius_sq() ** 2
-    vals, _ = _lowest_eigs(grid, eta * grid.ksq(), p.gauge, eta * quartic, 1)
+    scalar = eta * p.grid.radius_sq() ** 2 - p.gauge.magnitude_sq()
+    vals, _ = _lowest_eigs(p, eta * p.grid.ksq(), scalar, 1)
     return float(vals[0])
 
 
@@ -372,8 +372,8 @@ def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedO
     kmag = np.sqrt(grid.ksq())
     mult = grid.ksq() * (1.0 - chi(kmag) ** 2) + 2.0 * eta * grid.ksq()
     quartic = grid.radius_sq() ** 2
-    scalar = p.gauge.magnitude_sq() + p.potential + eta * quartic - kappa
-    vals, vecs = _lowest_eigs(grid, mult, p.gauge, scalar, J)
+    scalar = p.potential + eta * quartic - kappa
+    vals, vecs = _lowest_eigs(p, mult, scalar, J)
     w = grid.spacing ** (grid.dim / 2.0)
     modes = [ComplexField(grid, vecs[:, j].reshape(grid.shape) / w) for j in range(J)]
     return ModifiedOneBody(eta=eta, kappa=kappa, e=vals, modes=modes)

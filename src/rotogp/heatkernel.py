@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
@@ -303,29 +304,27 @@ def weighted_trace(V: ConfiningPotential, alpha, s, d=1, L0=8.0, doublings=4,
 # rank-one perturbation
 # ---------------------------------------------------------------------------
 
-def xi_alpha(xs, alpha, B, D, n_t=80, y_max=None, n_y=4001):
+def xi_alpha(xs, alpha, B, D, n_t=80):
     """xi(x) = ||Phi||_2^{-1} sup_{0<t<alpha} (j_t * Phi)(x), Phi = sqrt(B) e^{-D|x|}.
 
-    One-dimensional; the t -> 0 limit of the convolution is Phi itself and is
-    included in the supremum explicitly.
+    One-dimensional; the sup runs over n_t geometric times in [1e-4 alpha,
+    alpha] and the t -> 0 limit, Phi itself.  With x = |x|, in closed form
+    (j_t * Phi)(x) = (sqrt(B)/2) [e^{D^2 t - D x} erfc((2Dt - x)/sqrt(4t))
+                                  + e^{-x^2/4t} erfcx((2Dt + x)/sqrt(4t))].
     """
     if B < 0 or D <= 0 or alpha <= 0:
         raise ValueError("need B >= 0, D > 0, alpha > 0")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    x = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
     if B == 0:
-        return np.zeros(xs.size)
-    if y_max is None:
-        y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 12.0 / D
-    y = np.linspace(-y_max, y_max, n_y)
-    wy = np.full(n_y, y[1] - y[0])
-    wy[[0, -1]] *= 0.5
-    phi = np.sqrt(B) * np.exp(-D * np.abs(y))
-    norm_phi = np.sqrt(B / D)  # ||Phi||_2 of the exponential profile
-    out = np.sqrt(B) * np.exp(-D * np.abs(xs))
-    for t in np.geomspace(1e-4 * alpha, alpha, n_t):
-        conv = j_t(xs[:, None] - y[None, :], t, d=1) @ (wy * phi)
-        out = np.maximum(out, conv)
-    return out / norm_phi
+        return np.zeros(x.size)
+    t = np.geomspace(1e-4 * alpha, alpha, n_t)[:, None]
+    sq = np.sqrt(4.0 * t)
+    conv = 0.5 * np.sqrt(B) * (
+        np.exp(D * D * t - D * x) * special.erfc((2.0 * D * t - x) / sq)
+        + np.exp(-x * x / (4.0 * t)) * special.erfcx((2.0 * D * t + x) / sq)
+    )
+    out = np.maximum(np.sqrt(B) * np.exp(-D * x), conv.max(axis=0))
+    return out / np.sqrt(B / D)  # ||Phi||_2 of the exponential profile
 
 
 def perturbed_bound_check(V: ConfiningPotential, alpha, B, D, box=14.0, n=1400):

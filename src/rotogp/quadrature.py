@@ -2,16 +2,18 @@
 
 from functools import lru_cache
 
-import numpy as np
+from scipy.special import roots_legendre
 
 
 @lru_cache(maxsize=16)
 def gauss_legendre(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    The arrays are cached and shared between callers, so they are read-only.
+    scipy's asymptotic/Newton construction, not numpy's dense companion-matrix
+    eigensolve, which costs seconds at n in the thousands.  The arrays are
+    cached and shared between callers, so they are read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = roots_legendre(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

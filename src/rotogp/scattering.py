@@ -4,10 +4,10 @@ The reduced radial problem is integrated outward,
 
     u''(r) = factor * w(r) u(r),     u ~ const * (r - a)  beyond the range,
 
-and the scattering length a is read off from an affine least-squares fit
-of u on [R, 2R] where w vanishes.  The default factor is 2 (pair problem
-in units where hbar = 2m = 1, so the reduced-mass kinetic term carries an
-extra 2); factor=1 gives the single-particle convention.
+and since w vanishes past the range R, u is affine there: a = R - u(R)/u'(R)
+exactly.  The default factor is 2 (pair problem in units where hbar = 2m = 1,
+so the reduced-mass kinetic term carries an extra 2); factor=1 gives the
+single-particle convention.
 
 A hard core of radius r_c is handled exactly by starting the integration
 at r_c with u(r_c) = 0.
@@ -134,13 +134,14 @@ def radial_solution(pot: RadialPotential, n_steps: int = 20000, factor: float = 
 def scattering_length(
     pot: RadialPotential, n_steps: int = 20000, factor: float = 2.0
 ) -> float:
-    """Scattering length from an affine fit of u on [rrange, 2*rrange]."""
+    """a = R - u(R)/u'(R), R = rrange: exact, since u is affine past R."""
     r, u = radial_solution(pot, n_steps=n_steps, factor=factor)
-    mask = r >= pot.rrange
-    slope, intercept = np.polyfit(r[mask], u[mask], 1)
+    # the last n_steps samples are the affine continuation on (R, 2R]
+    R, u_R = pot.rrange, u[-n_steps - 1]
+    slope = (u[-1] - u_R) / (r[-1] - R)
     if slope == 0.0:
         raise ArithmeticError("outer solution is flat; scattering length undefined")
-    return float(-intercept / slope)
+    return float(R - u_R / slope)
 
 
 def square_barrier_length(radius: float, height: float, factor: float = 2.0) -> float:

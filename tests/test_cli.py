@@ -144,6 +144,16 @@ class TestScattering:
         from rotogp.scattering import square_barrier_length
         assert abs(res["a"] - square_barrier_length(1.0, 4.0e4) / 10.0) < 1e-7
 
+    def test_residual_is_step_doubling_error(self, tmp_path):
+        assert run(["scattering", "--potential", "square", "1.0", "50.0",
+                    "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert 0.0 < res["residual"] < 1e-10
+        from rotogp.scattering import scattering_length, square_barrier
+        pot = square_barrier(1.0, 50.0)
+        a, a_half = scattering_length(pot), scattering_length(pot, n_steps=10000)
+        assert res["residual"] == abs(a - a_half) / abs(a)
+
     def test_bad_potential_exits_2(self, tmp_path):
         assert run(["scattering", "--potential", "wedge", "1",
                     "--out", str(tmp_path)]) == 2

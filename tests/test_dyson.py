@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize, special
+from scipy.sparse.linalg import eigsh
 
+from rotogp import dyson
 from rotogp.dyson import (
     CutoffFunction,
     build_K0,
@@ -11,8 +14,11 @@ from rotogp.dyson import (
     sampled_direction_fR,
     verify_wr_scaling,
     _bessel_zeros,
+    _h_radial,
+    _windowed_extremes,
 )
 from rotogp.gp import harmonic_problem
+from rotogp.quadrature import gauss_legendre
 from rotogp.scattering import RadialPotential, scattering_length, square_barrier
 
 
@@ -192,3 +198,134 @@ def test_bessel_zeros_match_brentq(ell):
     f = lambda t: special.spherical_jn(ell, t)
     ref = np.array([optimize.brentq(f, x[i], x[i + 1], xtol=1e-14) for i in idx])
     assert np.max(np.abs(z / ref - 1.0)) < 1e-12
+
+
+# -- references: the per-point and per-axis forms the vectorised code replaced
+
+def _windowed_extremes_loop(h, r, R):
+    """Window extremes by one slice per grid point."""
+    lo_r, hi_r = np.abs(r - R), r + R
+    lo = np.searchsorted(r, lo_r, side="left")
+    hi = np.searchsorted(r, hi_r, side="right")
+    h_lo = np.interp(lo_r, r, h)
+    h_hi = np.interp(hi_r, r, h, right=h[-1])
+    hmax = np.maximum(h_lo, h_hi)
+    hmin = np.minimum(h_lo, h_hi)
+    for i in range(r.size):
+        if hi[i] > lo[i]:
+            seg = h[lo[i] : hi[i]]
+            hmax[i] = max(hmax[i], seg.max())
+            hmin[i] = min(hmin[i], seg.min())
+    return hmin, hmax
+
+
+def _h_radial_sinc(chi, r):
+    """h(r) with the kernel np.sinc(qr/pi) = sin(qr)/(qr)."""
+    q, wq = gauss_legendre(400)
+    q = 0.5 * chi.p_hi * (q + 1.0)
+    wq = 0.5 * chi.p_hi * wq
+    amp = wq * q * q * (1.0 - chi(q))
+    kern = np.sinc(np.outer(np.asarray(r, dtype=float), q) / np.pi)
+    return kern @ amp / (2.0 * np.pi**2)
+
+
+def _fft_apply(grid, multiplier, gauge, scalar, vec):
+    """(multiplier(k) + 2 p.A + scalar(x)) vec, one n-D transform per axis."""
+    v = vec.reshape(grid.shape)
+    vhat = np.fft.fftn(v)
+    out = np.fft.ifftn(multiplier * vhat)
+    for ax, a_comp in enumerate(gauge.components):
+        out += 2.0 * a_comp * np.fft.ifftn(grid.kvecs()[ax] * vhat)  # 2 A . p
+    out += scalar * v
+    return out.reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    R=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_extremes_match_loop(n, R, seed):
+    rng = np.random.default_rng(seed)
+    r = np.linspace(0.0, rng.uniform(0.5, 10.0), n)
+    h = rng.standard_normal(n)
+    fast = _windowed_extremes(h, r, R)
+    ref = _windowed_extremes_loop(h, r, R)
+    assert np.array_equal(fast[0], ref[0]) and np.array_equal(fast[1], ref[1])
+
+
+def test_windowed_extremes_match_loop_on_h():
+    chi = CutoffFunction(3.5)
+    r = np.linspace(0.0, 25.0 * 3.5 + 0.35, 6000)
+    h = _h_radial(chi, r)
+    for R in (0.1, 0.35, 1.05):
+        fast = _windowed_extremes(h, r, R)
+        ref = _windowed_extremes_loop(h, r, R)
+        assert np.array_equal(fast[0], ref[0]) and np.array_equal(fast[1], ref[1])
+
+
+@pytest.mark.parametrize("s", [1.0, 3.5, 7.0])
+def test_h_radial_matches_sinc_form(s):
+    chi = CutoffFunction(s)
+    r = np.concatenate([[0.0], np.geomspace(1e-8, 100.0, 2000)])
+    h, ref = _h_radial(chi, r), _h_radial_sinc(chi, r)
+    assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_nested_galerkin_blocks_match_one_solve_per_size(soft):
+    v_n = square_barrier(1.0, 50.0).scaled(4)
+    a_n = scattering_length(v_n)
+    sizes = (90, 120, 60)  # unsorted, the largest in the middle
+    nested = check_dyson_inequality(v_n, soft, a_n, ell_list=(0, 1), basis_sizes=sizes)
+    for ell in (0, 1):
+        for K, lam in zip(sizes, nested["channels"][ell]):
+            single = check_dyson_inequality(
+                v_n, soft, a_n, ell_list=(ell,), basis_sizes=(K,)
+            )["channels"][ell][0]
+            assert lam == pytest.approx(single, rel=1e-12, abs=0.0)
+    # the table keeps the caller's order, and the minima fall as K grows
+    lam90, lam120, lam60 = nested["channels"][0]
+    assert lam120 <= lam90 <= lam60
+    assert nested["min_eig"] == min(nested["channels"][ell][-1] for ell in (0, 1))
+
+
+def _captured_operators(monkeypatch):
+    ops = []
+
+    def capture(op, **kw):
+        ops.append(op)
+        return eigsh(op, **kw)
+
+    monkeypatch.setattr(dyson, "eigsh", capture)
+    return ops
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.4])
+def test_k0_operators_match_per_axis_formula(monkeypatch, omega):
+    p = harmonic_problem(dim=2, n=16, length=10.0, omega=omega)
+    chi, eta, grid = CutoffFunction(2.0), 1.0, p.grid
+    ops = _captured_operators(monkeypatch)
+    mob = build_K0(p, chi, eta=eta, J=2)
+    assert len(ops) == 2  # kappa(eta), then K0
+    quartic = grid.radius_sq() ** 2
+    ksq = grid.ksq()
+    mult = ksq * (1.0 - chi(np.sqrt(ksq)) ** 2) + 2.0 * eta * ksq
+    refs = [
+        (eta * ksq, eta * quartic),
+        (mult, p.gauge.magnitude_sq() + p.potential + eta * quartic - mob.kappa),
+    ]
+    rng = np.random.default_rng(5)
+    for op, (m, scalar) in zip(ops, refs):
+        for _ in range(3):
+            x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+            ref = _fft_apply(grid, m, p.gauge, scalar, x)
+            assert np.max(np.abs(op.matvec(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_k0_repeatable_bitwise():
+    p = harmonic_problem(dim=2, n=32, length=12.0)
+    first = build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
+    second = build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
+    assert first.kappa == second.kappa
+    assert np.array_equal(first.e, second.e)

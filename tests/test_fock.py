@@ -309,3 +309,58 @@ def test_smoothing_estimate_vortex_state():
     phi = ComplexField(g, (x + 1j * y) * np.exp(-g.radius_sq() / 2)).normalized()
     lhs, rhs = smoothing_estimate_check(phi, 1.0)
     assert lhs <= rhs
+
+
+def _evaluate_reference(poly, z):
+    """u(z) at one point, term by term in scalar arithmetic."""
+    val = 0.0 + 0.0j
+    for (p, q), c in poly.terms.items():
+        val += c * np.prod(np.conj(z) ** p) * np.prod(z**q)
+    return complex(val)
+
+
+def _symbol_terms(modes):
+    exps = st.lists(st.integers(0, 2), min_size=modes, max_size=modes)
+    term = st.tuples(exps, exps).filter(lambda pq: sum(pq[0]) + sum(pq[1]) <= 4)
+    coeff = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    return st.dictionaries(term.map(lambda pq: (tuple(pq[0]), tuple(pq[1]))), coeff,
+                           max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), modes=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_evaluate_points_matches_per_point_loop(data, modes, seed):
+    poly = SymbolPolynomial(modes, data.draw(_symbol_terms(modes)))
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-2, 2, (17, modes)) + 1j * rng.uniform(-2, 2, (17, modes))
+    # |z_j| < 3, so each monomial is below 3^4 times its coefficient
+    scale = max(1.0, sum(abs(c) for c in poly.terms.values())) * 3.0**4
+    for pol in (poly, poly.upper()):
+        vals = pol.evaluate(z)
+        ref = np.array([_evaluate_reference(pol, zg) for zg in z])
+        assert vals.shape == (17,)
+        assert np.max(np.abs(vals - ref)) <= 1e-14 * scale
+        # a single point keeps scalar arithmetic: bitwise the reference
+        assert all(pol.evaluate(zg) == r for zg, r in zip(z, ref))
+
+
+def test_evaluate_single_point_returns_scalar():
+    poly = SymbolPolynomial.term(2, (1, 0), (0, 1), 0.5)
+    z = np.array([0.3 + 0.1j, -0.2 + 0.5j])
+    val = poly.evaluate(z)
+    assert isinstance(val, complex)
+    assert val == 0.5 * np.conj(z[0]) * z[1]
+    assert poly.evaluate(z[None, :]).shape == (1,)
+
+
+def test_ground_state_repeatable_bitwise():
+    # sector 6 of J = 6 holds C(11, 5) = 462 states: the sparse eigsh branch
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((6, 6))
+    b = FockBasis(6, 6)
+    mb = ModeBasis(e=np.arange(1.0, 7.0), W=pair_interaction_tensor(0.5 * (g + g.T), 0.1))
+    H = build_hamiltonian(mb, b)
+    assert b.sector(6).size > 400
+    e1, v1 = ground_state(H, b, 6)
+    e2, v2 = ground_state(H, b, 6)
+    assert e1 == e2 and np.array_equal(v1, v2)

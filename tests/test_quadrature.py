@@ -1,0 +1,33 @@
+import numpy as np
+import pytest
+
+from rotogp.quadrature import gauss_legendre
+
+
+@pytest.mark.parametrize("n", [1, 2, 48, 400, 2400])
+def test_rule_integrates_polynomials_exactly(n):
+    x, w = gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert w.sum() == pytest.approx(2.0, rel=1e-14, abs=0.0)
+    # an even and an odd monomial within the rule's degree of exactness;
+    # numpy's companion-matrix weights miss the even one by 4.6e-12 at n = 2400
+    deg = min(2 * n - 2, 20)
+    assert np.dot(w, x**deg) == pytest.approx(2.0 / (deg + 1), rel=1e-12, abs=0.0)
+    assert abs(np.dot(w, x ** (deg + 1))) < 1e-15
+
+
+def test_rule_matches_numpy_to_rounding():
+    x, w = gauss_legendre(200)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(200)
+    assert np.max(np.abs(x - x_ref)) < 1e-15
+    assert np.max(np.abs(w - w_ref)) < 1e-14
+
+
+def test_rule_is_cached_and_read_only():
+    x, w = gauss_legendre(64)
+    assert gauss_legendre(64)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0

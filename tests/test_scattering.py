@@ -75,6 +75,16 @@ def test_radial_solution_shape_and_outer_linearity():
     assert np.max(np.abs(resid)) < 1e-10
 
 
+@pytest.mark.parametrize("pot", [square_barrier(1.0, 50.0), square_well(1.0, 0.5),
+                                 square_barrier(1.0, 4.0e4).scaled(8)])
+def test_closed_form_matches_affine_fit(pot):
+    # a = R - u(R)/u'(R) against a least-squares line through the outer samples
+    r, u = radial_solution(pot)
+    out = r >= pot.rrange
+    slope, intercept = np.polyfit(r[out], u[out], 1)
+    assert scattering_length(pot) == pytest.approx(-intercept / slope, rel=1e-13)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         RadialPotential(rrange=-1.0, func=lambda r: r)
