@@ -277,6 +277,9 @@ _DYSON_DEFAULTS = {
 
 def cmd_dyson_check(args):
     cfg = _effective_config(_DYSON_DEFAULTS, args)
+    if not (0 < float(cfg["R"]) <= float(cfg["s"]) and 0 < float(cfg["eps"]) < 1
+            and float(cfg["eta"]) > 0 and int(cfg["J"]) >= 1):
+        raise ConfigError("need 0 < R <= s, 0 < eps < 1, eta > 0 and J >= 1")
     pot = scattering.square_barrier(float(cfg["R0"]), float(cfg["W0"]))
     if args.potential:
         pot = _parse_potential(args.potential)
@@ -414,14 +417,16 @@ def cmd_heat_bound(args):
         {"V": ["harmonic"], "alpha": 1.0, "s": 2.0, "dim": 1}, args
     )
     tokens = cfg["V"] if isinstance(cfg["V"], list) else str(cfg["V"]).split()
+    alpha, s, d = float(cfg["alpha"]), float(cfg["s"]), int(cfg["dim"])
+    if d not in (1, 3) or not alpha > 0 or not s >= 0:
+        raise ConfigError("need --dim 1 or 3, --alpha > 0 and --s >= 0")
     if tokens[0] == "harmonic":
         V = heatkernel.harmonic_potential()
-    elif tokens[0] == "log" and len(tokens) >= 2:
+    elif tokens[0] == "log" and len(tokens) >= 2 and float(tokens[1]) > 0:
         V = heatkernel.log_potential(float(tokens[1]),
                                      float(tokens[2]) if len(tokens) > 2 else 0.0)
     else:
-        raise ConfigError("V must be 'harmonic' or 'log C1 [C2]'")
-    alpha, s, d = float(cfg["alpha"]), float(cfg["s"]), int(cfg["dim"])
+        raise ConfigError("V must be 'harmonic' or 'log C1 [C2]' with C1 > 0")
     xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
     bound = heatkernel.diag_bound(V, alpha, xs, d=d)
     brute = heatkernel.brute_diag(V, alpha, xs, d=d)

@@ -331,7 +331,9 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
 
     p^2 + 2 p.A + |A|^2 is fields.apply_gauge_kinetic, the rest of the
     multiplier one n-D transform pair; at Omega = 0, A = 0 and the pair is
-    all.  ARPACK starts from a seeded vector: repeated solves agree bitwise.
+    all.  The multiplier is then real and even in k, so the operator is real
+    symmetric and ARPACK runs its real driver.  ARPACK starts from a seeded
+    vector: repeated solves agree bitwise.
     """
     grid, gauge = p.grid, p.gauge
     rotating = bool(np.any(gauge.omega))
@@ -339,13 +341,14 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
 
     def apply(x):
         v = x.reshape(grid.shape)
-        out = np.fft.ifftn(rest * np.fft.fftn(v)) + scalar * v
+        out = np.fft.ifftn(rest * np.fft.fftn(v))
+        out = (out if rotating else out.real) + scalar * v
         if rotating:
             out += apply_gauge_kinetic(ComplexField(grid, v), gauge).values
         return out.reshape(-1)
 
     n = int(np.prod(grid.shape))
-    op = LinearOperator((n, n), matvec=apply, dtype=complex)
+    op = LinearOperator((n, n), matvec=apply, dtype=complex if rotating else float)
     v0 = np.random.default_rng(0).standard_normal(n)
     vals, vecs = eigsh(op, k=J, which="SA", v0=v0)
     order = np.argsort(vals)

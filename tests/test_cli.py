@@ -197,3 +197,20 @@ class TestHeatBound:
                     "--s", "4", "--dim", "1", "--out", str(tmp_path)]) == 1
         res = json.loads((tmp_path / "results.json").read_text())
         assert res["converged"] is False
+
+
+def test_certificate_config_errors_exit_2(tmp_path, capsys):
+    cases = [
+        ["heat-bound", "--dim", "2"],
+        ["heat-bound", "--alpha", "-1"],
+        ["heat-bound", "--alpha", "0"],
+        ["heat-bound", "--s", "-1"],
+        ["heat-bound", "--V", "log", "-1"],
+        ["dyson-check", "--eps", "1.5"],
+        ["dyson-check", "--R", "-1"],
+    ]
+    for argv in cases:
+        assert run([*argv, "--out", str(tmp_path)]) == 2, argv
+        assert "config error" in capsys.readouterr().err, argv
+    # rejected before any work: nothing was computed or written
+    assert not (tmp_path / "results.json").exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize, special
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from rotogp import dyson
 from rotogp.dyson import (
@@ -317,10 +317,33 @@ def test_k0_operators_match_per_axis_formula(monkeypatch, omega):
     ]
     rng = np.random.default_rng(5)
     for op, (m, scalar) in zip(ops, refs):
+        # at Omega = 0 the operator is real symmetric: real probes
+        assert op.dtype == (complex if omega else float)
         for _ in range(3):
-            x = rng.standard_normal(op.shape[0]) + 1j * rng.standard_normal(op.shape[0])
+            x = rng.standard_normal(op.shape[0])
+            if omega:
+                x = x + 1j * rng.standard_normal(op.shape[0])
             ref = _fft_apply(grid, m, p.gauge, scalar, x)
             assert np.max(np.abs(op.matvec(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_k0_real_eigensolve_matches_complex_path(monkeypatch):
+    p = harmonic_problem(dim=2, n=32, length=12.0)
+    chi = CutoffFunction(3.5)
+    real = build_K0(p, chi, eta=1.0, J=4)
+
+    def complex_eigsh(op, **kw):
+        # the same operator through ARPACK's complex driver
+        cop = LinearOperator(
+            op.shape, dtype=complex,
+            matvec=lambda x: op.matvec(x.real) + 1j * op.matvec(x.imag),
+        )
+        return eigsh(cop, **kw)
+
+    monkeypatch.setattr(dyson, "eigsh", complex_eigsh)
+    cplx = build_K0(p, chi, eta=1.0, J=4)
+    assert abs(real.kappa - cplx.kappa) <= 1e-10
+    assert np.max(np.abs(real.e - cplx.e)) <= 1e-10
 
 
 def test_k0_repeatable_bitwise():

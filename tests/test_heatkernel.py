@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from rotogp import heatkernel as hk
+from rotogp.quadrature import gauss_legendre
 
 
 def _xi_alpha_quadrature(xs, alpha, B, D, n_t=80, n_y=4001):
@@ -26,6 +28,66 @@ def _fd_modes_full(potential_on_grid, spacing, alpha):
     lam, vecs = eigh_tridiagonal(2.0 / spacing**2 + potential_on_grid,
                                  np.full(n - 1, -1.0 / spacing**2))
     return lam, vecs / np.sqrt(spacing)
+
+
+def _diag_bound_grid_full(V, alpha, xs, d, y_max, dy=0.01):
+    """The grid profile with every rho summed for every x (no window)."""
+    pref = (4.0 * np.pi * alpha) ** (-d / 2.0)
+    span = 12.0 * np.sqrt(alpha)
+    if d == 1:
+        y = np.arange(-y_max, y_max + dy / 2, dy)
+        off = np.arange(-int(np.ceil(span / dy)), int(np.ceil(span / dy)) + 1)
+        hv = hk.h_alpha(np.abs(off) * dy, alpha, d=1)
+        conv = np.convolve(np.exp(-alpha * V(y)), hv, mode="same") * dy
+        return pref * np.interp(xs, y, conv)
+    rho = np.arange(dy, y_max, dy)
+    ev = np.exp(-alpha * V(rho)) * rho * dy
+    s_tab = np.linspace(0.0, y_max + np.abs(xs).max() + dy, 20000)
+    g_int = s_tab * hk.h_alpha(s_tab, alpha, d=3)
+    g_int[0] = 0.0
+    G = np.concatenate([[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))])
+    out = np.empty(xs.size)
+    for i, r in enumerate(np.abs(xs)):
+        inner = np.interp(r + rho, s_tab, G) - np.interp(np.abs(r - rho), s_tab, G)
+        out[i] = 2.0 * np.pi / max(r, dy) * np.sum(ev * inner)
+    return pref * out
+
+
+def _weighted_trace_per_domain(V, alpha, s, d, L0=8.0, doublings=4, n_per_unit=8):
+    """Trace partials with a separate profile and G table for every domain."""
+    partials = []
+    for k in range(doublings + 1):
+        L = L0 * 2**k
+        n = max(int(L * n_per_unit) | 1, 129)
+        y_max = L + 12.0 * np.sqrt(alpha)
+        if d == 1:
+            x = np.linspace(-L, L, n)
+            vals = _diag_bound_grid_full(V, alpha, x, 1, y_max)
+            partials.append(float(np.trapezoid(np.abs(x) ** s * vals, x)))
+        else:
+            x = np.linspace(0.0, L, n)[1:]
+            vals = _diag_bound_grid_full(V, alpha, x, 3, y_max)
+            partials.append(float(4.0 * np.pi * np.trapezoid(x ** (s + 2) * vals, x)))
+    return np.array(partials)
+
+
+def _shell_average_gauss(r, rho, alpha, panels=1):
+    """(1 / (2 r rho)) int_{|r-rho|}^{r+rho} sigma h(sigma) dsigma, 48-node Gauss.
+
+    panels = 1 is one rule over the whole interval.  More panels halve toward
+    |r - rho|: when r is close to rho the narrowest theta nodes of h_alpha sit
+    there, and one 48-node panel misses up to 9e-4 of the integral.
+    """
+    if r == 0.0 or rho == 0.0:
+        return hk.h_alpha(max(r, rho), alpha, d=3)
+    lo, width = abs(r - rho), 2.0 * min(r, rho)
+    offs = width * np.concatenate([[0.0], 0.5 ** np.arange(panels - 1, -1, -1)])
+    u, w = gauss_legendre(48)
+    total = 0.0
+    for a, b in zip(offs[:-1], offs[1:]):
+        sig = lo + 0.5 * (a + b) + 0.5 * (b - a) * u
+        total += np.sum(0.5 * (b - a) * w * sig * hk.h_alpha(sig, alpha, d=3))
+    return float(total) / (2.0 * r * rho)
 
 
 class TestProfile:
@@ -104,6 +166,22 @@ class TestDiagBound:
         # solves of these matrices differ by up to 4e-12 in this density
         assert np.max(np.abs(windowed / full - 1.0)) < 1e-11
 
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(1e-8, 20.0), rho=st.floats(1e-8, 20.0),
+           alpha=st.floats(0.05, 20.0))
+    def test_closed_form_shell_average_is_the_gauss_limit(self, r, rho, alpha):
+        exact = hk._shell_average(r, rho, alpha)
+        ref = _shell_average_gauss(r, rho, alpha, panels=40)
+        # 1e-30 absolute where both sit at or below underflow
+        assert abs(exact - ref) <= 1e-10 * abs(ref) + 1e-30
+
+    def test_closed_form_diag_bound_matches_gauss_rule_3d(self, monkeypatch):
+        xs = np.linspace(0.2, 3.0, 8)  # the heat-bound --dim 3 points
+        closed = hk.diag_bound(hk.harmonic_potential(), 1.0, xs, d=3)
+        monkeypatch.setattr(hk, "_shell_average", _shell_average_gauss)
+        gauss = hk.diag_bound(hk.harmonic_potential(), 1.0, xs, d=3)
+        assert np.max(np.abs(closed / gauss - 1.0)) < 1e-7
+
     def test_negative_potential_rejected(self):
         V = hk.ConfiningPotential(lambda x: x**2 - 1.0)
         with pytest.raises(ValueError):
@@ -142,6 +220,40 @@ class TestWeightedTrace:
     def test_validation(self):
         with pytest.raises(ValueError):
             hk.weighted_trace(hk.harmonic_potential(), 1.0, -1.0)
+        with pytest.raises(ValueError):
+            hk.weighted_trace(hk.harmonic_potential(), 1.0, 2.0, doublings=0)
+        with pytest.raises(ValueError):
+            hk.weighted_trace(hk.harmonic_potential(), 1.0, 2.0, d=2)
+
+    @pytest.mark.parametrize("V, alpha, s, d, doublings", [
+        (hk.harmonic_potential(), 1.0, 2.0, 1, 4),
+        (hk.harmonic_potential(), 1.0, 2.0, 3, 3),
+        (hk.log_potential(2.0), 0.1, 4.0, 1, 4),
+        (hk.log_potential(2.0), 1.0, 4.0, 1, 4),
+        (hk.log_potential(2.0), 50.0, 4.0, 1, 4),
+    ], ids=["harmonic-d1", "harmonic-d3", "log-0.1", "log-1", "log-50"])
+    def test_one_profile_matches_profile_per_domain(self, V, alpha, s, d, doublings):
+        # 16 points per unit length nest every domain's grid in the largest
+        # one's; at 8 the 129-point floor makes domain 0's grid twice as fine
+        kw = dict(d=d, doublings=doublings, n_per_unit=16)
+        rep = hk.weighted_trace(V, alpha, s, **kw)
+        ref = _weighted_trace_per_domain(V, alpha, s, **kw)
+        assert abs(rep["value"] / ref[-1] - 1.0) <= 1e-12
+        assert rep["converged"] == (abs(ref[-1] / ref[-2] - 1.0) <= 0.01)
+        # d = 3: each domain's own G table differs by up to 1.4e-5
+        assert np.max(np.abs(rep["partials"] / ref - 1.0)) <= 1e-4
+
+    def test_default_trace_matches_profile_per_domain(self):
+        V = hk.harmonic_potential()
+        rep = hk.weighted_trace(V, 1.0, 2.0, d=1)
+        ref = _weighted_trace_per_domain(V, 1.0, 2.0, 1)
+        assert abs(rep["value"] / ref[-1] - 1.0) <= 1e-12
+
+    def test_partials_nondecreasing_3d(self):
+        # the integrand is nonnegative; separate G tables per domain made the
+        # partials dip (0.3125002, 0.3124985, ...)
+        rep = hk.weighted_trace(hk.harmonic_potential(), 1.0, 2.0, d=3)
+        assert np.all(np.diff(rep["partials"]) >= 0.0)
 
 
 class TestPerturbedBound:
