@@ -78,8 +78,6 @@ def _shell_average_gauss(r, rho, alpha, panels=1):
     |r - rho|: when r is close to rho the narrowest theta nodes of h_alpha sit
     there, and one 48-node panel misses up to 9e-4 of the integral.
     """
-    if r == 0.0 or rho == 0.0:
-        return hk.h_alpha(max(r, rho), alpha, d=3)
     lo, width = abs(r - rho), 2.0 * min(r, rho)
     offs = width * np.concatenate([[0.0], 0.5 ** np.arange(panels - 1, -1, -1)])
     u, w = gauss_legendre(48)
