@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import USE_NUMBA, njit
 from .fields import ComplexField, Grid, GridMismatchError, gradient_arrays, inner
 
 
@@ -29,35 +28,6 @@ from .fields import ComplexField, Grid, GridMismatchError, gradient_arrays, inne
 def _fold(d):
     """Fold a phase difference into (-pi, pi]."""
     return d - 2.0 * np.pi * np.ceil(d / (2.0 * np.pi) - 0.5)
-
-
-@njit(cache=True)
-def _census_kernel(phase, ok, defined, out):  # pragma: no cover - jit path
-    nx, ny = phase.shape
-    count = 0
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            if not (ok[i, j] or ok[i + 1, j] or ok[i + 1, j + 1] or ok[i, j + 1]):
-                continue
-            if not (defined[i, j] and defined[i + 1, j]
-                    and defined[i + 1, j + 1] and defined[i, j + 1]):
-                continue
-            s = 0.0
-            d = phase[i + 1, j] - phase[i, j]
-            s += d - 2.0 * np.pi * np.ceil(d / (2.0 * np.pi) - 0.5)
-            d = phase[i + 1, j + 1] - phase[i + 1, j]
-            s += d - 2.0 * np.pi * np.ceil(d / (2.0 * np.pi) - 0.5)
-            d = phase[i, j + 1] - phase[i + 1, j + 1]
-            s += d - 2.0 * np.pi * np.ceil(d / (2.0 * np.pi) - 0.5)
-            d = phase[i, j] - phase[i, j + 1]
-            s += d - 2.0 * np.pi * np.ceil(d / (2.0 * np.pi) - 0.5)
-            q = int(np.rint(s / (2.0 * np.pi)))
-            if q != 0:
-                out[count, 0] = i
-                out[count, 1] = j
-                out[count, 2] = q
-                count += 1
-    return count
 
 
 def _census_numpy(phase, ok, defined):
@@ -101,12 +71,7 @@ def detect_vortices(phi: ComplexField, amplitude_floor=1e-3):
     ok = amp > floor
     defined = amp > 1e-12 * amp.max()
     phase = np.angle(phi.values)
-    if USE_NUMBA:
-        out = np.empty((phi.grid.n * phi.grid.n, 3), dtype=np.int64)
-        cnt = _census_kernel(phase, ok, defined, out)
-        found = [(int(a), int(b), int(c)) for a, b, c in out[:cnt]]
-    else:
-        found = _census_numpy(phase, ok, defined)
+    found = _census_numpy(phase, ok, defined)
     # repair pass: undefined nodes adjacent to live amplitude
     n = phi.grid.n
     bad = np.nonzero(~defined)

@@ -1,39 +1,5 @@
-"""Numba/numpy backend selection for the hot kernels.
-
-Set ROTOGP_BACKEND=numpy to force the pure-numpy fallback path; anything
-else (or unset) uses numba when it imports cleanly.  ROTOGP_THREADS caps
-numba's thread pool.
-"""
-
-import os
-import warnings
-
-_requested = os.environ.get("ROTOGP_BACKEND", "numba").lower()
-
-USE_NUMBA = False
-if _requested != "numpy":
-    try:
-        import numba
-
-        nthreads = os.environ.get("ROTOGP_THREADS")
-        if nthreads:
-            numba.set_num_threads(max(1, int(nthreads)))
-        njit = numba.njit
-        USE_NUMBA = True
-    except ImportError:
-        warnings.warn("numba unavailable, falling back to pure numpy kernels")
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        # no-op decorator, tolerant of @njit and @njit(...) forms
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+"""Name of the array backend, recorded in benchmark provenance."""
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"

@@ -17,7 +17,9 @@ import time
 
 import numpy as np
 
-from . import analysis, dyson, fields, fock, gp, heatkernel, scattering
+# Certificate modules pull in scipy; each is imported by the subcommand that
+# runs it, so the numpy-only GP path starts without them.
+from . import analysis, fields, gp, scattering
 
 
 class ConfigError(ValueError):
@@ -276,6 +278,8 @@ _DYSON_DEFAULTS = {
 
 
 def cmd_dyson_check(args):
+    from . import dyson
+
     cfg = _effective_config(_DYSON_DEFAULTS, args)
     if not (0 < float(cfg["R"]) <= float(cfg["s"]) and 0 < float(cfg["eps"]) < 1
             and float(cfg["eta"]) > 0 and int(cfg["J"]) >= 1):
@@ -326,6 +330,8 @@ def cmd_dyson_check(args):
 # ---------------------------------------------------------------------------
 
 def cmd_fock_ed(args):
+    from . import fock
+
     cfg = _effective_config(
         {"J": 2, "Nmax": 6, "e": None, "W-file": None, "sector": 4, "g": 0.0},
         args,
@@ -365,6 +371,8 @@ def cmd_fock_ed(args):
 
 def _parse_op(text):
     """'adag adag a a' -> single-mode monomial (a^dag)^p a^q."""
+    from . import fock
+
     p = q = 0
     for tok in text.split():
         if tok == "adag":
@@ -381,6 +389,8 @@ def _parse_op(text):
 
 
 def cmd_symbols_check(args):
+    from . import fock
+
     cfg = _effective_config(
         {"op": "adag a", "z": "0.7+0.2j", "Z": 6.0, "nodes": 64, "Nmax": 8},
         args,
@@ -413,6 +423,8 @@ def cmd_symbols_check(args):
 # ---------------------------------------------------------------------------
 
 def cmd_heat_bound(args):
+    from . import heatkernel
+
     cfg = _effective_config(
         {"V": ["harmonic"], "alpha": 1.0, "s": 2.0, "dim": 1}, args
     )

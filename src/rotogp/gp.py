@@ -75,7 +75,8 @@ class GpState:
     converged: bool
     restart_energies: list = dc_field(default_factory=list)
     boundary_ok: bool = True
-    termination: str = "converged"   # or "max_iter", "stalled" (dt collapsed)
+    termination: str = "converged"   # or "max_iter", "stalled" (dt collapsed),
+                                     # "non_finite" (a trial was not finite)
     gradient_evals: int = 0          # operator applies of the minimizer
 
 
@@ -169,12 +170,14 @@ def _precond_weight(p: GpProblem, vals):
 def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     """Preconditioned nonlinear CG (Polak-Ribiere+) on the unit sphere.
 
-    Returns (vals, iterations, gradient evaluations, stalled).  The trial
-    (vals + t d)/|vals + t d| is accepted unless its energy rises above
-    the roundoff slack.  The next step is the root of a secant on the
-    directional derivative s(t) = 2 Re<r(t), d>, which each trial's
-    gradient gives for free, clamped to [t/4, 4t] after an accepted trial
-    and to [t/10, t/2] after a rejected one.
+    Returns (vals, iterations, gradient evaluations, stop): stop is
+    "stalled" when the step collapsed, "non_finite" when a trial's norm or
+    energy was not finite (vals is then the last finite iterate), and None
+    otherwise.  The trial (vals + t d)/|vals + t d| is accepted unless its
+    energy rises above the roundoff slack.  The next step is the root of a
+    secant on the directional derivative s(t) = 2 Re<r(t), d>, which each
+    trial's gradient gives for free, clamped to [t/4, 4t] after an accepted
+    trial and to [t/10, t/2] after a rejected one.
     """
     w = p.grid.spacing**p.grid.dim
     kp = 1.0 / (1.0 + p.grid.ksq())
@@ -201,11 +204,15 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
         r_old, rz_old = r, rz
         while t > 1e-12:
             trial = vals + t * d
-            trial /= np.sqrt(w * np.sum(np.abs(trial) ** 2))
-            if not np.all(np.isfinite(trial)):
-                raise FloatingPointError("non-finite field in CG step")
+            # a finite, positive sum of squares means every entry is finite
+            norm_sq = w * np.sum(np.abs(trial) ** 2)
+            if not (np.isfinite(norm_sq) and norm_sq > 0.0):
+                return vals, it, evals, "non_finite"
+            trial /= np.sqrt(norm_sq)
             g_t, e_t = _gradient_energy(p, trial)
             evals += 1
+            if not np.isfinite(e_t):
+                return vals, it, evals, "non_finite"
             r_t = g_t - w * np.vdot(trial, g_t).real * trial
             s_t = 2.0 * w * np.vdot(r_t, d).real
             root = t * slope / (slope - s_t) if s_t > slope else np.inf
@@ -215,16 +222,16 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
                 break
             t = min(max(root, 0.1 * t), 0.5 * t)
         else:
-            return vals, it, evals, True
-    return vals, it, evals, False
+            return vals, it, evals, "stalled"
+    return vals, it, evals, None
 
 
 def _descend(p: GpProblem, phi: ComplexField, opts: GpSolverOptions) -> GpState:
     """Minimize by CG from one start."""
-    vals, it, evals, stalled = _conjugate_gradient(p, phi.values, opts)
+    vals, it, evals, stop = _conjugate_gradient(p, phi.values, opts)
     phi_out = ComplexField(p.grid, vals)
     mu, res = gp_residual(p, phi_out)
-    converged = res <= opts.tol
+    converged = res <= opts.tol and stop != "non_finite"
     return GpState(
         phi=phi_out,
         energy=gp_energy(p, phi_out),
@@ -233,8 +240,7 @@ def _descend(p: GpProblem, phi: ComplexField, opts: GpSolverOptions) -> GpState:
         iterations=it,
         converged=converged,
         boundary_ok=boundary_decay_ok(phi_out),
-        termination=("converged" if converged
-                     else "stalled" if stalled else "max_iter"),
+        termination="converged" if converged else stop or "max_iter",
         gradient_evals=evals,
     )
 

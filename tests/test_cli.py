@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,19 @@ class TestSolveGp:
         assert run(["solve-gp", "--dim", "2", "--n", "16", "--box", "10",
                     "--trap", f"file:{tmp_path / 'nan.npy'}", "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "results.json").exists()
+
+    def test_non_finite_gradient_writes_results_and_exits_1(self, tmp_path, monkeypatch):
+        from rotogp.fields import ComplexField
+
+        def nan_gradient(p, phi):
+            return ComplexField(p.grid, np.full(p.grid.shape, np.nan + 0j))
+
+        monkeypatch.setattr("rotogp.gp.gp_gradient", nan_gradient)
+        assert run(["solve-gp", "--dim", "2", "--n", "16", "--box", "10",
+                    "--out", str(tmp_path)]) == 1
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert res["termination"] == "non_finite"
+        assert res["converged"] is False
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -214,3 +231,26 @@ def test_certificate_config_errors_exit_2(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err, argv
     # rejected before any work: nothing was computed or written
     assert not (tmp_path / "results.json").exists()
+
+
+_GP_PATH = r"""
+import sys
+from rotogp import cli
+
+out = sys.argv[1]
+assert cli.main(["solve-gp", "--dim", "2", "--n", "16", "--box", "8", "--out", out]) == 0
+assert cli.main(["analyze", "--field", out + "/field.f64", "--out", out]) == 0
+assert cli.main(["scattering", "--potential", "square", "1", "50", "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numba")))
+"""
+
+
+def test_gp_path_imports_no_scipy_or_numba(tmp_path):
+    # the certificate modules load with their own subcommands only
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _GP_PATH, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

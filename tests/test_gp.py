@@ -179,6 +179,25 @@ def test_non_finite_inputs_rejected(monkeypatch):
         gp_minimize(p, init=ComplexField(p.grid, bad))
 
 
+@pytest.mark.parametrize("bad_call", [1, 5], ids=["start", "trial"])
+def test_non_finite_gradient_terminates(monkeypatch, bad_call):
+    # from its bad_call-th call on, the gradient is NaN: at the start the
+    # next trial's norm is NaN, later a trial's energy is
+    calls = []
+
+    def nan_gradient(p, phi):
+        calls.append(None)
+        g = gp_gradient(p, phi)
+        return g if len(calls) < bad_call else ComplexField(p.grid, g.values * np.nan)
+
+    monkeypatch.setattr("rotogp.gp.gp_gradient", nan_gradient)
+    p = harmonic_problem(dim=2, n=16, length=10.0, a=1.0)
+    st = gp_minimize(p)
+    assert st.termination == "non_finite" and not st.converged
+    assert np.all(np.isfinite(st.phi.values)) and np.isfinite(st.energy)
+    assert st.gradient_evals == bad_call
+
+
 # Energies of the preconditioned residual descent at commit 12a0de9, the
 # minimizer CG replaced (6351 and 358 iterations there).
 @pytest.mark.parametrize("dim, n, length, omega, a, init, energy, ceiling", [

@@ -3,6 +3,8 @@ import pytest
 
 from rotogp.scattering import (
     RadialPotential,
+    _rk4_outward,
+    _rk4_step,
     from_samples,
     hard_sphere,
     radial_solution,
@@ -19,9 +21,37 @@ def test_hard_sphere_length_is_radius():
 
 
 def test_square_barrier_against_closed_form():
-    for r0, w0 in ((1.0, 1.0), (1.0, 25.0), (0.7, 400.0)):
+    for r0, w0 in ((1.0, 1.0), (1.0, 25.0), (1.0, 100.0), (0.7, 400.0)):
         a = scattering_length(square_barrier(r0, w0))
         assert a == pytest.approx(square_barrier_length(r0, w0), abs=1e-6)
+
+
+def _rk4_loop(h, wvals, factor):
+    """Reference: the RK4 steps taken one at a time."""
+    us = np.zeros((wvals.size + 1) // 2)
+    u, v = 0.0, 1.0
+    for k in range(1, us.size):
+        u, v = _rk4_step(u, v, h, *(factor * wvals[2 * k - 2 : 2 * k + 1]))
+        us[k] = u
+    return us, v
+
+
+@pytest.mark.parametrize("pot", [
+    square_barrier(1.0, 1.0),
+    square_barrier(1.0, 4.0e4).scaled(8.0),
+    square_well(1.0, 2.0),
+    RadialPotential(2.0, lambda r: 50.0 / (1.0 + r**2), core=0.3),
+], ids=["weak", "tall-scaled", "well", "smooth-core"])
+def test_rk4_prefix_products_match_stepwise_loop(pot):
+    # the products round in another order than the loop: allow eps per step
+    n = 2000
+    h = (pot.rrange - pot.core) / n
+    wvals = pot.func(pot.core + 0.5 * h * np.arange(2 * n + 1))
+    us, v = _rk4_outward(h, wvals, 2.0)
+    us_ref, v_ref = _rk4_loop(h, wvals, 2.0)
+    tol = n * np.finfo(float).eps
+    assert np.max(np.abs(us - us_ref)) <= tol * np.max(np.abs(us_ref))
+    assert abs(v - v_ref) <= tol * abs(v_ref)
 
 
 def test_tall_barrier_approaches_hard_sphere():
