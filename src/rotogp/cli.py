@@ -1,11 +1,17 @@
 """Command-line front end: configuration, dispatch, result serialization.
 
-Every subcommand reads an optional JSON config (--config); explicit flags
-override file values, and the effective config is echoed into the result
-so a run is reproducible from its artifacts alone.  All floats are written
-with 17 significant digits for bit-exact round-trips.  Exit codes: 0 when
-the requested invariant checks pass, 1 on a numerical failure, 2 on a
-configuration error.
+One table, COMMANDS, maps each subcommand to its handler, help line and
+config defaults; every config key is also the flag --key, typed from its
+default.  Every subcommand reads an optional JSON config (--config);
+explicit flags override file values, and subcommands that write a config
+echo put the effective config into the result, so a run is reproducible
+from its artifacts alone.  All floats are written with 17 significant
+digits for bit-exact round-trips.
+
+Exit codes: 0 when the requested invariant checks pass; 1 on a numerical
+failure (LinAlgError, ArithmeticError); 2 on a configuration error, which
+is any ValueError or OSError, because every ValueError the library raises
+comes from an input check.
 """
 
 import argparse
@@ -20,10 +26,6 @@ import numpy as np
 # Certificate modules pull in scipy; each is imported by the subcommand that
 # runs it, so the numpy-only GP path starts without them.
 from . import analysis, fields, gp, scattering
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -81,28 +83,30 @@ def _write_csv(path, header, rows):
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _effective_config(defaults, args):
-    """defaults <- config file <- explicit flags, in increasing priority."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}")
-        unknown = set(file_cfg) - set(defaults)
+def _effective_config(args):
+    """Table defaults <- config file <- explicit flags, in increasing priority."""
+    cfg = dict(args.defaults)
+    if args.config:
+        with open(args.config) as fh:
+            file_cfg = json.load(fh)
+        unknown = set(file_cfg) - set(cfg)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in args.defaults:
+        val = getattr(args, key.replace("-", "_"))
         if val is not None:
             cfg[key] = val
     return cfg
 
 
+def _tokens(value):
+    """A multi-token key: a list from its flag or a config file, or a string."""
+    return value if isinstance(value, list) else str(value or "").split()
+
+
 def _outdir(args):
-    out = getattr(args, "out", None) or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -111,13 +115,6 @@ def _outdir(args):
 # solve-gp / scans / analyze
 # ---------------------------------------------------------------------------
 
-_GP_DEFAULTS = {
-    "dim": 3, "n": 32, "box": 14.0, "omega": 0.0, "a": 0.0,
-    "trap": "harmonic", "init": "gaussian", "restarts": 1,
-    "tol": 1e-7, "seed": 0,
-}
-
-
 def _build_problem(cfg):
     grid = fields.Grid(int(cfg["dim"]), int(cfg["n"]), float(cfg["box"]))
     if cfg["trap"] == "harmonic":
@@ -125,11 +122,8 @@ def _build_problem(cfg):
     elif str(cfg["trap"]).startswith("file:"):
         V = np.load(str(cfg["trap"])[5:])
     else:
-        raise ConfigError("trap must be 'harmonic' or 'file:<path.npy>'")
-    try:
-        return gp.GpProblem(grid, V, float(cfg["omega"]), float(cfg["a"]))
-    except ValueError as exc:
-        raise ConfigError(f"bad problem: {exc}")
+        raise ValueError("trap must be 'harmonic' or 'file:<path.npy>'")
+    return gp.GpProblem(grid, V, float(cfg["omega"]), float(cfg["a"]))
 
 
 def _init_strategy(spec):
@@ -147,7 +141,7 @@ def _solve(cfg):
 
 
 def cmd_solve_gp(args):
-    cfg = _effective_config(_GP_DEFAULTS, args)
+    cfg = _effective_config(args)
     out = _outdir(args)
     t0 = time.perf_counter()
     problem, state = _solve(cfg)
@@ -177,6 +171,8 @@ def cmd_solve_gp(args):
 
 
 def _scan(cfg, key, values, csv_name, out):
+    if values.size < 1:
+        raise ValueError("--num must be at least 1")
     rows = []
     all_ok = True
     for val in values:
@@ -196,27 +192,23 @@ def _scan(cfg, key, values, csv_name, out):
 
 
 def cmd_scan_omega(args):
-    cfg = _effective_config({**_GP_DEFAULTS, "omega-min": 0.0, "omega-max": 0.9,
-                             "num": 10}, args)
+    cfg = _effective_config(args)
     values = np.linspace(float(cfg["omega-min"]), float(cfg["omega-max"]),
                          int(cfg["num"]))
     return _scan(cfg, "omega", values, "scan_omega.csv", _outdir(args))
 
 
 def cmd_scan_a(args):
-    cfg = _effective_config({**_GP_DEFAULTS, "a-min": 0.0, "a-max": 4.0,
-                             "num": 9}, args)
+    cfg = _effective_config(args)
     values = np.linspace(float(cfg["a-min"]), float(cfg["a-max"]), int(cfg["num"]))
     return _scan(cfg, "a", values, "scan_a.csv", _outdir(args))
 
 
 def cmd_analyze(args):
-    if not args.field:
-        raise ConfigError("analyze requires --field <dump>")
-    try:
-        phi, omega = fields.read_field(args.field)
-    except ValueError as exc:
-        raise ConfigError(f"bad field dump {args.field}: {exc}")
+    cfg = _effective_config(args)
+    if not cfg["field"]:
+        raise ValueError("analyze requires --field <dump>")
+    phi, omega = fields.read_field(cfg["field"])
     report = {
         "dim": phi.grid.dim,
         "n": phi.grid.n,
@@ -239,9 +231,10 @@ def cmd_analyze(args):
 # scattering
 # ---------------------------------------------------------------------------
 
-def _parse_potential(tokens):
+def _parse_potential(spec):
+    tokens = _tokens(spec)
     if not tokens:
-        raise ConfigError("missing --potential specification")
+        raise ValueError("missing --potential specification")
     kind = tokens[0]
     if kind == "hardcore" and len(tokens) == 2:
         return scattering.hard_sphere(float(tokens[1]))
@@ -250,15 +243,16 @@ def _parse_potential(tokens):
     if kind == "file" and len(tokens) == 2:
         data = np.load(tokens[1])
         return scattering.from_samples(data[0], data[1])
-    raise ConfigError(
+    raise ValueError(
         "potential must be 'hardcore R0', 'square R0 W0', or 'file <path.npy>'"
     )
 
 
 def cmd_scattering(args):
-    pot = _parse_potential(args.potential)
-    if args.scale is not None:
-        pot = pot.scaled(float(args.scale))
+    cfg = _effective_config(args)
+    pot = _parse_potential(cfg["potential"])
+    if cfg["scale"] is not None:
+        pot = pot.scaled(float(cfg["scale"]))
     a = scattering.scattering_length(pot)
     # RK4 step doubling: the relative change from half as many steps
     a_half = scattering.scattering_length(pot, n_steps=10000)
@@ -271,22 +265,15 @@ def cmd_scattering(args):
 # dyson-check
 # ---------------------------------------------------------------------------
 
-_DYSON_DEFAULTS = {
-    "s": 3.5, "R": 0.35, "eps": 0.5, "N": 8.0,
-    "R0": 1.0, "W0": 4.0e4, "eta": 1.0, "J": 4, "n": 32, "box": 12.0,
-}
-
-
 def cmd_dyson_check(args):
     from . import dyson
 
-    cfg = _effective_config(_DYSON_DEFAULTS, args)
+    cfg = _effective_config(args)
     if not (0 < float(cfg["R"]) <= float(cfg["s"]) and 0 < float(cfg["eps"]) < 1
             and float(cfg["eta"]) > 0 and int(cfg["J"]) >= 1):
-        raise ConfigError("need 0 < R <= s, 0 < eps < 1, eta > 0 and J >= 1")
-    pot = scattering.square_barrier(float(cfg["R0"]), float(cfg["W0"]))
-    if args.potential:
-        pot = _parse_potential(args.potential)
+        raise ValueError("need 0 < R <= s, 0 < eps < 1, eta > 0 and J >= 1")
+    pot = (_parse_potential(cfg["potential"]) if cfg["potential"] else
+           scattering.square_barrier(float(cfg["R0"]), float(cfg["W0"])))
     pot_n = pot.scaled(float(cfg["N"]))
     a_n = scattering.scattering_length(pot_n)
 
@@ -332,34 +319,32 @@ def cmd_dyson_check(args):
 def cmd_fock_ed(args):
     from . import fock
 
-    cfg = _effective_config(
-        {"J": 2, "Nmax": 6, "e": None, "W-file": None, "sector": 4, "g": 0.0},
-        args,
-    )
+    cfg = _effective_config(args)
     J, n_max, sector = int(cfg["J"]), int(cfg["Nmax"]), int(cfg["sector"])
     e = np.asarray(cfg["e"], dtype=float) if cfg["e"] is not None else (
         np.arange(1, J + 1, dtype=float)
     )
     if e.size != J:
-        raise ConfigError("spectrum length must equal J")
+        raise ValueError("spectrum length must equal J")
     if cfg["W-file"]:
         W = np.load(cfg["W-file"])
         if W.shape != (J, J, J, J):
-            raise ConfigError("W-file must hold a (J,J,J,J) tensor")
+            raise ValueError("W-file must hold a (J,J,J,J) tensor")
     else:
         u = np.eye(J)
         W = fock.pair_interaction_tensor(u, float(cfg["g"]))
-    if sector > n_max:
-        raise ConfigError("sector exceeds the truncation")
-    basis = fock.FockBasis(J, n_max)
+    if not 0 <= sector <= n_max:
+        raise ValueError("need 0 <= sector <= Nmax")
+    # H conserves particle number, so its sector block is the same on every
+    # truncation that holds the sector: build only up to it
+    basis = fock.FockBasis(J, sector)
     mb = fock.ModeBasis(e=e, W=W, C=0.0, M=sector)
     H = fock.build_hamiltonian(mb, basis)
     energy, vec = fock.ground_state(H, basis, sector)
     residual = float(np.linalg.norm(H @ vec - energy * vec))
     result = {
-        "config": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                   for k, v in cfg.items()},
-        "dimension": len(basis),
+        "config": cfg,
+        "dimension": math.comb(n_max + J, J),
         "sector_dimension": int(basis.sector(sector).size),
         "energy": energy,
         "energy_per_particle": energy / max(sector, 1),
@@ -382,23 +367,17 @@ def _parse_op(text):
         elif tok in ("1", "identity"):
             pass
         else:
-            raise ConfigError(f"unknown operator token {tok!r}")
+            raise ValueError(f"unknown operator token {tok!r}")
     if p + q > 4:
-        raise ConfigError("operators beyond degree 4 are not supported")
+        raise ValueError("operators beyond degree 4 are not supported")
     return fock.SymbolPolynomial.term(1, (p,), (q,))
 
 
 def cmd_symbols_check(args):
     from . import fock
 
-    cfg = _effective_config(
-        {"op": "adag a", "z": "0.7+0.2j", "Z": 6.0, "nodes": 64, "Nmax": 8},
-        args,
-    )
-    try:
-        z = complex(str(cfg["z"]).replace("i", "j"))
-    except ValueError as exc:
-        raise ConfigError(f"bad --z: {exc}")
+    cfg = _effective_config(args)
+    z = complex(str(cfg["z"]).replace("i", "j"))
     poly = _parse_op(str(cfg["op"]))
     basis = fock.FockBasis(1, int(cfg["Nmax"]))
     identity_err = fock.verify_resolution(
@@ -425,20 +404,18 @@ def cmd_symbols_check(args):
 def cmd_heat_bound(args):
     from . import heatkernel
 
-    cfg = _effective_config(
-        {"V": ["harmonic"], "alpha": 1.0, "s": 2.0, "dim": 1}, args
-    )
-    tokens = cfg["V"] if isinstance(cfg["V"], list) else str(cfg["V"]).split()
+    cfg = _effective_config(args)
+    tokens = _tokens(cfg["V"])
     alpha, s, d = float(cfg["alpha"]), float(cfg["s"]), int(cfg["dim"])
     if d not in (1, 3) or not alpha > 0 or not s >= 0:
-        raise ConfigError("need --dim 1 or 3, --alpha > 0 and --s >= 0")
+        raise ValueError("need --dim 1 or 3, --alpha > 0 and --s >= 0")
     if tokens[0] == "harmonic":
         V = heatkernel.harmonic_potential()
     elif tokens[0] == "log" and len(tokens) >= 2 and float(tokens[1]) > 0:
         V = heatkernel.log_potential(float(tokens[1]),
                                      float(tokens[2]) if len(tokens) > 2 else 0.0)
     else:
-        raise ConfigError("V must be 'harmonic' or 'log C1 [C2]' with C1 > 0")
+        raise ValueError("V must be 'harmonic' or 'log C1 [C2]' with C1 > 0")
     xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
     bound = heatkernel.diag_bound(V, alpha, xs, d=d)
     brute = heatkernel.brute_diag(V, alpha, xs, d=d)
@@ -458,22 +435,51 @@ def cmd_heat_bound(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; flags override it")
-    sp.add_argument("--out", help="output directory (default: .)")
+_GP_DEFAULTS = {
+    "dim": 3, "n": 32, "box": 14.0, "omega": 0.0, "a": 0.0,
+    "trap": "harmonic", "init": "gaussian", "restarts": 1,
+    "tol": 1e-7, "seed": 0,
+}
+
+# subcommand -> (handler, help, config defaults); each key is also --key
+COMMANDS = {
+    "solve-gp": (cmd_solve_gp, "minimize the GP energy", _GP_DEFAULTS),
+    "scan-omega": (cmd_scan_omega, "energy/Lz/winding vs rotation speed",
+                   {**_GP_DEFAULTS, "omega-min": 0.0, "omega-max": 0.9, "num": 10}),
+    "scan-a": (cmd_scan_a, "energy/mu vs coupling",
+               {**_GP_DEFAULTS, "a-min": 0.0, "a-max": 4.0, "num": 9}),
+    "analyze": (cmd_analyze, "vortex report from a field dump", {"field": None}),
+    "scattering": (cmd_scattering, "zero-energy scattering length",
+                   {"potential": None, "scale": None}),
+    "dyson-check": (cmd_dyson_check, "soft potentials and operator inequality", {
+        "s": 3.5, "R": 0.35, "eps": 0.5, "N": 8.0, "R0": 1.0, "W0": 4.0e4,
+        "eta": 1.0, "J": 4, "n": 32, "box": 12.0, "potential": None,
+    }),
+    "fock-ed": (cmd_fock_ed, "truncated exact diagonalization",
+                {"J": 2, "Nmax": 6, "e": None, "W-file": None, "sector": 4, "g": 0.0}),
+    "symbols-check": (cmd_symbols_check, "coherent symbol calculus checks",
+                      {"op": "adag a", "z": "0.7+0.2j", "Z": 6.0, "nodes": 64,
+                       "Nmax": 8}),
+    "heat-bound": (cmd_heat_bound, "heat-kernel diagonal bound checks",
+                   {"V": ["harmonic"], "alpha": 1.0, "s": 2.0, "dim": 1}),
+}
+
+# flags whose default (None) gives no type, and help beyond the key's name
+_FLAG_OVERRIDES = {
+    "field": {"help": "field dump path (expects <path>.json sidecar)"},
+    "potential": {"nargs": "+", "help": "hardcore R0 | square R0 W0 | file <path.npy>"},
+    "scale": {"type": float, "help": "evaluate w_N(r) = N^2 w(N r)"},
+    "e": {"type": float, "nargs": "+"},
+    "V": {"help": "harmonic | log C1 [C2]"},
+}
 
 
-def _add_gp_flags(sp):
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--box", type=float)
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--trap")
-    sp.add_argument("--init")
-    sp.add_argument("--restarts", type=int)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--seed", type=int)
+def _flag_kwargs(key, default):
+    if isinstance(default, list):
+        kw = {"nargs": "+", "type": type(default[0])}
+    else:
+        kw = {} if default is None else {"type": type(default)}
+    return {**kw, **_FLAG_OVERRIDES.get(key, {})}
 
 
 def build_parser():
@@ -482,76 +488,13 @@ def build_parser():
         description="ground-state laboratory for rotating dilute Bose gases",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("solve-gp", help="minimize the GP energy")
-    _add_common(sp)
-    _add_gp_flags(sp)
-    sp.set_defaults(func=cmd_solve_gp)
-
-    sp = sub.add_parser("scan-omega", help="energy/Lz/winding vs rotation speed")
-    _add_common(sp)
-    _add_gp_flags(sp)
-    sp.add_argument("--omega-min", type=float)
-    sp.add_argument("--omega-max", type=float)
-    sp.add_argument("--num", type=int)
-    sp.set_defaults(func=cmd_scan_omega)
-
-    sp = sub.add_parser("scan-a", help="energy/mu vs coupling")
-    _add_common(sp)
-    _add_gp_flags(sp)
-    sp.add_argument("--a-min", type=float)
-    sp.add_argument("--a-max", type=float)
-    sp.add_argument("--num", type=int)
-    sp.set_defaults(func=cmd_scan_a)
-
-    sp = sub.add_parser("analyze", help="vortex report from a field dump")
-    _add_common(sp)
-    sp.add_argument("--field", help="field dump path (expects <path>.json sidecar)")
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("scattering", help="zero-energy scattering length")
-    _add_common(sp)
-    sp.add_argument("--potential", nargs="+",
-                    help="hardcore R0 | square R0 W0 | file <path.npy>")
-    sp.add_argument("--scale", type=float, help="evaluate w_N(r) = N^2 w(N r)")
-    sp.set_defaults(func=cmd_scattering)
-
-    sp = sub.add_parser("dyson-check", help="soft potentials and operator inequality")
-    _add_common(sp)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--R", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--N", type=float)
-    sp.add_argument("--potential", nargs="+")
-    sp.set_defaults(func=cmd_dyson_check)
-
-    sp = sub.add_parser("fock-ed", help="truncated exact diagonalization")
-    _add_common(sp)
-    sp.add_argument("--J", type=int)
-    sp.add_argument("--Nmax", type=int)
-    sp.add_argument("--e", type=float, nargs="+")
-    sp.add_argument("--W-file", dest="W_file")
-    sp.add_argument("--sector", type=int)
-    sp.add_argument("--g", type=float)
-    sp.set_defaults(func=cmd_fock_ed)
-
-    sp = sub.add_parser("symbols-check", help="coherent symbol calculus checks")
-    _add_common(sp)
-    sp.add_argument("--op")
-    sp.add_argument("--z")
-    sp.add_argument("--Z", type=float)
-    sp.add_argument("--nodes", type=int)
-    sp.add_argument("--Nmax", type=int)
-    sp.set_defaults(func=cmd_symbols_check)
-
-    sp = sub.add_parser("heat-bound", help="heat-kernel diagonal bound checks")
-    _add_common(sp)
-    sp.add_argument("--V", nargs="+", help="harmonic | log C1 [C2]")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--dim", type=int)
-    sp.set_defaults(func=cmd_heat_bound)
-
+    for name, (handler, help_text, defaults) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        sp.add_argument("--out", help="output directory (default: .)")
+        for key, default in defaults.items():
+            sp.add_argument(f"--{key}", **_flag_kwargs(key, default))
+        sp.set_defaults(func=handler, defaults=defaults)
     return parser
 
 
@@ -560,12 +503,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    # every ValueError the library raises comes from an input check
+    except (ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

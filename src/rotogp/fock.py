@@ -19,7 +19,8 @@ soft-potential smoothing estimate.
 """
 
 from dataclasses import dataclass, field as dc_field
-from math import comb, factorial
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 from scipy import optimize, sparse, special
@@ -34,46 +35,41 @@ from .quadrature import gauss_legendre
 # ---------------------------------------------------------------------------
 
 class FockBasis:
-    """All occupation vectors with sum(n) <= n_max, graded by total number."""
+    """All occupation vectors with sum(n) <= n_max: the union of the number
+    sectors 0..n_max, each in lexicographic order.
+
+    A state's key total * (n_max+1)^J + sum_j n_j (n_max+1)^(J-1-j) increases
+    along the basis, so states are found by binary search on it.
+    """
 
     def __init__(self, modes: int, n_max: int):
         if modes < 1 or n_max < 0:
             raise ValueError("need modes >= 1 and n_max >= 0")
+        if (n_max + 1) ** (modes + 1) >= 2**63:
+            raise ValueError("basis keys overflow int64")
         self.modes = modes
         self.n_max = n_max
-        states = []
-        occ = [0] * modes
-
-        def rec(j, left):
-            if j == modes:
-                states.append(tuple(occ))
-                return
-            for n in range(left + 1):
-                occ[j] = n
-                rec(j + 1, left - n)
-            occ[j] = 0
-
-        rec(0, n_max)
-        self.states = np.array(sorted(states, key=lambda t: (sum(t), t)),
-                               dtype=np.int64)
-        assert self.states.shape[0] == comb(n_max + modes, modes)
-        # dense mixed-radix lookup: code = sum n_j (n_max+1)^j
-        radix = (n_max + 1) ** np.arange(modes, dtype=np.int64)
-        self._radix = radix
-        self._lookup = -np.ones((n_max + 1) ** modes, dtype=np.int64)
-        self._lookup[self.states @ radix] = np.arange(len(self.states))
+        self.states = np.concatenate([_sector_states(modes, N) for N in range(n_max + 1)])
         self.totals = self.states.sum(axis=1)
+        # removing one particle from mode j lowers a key by _weights[j]
+        self._weights = (n_max + 1) ** modes + (n_max + 1) ** np.arange(
+            modes - 1, -1, -1, dtype=np.int64)
+        self._keys = self.states @ self._weights
 
     def __len__(self):
         return self.states.shape[0]
 
     def index(self, occ) -> int:
         occ = np.asarray(occ, dtype=np.int64)
-        code = int(occ @ self._radix)
-        idx = int(self._lookup[code]) if 0 <= code < self._lookup.size else -1
-        if idx < 0 or not np.array_equal(self.states[idx], occ):
-            raise KeyError(f"occupation {tuple(occ)} outside the basis")
-        return idx
+        if occ.shape != (self.modes,) or occ.min() < 0 or occ.sum() > self.n_max:
+            raise KeyError(f"occupation {occ.tolist()} outside the basis")
+        return int(np.searchsorted(self._keys, occ @ self._weights))
+
+    def _lowered(self, src, *modes):
+        """Indices of the states src with one particle removed from each of
+        modes (arrays aligned with src); each result must lie in the basis."""
+        keys = self._keys[src] - sum(self._weights[j] for j in modes)
+        return np.searchsorted(self._keys, keys)
 
     def sector(self, total: int) -> np.ndarray:
         """Indices of all states with the given total particle number."""
@@ -83,15 +79,26 @@ class FockBasis:
         return idx
 
 
+def _sector_states(modes, total):
+    """Occupations with sum `total`, lexicographic: stars and bars, the gaps
+    between modes - 1 bars placed among total + modes - 1 slots."""
+    count = comb(total + modes - 1, modes - 1)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(total + modes - 1), modes - 1)),
+        dtype=np.int64, count=count * (modes - 1),
+    ).reshape(count, modes - 1)
+    edges = np.hstack([np.full((count, 1), -1), bars,
+                       np.full((count, 1), total + modes - 1)])
+    return np.diff(edges, axis=1) - 1
+
+
 def lowering_operator(basis: FockBasis, j: int) -> sparse.csr_matrix:
     """a_j on the truncated basis (sqrt-n rule)."""
     if not 0 <= j < basis.modes:
         raise IndexError(f"mode {j} out of range")
     src = np.nonzero(basis.states[:, j] > 0)[0]
     amp = np.sqrt(basis.states[src, j].astype(float))
-    tgt_occ = basis.states[src].copy()
-    tgt_occ[:, j] -= 1
-    tgt = basis._lookup[tgt_occ @ basis._radix]
+    tgt = basis._lowered(src, j)
     n = len(basis)
     return sparse.csr_matrix((amp, (tgt, src)), shape=(n, n))
 
@@ -155,8 +162,7 @@ def _two_body(mb: ModeBasis, basis: FockBasis):
     amp = np.sqrt(occ[:, ll] * (occ[:, kk] - (kk == ll)))  # a_l first, then a_k
     src, pair = np.nonzero(amp)
     amp = amp[src, pair]
-    codes = occ[src] @ basis._radix - basis._radix[kk[pair]] - basis._radix[ll[pair]]
-    tgt = basis._lookup[codes]
+    tgt = basis._lowered(src, kk[pair], ll[pair])
     fold = np.zeros((J * J, kk.size))
     fold[kk * J + ll, pairs] = 1.0
     fold[ll * J + kk, pairs] = 1.0
@@ -381,6 +387,8 @@ def verify_resolution(
         raise ValueError("resolution check implemented for a single mode")
     if n_cut >= basis.n_max:
         raise ValueError("n_cut must sit strictly below the truncation")
+    if not Z > 0 or n_angle < 1:
+        raise ValueError("need Z > 0 and n_angle >= 1")
     r, wr = gauss_legendre(n_radial)
     r = 0.5 * Z * (r + 1.0)
     wr = 0.5 * Z * wr

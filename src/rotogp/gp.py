@@ -258,6 +258,8 @@ def gp_minimize(
     'random' for the remaining opts.restarts - 1.
     """
     opts = opts or GpSolverOptions()
+    if opts.restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {opts.restarts}")
     rng = np.random.default_rng(opts.seed)
     if init_list is None:
         init_list = [init] + ["random"] * (opts.restarts - 1)

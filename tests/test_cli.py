@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,7 @@ class TestHeatBound:
 
 
 def test_certificate_config_errors_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
     cases = [
         ["heat-bound", "--dim", "2"],
         ["heat-bound", "--alpha", "-1"],
@@ -225,12 +227,86 @@ def test_certificate_config_errors_exit_2(tmp_path, capsys):
         ["heat-bound", "--V", "log", "-1"],
         ["dyson-check", "--eps", "1.5"],
         ["dyson-check", "--R", "-1"],
+        # inputs the library rejects with ValueError
+        ["fock-ed", "--e", "2", "1"],
+        ["fock-ed", "--J", "0"],
+        ["fock-ed", "--sector", "-1"],
+        ["solve-gp", "--n", "7"],
+        ["solve-gp", "--dim", "4"],
+        ["solve-gp", "--box", "0"],
+        ["solve-gp", "--init", "vortex:x"],
+        ["scattering", "--potential", "square", "1", "50", "--scale", "0"],
+        ["scattering", "--potential", "square", "1", "-5"],
+        ["scattering", "--potential", "hardcore", "x"],
+        ["dyson-check", "--N", "0"],
+        ["symbols-check", "--Nmax", "2"],
+        # checks that run before any work
+        ["symbols-check", "--nodes", "0"],
+        ["symbols-check", "--Z", "-1"],
+        ["solve-gp", "--dim", "2", "--n", "16", "--box", "8", "--restarts", "0"],
+        ["scan-omega", "--num", "0"],
+        ["scan-a", "--num", "0"],
+        # --config is read by every subcommand
+        ["scattering", "--config", missing, "--potential", "hardcore", "1"],
+        ["analyze", "--config", missing, "--field", missing],
     ]
     for argv in cases:
         assert run([*argv, "--out", str(tmp_path)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
     # rejected before any work: nothing was computed or written
-    assert not (tmp_path / "results.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must still exit 1, not 2
+    def singular(H, basis, total):
+        raise np.linalg.LinAlgError("eigensolver did not converge")
+
+    monkeypatch.setattr("rotogp.fock.ground_state", singular)
+    assert run(["fock-ed", "--out", str(tmp_path)]) == 1
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_scattering_and_analyze_run_from_config_alone(tmp_path):
+    cfg = tmp_path / "scattering.json"
+    cfg.write_text(json.dumps({"potential": ["hardcore", 0.7], "scale": 2.0}))
+    assert run(["scattering", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "results.json").read_text())
+    assert abs(res["a"] - 0.35) < 1e-6
+    assert run(["solve-gp", "--dim", "2", "--n", "16", "--box", "8",
+                "--out", str(tmp_path)]) == 0
+    cfg = tmp_path / "analyze.json"
+    cfg.write_text(json.dumps({"field": str(tmp_path / "field.f64")}))
+    assert run(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "vortex_report.json").read_text())["n"] == 16
+
+
+def test_dyson_check_flags_for_every_config_key(tmp_path):
+    assert run(["dyson-check", "--J", "2", "--n", "16", "--box", "10",
+                "--out", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "results.json").read_text())
+    assert len(res["e_spectrum"]) == 2
+    assert res["config"]["potential"] is None
+    assert (res["config"]["J"], res["config"]["n"], res["config"]["box"]) == (2, 16, 10.0)
+
+
+def test_every_config_key_is_a_flag():
+    parser = cli.build_parser()
+    for name, (handler, _, defaults) in cli.COMMANDS.items():
+        for key in defaults:
+            args = parser.parse_args([name, f"--{key}", "7"])
+            assert args.func is handler
+            assert cli._effective_config(args)[key] in (7, "7", [7.0], ["7"]), (name, key)
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.splitlines() if l.startswith("rotogp ")]
+    assert len(lines) >= len(cli.COMMANDS)
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 _GP_PATH = r"""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from itertools import product
 from math import comb
 from scipy import sparse
 
@@ -54,6 +55,18 @@ def test_basis_dimension_and_index_roundtrip():
             assert b.index(b.states[i]) == i
     with pytest.raises(KeyError):
         FockBasis(2, 3).index([4, 0])
+
+
+def test_basis_is_sorted_product_enumeration():
+    for J, nmax in ((1, 5), (2, 4), (3, 4), (4, 3)):
+        b = FockBasis(J, nmax)
+        ref = sorted((s for s in product(range(nmax + 1), repeat=J) if sum(s) <= nmax),
+                     key=lambda s: (sum(s), s))
+        assert b.states.tolist() == [list(s) for s in ref]
+        assert [b.index(s) for s in b.states] == list(range(len(b)))
+        for occ in ([nmax + 1] + [0] * (J - 1), [-1] + [0] * (J - 1), [0] * (J + 1)):
+            with pytest.raises(KeyError):
+                b.index(occ)
 
 
 def test_ccr_below_truncation():
