@@ -5,8 +5,8 @@ config defaults; every config key is also the flag --key, typed from its
 default.  Every subcommand reads an optional JSON config (--config);
 explicit flags override file values, and subcommands that write a config
 echo put the effective config into the result, so a run is reproducible
-from its artifacts alone.  All floats are written with 17 significant
-digits for bit-exact round-trips.
+from its artifacts alone.  Artifacts are written by json.dump, whose repr
+of each float round-trips it exactly.
 
 Exit codes: 0 when the requested invariant checks pass; 1 on a numerical
 failure (LinAlgError, ArithmeticError); 2 on a configuration error, which
@@ -29,66 +29,42 @@ from . import analysis, fields, gp, scattering
 
 
 # ---------------------------------------------------------------------------
-# serialization: JSON with 17-significant-digit floats
+# serialization and config plumbing
 # ---------------------------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def dumps17(obj, indent=0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {dumps17(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else obj
-        return "[" + ", ".join(dumps17(v, indent) for v in seq) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if obj is None:
-        return "null"
+def _plain(obj):
+    """json.dump's fallback for numpy values and complex numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, complex):
-        return dumps17({"re": obj.real, "im": obj.imag}, indent)
-    return json.dumps(obj)
+        return {"re": obj.real, "im": obj.imag}
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        fh.write(dumps17(obj) + "\n")
+        json.dump(obj, fh, indent=2, default=_plain)
+        fh.write("\n")
 
 
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_format_float(float(v)) for v in row) + "\n")
+            fh.write(",".join(json.dumps(v, default=_plain) for v in row) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# config plumbing
-# ---------------------------------------------------------------------------
 
 def _effective_config(args):
-    """Table defaults <- config file <- explicit flags, in increasing priority."""
+    """Table defaults <- config file <- explicit flags, in increasing priority.
+
+    Every float in the result, list items included, must be finite.
+    """
     cfg = dict(args.defaults)
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -97,18 +73,16 @@ def _effective_config(args):
         val = getattr(args, key.replace("-", "_"))
         if val is not None:
             cfg[key] = val
+    for key, val in cfg.items():
+        for v in val if isinstance(val, list) else [val]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{key} must be finite, got {v}")
     return cfg
 
 
 def _tokens(value):
     """A multi-token key: a list from its flag or a config file, or a string."""
     return value if isinstance(value, list) else str(value or "").split()
-
-
-def _outdir(args):
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +114,7 @@ def _solve(cfg):
     return problem, gp.gp_minimize(problem, init=_init_strategy(cfg["init"]), opts=opts)
 
 
-def cmd_solve_gp(args):
-    cfg = _effective_config(args)
-    out = _outdir(args)
+def cmd_solve_gp(cfg, out):
     t0 = time.perf_counter()
     problem, state = _solve(cfg)
     result = {
@@ -191,21 +163,18 @@ def _scan(cfg, key, values, csv_name, out):
     return 0 if all_ok else 1
 
 
-def cmd_scan_omega(args):
-    cfg = _effective_config(args)
+def cmd_scan_omega(cfg, out):
     values = np.linspace(float(cfg["omega-min"]), float(cfg["omega-max"]),
                          int(cfg["num"]))
-    return _scan(cfg, "omega", values, "scan_omega.csv", _outdir(args))
+    return _scan(cfg, "omega", values, "scan_omega.csv", out)
 
 
-def cmd_scan_a(args):
-    cfg = _effective_config(args)
+def cmd_scan_a(cfg, out):
     values = np.linspace(float(cfg["a-min"]), float(cfg["a-max"]), int(cfg["num"]))
-    return _scan(cfg, "a", values, "scan_a.csv", _outdir(args))
+    return _scan(cfg, "a", values, "scan_a.csv", out)
 
 
-def cmd_analyze(args):
-    cfg = _effective_config(args)
+def cmd_analyze(cfg, out):
     if not cfg["field"]:
         raise ValueError("analyze requires --field <dump>")
     phi, omega = fields.read_field(cfg["field"])
@@ -223,7 +192,7 @@ def cmd_analyze(args):
             {"i": int(i), "j": int(j), "charge": int(q)} for i, j, q in vortices
         ]
         report["total_winding"] = int(sum(q for _, _, q in vortices))
-    _write_json(os.path.join(_outdir(args), "vortex_report.json"), report)
+    _write_json(os.path.join(out, "vortex_report.json"), report)
     return 0
 
 
@@ -248,8 +217,7 @@ def _parse_potential(spec):
     )
 
 
-def cmd_scattering(args):
-    cfg = _effective_config(args)
+def cmd_scattering(cfg, out):
     pot = _parse_potential(cfg["potential"])
     if cfg["scale"] is not None:
         pot = pot.scaled(float(cfg["scale"]))
@@ -257,7 +225,7 @@ def cmd_scattering(args):
     # RK4 step doubling: the relative change from half as many steps
     a_half = scattering.scattering_length(pot, n_steps=10000)
     result = {"a": a, "residual": abs(a - a_half) / max(abs(a), 1e-300)}
-    _write_json(os.path.join(_outdir(args), "results.json"), result)
+    _write_json(os.path.join(out, "results.json"), result)
     return 0 if result["residual"] < 1e-10 else 1
 
 
@@ -265,10 +233,9 @@ def cmd_scattering(args):
 # dyson-check
 # ---------------------------------------------------------------------------
 
-def cmd_dyson_check(args):
+def cmd_dyson_check(cfg, out):
     from . import dyson
 
-    cfg = _effective_config(args)
     if not (0 < float(cfg["R"]) <= float(cfg["s"]) and 0 < float(cfg["eps"]) < 1
             and float(cfg["eta"]) > 0 and int(cfg["J"]) >= 1):
         raise ValueError("need 0 < R <= s, 0 < eps < 1, eta > 0 and J >= 1")
@@ -302,7 +269,7 @@ def cmd_dyson_check(args):
         "kappa": k0.kappa,
         "e_spectrum": k0.e,
     }
-    _write_json(os.path.join(_outdir(args), "results.json"), result)
+    _write_json(os.path.join(out, "results.json"), result)
     ok = (
         check["passed"]
         and abs(sp.int_UR - 4 * np.pi) < 1e-2 * 4 * np.pi
@@ -316,16 +283,15 @@ def cmd_dyson_check(args):
 # fock-ed / symbols-check
 # ---------------------------------------------------------------------------
 
-def cmd_fock_ed(args):
+def cmd_fock_ed(cfg, out):
     from . import fock
 
-    cfg = _effective_config(args)
     J, n_max, sector = int(cfg["J"]), int(cfg["Nmax"]), int(cfg["sector"])
     e = np.asarray(cfg["e"], dtype=float) if cfg["e"] is not None else (
         np.arange(1, J + 1, dtype=float)
     )
-    if e.size != J:
-        raise ValueError("spectrum length must equal J")
+    if e.size != J or not np.all(np.isfinite(e)):
+        raise ValueError("spectrum must be J finite numbers")
     if cfg["W-file"]:
         W = np.load(cfg["W-file"])
         if W.shape != (J, J, J, J):
@@ -350,7 +316,7 @@ def cmd_fock_ed(args):
         "energy_per_particle": energy / max(sector, 1),
         "residual": residual,
     }
-    _write_json(os.path.join(_outdir(args), "results.json"), result)
+    _write_json(os.path.join(out, "results.json"), result)
     return 0 if residual <= 1e-8 else 1
 
 
@@ -373,10 +339,9 @@ def _parse_op(text):
     return fock.SymbolPolynomial.term(1, (p,), (q,))
 
 
-def cmd_symbols_check(args):
+def cmd_symbols_check(cfg, out):
     from . import fock
 
-    cfg = _effective_config(args)
     z = complex(str(cfg["z"]).replace("i", "j"))
     poly = _parse_op(str(cfg["op"]))
     basis = fock.FockBasis(1, int(cfg["Nmax"]))
@@ -393,7 +358,7 @@ def cmd_symbols_check(args):
         "identity_error": identity_err,
         "reconstruction_error": recon_err,
     }
-    _write_json(os.path.join(_outdir(args), "results.json"), result)
+    _write_json(os.path.join(out, "results.json"), result)
     return 0 if max(identity_err, recon_err) < 1e-6 else 1
 
 
@@ -401,21 +366,19 @@ def cmd_symbols_check(args):
 # heat-bound
 # ---------------------------------------------------------------------------
 
-def cmd_heat_bound(args):
+def cmd_heat_bound(cfg, out):
     from . import heatkernel
 
-    cfg = _effective_config(args)
     tokens = _tokens(cfg["V"])
     alpha, s, d = float(cfg["alpha"]), float(cfg["s"]), int(cfg["dim"])
     if d not in (1, 3) or not alpha > 0 or not s >= 0:
         raise ValueError("need --dim 1 or 3, --alpha > 0 and --s >= 0")
-    if tokens[0] == "harmonic":
+    if tokens == ["harmonic"]:
         V = heatkernel.harmonic_potential()
-    elif tokens[0] == "log" and len(tokens) >= 2 and float(tokens[1]) > 0:
-        V = heatkernel.log_potential(float(tokens[1]),
-                                     float(tokens[2]) if len(tokens) > 2 else 0.0)
+    elif tokens[:1] == ["log"] and len(tokens) in (2, 3):
+        V = heatkernel.log_potential(*map(float, tokens[1:]))
     else:
-        raise ValueError("V must be 'harmonic' or 'log C1 [C2]' with C1 > 0")
+        raise ValueError("V must be 'harmonic' or 'log C1 [C2]'")
     xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
     bound = heatkernel.diag_bound(V, alpha, xs, d=d)
     brute = heatkernel.brute_diag(V, alpha, xs, d=d)
@@ -427,7 +390,7 @@ def cmd_heat_bound(args):
         "trace_value": trace["value"],
         "converged": trace["converged"],
     }
-    _write_json(os.path.join(_outdir(args), "results.json"), result)
+    _write_json(os.path.join(out, "results.json"), result)
     return 0 if result["max_violation"] <= 0 and abs(result["int_h"] - 1) < 1e-6 else 1
 
 
@@ -502,7 +465,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _effective_config(args)
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        return args.func(cfg, out)
     # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -12,6 +12,8 @@ into sum_i (-i d_i + A_i)^2, each term the multiplier (k_i + A_i)^2 of the
 (read-only) and each GaugeField builds its multipliers once.
 """
 
+import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,8 +37,8 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n <= 0 or self.n % 2 != 0:
             raise ValueError(f"n must be even and positive, got {self.n}")
-        if self.length <= 0:
-            raise ValueError(f"box length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"box length must be positive and finite, got {self.length}")
 
     @property
     def spacing(self) -> float:
@@ -123,8 +125,8 @@ class GaugeField:
         self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
         if self.omega.size == 1:
             self.omega = np.array([0.0, 0.0, float(self.omega[0])])
-        if self.omega.shape != (3,):
-            raise ValueError("omega must be a scalar (z component) or 3-vector")
+        if self.omega.shape != (3,) or not np.all(np.isfinite(self.omega)):
+            raise ValueError("omega must be a finite scalar (z component) or 3-vector")
         if self.grid.dim == 2 and (self.omega[0] != 0 or self.omega[1] != 0):
             raise ValueError("2D grids support rotation about z only")
         x = self.grid.coords()
@@ -235,16 +237,11 @@ def vortex_field(grid: Grid, winding: int = 1, width: float = 1.0) -> ComplexFie
     return ComplexField(grid, vals).normalized()
 
 
-# -- binary field dump: float64 (re, im) interleaved, row-major ------------
+# -- binary field dump: little-endian complex128, row-major ----------------
 
 def write_field(f: ComplexField, path: str, omega=None):
-    """Write <path> (raw float64 re/im pairs) and <path>.json sidecar."""
-    import json
-
-    flat = np.empty(f.values.size * 2)
-    flat[0::2] = f.values.real.ravel()
-    flat[1::2] = f.values.imag.ravel()
-    flat.astype("<f8").tofile(path)
+    """Write <path> (raw complex128: float64 re/im pairs) and <path>.json sidecar."""
+    f.values.astype("<c16").tofile(path)
     side = {
         "dim": f.grid.dim,
         "n": f.grid.n,
@@ -257,15 +254,14 @@ def write_field(f: ComplexField, path: str, omega=None):
 
 def read_field(path: str):
     """Read a field dump written by write_field; returns (field, omega)."""
-    import json
-
     with open(str(path) + ".json") as fh:
         side = json.load(fh)
+    keys = {"dim", "n", "L", "omega"}
+    if not isinstance(side, dict) or not side.keys() >= keys:
+        raise ValueError(f"sidecar {path}.json must be an object with {sorted(keys)}")
     grid = Grid(int(side["dim"]), int(side["n"]), float(side["L"]))
-    flat = np.fromfile(path, dtype="<f8")
-    expected = 2 * grid.n**grid.dim
-    if flat.size != expected:
-        raise ValueError(f"dump holds {flat.size} float64 values, its sidecar "
-                         f"implies {expected}")
-    vals = (flat[0::2] + 1j * flat[1::2]).reshape(grid.shape)
+    size, expected = os.path.getsize(path), 16 * grid.n**grid.dim
+    if size != expected:
+        raise ValueError(f"dump holds {size} bytes, its sidecar implies {expected}")
+    vals = np.fromfile(path, dtype="<c16").reshape(grid.shape)
     return ComplexField(grid, vals), np.asarray(side["omega"])

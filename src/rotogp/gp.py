@@ -53,8 +53,8 @@ class GpProblem:
             raise ValueError("trap potential must be finite")
         if np.min(self.potential) < 0:
             raise ValueError("trap potential must be nonnegative")
-        if self.a < 0:
-            raise ValueError("coupling a must be nonnegative")
+        if not 0 <= self.a < np.inf:
+            raise ValueError("coupling a must be nonnegative and finite")
         self.gauge = GaugeField(self.grid, self.omega)
         self.omega = self.gauge.omega
 
@@ -260,6 +260,8 @@ def gp_minimize(
     opts = opts or GpSolverOptions()
     if opts.restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {opts.restarts}")
+    if not opts.tol > 0:
+        raise ValueError(f"tol must be positive, got {opts.tol}")
     rng = np.random.default_rng(opts.seed)
     if init_list is None:
         init_list = [init] + ["random"] * (opts.restarts - 1)

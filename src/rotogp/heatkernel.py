@@ -52,8 +52,8 @@ def harmonic_potential() -> ConfiningPotential:
 
 
 def log_potential(C1: float, C2: float = 0.0) -> ConfiningPotential:
-    if C1 <= 0:
-        raise ValueError("log growth constant must be positive")
+    if not (0 < C1 < np.inf and np.isfinite(C2)):
+        raise ValueError("need a finite log growth constant C1 > 0 and a finite C2")
     return ConfiningPotential(
         lambda x: C1 * np.log1p(np.abs(x)), label="log", C1=C1, C2=C2
     )

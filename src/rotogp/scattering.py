@@ -28,8 +28,8 @@ class RadialPotential:
     core: float = 0.0                  # hard-core radius (w = +inf below)
 
     def __post_init__(self):
-        if self.rrange <= 0 or self.core < 0 or self.core > self.rrange:
-            raise ValueError("need 0 <= core <= rrange, rrange > 0")
+        if not (0 < self.rrange < np.inf and 0 <= self.core <= self.rrange):
+            raise ValueError("need 0 <= core <= rrange, rrange > 0 and finite")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -37,8 +37,8 @@ class RadialPotential:
 
     def scaled(self, n: float) -> "RadialPotential":
         """The short-range rescaling w_n(r) = n^2 w(n r)."""
-        if n <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < n < np.inf:
+            raise ValueError("scale must be positive and finite")
         f = self.func
         return RadialPotential(
             rrange=self.rrange / n,
@@ -52,8 +52,8 @@ def hard_sphere(radius: float) -> RadialPotential:
 
 
 def square_barrier(radius: float, height: float) -> RadialPotential:
-    if height < 0:
-        raise ValueError("barrier height must be nonnegative")
+    if not 0 <= height < np.inf:
+        raise ValueError("barrier height must be nonnegative and finite")
     return RadialPotential(
         rrange=radius, func=lambda r: np.full_like(np.asarray(r, float), height)
     )

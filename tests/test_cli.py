@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,17 +18,54 @@ def run(argv):
 
 
 class TestSerialization:
-    def test_floats_round_trip(self):
-        vals = [1.0 / 3.0, 2.0, 1e-300, -math.pi, 0.1 + 0.2]
-        text = cli.dumps17({"vals": vals})
-        back = json.loads(text)
-        assert back["vals"] == vals
+    def test_floats_round_trip(self, tmp_path):
+        vals = [1.0 / 3.0, 2.0, 1e-300, -math.pi, 0.1 + 0.2, -0.0, math.inf, -math.inf]
+        cli._write_json(tmp_path / "r.json", {"vals": vals, "nan": math.nan})
+        back = json.loads((tmp_path / "r.json").read_text())
+        assert [struct.pack("<d", v) for v in back["vals"]] == \
+            [struct.pack("<d", v) for v in vals]
+        assert math.isnan(back["nan"])
+        cli._write_csv(tmp_path / "r.csv", ["v"], [[v] for v in vals + [math.nan]])
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[0] == "v"
+        back = [float(line) for line in lines[1:]]
+        assert [struct.pack("<d", v) for v in back[:-1]] == \
+            [struct.pack("<d", v) for v in vals]
+        assert math.isnan(back[-1])
 
-    def test_scalars(self):
-        assert cli.dumps17(True) == "true"
-        assert cli.dumps17(None) == "null"
-        assert cli.dumps17(np.float64(0.5)) == "0.5"
-        assert json.loads(cli.dumps17({"z": 1 + 2j})) == {"z": {"re": 1.0, "im": 2.0}}
+    def test_scalars(self, tmp_path):
+        obj = {"t": True, "none": None, "half": np.float64(0.5), "z": 1 + 2j,
+               "whole": 12.0, "count": 12, "arr": np.array([1.5, 2.0]),
+               "ints": np.arange(2), "i64": np.int64(3), "flag": np.bool_(False),
+               "zarr": np.array([1j])}
+        cli._write_json(tmp_path / "r.json", obj)
+        text = (tmp_path / "r.json").read_text()
+        assert '"t": true' in text and '"none": null' in text and '"half": 0.5' in text
+        back = json.loads(text)
+        assert back["z"] == {"re": 1.0, "im": 2.0}
+        assert type(back["whole"]) is float and type(back["count"]) is int
+        assert back["arr"] == [1.5, 2.0] and back["ints"] == [0, 1]
+        assert back["i64"] == 3 and back["flag"] is False
+        assert back["zarr"] == [{"re": 0.0, "im": 1.0}]
+        cli._write_csv(tmp_path / "r.csv", ["a", "b"], [(np.float64(2.0), np.int64(1))])
+        assert (tmp_path / "r.csv").read_text().splitlines()[1] == "2.0,1"
+
+    def test_unknown_object_raises(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli._write_json(tmp_path / "r.json", {"x": object()})
+
+    def test_field_dump_is_interleaved_float64(self, tmp_path):
+        from rotogp import fields
+
+        grid = fields.Grid(2, 4, 3.0)
+        vals = np.random.default_rng(1).standard_normal((2,) + grid.shape)
+        f = fields.ComplexField(grid, vals[0] + 1j * vals[1])
+        fields.write_field(f, str(tmp_path / "field.f64"))
+        ref = np.empty(2 * f.values.size)
+        ref[0::2], ref[1::2] = f.values.real.ravel(), f.values.imag.ravel()
+        assert (tmp_path / "field.f64").read_bytes() == ref.astype("<f8").tobytes()
+        back, _ = fields.read_field(str(tmp_path / "field.f64"))
+        assert np.array_equal(back.values, f.values)
 
 
 class TestSolveGp:
@@ -135,6 +173,9 @@ class TestAnalyzeAndScan:
         side = json.loads((tmp_path / "field.f64.json").read_text())
         (tmp_path / "field.f64.json").write_text(json.dumps({**side, "n": 32}))
         assert run(["analyze", "--field", str(dump), "--out", str(tmp_path)]) == 2
+        side.pop("n")
+        (tmp_path / "field.f64.json").write_text(json.dumps(side))
+        assert run(["analyze", "--field", str(dump), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "vortex_report.json").exists()
 
     def test_scan_a_csv(self, tmp_path):
@@ -217,8 +258,14 @@ class TestHeatBound:
         assert res["converged"] is False
 
 
-def test_certificate_config_errors_exit_2(tmp_path, capsys):
+def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
     missing = str(tmp_path / "missing.json")
+    configs = tmp_path_factory.mktemp("configs")
+    for name, text in [("int", "5"), ("list", '["a"]'), ("V_empty_list", '{"V": []}'),
+                       ("V_empty", '{"V": ""}'), ("omega_text", '{"omega": "nan"}'),
+                       ("e_text", '{"e": ["nan", 2]}')]:
+        (configs / f"{name}.json").write_text(text)
+    gp2d = ["solve-gp", "--dim", "2", "--n", "16", "--box", "8"]
     cases = [
         ["heat-bound", "--dim", "2"],
         ["heat-bound", "--alpha", "-1"],
@@ -249,6 +296,26 @@ def test_certificate_config_errors_exit_2(tmp_path, capsys):
         # --config is read by every subcommand
         ["scattering", "--config", missing, "--potential", "hardcore", "1"],
         ["analyze", "--config", missing, "--field", missing],
+        # a non-positive tol; non-finite numbers from flags or --potential tokens
+        [*gp2d, "--tol", "-1"],
+        [*gp2d, "--tol", "nan"],
+        [*gp2d, "--omega", "nan"],
+        [*gp2d, "--omega", "inf"],
+        [*gp2d, "--a", "nan"],
+        [*gp2d, "--a", "inf"],
+        ["scattering", "--potential", "square", "1", "nan"],
+        ["scattering", "--potential", "hardcore", "nan"],
+        ["scattering", "--potential", "square", "1", "50", "--scale", "nan"],
+        ["dyson-check", "--N", "nan"],
+        ["fock-ed", "--e", "nan", "2"],
+        # malformed JSON config files
+        [*gp2d, "--config", str(configs / "int.json")],
+        [*gp2d, "--config", str(configs / "list.json")],
+        ["heat-bound", "--config", str(configs / "V_empty_list.json")],
+        ["heat-bound", "--config", str(configs / "V_empty.json")],
+        # non-finite numbers written as text in a config file
+        [*gp2d, "--config", str(configs / "omega_text.json")],
+        ["fock-ed", "--config", str(configs / "e_text.json")],
     ]
     for argv in cases:
         assert run([*argv, "--out", str(tmp_path)]) == 2, argv

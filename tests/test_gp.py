@@ -179,6 +179,17 @@ def test_non_finite_inputs_rejected(monkeypatch):
         gp_minimize(p, init=ComplexField(p.grid, bad))
 
 
+def test_non_positive_tol_rejected(monkeypatch):
+    def no_gradient(*args):
+        raise AssertionError("gradient evaluated with a non-positive tol")
+
+    monkeypatch.setattr("rotogp.gp.gp_gradient", no_gradient)
+    p = harmonic_problem(dim=2, n=16, length=10.0, a=1.0)
+    for tol in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            gp_minimize(p, opts=GpSolverOptions(tol=tol))
+
+
 @pytest.mark.parametrize("bad_call", [1, 5], ids=["start", "trial"])
 def test_non_finite_gradient_terminates(monkeypatch, bad_call):
     # from its bad_call-th call on, the gradient is NaN: at the start the
