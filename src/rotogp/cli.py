@@ -57,7 +57,9 @@ def _write_csv(path, header, rows):
 def _effective_config(args):
     """Table defaults <- config file <- explicit flags, in increasing priority.
 
-    Every float in the result, list items included, must be finite.
+    A config-file value must have its default's type (an int where a float
+    is due; None defaults take any), and every float in the result, list
+    items included, must be finite.
     """
     cfg = dict(args.defaults)
     if args.config:
@@ -68,6 +70,11 @@ def _effective_config(args):
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            # a list-valued key also takes a string, which _tokens splits
+            kind = {int: int, float: (int, float), str: str, list: (list, str)}.get(type(cfg[key]))
+            if kind and (isinstance(val, bool) or not isinstance(val, kind)):
+                raise ValueError(f"{key} must be a {type(cfg[key]).__name__}, got {val!r}")
         cfg.update(file_cfg)
     for key in args.defaults:
         val = getattr(args, key.replace("-", "_"))
@@ -381,12 +388,14 @@ def cmd_heat_bound(cfg, out):
         raise ValueError("V must be 'harmonic' or 'log C1 [C2]'")
     xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
     bound = heatkernel.diag_bound(V, alpha, xs, d=d)
-    brute = heatkernel.brute_diag(V, alpha, xs, d=d)
+    brute, modes, drift = heatkernel.brute_diag(V, alpha, xs, d=d, drift=True)
     trace = heatkernel.weighted_trace(V, alpha, s, d=d)
     result = {
         "config": {**cfg, "V": " ".join(tokens)},
         "int_h": heatkernel.h_alpha_integral(alpha, d=d),
         "max_violation": float(np.max(brute - bound)),
+        "oracle_modes": modes,
+        "oracle_drift": drift,
         "trace_value": trace["value"],
         "converged": trace["converged"],
     }

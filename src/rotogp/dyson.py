@@ -29,12 +29,11 @@ the minimal eigenvalue under refinement is reported alongside.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import special
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .fields import ComplexField, apply_gauge_kinetic
 from .gp import GpProblem
-from .quadrature import gauss_legendre
+from .quadrature import BesselChannel, gauss_legendre
 from .scattering import RadialPotential
 
 
@@ -78,14 +77,30 @@ class CutoffFunction:
 # ---------------------------------------------------------------------------
 
 def _h_radial(chi: CutoffFunction, r):
-    """h(r) = (2 pi^2)^{-1} int_0^{2/s} q^2 (1-chi)(q) sin(q r)/(q r) dq."""
+    """h(r) = (2 pi^2)^{-1} int_0^{2/s} q^2 (1-chi)(q) sin(q r)/(q r) dq.
+
+    On a uniform grid from 0, r = linspace(0, r[-1], n), the sine sum is
+    taken by angle addition over r = r_a + r_b, with r_a on every m-th node
+    and 0 <= r_b < m steps, m ~ sqrt(n): sin q(r_a + r_b) = sin q r_a cos q r_b
+    + cos q r_a sin q r_b, two (n/m x 400)(400 x m) products instead of an
+    n x 400 sine table.
+    """
     q, wq = gauss_legendre(400)
     q = 0.5 * chi.p_hi * (q + 1.0)
     wq = 0.5 * chi.p_hi * wq
     amp = wq * q * q * (1.0 - chi(q))
+    c = amp / q
     r = np.asarray(r, dtype=float)
     rs = np.where(r > 0.0, r, 1.0)  # Gauss nodes q > 0; the r = 0 kernel is 1
-    h = np.where(r > 0.0, np.sin(np.multiply.outer(rs, q)) @ (amp / q) / rs, amp.sum())
+    if r.ndim == 1 and r.size > 1 and np.array_equal(r, np.linspace(0.0, r[-1], r.size)):
+        m = int(np.ceil(np.sqrt(r.size)))  # r[1] is the grid step
+        qa = np.multiply.outer(m * r[1] * np.arange(-(-r.size // m)), q)
+        qb = np.multiply.outer(r[1] * np.arange(m), q)
+        sines = (np.sin(qa) * c) @ np.cos(qb).T + (np.cos(qa) * c) @ np.sin(qb).T
+        sines = sines.ravel()[: r.size]
+    else:
+        sines = np.sin(np.multiply.outer(rs, q)) @ c
+    h = np.where(r > 0.0, sines / rs, amp.sum())
     return h / (2.0 * np.pi**2)
 
 
@@ -172,37 +187,6 @@ def build_soft_potentials(
     )
 
 
-def sampled_direction_fR(sp: SoftPotentials, r_values, n_radii=8):
-    """Cross-check of f_R by brute sampling of y (26 directions x radii).
-
-    The radial reduction used by build_soft_potentials is exact; this
-    sampled version can only underestimate, so it serves as a lower-bound
-    consistency check.
-    """
-    dirs = np.array(
-        [
-            (i, j, k)
-            for i in (-1, 0, 1)
-            for j in (-1, 0, 1)
-            for k in (-1, 0, 1)
-            if (i, j, k) != (0, 0, 0)
-        ],
-        dtype=float,
-    )
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = sp.R * np.arange(1, n_radii + 1) / n_radii
-    out = np.zeros(len(r_values))
-    hr = np.interp(r_values, sp.r, sp.h)
-    for rho in radii:
-        for d in dirs:
-            y = rho * d
-            # x along z-axis wlog (h radial)
-            dist = np.sqrt(np.asarray(r_values) ** 2 - 2.0 * r_values * y[2] + rho**2)
-            hy = np.interp(dist, sp.r, sp.h)
-            out = np.maximum(out, np.abs(hy - hr))
-    return out
-
-
 def verify_wr_scaling(s, R_values, epsilon=0.5):
     """Table of int w_R over an R sweep at fixed s, plus the log-log slope."""
     R_values = np.asarray(R_values, dtype=float)
@@ -222,45 +206,6 @@ def verify_wr_scaling(s, R_values, epsilon=0.5):
 # operator inequality in spherical-Bessel Galerkin bases
 # ---------------------------------------------------------------------------
 
-def _bessel_zeros(ell, count):
-    """First `count` positive zeros of the spherical Bessel function j_ell."""
-    # j_ell > 0 on (0, first zero), and the count-th zero lies below
-    # (count + ell/2) pi; bracket every zero on one scan, then bisect all
-    # brackets together down to adjacent floats
-    x = np.arange(max(1.0, ell), (count + 0.5 * ell + 1.0) * np.pi, 0.1)
-    fx = special.spherical_jn(ell, x)
-    idx = np.nonzero((fx[:-1] == 0.0) | (fx[:-1] * fx[1:] < 0.0))[0][:count]
-    lo, hi, flo = x[idx], x[idx + 1], fx[idx]
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        fmid = special.spherical_jn(ell, mid)
-        left = flo * fmid <= 0.0
-        hi = np.where(left, mid, hi)
-        lo, flo = np.where(left, lo, mid), np.where(left, flo, fmid)
-    return lo
-
-
-def _channel_matrix(ell, K, L, pieces, kin_mult):
-    """Compressed form in channel ell on the first K Dirichlet modes.
-
-    pieces: list of (r_lo, r_hi, n_quad, potfunc) quadrature segments for
-    the multiplicative part; kin_mult(p) is the diagonal kinetic symbol.
-    Entry (i, j) depends on modes i and j only, so the matrix for K' < K
-    is exactly its leading K' x K' block.
-    """
-    alph = _bessel_zeros(ell, K)
-    p = alph / L
-    norms = np.sqrt(L**3 / 2.0) * np.abs(special.spherical_jn(ell + 1, alph))
-    H = np.diag(kin_mult(p))
-    for r_lo, r_hi, n_quad, potfunc in pieces:
-        x, w = gauss_legendre(n_quad)
-        r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
-        wq = 0.5 * (r_hi - r_lo) * w * potfunc(r) * r * r
-        B = special.spherical_jn(ell, np.outer(p, r)) / norms[:, None]
-        H += (B * wq[None, :]) @ B.T
-    return 0.5 * (H + H.T)
-
-
 def check_dyson_inequality(
     v: RadialPotential,
     sp: SoftPotentials,
@@ -275,36 +220,26 @@ def check_dyson_inequality(
     overall minimum at the finest size, and a pass flag at slack
     1e-6 * a * ||U_R||_inf.
     """
-    chi = sp.chi
-    eps = sp.epsilon
-    if ball_radius is None:
-        ball_radius = max(4.0 * chi.s, 10.0 * sp.R)
-    L = float(ball_radius)
-
-    def kin(p):
-        return p * p * chi(p) ** 2
-
-    # multiplicative part: v/2 - (1-eps) a U_R + (a/eps) w_R, split into
-    # quadrature segments tuned to each piece's support
-    inner_shell = 2.0 ** (-1.0 / 3.0) * sp.R
-    pieces = [
-        (0.0, v.rrange, 600, lambda r: 0.5 * v(r)),
-        (inner_shell, sp.R, 200,
-         lambda r: -(1.0 - eps) * a_scatt * sp.UR(r)),
-        (0.0, L, 2400, lambda r: (a_scatt / eps) * sp.wR(r)),
-    ]
     if v.core > 0:
         raise ValueError("approximate a hard core by a tall finite barrier")
-
+    chi, eps = sp.chi, sp.epsilon
+    L = float(max(4.0 * chi.s, 10.0 * sp.R) if ball_radius is None else ball_radius)
+    kin = lambda p: p * p * chi(p) ** 2
+    # multiplicative part: v/2 - (1-eps) a U_R + (a/eps) w_R, split into
+    # quadrature segments tuned to each piece's support
+    pieces = [
+        (0.0, v.rrange, 600, lambda r: 0.5 * v(r)),
+        (2.0 ** (-1.0 / 3.0) * sp.R, sp.R, 200, lambda r: -(1.0 - eps) * a_scatt * sp.UR(r)),
+        (0.0, L, 2400, lambda r: (a_scatt / eps) * sp.wR(r)),
+    ]
     table = {}
     for ell in ell_list:  # one matrix per channel; each size is a leading block
-        H = _channel_matrix(ell, max(basis_sizes), L, pieces, kin)
+        H = BesselChannel(ell, max(basis_sizes), L).matrix(kin, pieces)
         table[ell] = [float(np.linalg.eigvalsh(H[:K, :K])[0]) for K in basis_sizes]
     min_eig = min(table[ell][-1] for ell in ell_list)
     slack = 1e-6 * a_scatt * sp.UR_height if a_scatt > 0 else 1e-10
-    drift = max(
-        abs(table[ell][-1] - table[ell][-2]) for ell in ell_list
-    ) if len(basis_sizes) > 1 else 0.0
+    drift = (max(abs(table[ell][-1] - table[ell][-2]) for ell in ell_list)
+             if len(basis_sizes) > 1 else 0.0)
     return {
         "channels": table,
         "min_eig": min_eig,

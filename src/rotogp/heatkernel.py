@@ -16,11 +16,12 @@ genuine and integrable).  The diagonal bound reads
 
     e^{alpha(Delta - V)}(x, x) <= (4 pi alpha)^{-d/2} (e^{-alpha V} * h_alpha)(x),
 
-checked against dense finite-difference eigendecompositions (d = 1) or a
-partial-wave sum (d = 3, radial V).  Convolutions are direct quadrature, not
-FFT: V is unbounded and periodic wraparound would corrupt the tails.  In d = 3
-the shell average of h_alpha is closed-form per theta node, and the weighted
-trace reads every domain doubling off one profile on the largest domain.
+checked against Galerkin eigenbases with an exact kinetic term: the sine
+basis (d = 1) or spherical-Bessel channels (d = 3, radial V).  Convolutions
+are direct quadrature, not FFT: V is unbounded and periodic wraparound would
+corrupt the tails.  In d = 3 the shell average of h_alpha is closed-form per
+theta node, and the weighted trace reads every domain doubling off one
+profile on the largest domain.
 """
 
 from dataclasses import dataclass
@@ -29,9 +30,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
 
-from .quadrature import gauss_legendre
+from .quadrature import BesselChannel, gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,6 @@ def log_potential(C1: float, C2: float = 0.0) -> ConfiningPotential:
 
 def zero_potential() -> ConfiningPotential:
     return ConfiningPotential(lambda x: np.zeros_like(x), label="zero")
-
-
-def tabulated_potential(r, v) -> ConfiningPotential:
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("confining potential must be nonnegative")
-    return ConfiningPotential(
-        lambda x: np.interp(np.abs(x), r, v), label="tabulated"
-    )
 
 
 def _check_nonneg(V: ConfiningPotential, span: float) -> None:
@@ -109,17 +99,12 @@ def h_alpha(x, alpha, d=1):
 
 def h_alpha_integral(alpha, d=1, r_max=None):
     """Numerical integral of h_alpha over R^d (radially reduced)."""
+    if d not in (1, 3):
+        raise ValueError("d must be 1 or 3")
     if r_max is None:
         r_max = 12.0 * np.sqrt(alpha)
-    if d == 1:
-        val, _ = quad(lambda r: h_alpha(r, alpha, d=1), 0.0, r_max, limit=200)
-        return 2.0 * val
-    if d == 3:
-        val, _ = quad(
-            lambda r: r * r * h_alpha(r, alpha, d=3), 0.0, r_max, limit=200
-        )
-        return 4.0 * np.pi * val
-    raise ValueError("d must be 1 or 3")
+    f = lambda r: r ** (d - 1) * h_alpha(r, alpha, d=d)
+    return (2.0 if d == 1 else 4.0 * np.pi) * quad(f, 0.0, r_max, limit=200)[0]
 
 
 def _shell_average(r, rho, alpha):
@@ -148,24 +133,19 @@ def diag_bound(V: ConfiningPotential, alpha, xs, d=1, y_max=None):
     if y_max is None:
         y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
     _check_nonneg(V, y_max)
-    pref = (4.0 * np.pi * alpha) ** (-d / 2.0)
+    if d not in (1, 3):
+        raise ValueError("d must be 1 or 3")
     out = np.empty(xs.size)
-    if d == 1:
-        for i, x in enumerate(xs):
+    for i, x in enumerate(xs):
+        if d == 1:
             f = lambda y: np.exp(-alpha * V(y)) * h_alpha(abs(x - y), alpha, 1)
-            val, _ = quad(f, -y_max, y_max, points=[x], limit=400)
-            out[i] = val
-        return pref * out
-    if d == 3:
-        for i, x in enumerate(xs):
-            r = abs(x)
+            out[i] = quad(f, -y_max, y_max, points=[x], limit=400)[0]
+        else:
             f = lambda rho: (
-                rho * rho * np.exp(-alpha * V(rho)) * _shell_average(r, rho, alpha)
+                rho * rho * np.exp(-alpha * V(rho)) * _shell_average(abs(x), rho, alpha)
             )
-            val, _ = quad(f, 0.0, y_max, points=[r], limit=400)
-            out[i] = 4.0 * np.pi * val
-        return pref * out
-    raise ValueError("d must be 1 or 3")
+            out[i] = 4.0 * np.pi * quad(f, 0.0, y_max, points=[abs(x)], limit=400)[0]
+    return (4.0 * np.pi * alpha) ** (-d / 2.0) * out
 
 
 def _diag_bound_grid(V: ConfiningPotential, alpha, xs, d, y_max, dy=0.01):
@@ -214,52 +194,63 @@ def _diag_bound_grid(V: ConfiningPotential, alpha, xs, d, y_max, dy=0.01):
 # brute-force diagonals
 # ---------------------------------------------------------------------------
 
-def _fd_modes(potential_on_grid, spacing, alpha):
-    """Dirichlet finite-difference eigenpairs of -d^2/dx^2 + V, continuum-normalized.
+def _modes(H, alpha):
+    """Eigenpairs with lam <= lam_0 + 80/alpha; the rest weigh below e^{-80} of mode 0."""
+    lam, c = np.linalg.eigh(H)
+    keep = lam <= lam[0] + 80.0 / alpha
+    return lam[keep], c[:, keep]
 
-    Only the window lam <= lam_0 + 80/alpha is computed: every mode above it
-    carries a weight e^{-alpha lam} below e^{-80} relative to the ground mode.
+
+def _oracle_basis(V, alpha, L, d):
+    """Basis size K and Gauss pieces of V on [0, L], two nodes per half-wave of mode K.
+
+    d = 1 puts x = r - L/2 and splits at x = 0, the cusp of log1p|x|.  The
+    leading 3K/4 modes hold every free mode with p^2 <= lam_0 + 80/alpha, and
+    with p^2 <= 80 lam_0 / d, where an oscillator's ground mode has fallen to
+    e^{-40}; the first 32 modes bound lam_0 from above.
     """
-    n = potential_on_grid.size
-    diag = 2.0 / spacing**2 + potential_on_grid
-    off = np.full(n - 1, -1.0 / spacing**2)
-    lam0 = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                            select_range=(0, 0))[0]
-    lam, vecs = eigh_tridiagonal(diag, off, select="v",
-                                 select_range=(-np.inf, lam0 + 80.0 / alpha))
-    return lam, vecs / np.sqrt(spacing)
+    cuts = (0.0, L / 2, L) if d == 1 else (0.0, L)
+    pot = (lambda r: V(r - L / 2)) if d == 1 else V
+    pieces = lambda K: [(lo, hi, int(2 * K * (hi - lo) / L) + 16, pot)
+                        for lo, hi in zip(cuts, cuts[1:])]
+    lam0 = np.linalg.eigvalsh(BesselChannel(0, 32, L).matrix(np.square, pieces(32)))[0]
+    K = int(np.ceil(4.0 / 3.0 * L / np.pi * np.sqrt(lam0 + 80.0 * max(1.0 / alpha, lam0 / d))))
+    return K, pieces(K)
 
 
-def brute_diag(V: ConfiningPotential, alpha, xs, d=1, box=None, n=2400,
-               ell_max=60):
-    """Heat-kernel diagonal e^{alpha(Delta - V)}(x, x) from eigendecomposition.
+def brute_diag(V: ConfiningPotential, alpha, xs, d=1, box=None, ell_max=60,
+               drift=False):
+    """Heat-kernel diagonal e^{alpha(Delta - V)}(x, x) from a Galerkin eigenbasis.
 
-    d = 1: dense finite differences on [-box, box].  d = 3 (radial V):
-    partial-wave sum over angular channels, truncated once the lowest
-    eigenvalue of a channel no longer contributes.
+    d = 1: the sine basis of [-box, box].  d = 3 (radial V): partial-wave
+    sum over spherical-Bessel channels on the ball of radius box, truncated
+    once a channel's lowest eigenvalue no longer contributes.  Both bases
+    make the kinetic term diagonal, and the modes are evaluated at xs.
+    drift=True returns (diagonal, K, drift), drift being the largest change
+    over xs when every matrix is cut to its leading 3K/4 block.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if d not in (1, 3):
+        raise ValueError("d must be 1 or 3")
     if box is None:
         box = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
     _check_nonneg(V, box)
-    if d == 1:
-        grid = np.linspace(-box, box, n)
-        lam, psi = _fd_modes(V(grid), grid[1] - grid[0], alpha)
-        dens = (psi**2) @ np.exp(-alpha * lam)
-        return np.interp(xs, grid, dens)
-    if d == 3:
-        r = np.linspace(0.0, box, n)[1:]
-        h = r[1] - r[0]
-        out = np.zeros(xs.size)
-        for ell in range(ell_max + 1):
-            veff = V(r) + ell * (ell + 1) / r**2
-            lam, u = _fd_modes(veff, h, alpha)
-            if ell > 0 and np.exp(-alpha * lam[0]) < 1e-14 * max(out.max(), 1e-300):
-                break
-            dens_r = ((u**2) @ np.exp(-alpha * lam)) / r**2
-            out += (2.0 * ell + 1.0) / (4.0 * np.pi) * np.interp(np.abs(xs), r, dens_r)
-        return out
-    raise ValueError("d must be 1 or 3")
+    # d = 1 is channel 0 on [0, 2 box], whose modes times r are the sines
+    L, r = (2.0 * box, xs + box) if d == 1 else (box, np.abs(xs))
+    K, pieces = _oracle_basis(V, alpha, L, d)
+    sub, out, coarse = 3 * K // 4, np.zeros(xs.size), np.zeros(xs.size)
+    for ell in range(ell_max + 1 if d == 3 else 1):
+        ch = BesselChannel(ell, K, L)
+        H, B = ch.matrix(np.square, pieces), ch(r)
+        lam, c = _modes(H, alpha)
+        if ell > 0 and np.exp(-alpha * lam[0]) < 1e-14 * max(out.max(), 1e-300):
+            break
+        weight = (2.0 * ell + 1.0) / (4.0 * np.pi) if d == 3 else r * r
+        out += weight * (np.exp(-alpha * lam) @ (c.T @ B) ** 2)
+        if drift:
+            lam, c = _modes(H[:sub, :sub], alpha)
+            coarse += weight * (np.exp(-alpha * lam) @ (c.T @ B[:sub]) ** 2)
+    return (out, K, float(np.max(np.abs(out - coarse)))) if drift else out
 
 
 def mehler_diag(alpha, xs):
@@ -341,22 +332,27 @@ def perturbed_bound_check(V: ConfiningPotential, alpha, B, D, box=14.0, n=1400):
 
         e^{alpha(Delta - V)}(x, y) + (e^{alpha ||Phi||^2} - 1) xi(x) xi(y).
 
-    A negative return value means the bound dominates everywhere tested.
+    Both kernels come from the sine basis of [-box, box] that brute_diag
+    uses; in it K is the outer product of Phi's projections.  They are
+    evaluated on n equispaced points, the ends included.  A negative return
+    value means the bound dominates everywhere tested.
     """
     _check_nonneg(V, box)
     grid = np.linspace(-box, box, n)
-    h = grid[1] - grid[0]
-    lam0, psi0 = _fd_modes(V(grid), h, alpha)
-    kern_free = (psi0 * np.exp(-alpha * lam0)) @ psi0.T
-    phi = np.sqrt(B) * np.exp(-D * np.abs(grid))
-    mat = np.diag(2.0 / h**2 + V(grid))
-    mat += np.diag(np.full(n - 1, -1.0 / h**2), 1)
-    mat += np.diag(np.full(n - 1, -1.0 / h**2), -1)
-    mat += np.outer(phi, phi) * h
-    lam, psi = np.linalg.eigh(mat)
-    psi = psi / np.sqrt(h)
-    kern_pert = (psi * np.exp(-alpha * lam)) @ psi.T
+    K, pieces = _oracle_basis(V, alpha, 2.0 * box, 1)
+    ch = BesselChannel(0, K, 2.0 * box)
+    # the sines are r times the channel's modes, so Phi enters divided by r
+    phi = ch.project([(lo, hi, nq, lambda r: np.sqrt(B) * np.exp(-D * np.abs(r - box)) / r)
+                      for lo, hi, nq, _ in pieces])
+    sines = (grid + box) * ch(grid + box)
+
+    def kernel(H):
+        lam, c = _modes(H, alpha)
+        psi = c.T @ sines
+        return (psi.T * np.exp(-alpha * lam)) @ psi
+
+    H = ch.matrix(np.square, pieces)
     xi = xi_alpha(grid, alpha, B, D)
     amp = np.exp(alpha * B / D) - 1.0 if B > 0 else 0.0
-    bound = kern_free + amp * np.outer(xi, xi)
-    return float(np.max(np.abs(kern_pert) - bound))
+    bound = kernel(H) + amp * np.outer(xi, xi)
+    return float(np.max(np.abs(kernel(H + np.outer(phi, phi))) - bound))

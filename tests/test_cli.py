@@ -251,11 +251,22 @@ class TestHeatBound:
         assert abs(res["int_h"] - 1.0) < 1e-6
         assert res["converged"] is True
 
-    def test_log_divergent_exits_1(self, tmp_path):
+    def test_log_divergent_exits_0(self, tmp_path):
+        # divergence of the weighted trace is reported, not failed: the bound
+        # holds at every point, and the exit code reads only the bound
         assert run(["heat-bound", "--V", "log", "2", "--alpha", "0.1",
-                    "--s", "4", "--dim", "1", "--out", str(tmp_path)]) == 1
+                    "--s", "4", "--dim", "1", "--out", str(tmp_path)]) == 0
         res = json.loads((tmp_path / "results.json").read_text())
         assert res["converged"] is False
+        assert res["max_violation"] < 0
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_reports_oracle_resolution(self, tmp_path, dim):
+        assert run(["heat-bound", "--dim", str(dim), "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert isinstance(res["oracle_modes"], int) and res["oracle_modes"] > 0
+        # the oracle's own error is far below the margin it certifies
+        assert 0 <= res["oracle_drift"] < abs(res["max_violation"])
 
 
 def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
@@ -263,7 +274,12 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
     configs = tmp_path_factory.mktemp("configs")
     for name, text in [("int", "5"), ("list", '["a"]'), ("V_empty_list", '{"V": []}'),
                        ("V_empty", '{"V": ""}'), ("omega_text", '{"omega": "nan"}'),
-                       ("e_text", '{"e": ["nan", 2]}')]:
+                       ("e_text", '{"e": ["nan", 2]}'),
+                       ("dim_float", '{"dim": 2.5, "n": 16.7, "box": 8}'),
+                       ("n_float", '{"n": 16.0}'), ("n_bool", '{"n": true}'),
+                       ("box_text", '{"box": "8"}'), ("box_bool", '{"box": false}'),
+                       ("init_int", '{"init": 1}'), ("V_number", '{"V": 2}'),
+                       ("alpha_list", '{"alpha": [1.0]}')]:
         (configs / f"{name}.json").write_text(text)
     gp2d = ["solve-gp", "--dim", "2", "--n", "16", "--box", "8"]
     cases = [
@@ -316,12 +332,30 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         # non-finite numbers written as text in a config file
         [*gp2d, "--config", str(configs / "omega_text.json")],
         ["fock-ed", "--config", str(configs / "e_text.json")],
+        # config-file values whose type is not their default's
+        ["solve-gp", "--config", str(configs / "dim_float.json")],
+        [*gp2d, "--config", str(configs / "n_float.json")],
+        [*gp2d, "--config", str(configs / "n_bool.json")],
+        ["solve-gp", "--dim", "2", "--n", "16", "--config", str(configs / "box_text.json")],
+        ["solve-gp", "--dim", "2", "--n", "16", "--config", str(configs / "box_bool.json")],
+        [*gp2d, "--config", str(configs / "init_int.json")],
+        ["heat-bound", "--config", str(configs / "V_number.json")],
+        ["heat-bound", "--config", str(configs / "alpha_list.json")],
     ]
     for argv in cases:
         assert run([*argv, "--out", str(tmp_path)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
     # rejected before any work: nothing was computed or written
     assert list(tmp_path.iterdir()) == []
+
+
+def test_config_values_of_their_defaults_type_run(tmp_path):
+    # an int where the default is a float, a string for a list-valued key
+    cfg = tmp_path / "heat.json"
+    cfg.write_text(json.dumps({"V": "log 2", "alpha": 1, "dim": 1}))
+    assert run(["heat-bound", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "results.json").read_text())
+    assert res["config"]["V"] == "log 2" and res["config"]["alpha"] == 1
 
 
 def test_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -11,14 +11,12 @@ from rotogp.dyson import (
     build_soft_potentials,
     check_dyson_inequality,
     kappa_eta,
-    sampled_direction_fR,
     verify_wr_scaling,
-    _bessel_zeros,
     _h_radial,
     _windowed_extremes,
 )
 from rotogp.gp import harmonic_problem
-from rotogp.quadrature import gauss_legendre
+from rotogp.quadrature import bessel_zeros, gauss_legendre
 from rotogp.scattering import RadialPotential, scattering_length, square_barrier
 
 
@@ -69,9 +67,39 @@ def test_fr_tail_decays(soft):
     assert soft.fR_at(24.0 * s) < 2e-4 * peak
 
 
+def _sampled_direction_fR(sp, r_values, n_radii=8):
+    """f_R by brute sampling of y (26 directions x radii).
+
+    The radial reduction used by build_soft_potentials is exact; this
+    sampled version can only underestimate it.
+    """
+    dirs = np.array(
+        [
+            (i, j, k)
+            for i in (-1, 0, 1)
+            for j in (-1, 0, 1)
+            for k in (-1, 0, 1)
+            if (i, j, k) != (0, 0, 0)
+        ],
+        dtype=float,
+    )
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = sp.R * np.arange(1, n_radii + 1) / n_radii
+    out = np.zeros(len(r_values))
+    hr = np.interp(r_values, sp.r, sp.h)
+    for rho in radii:
+        for d in dirs:
+            y = rho * d
+            # x along z-axis wlog (h radial)
+            dist = np.sqrt(np.asarray(r_values) ** 2 - 2.0 * r_values * y[2] + rho**2)
+            hy = np.interp(dist, sp.r, sp.h)
+            out = np.maximum(out, np.abs(hy - hr))
+    return out
+
+
 def test_direction_sampled_fr_is_tight_lower_bound(soft):
     rs = np.linspace(0.05, 3.0, 40)
-    approx = sampled_direction_fR(soft, rs)
+    approx = _sampled_direction_fR(soft, rs)
     exact = soft.fR_at(rs)
     assert np.all(approx <= exact + 1e-12)
     assert np.max(exact - approx) <= 0.02 * soft.fR.max()
@@ -183,13 +211,13 @@ def test_build_k0_validation():
 
 
 def test_bessel_zeros_channel0_are_n_pi():
-    z = _bessel_zeros(0, 5)
+    z = bessel_zeros(0, 5)
     assert np.allclose(z, np.pi * np.arange(1, 6), atol=1e-10)
 
 
-@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("ell", [1, 2, 17])
 def test_bessel_zeros_match_brentq(ell):
-    z = _bessel_zeros(ell, 350)
+    z = bessel_zeros(ell, 350)
     assert z.size == 350 and np.all(np.diff(z) > 0)
     # independent reference: a finer scan, each bracket refined by brentq
     x = np.arange(max(1.0, ell), 1200.0, 0.01)
@@ -269,6 +297,15 @@ def test_windowed_extremes_match_loop_on_h():
 def test_h_radial_matches_sinc_form(s):
     chi = CutoffFunction(s)
     r = np.concatenate([[0.0], np.geomspace(1e-8, 100.0, 2000)])
+    h, ref = _h_radial(chi, r), _h_radial_sinc(chi, r)
+    assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [6000, 997])
+def test_h_radial_on_uniform_grid_matches_sinc_form(n):
+    # the angle-addition path; 997 is not a multiple of its block length
+    chi = CutoffFunction(3.5)
+    r = np.linspace(0.0, 25.0 * 3.5 + 0.35, n)
     h, ref = _h_radial(chi, r), _h_radial_sinc(chi, r)
     assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotogp.quadrature import gauss_legendre
+from rotogp.quadrature import BesselChannel, gauss_legendre
 
 
 @pytest.mark.parametrize("n", [1, 2, 48, 400, 2400])
@@ -31,3 +31,28 @@ def test_rule_is_cached_and_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+def test_channel_zero_is_the_sine_basis():
+    L = 7.5
+    ch = BesselChannel(0, 40, L)
+    r = np.linspace(0.01, L, 301)
+    k = np.arange(1, 41)[:, None]
+    sines = np.sqrt(2.0 / L) * np.sin(k * np.pi * r / L)
+    assert np.max(np.abs(r * ch(r) - sines)) < 1e-13
+
+
+@pytest.mark.parametrize("ell", [0, 2, 9])
+def test_channel_matrix_is_orthonormal_and_nested(ell):
+    # a constant potential c adds c times the identity; the split is exact
+    L, K = 5.0, 30
+    ch = BesselChannel(ell, K, L)
+    pieces = [(0.0, 2.0, 80, lambda r: np.full_like(r, 3.0)),
+              (2.0, L, 80, lambda r: np.full_like(r, 3.0))]
+    H = ch.matrix(np.square, pieces)
+    assert np.max(np.abs(H - np.diag(ch.p**2) - 3.0 * np.eye(K))) < 1e-12
+    small = BesselChannel(ell, 12, L).matrix(np.square, pieces)
+    assert np.array_equal(small, H[:12, :12])
+    # projecting mode j onto the basis gives the j-th unit vector
+    coef = ch.project([(lo, hi, n, lambda r: ch(r)[4]) for lo, hi, n, _ in pieces])
+    assert np.max(np.abs(coef - np.eye(K)[4])) < 1e-12
