@@ -387,8 +387,8 @@ def cmd_heat_bound(cfg, out):
     else:
         raise ValueError("V must be 'harmonic' or 'log C1 [C2]'")
     xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
+    brute, modes, drift = heatkernel.brute_diag(V, alpha, xs, d=d)
     bound = heatkernel.diag_bound(V, alpha, xs, d=d)
-    brute, modes, drift = heatkernel.brute_diag(V, alpha, xs, d=d, drift=True)
     trace = heatkernel.weighted_trace(V, alpha, s, d=d)
     result = {
         "config": {**cfg, "V": " ".join(tokens)},

@@ -76,31 +76,26 @@ class CutoffFunction:
 # soft potentials
 # ---------------------------------------------------------------------------
 
-def _h_radial(chi: CutoffFunction, r):
+def _h_radial(chi: CutoffFunction, r_max, n):
     """h(r) = (2 pi^2)^{-1} int_0^{2/s} q^2 (1-chi)(q) sin(q r)/(q r) dq.
 
-    On a uniform grid from 0, r = linspace(0, r[-1], n), the sine sum is
-    taken by angle addition over r = r_a + r_b, with r_a on every m-th node
-    and 0 <= r_b < m steps, m ~ sqrt(n): sin q(r_a + r_b) = sin q r_a cos q r_b
-    + cos q r_a sin q r_b, two (n/m x 400)(400 x m) products instead of an
-    n x 400 sine table.
+    On r = linspace(0, r_max, n), the sine sum is taken by angle addition
+    over r = r_a + r_b, with r_a on every m-th node and 0 <= r_b < m steps,
+    m ~ sqrt(n): sin q(r_a + r_b) = sin q r_a cos q r_b + cos q r_a sin q r_b,
+    two (n/m x 400)(400 x m) products instead of an n x 400 sine table.
     """
     q, wq = gauss_legendre(400)
     q = 0.5 * chi.p_hi * (q + 1.0)
     wq = 0.5 * chi.p_hi * wq
     amp = wq * q * q * (1.0 - chi(q))
     c = amp / q
-    r = np.asarray(r, dtype=float)
-    rs = np.where(r > 0.0, r, 1.0)  # Gauss nodes q > 0; the r = 0 kernel is 1
-    if r.ndim == 1 and r.size > 1 and np.array_equal(r, np.linspace(0.0, r[-1], r.size)):
-        m = int(np.ceil(np.sqrt(r.size)))  # r[1] is the grid step
-        qa = np.multiply.outer(m * r[1] * np.arange(-(-r.size // m)), q)
-        qb = np.multiply.outer(r[1] * np.arange(m), q)
-        sines = (np.sin(qa) * c) @ np.cos(qb).T + (np.cos(qa) * c) @ np.sin(qb).T
-        sines = sines.ravel()[: r.size]
-    else:
-        sines = np.sin(np.multiply.outer(rs, q)) @ c
-    h = np.where(r > 0.0, sines / rs, amp.sum())
+    r = np.linspace(0.0, r_max, n)
+    m = int(np.ceil(np.sqrt(n)))
+    qa = np.multiply.outer(m * r[1] * np.arange(-(-n // m)), q)
+    qb = np.multiply.outer(r[1] * np.arange(m), q)
+    sines = ((np.sin(qa) * c) @ np.cos(qb).T + (np.cos(qa) * c) @ np.sin(qb).T).ravel()
+    # Gauss nodes q > 0; the r = 0 kernel is 1
+    h = np.concatenate([[amp.sum()], sines[1:n] / r[1:]])
     return h / (2.0 * np.pi**2)
 
 
@@ -176,7 +171,7 @@ def build_soft_potentials(
     if r_max is None:
         r_max = 25.0 * chi.s
     r = np.linspace(0.0, r_max + R, n_r)
-    h = _h_radial(chi, r)
+    h = _h_radial(chi, r_max + R, n_r)
     n_keep = np.searchsorted(r, r_max)
     hmin, hmax = _windowed_extremes(h, r, R)
     fR = np.maximum(hmax - h, h - hmin)[:n_keep]
@@ -185,6 +180,37 @@ def build_soft_potentials(
     return SoftPotentials(
         chi=chi, R=R, epsilon=epsilon, r=r, h=h[:n_keep], fR=fR, int_fR=int_fR
     )
+
+
+def sampled_direction_fR(sp: SoftPotentials, r_values, n_radii=8):
+    """Cross-check of f_R by brute sampling of y (26 directions x radii).
+
+    The radial reduction used by build_soft_potentials is exact; this
+    sampled version can only underestimate, so it serves as a lower-bound
+    consistency check.
+    """
+    dirs = np.array(
+        [
+            (i, j, k)
+            for i in (-1, 0, 1)
+            for j in (-1, 0, 1)
+            for k in (-1, 0, 1)
+            if (i, j, k) != (0, 0, 0)
+        ],
+        dtype=float,
+    )
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = sp.R * np.arange(1, n_radii + 1) / n_radii
+    out = np.zeros(len(r_values))
+    hr = np.interp(r_values, sp.r, sp.h)
+    for rho in radii:
+        for d in dirs:
+            y = rho * d
+            # x along z-axis wlog (h radial)
+            dist = np.sqrt(np.asarray(r_values) ** 2 - 2.0 * r_values * y[2] + rho**2)
+            hy = np.interp(dist, sp.r, sp.h)
+            out = np.maximum(out, np.abs(hy - hr))
+    return out
 
 
 def verify_wr_scaling(s, R_values, epsilon=0.5):
@@ -220,26 +246,36 @@ def check_dyson_inequality(
     overall minimum at the finest size, and a pass flag at slack
     1e-6 * a * ||U_R||_inf.
     """
-    if v.core > 0:
-        raise ValueError("approximate a hard core by a tall finite barrier")
-    chi, eps = sp.chi, sp.epsilon
-    L = float(max(4.0 * chi.s, 10.0 * sp.R) if ball_radius is None else ball_radius)
-    kin = lambda p: p * p * chi(p) ** 2
+    chi = sp.chi
+    eps = sp.epsilon
+    if ball_radius is None:
+        ball_radius = max(4.0 * chi.s, 10.0 * sp.R)
+    L = float(ball_radius)
+
+    def kin(p):
+        return p * p * chi(p) ** 2
+
     # multiplicative part: v/2 - (1-eps) a U_R + (a/eps) w_R, split into
     # quadrature segments tuned to each piece's support
+    inner_shell = 2.0 ** (-1.0 / 3.0) * sp.R
     pieces = [
         (0.0, v.rrange, 600, lambda r: 0.5 * v(r)),
-        (2.0 ** (-1.0 / 3.0) * sp.R, sp.R, 200, lambda r: -(1.0 - eps) * a_scatt * sp.UR(r)),
+        (inner_shell, sp.R, 200,
+         lambda r: -(1.0 - eps) * a_scatt * sp.UR(r)),
         (0.0, L, 2400, lambda r: (a_scatt / eps) * sp.wR(r)),
     ]
+    if v.core > 0:
+        raise ValueError("approximate a hard core by a tall finite barrier")
+
     table = {}
     for ell in ell_list:  # one matrix per channel; each size is a leading block
         H = BesselChannel(ell, max(basis_sizes), L).matrix(kin, pieces)
         table[ell] = [float(np.linalg.eigvalsh(H[:K, :K])[0]) for K in basis_sizes]
     min_eig = min(table[ell][-1] for ell in ell_list)
     slack = 1e-6 * a_scatt * sp.UR_height if a_scatt > 0 else 1e-10
-    drift = (max(abs(table[ell][-1] - table[ell][-2]) for ell in ell_list)
-             if len(basis_sizes) > 1 else 0.0)
+    drift = max(
+        abs(table[ell][-1] - table[ell][-2]) for ell in ell_list
+    ) if len(basis_sizes) > 1 else 0.0
     return {
         "channels": table,
         "min_eig": min_eig,

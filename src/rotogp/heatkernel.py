@@ -63,6 +63,16 @@ def zero_potential() -> ConfiningPotential:
     return ConfiningPotential(lambda x: np.zeros_like(x), label="zero")
 
 
+def tabulated_potential(r, v) -> ConfiningPotential:
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0):
+        raise ValueError("confining potential must be nonnegative")
+    return ConfiningPotential(
+        lambda x: np.interp(np.abs(x), r, v), label="tabulated"
+    )
+
+
 def _check_nonneg(V: ConfiningPotential, span: float) -> None:
     probe = np.linspace(0.0, span, 64)
     if np.min(V(probe)) < -1e-12:
@@ -99,12 +109,17 @@ def h_alpha(x, alpha, d=1):
 
 def h_alpha_integral(alpha, d=1, r_max=None):
     """Numerical integral of h_alpha over R^d (radially reduced)."""
-    if d not in (1, 3):
-        raise ValueError("d must be 1 or 3")
     if r_max is None:
         r_max = 12.0 * np.sqrt(alpha)
-    f = lambda r: r ** (d - 1) * h_alpha(r, alpha, d=d)
-    return (2.0 if d == 1 else 4.0 * np.pi) * quad(f, 0.0, r_max, limit=200)[0]
+    if d == 1:
+        val, _ = quad(lambda r: h_alpha(r, alpha, d=1), 0.0, r_max, limit=200)
+        return 2.0 * val
+    if d == 3:
+        val, _ = quad(
+            lambda r: r * r * h_alpha(r, alpha, d=3), 0.0, r_max, limit=200
+        )
+        return 4.0 * np.pi * val
+    raise ValueError("d must be 1 or 3")
 
 
 def _shell_average(r, rho, alpha):
@@ -133,19 +148,24 @@ def diag_bound(V: ConfiningPotential, alpha, xs, d=1, y_max=None):
     if y_max is None:
         y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
     _check_nonneg(V, y_max)
-    if d not in (1, 3):
-        raise ValueError("d must be 1 or 3")
+    pref = (4.0 * np.pi * alpha) ** (-d / 2.0)
     out = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        if d == 1:
+    if d == 1:
+        for i, x in enumerate(xs):
             f = lambda y: np.exp(-alpha * V(y)) * h_alpha(abs(x - y), alpha, 1)
-            out[i] = quad(f, -y_max, y_max, points=[x], limit=400)[0]
-        else:
+            val, _ = quad(f, -y_max, y_max, points=[x], limit=400)
+            out[i] = val
+        return pref * out
+    if d == 3:
+        for i, x in enumerate(xs):
+            r = abs(x)
             f = lambda rho: (
-                rho * rho * np.exp(-alpha * V(rho)) * _shell_average(abs(x), rho, alpha)
+                rho * rho * np.exp(-alpha * V(rho)) * _shell_average(r, rho, alpha)
             )
-            out[i] = 4.0 * np.pi * quad(f, 0.0, y_max, points=[abs(x)], limit=400)[0]
-    return (4.0 * np.pi * alpha) ** (-d / 2.0) * out
+            val, _ = quad(f, 0.0, y_max, points=[r], limit=400)
+            out[i] = 4.0 * np.pi * val
+        return pref * out
+    raise ValueError("d must be 1 or 3")
 
 
 def _diag_bound_grid(V: ConfiningPotential, alpha, xs, d, y_max, dy=0.01):
@@ -194,6 +214,11 @@ def _diag_bound_grid(V: ConfiningPotential, alpha, xs, d, y_max, dy=0.01):
 # brute-force diagonals
 # ---------------------------------------------------------------------------
 
+# dense K x K solves on 2 cores: one channel in d = 1 (0.5 s at K = 948), up to 61
+# channels in d = 3 (9.9 s at K = 376)
+MAX_ORACLE_MODES = {1: 1000, 3: 400}
+
+
 def _modes(H, alpha):
     """Eigenpairs with lam <= lam_0 + 80/alpha; the rest weigh below e^{-80} of mode 0."""
     lam, c = np.linalg.eigh(H)
@@ -207,7 +232,8 @@ def _oracle_basis(V, alpha, L, d):
     d = 1 puts x = r - L/2 and splits at x = 0, the cusp of log1p|x|.  The
     leading 3K/4 modes hold every free mode with p^2 <= lam_0 + 80/alpha, and
     with p^2 <= 80 lam_0 / d, where an oscillator's ground mode has fallen to
-    e^{-40}; the first 32 modes bound lam_0 from above.
+    e^{-40}; the first 32 modes bound lam_0 from above.  K grows like
+    L / sqrt(alpha), so a K above MAX_ORACLE_MODES[d] is refused.
     """
     cuts = (0.0, L / 2, L) if d == 1 else (0.0, L)
     pot = (lambda r: V(r - L / 2)) if d == 1 else V
@@ -215,31 +241,33 @@ def _oracle_basis(V, alpha, L, d):
                         for lo, hi in zip(cuts, cuts[1:])]
     lam0 = np.linalg.eigvalsh(BesselChannel(0, 32, L).matrix(np.square, pieces(32)))[0]
     K = int(np.ceil(4.0 / 3.0 * L / np.pi * np.sqrt(lam0 + 80.0 * max(1.0 / alpha, lam0 / d))))
+    if K > MAX_ORACLE_MODES[d]:
+        raise ValueError(f"alpha = {alpha:g} needs {K} oracle modes in d = {d}, "
+                         f"more than {MAX_ORACLE_MODES[d]}")
     return K, pieces(K)
 
 
-def brute_diag(V: ConfiningPotential, alpha, xs, d=1, box=None, ell_max=60,
-               drift=False):
+def brute_diag(V: ConfiningPotential, alpha, xs, d=1):
     """Heat-kernel diagonal e^{alpha(Delta - V)}(x, x) from a Galerkin eigenbasis.
 
     d = 1: the sine basis of [-box, box].  d = 3 (radial V): partial-wave
-    sum over spherical-Bessel channels on the ball of radius box, truncated
-    once a channel's lowest eigenvalue no longer contributes.  Both bases
+    sum over spherical-Bessel channels ell <= 60 on the ball of radius box,
+    truncated once a channel's lowest eigenvalue no longer contributes.
+    The box reaches 12 sqrt(alpha) + 8 beyond the farthest point.  Both bases
     make the kinetic term diagonal, and the modes are evaluated at xs.
-    drift=True returns (diagonal, K, drift), drift being the largest change
+    Returns (diagonal, K, drift): the basis size, and the largest change
     over xs when every matrix is cut to its leading 3K/4 block.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
-    if box is None:
-        box = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
+    box = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
     _check_nonneg(V, box)
     # d = 1 is channel 0 on [0, 2 box], whose modes times r are the sines
     L, r = (2.0 * box, xs + box) if d == 1 else (box, np.abs(xs))
     K, pieces = _oracle_basis(V, alpha, L, d)
     sub, out, coarse = 3 * K // 4, np.zeros(xs.size), np.zeros(xs.size)
-    for ell in range(ell_max + 1 if d == 3 else 1):
+    for ell in range(61 if d == 3 else 1):
         ch = BesselChannel(ell, K, L)
         H, B = ch.matrix(np.square, pieces), ch(r)
         lam, c = _modes(H, alpha)
@@ -247,10 +275,9 @@ def brute_diag(V: ConfiningPotential, alpha, xs, d=1, box=None, ell_max=60,
             break
         weight = (2.0 * ell + 1.0) / (4.0 * np.pi) if d == 3 else r * r
         out += weight * (np.exp(-alpha * lam) @ (c.T @ B) ** 2)
-        if drift:
-            lam, c = _modes(H[:sub, :sub], alpha)
-            coarse += weight * (np.exp(-alpha * lam) @ (c.T @ B[:sub]) ** 2)
-    return (out, K, float(np.max(np.abs(out - coarse)))) if drift else out
+        lam, c = _modes(H[:sub, :sub], alpha)
+        coarse += weight * (np.exp(-alpha * lam) @ (c.T @ B[:sub]) ** 2)
+    return out, K, float(np.max(np.abs(out - coarse)))
 
 
 def mehler_diag(alpha, xs):

@@ -288,6 +288,9 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         ["heat-bound", "--alpha", "0"],
         ["heat-bound", "--s", "-1"],
         ["heat-bound", "--V", "log", "-1"],
+        # the Galerkin oracle's basis grows like 1/sqrt(alpha)
+        ["heat-bound", "--alpha", "1e-4"],
+        ["heat-bound", "--dim", "3", "--alpha", "0.005"],
         ["dyson-check", "--eps", "1.5"],
         ["dyson-check", "--R", "-1"],
         # inputs the library rejects with ValueError

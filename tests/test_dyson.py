@@ -11,6 +11,7 @@ from rotogp.dyson import (
     build_soft_potentials,
     check_dyson_inequality,
     kappa_eta,
+    sampled_direction_fR,
     verify_wr_scaling,
     _h_radial,
     _windowed_extremes,
@@ -67,39 +68,9 @@ def test_fr_tail_decays(soft):
     assert soft.fR_at(24.0 * s) < 2e-4 * peak
 
 
-def _sampled_direction_fR(sp, r_values, n_radii=8):
-    """f_R by brute sampling of y (26 directions x radii).
-
-    The radial reduction used by build_soft_potentials is exact; this
-    sampled version can only underestimate it.
-    """
-    dirs = np.array(
-        [
-            (i, j, k)
-            for i in (-1, 0, 1)
-            for j in (-1, 0, 1)
-            for k in (-1, 0, 1)
-            if (i, j, k) != (0, 0, 0)
-        ],
-        dtype=float,
-    )
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = sp.R * np.arange(1, n_radii + 1) / n_radii
-    out = np.zeros(len(r_values))
-    hr = np.interp(r_values, sp.r, sp.h)
-    for rho in radii:
-        for d in dirs:
-            y = rho * d
-            # x along z-axis wlog (h radial)
-            dist = np.sqrt(np.asarray(r_values) ** 2 - 2.0 * r_values * y[2] + rho**2)
-            hy = np.interp(dist, sp.r, sp.h)
-            out = np.maximum(out, np.abs(hy - hr))
-    return out
-
-
 def test_direction_sampled_fr_is_tight_lower_bound(soft):
     rs = np.linspace(0.05, 3.0, 40)
-    approx = _sampled_direction_fR(soft, rs)
+    approx = sampled_direction_fR(soft, rs)
     exact = soft.fR_at(rs)
     assert np.all(approx <= exact + 1e-12)
     assert np.max(exact - approx) <= 0.02 * soft.fR.max()
@@ -286,7 +257,7 @@ def test_windowed_extremes_match_loop(n, R, seed):
 def test_windowed_extremes_match_loop_on_h():
     chi = CutoffFunction(3.5)
     r = np.linspace(0.0, 25.0 * 3.5 + 0.35, 6000)
-    h = _h_radial(chi, r)
+    h = _h_radial(chi, r[-1], r.size)
     for R in (0.1, 0.35, 1.05):
         fast = _windowed_extremes(h, r, R)
         ref = _windowed_extremes_loop(h, r, R)
@@ -295,19 +266,14 @@ def test_windowed_extremes_match_loop_on_h():
 
 @pytest.mark.parametrize("s", [1.0, 3.5, 7.0])
 def test_h_radial_matches_sinc_form(s):
+    # small r on a fine grid (steps of 5e-12 up to 1e-8), out to 100 on a
+    # grid that is not a multiple of the block length, and the grid of
+    # build_soft_potentials at R = s
     chi = CutoffFunction(s)
-    r = np.concatenate([[0.0], np.geomspace(1e-8, 100.0, 2000)])
-    h, ref = _h_radial(chi, r), _h_radial_sinc(chi, r)
-    assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("n", [6000, 997])
-def test_h_radial_on_uniform_grid_matches_sinc_form(n):
-    # the angle-addition path; 997 is not a multiple of its block length
-    chi = CutoffFunction(3.5)
-    r = np.linspace(0.0, 25.0 * 3.5 + 0.35, n)
-    h, ref = _h_radial(chi, r), _h_radial_sinc(chi, r)
-    assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for r_max, n in [(1e-8, 2001), (100.0, 997), (26.0 * s, 6000)]:
+        h = _h_radial(chi, r_max, n)
+        ref = _h_radial_sinc(chi, np.linspace(0.0, r_max, n))
+        assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_nested_galerkin_blocks_match_one_solve_per_size(soft):

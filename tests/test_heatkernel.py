@@ -118,7 +118,7 @@ class TestDiagBound:
 
     def test_brute_matches_closed_form_oscillator(self):
         xs = np.linspace(0.0, 3.0, 7)
-        brute = hk.brute_diag(hk.harmonic_potential(), 1.0, xs, d=1)
+        brute = hk.brute_diag(hk.harmonic_potential(), 1.0, xs, d=1)[0]
         exact = hk.mehler_diag(1.0, xs)
         # measured 3.2e-13; a finite-difference Laplacian is O(h^2) off
         assert np.max(np.abs(brute / exact - 1.0)) < 1e-11
@@ -126,18 +126,18 @@ class TestDiagBound:
     def test_brute_matches_closed_form_oscillator_3d(self):
         # e^{alpha(Delta - |x|^2)} factorizes: Mehler along x times Mehler(0)^2
         xs = np.linspace(0.2, 3.0, 8)
-        brute = hk.brute_diag(hk.harmonic_potential(), 1.0, xs, d=3)
+        brute = hk.brute_diag(hk.harmonic_potential(), 1.0, xs, d=3)[0]
         exact = hk.mehler_diag(1.0, xs) * hk.mehler_diag(1.0, 0.0) ** 2
         assert np.max(np.abs(brute / exact - 1.0)) < 1e-11
 
     def test_log_cusp_oracle_resolution(self):
         # the heat-bound --V log 2.0 --alpha 0.1 points: the bound holds at all nine
         V, xs = hk.log_potential(2.0), np.linspace(0.0, 3.0, 9)
-        brute, K, drift = hk.brute_diag(V, 0.1, xs, d=1, drift=True)
+        brute, K, drift = hk.brute_diag(V, 0.1, xs, d=1)
         assert np.all(brute - hk.diag_bound(V, 0.1, xs, d=1) < 0)
         # same box, so the same K: K and its leading 3K/4 block agree at x = 3;
         # over all nine points the drift is largest at the cusp x = 0
-        at_3, K_3, drift_3 = hk.brute_diag(V, 0.1, [3.0], d=1, drift=True)
+        at_3, K_3, drift_3 = hk.brute_diag(V, 0.1, [3.0], d=1)
         assert K_3 == K and at_3[0] == pytest.approx(brute[-1], rel=1e-12, abs=0.0)
         assert drift_3 <= 1e-9 < drift
 
@@ -145,7 +145,7 @@ class TestDiagBound:
     def test_bound_dominates_brute_1d(self, alpha):
         xs = np.linspace(0.0, 3.0, 7)
         bound = hk.diag_bound(hk.harmonic_potential(), alpha, xs, d=1)
-        brute = hk.brute_diag(hk.harmonic_potential(), alpha, xs, d=1)
+        brute = hk.brute_diag(hk.harmonic_potential(), alpha, xs, d=1)[0]
         assert np.all(bound >= brute * (1.0 - 0.02))
         # here the bound actually dominates outright
         assert np.all(bound >= brute)
@@ -153,14 +153,14 @@ class TestDiagBound:
     def test_bound_dominates_brute_3d(self):
         xs = np.linspace(0.2, 2.0, 6)
         bound = hk.diag_bound(hk.harmonic_potential(), 1.0, xs, d=3)
-        brute = hk.brute_diag(hk.harmonic_potential(), 1.0, xs, d=3)
+        brute = hk.brute_diag(hk.harmonic_potential(), 1.0, xs, d=3)[0]
         assert np.all(bound >= brute)
 
     def test_bound_dominates_log_potential(self):
         V = hk.log_potential(4.0)
         xs = np.linspace(0.0, 4.0, 9)
         bound = hk.diag_bound(V, 1.0, xs, d=1)
-        brute = hk.brute_diag(V, 1.0, xs, d=1)
+        brute = hk.brute_diag(V, 1.0, xs, d=1)[0]
         assert np.all(bound >= brute * (1.0 - 0.02))
 
     @pytest.mark.parametrize("V, alpha, d", [
@@ -171,9 +171,9 @@ class TestDiagBound:
     ], ids=["harmonic-d1", "log-d1", "harmonic-d3", "log-d3"])
     def test_windowed_modes_match_full_solve(self, monkeypatch, V, alpha, d):
         xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
-        windowed = hk.brute_diag(V, alpha, xs, d=d)
+        windowed = hk.brute_diag(V, alpha, xs, d=d)[0]
         monkeypatch.setattr(hk, "_modes", _modes_full)
-        full = hk.brute_diag(V, alpha, xs, d=d)
+        full = hk.brute_diag(V, alpha, xs, d=d)[0]
         assert np.max(np.abs(windowed / full - 1.0)) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -301,14 +301,10 @@ class TestPerturbedBound:
             hk.xi_alpha([0.0], 1.0, -1.0, 1.0)
 
 
-def _tabulated_potential(r, v):
-    return hk.ConfiningPotential(lambda x: np.interp(np.abs(x), r, v), label="tabulated")
-
-
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_tabulated_potential_roundtrip():
     r = np.linspace(0.0, 30.0, 400)
-    V = _tabulated_potential(r, r**2)
+    V = hk.tabulated_potential(r, r**2)
     xs = np.linspace(0.0, 2.0, 5)
     bound = hk.diag_bound(V, 1.0, xs, d=1, y_max=28.0)
     ref = hk.diag_bound(hk.harmonic_potential(), 1.0, xs, d=1, y_max=28.0)
