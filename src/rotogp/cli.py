@@ -394,8 +394,10 @@ def cmd_heat_bound(cfg, out):
         "config": {**cfg, "V": " ".join(tokens)},
         "int_h": heatkernel.h_alpha_integral(alpha, d=d),
         "max_violation": float(np.max(brute - bound)),
+        "violation": (brute - bound).tolist(),
         "oracle_modes": modes,
-        "oracle_drift": drift,
+        "oracle_drift": float(drift.max()),
+        "drift": drift.tolist(),
         "trace_value": trace["value"],
         "converged": trace["converged"],
     }

@@ -182,37 +182,6 @@ def build_soft_potentials(
     )
 
 
-def sampled_direction_fR(sp: SoftPotentials, r_values, n_radii=8):
-    """Cross-check of f_R by brute sampling of y (26 directions x radii).
-
-    The radial reduction used by build_soft_potentials is exact; this
-    sampled version can only underestimate, so it serves as a lower-bound
-    consistency check.
-    """
-    dirs = np.array(
-        [
-            (i, j, k)
-            for i in (-1, 0, 1)
-            for j in (-1, 0, 1)
-            for k in (-1, 0, 1)
-            if (i, j, k) != (0, 0, 0)
-        ],
-        dtype=float,
-    )
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = sp.R * np.arange(1, n_radii + 1) / n_radii
-    out = np.zeros(len(r_values))
-    hr = np.interp(r_values, sp.r, sp.h)
-    for rho in radii:
-        for d in dirs:
-            y = rho * d
-            # x along z-axis wlog (h radial)
-            dist = np.sqrt(np.asarray(r_values) ** 2 - 2.0 * r_values * y[2] + rho**2)
-            hy = np.interp(dist, sp.r, sp.h)
-            out = np.maximum(out, np.abs(hy - hr))
-    return out
-
-
 def verify_wr_scaling(s, R_values, epsilon=0.5):
     """Table of int w_R over an R sweep at fixed s, plus the log-log slope."""
     R_values = np.asarray(R_values, dtype=float)

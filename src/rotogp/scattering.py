@@ -79,7 +79,7 @@ def from_samples(r, w) -> RadialPotential:
 
 
 def _rk4_step(u, v, h, w0, wh, w1):
-    """One RK4 step of u'' = w u, v = u', with w sampled at r, r + h/2, r + h."""
+    """Increments (du, dv) of one RK4 step of u'' = w u, v = u', w at r, r + h/2, r + h."""
     k1u = v
     k1v = w0 * u
     k2u = v + 0.5 * h * k1v
@@ -88,28 +88,31 @@ def _rk4_step(u, v, h, w0, wh, w1):
     k3v = wh * (u + 0.5 * h * k2u)
     k4u = v + h * k3v
     k4v = w1 * (u + h * k3u)
-    return (u + h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0,
-            v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
+    return (h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0,
+            h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
 
 
 def _rk4_outward(h, wvals, factor):
     """RK4 for u'' = factor*w*u from (u, u') = (0, 1); w on half-step nodes.
 
     Returns the u samples and the final derivative u'.  The equation is
-    linear, so step k maps (u, u') by a 2x2 matrix M_k; the samples are
-    read off the prefix products M_k ... M_0, built in log2(steps) doubling
-    rounds of batched matrix products.
+    linear, so step k maps (u, u') by a 2x2 matrix I + E_k; the samples are
+    read off the prefix products, built in log2(steps) doubling rounds of
+    batched products.  The products are kept as offsets from the identity,
+    (I + E_hi)(I + E_lo) - I = E_hi + E_lo + E_hi E_lo, so the O(h) steps
+    are never rounded against the 1 on the diagonal.
     """
     fw = factor * wvals
     w0, wh, w1 = fw[:-1:2], fw[1::2], fw[2::2]
-    M = np.empty((wh.size, 2, 2))
-    M[:, 0, 0], M[:, 1, 0] = _rk4_step(1.0, 0.0, h, w0, wh, w1)
-    M[:, 0, 1], M[:, 1, 1] = _rk4_step(0.0, 1.0, h, w0, wh, w1)
+    E = np.empty((2, 2, wh.size))  # step index last
+    E[0, 0], E[1, 0] = _rk4_step(1.0, 0.0, h, w0, wh, w1)
+    E[0, 1], E[1, 1] = _rk4_step(0.0, 1.0, h, w0, wh, w1)
     s = 1
-    while s < len(M):
-        M[s:] = M[s:] @ M[:-s]
+    while s < wh.size:
+        hi, lo = E[..., s:], E[..., :-s]
+        E[..., s:] = hi + lo + np.einsum("ijk,jlk->ilk", hi, lo)
         s *= 2
-    return np.concatenate([[0.0], M[:, 0, 1]]), M[-1, 1, 1]
+    return np.concatenate([[0.0], E[0, 1]]), 1.0 + E[1, 1, -1]
 
 
 def radial_solution(pot: RadialPotential, n_steps: int = 20000, factor: float = 2.0):

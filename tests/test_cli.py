@@ -207,11 +207,15 @@ class TestScattering:
         assert run(["scattering", "--potential", "square", "1.0", "50.0",
                     "--out", str(tmp_path)]) == 0
         res = json.loads((tmp_path / "results.json").read_text())
-        assert 0.0 < res["residual"] < 1e-10
-        from rotogp.scattering import scattering_length, square_barrier
+        assert res["residual"] < 1e-10
+        from rotogp.scattering import (scattering_length, square_barrier,
+                                       square_barrier_length)
         pot = square_barrier(1.0, 50.0)
         a, a_half = scattering_length(pot), scattering_length(pot, n_steps=10000)
         assert res["residual"] == abs(a - a_half) / abs(a)
+        # the estimate bounds the true error, up to a few ulp of rounding
+        err = abs(res["a"] - square_barrier_length(1.0, 50.0))
+        assert err <= res["residual"] * abs(res["a"]) + 4 * np.spacing(res["a"])
 
     def test_bad_potential_exits_2(self, tmp_path):
         assert run(["scattering", "--potential", "wedge", "1",
@@ -267,6 +271,17 @@ class TestHeatBound:
         assert isinstance(res["oracle_modes"], int) and res["oracle_modes"] > 0
         # the oracle's own error is far below the margin it certifies
         assert 0 <= res["oracle_drift"] < abs(res["max_violation"])
+
+    @pytest.mark.parametrize("flags, n_points", [
+        ([], 9), (["--dim", "3"], 8), (["--V", "log", "2.0", "--alpha", "0.1"], 9),
+    ], ids=["d1", "d3", "log"])
+    def test_reports_per_point_resolution(self, tmp_path, flags, n_points):
+        assert run(["heat-bound", *flags, "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert len(res["violation"]) == len(res["drift"]) == n_points
+        assert max(res["violation"]) == res["max_violation"]
+        assert max(res["drift"]) == res["oracle_drift"]
+        assert min(res["drift"]) >= 0
 
 
 def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):

@@ -11,7 +11,6 @@ from rotogp.dyson import (
     build_soft_potentials,
     check_dyson_inequality,
     kappa_eta,
-    sampled_direction_fR,
     verify_wr_scaling,
     _h_radial,
     _windowed_extremes,
@@ -24,6 +23,25 @@ from rotogp.scattering import RadialPotential, scattering_length, square_barrier
 @pytest.fixture(scope="module")
 def soft():
     return build_soft_potentials(CutoffFunction(3.5), 0.35, 0.5)
+
+
+def _sampled_direction_fR(sp, r_values, n_radii=8):
+    """f_R by brute sampling of y over 26 directions and n_radii radii.
+
+    Sampling can only miss the extremes of the exact radial reduction in
+    build_soft_potentials, so it bounds f_R from below.
+    """
+    dirs = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1)
+                     for k in (-1, 0, 1) if (i, j, k) != (0, 0, 0)], dtype=float)
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    out = np.zeros(len(r_values))
+    hr = np.interp(r_values, sp.r, sp.h)
+    for rho in sp.R * np.arange(1, n_radii + 1) / n_radii:
+        for d in dirs:
+            # x along the z-axis wlog, h being radial
+            dist = np.sqrt(r_values**2 - 2.0 * r_values * (rho * d[2]) + rho**2)
+            out = np.maximum(out, np.abs(np.interp(dist, sp.r, sp.h) - hr))
+    return out
 
 
 def test_cutoff_plateaus_and_monotone():
@@ -70,7 +88,7 @@ def test_fr_tail_decays(soft):
 
 def test_direction_sampled_fr_is_tight_lower_bound(soft):
     rs = np.linspace(0.05, 3.0, 40)
-    approx = sampled_direction_fR(soft, rs)
+    approx = _sampled_direction_fR(soft, rs)
     exact = soft.fR_at(rs)
     assert np.all(approx <= exact + 1e-12)
     assert np.max(exact - approx) <= 0.02 * soft.fR.max()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from rotogp import heatkernel as hk
 from rotogp.quadrature import gauss_legendre
@@ -47,6 +48,34 @@ def _diag_bound_grid_full(V, alpha, xs, d, y_max, dy=0.01):
         inner = np.interp(r + rho, s_tab, G) - np.interp(np.abs(r - rho), s_tab, G)
         out[i] = 2.0 * np.pi / max(r, dy) * np.sum(ev * inner)
     return pref * out
+
+
+def _diag_bound_per_call(V, alpha, xs, d):
+    """diag_bound with the theta rule and (4 pi t)^{-d/2} rebuilt in every integrand call."""
+    def theta_rule():
+        u, wu = gauss_legendre(200)
+        theta = 0.25 * np.pi * (u + 1.0)
+        return (alpha / 4.0) * np.sin(theta) ** 2, np.sin(theta) * (0.25 * np.pi * wu)
+
+    def h(x):
+        t, w = theta_rule()
+        return hk.j_t(np.atleast_1d(x)[:, None], t[None, :], d=1) @ w
+
+    def shell(r, rho):
+        t, w = theta_rule()
+        ends = np.exp(-((r - rho) ** 2) / (4.0 * t)) * -np.expm1(-r * rho / t)
+        return float(np.sum(w * 2.0 * t * (4.0 * np.pi * t) ** -1.5 * ends)) / (2.0 * r * rho)
+
+    y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
+    out = []
+    for x in xs:
+        if d == 1:
+            f = lambda y: np.exp(-alpha * V(y)) * h(abs(x - y))[0]
+            out.append(quad(f, -y_max, y_max, points=[x], limit=400)[0])
+        else:
+            f = lambda rho: rho * rho * np.exp(-alpha * V(rho)) * shell(abs(x), rho)
+            out.append(4.0 * np.pi * quad(f, 0.0, y_max, points=[abs(x)], limit=400)[0])
+    return (4.0 * np.pi * alpha) ** (-d / 2.0) * np.array(out)
 
 
 def _weighted_trace_per_domain(V, alpha, s, d, L0=8.0, doublings=4, n_per_unit=8):
@@ -139,7 +168,7 @@ class TestDiagBound:
         # over all nine points the drift is largest at the cusp x = 0
         at_3, K_3, drift_3 = hk.brute_diag(V, 0.1, [3.0], d=1)
         assert K_3 == K and at_3[0] == pytest.approx(brute[-1], rel=1e-12, abs=0.0)
-        assert drift_3 <= 1e-9 < drift
+        assert drift_3[0] <= 1e-9 < drift.max() == drift[0]
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_bound_dominates_brute_1d(self, alpha):
@@ -191,6 +220,18 @@ class TestDiagBound:
         monkeypatch.setattr(hk, "_shell_average", _shell_average_gauss)
         gauss = hk.diag_bound(hk.harmonic_potential(), 1.0, xs, d=3)
         assert np.max(np.abs(closed / gauss - 1.0)) < 1e-7
+
+    @pytest.mark.parametrize("V, alpha, d", [
+        (hk.harmonic_potential(), 1.0, 1),
+        (hk.harmonic_potential(), 1.0, 3),
+        (hk.log_potential(2.0), 0.1, 1),
+    ], ids=["harmonic-d1", "harmonic-d3", "log-d1"])
+    def test_shared_kernel_matches_per_call_integrand(self, V, alpha, d):
+        # the heat-bound points of each CLI config
+        xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
+        shared = hk.diag_bound(V, alpha, xs, d=d)
+        ref = _diag_bound_per_call(V, alpha, xs, d)
+        assert np.max(np.abs(shared / ref - 1.0)) <= 1e-13
 
     def test_negative_potential_rejected(self):
         V = hk.ConfiningPotential(lambda x: x**2 - 1.0)
@@ -259,6 +300,22 @@ class TestWeightedTrace:
         ref = _weighted_trace_per_domain(V, 1.0, 2.0, 1)
         assert abs(rep["value"] / ref[-1] - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("V, alpha, L", [
+        (hk.harmonic_potential(), 1.0, 32.0),
+        (hk.harmonic_potential(), 0.3, 64.0),
+        (hk.log_potential(2.0), 1.0, 32.0),
+    ], ids=["harmonic-1", "harmonic-0.3", "log"])
+    def test_trimmed_rows_match_full_sum_3d(self, V, alpha, L):
+        # harmonic: e^{-alpha V} underflows to 0 inside the domain, and the
+        # sums stop there; log: it never does, and only G's saturation trims
+        x = np.linspace(0.0, L, int(8 * L) + 1)[1:]
+        y_max = L + 12.0 * np.sqrt(alpha)
+        if V.label == "harmonic":
+            assert np.exp(-alpha * V(y_max)) == 0.0
+        trimmed = hk._diag_bound_grid(V, alpha, x, 3, y_max)
+        full = _diag_bound_grid_full(V, alpha, x, 3, y_max)
+        assert np.all(np.abs(trimmed - full) <= 1e-13 * np.abs(full) + 1e-300)
+
     def test_partials_nondecreasing_3d(self):
         # the integrand is nonnegative; separate G tables per domain made the
         # partials dip (0.3125002, 0.3124985, ...)
@@ -299,13 +356,3 @@ class TestPerturbedBound:
     def test_xi_validation(self):
         with pytest.raises(ValueError):
             hk.xi_alpha([0.0], 1.0, -1.0, 1.0)
-
-
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_tabulated_potential_roundtrip():
-    r = np.linspace(0.0, 30.0, 400)
-    V = hk.tabulated_potential(r, r**2)
-    xs = np.linspace(0.0, 2.0, 5)
-    bound = hk.diag_bound(V, 1.0, xs, d=1, y_max=28.0)
-    ref = hk.diag_bound(hk.harmonic_potential(), 1.0, xs, d=1, y_max=28.0)
-    assert np.max(np.abs(bound / ref - 1.0)) < 1e-3
