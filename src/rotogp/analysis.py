@@ -53,21 +53,20 @@ def _ring_winding(phase, i, j):
     return int(np.rint(s / (2.0 * np.pi)))
 
 
-def detect_vortices(phi: ComplexField, amplitude_floor=1e-3):
+def detect_vortices(phi: ComplexField):
     """Plaquette phase-winding census of a 2D field.
 
     Returns a list of (i, j, charge) with (i, j) the lower-left grid index
-    of the plaquette.  Plaquettes with every corner below
-    amplitude_floor * max|phi| are excluded.  A corner with amplitude at
-    roundoff zero has no phase; when such a node sits inside the live
-    region (a core zero landing exactly on the lattice) its four incident
-    plaquettes are replaced by one charge obtained from the winding around
-    the 8-node ring enclosing it.
+    of the plaquette.  Plaquettes with every corner below 1e-3 max|phi| are
+    excluded.  A corner with amplitude at roundoff zero has no phase; when
+    such a node sits inside the live region (a core zero landing exactly on
+    the lattice) its four incident plaquettes are replaced by one charge
+    obtained from the winding around the 8-node ring enclosing it.
     """
     if phi.grid.dim != 2:
         raise ValueError("vortex census requires a 2D field")
     amp = np.abs(phi.values)
-    floor = amplitude_floor * amp.max()
+    floor = 1e-3 * amp.max()
     ok = amp > floor
     defined = amp > 1e-12 * amp.max()
     phase = np.angle(phi.values)
@@ -88,8 +87,8 @@ def detect_vortices(phi: ComplexField, amplitude_floor=1e-3):
     return found
 
 
-def total_vortex_charge(phi: ComplexField, amplitude_floor=1e-3) -> int:
-    return sum(q for _, _, q in detect_vortices(phi, amplitude_floor))
+def total_vortex_charge(phi: ComplexField) -> int:
+    return sum(q for _, _, q in detect_vortices(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +212,8 @@ class MixtureState:
         ev = np.linalg.eigvalsh(self.gram())
         return np.sort(ev)[::-1]
 
-    def expectation(self, func):
-        """Average func(field) over the mixture."""
-        return float(sum(w * func(f) for w, f in zip(self.weights, self.fields)))
 
-
-def is_extreme(state: MixtureState, tol=1e-10) -> bool:
-    """True iff the mixture is a pure state (rank-one density matrix)."""
+def is_extreme(state: MixtureState) -> bool:
+    """True iff the mixture is a pure state (rank-one density matrix, to 1e-10)."""
     ev = state.spectrum()
-    return bool(ev[0] >= 1.0 - tol) if ev.size else False
+    return bool(ev[0] >= 1.0 - 1e-10) if ev.size else False

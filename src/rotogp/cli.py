@@ -311,7 +311,7 @@ def cmd_fock_ed(cfg, out):
     # H conserves particle number, so its sector block is the same on every
     # truncation that holds the sector: build only up to it
     basis = fock.FockBasis(J, sector)
-    mb = fock.ModeBasis(e=e, W=W, C=0.0, M=sector)
+    mb = fock.ModeBasis(e=e, W=W)
     H = fock.build_hamiltonian(mb, basis)
     energy, vec = fock.ground_state(H, basis, sector)
     residual = float(np.linalg.norm(H @ vec - energy * vec))
@@ -352,6 +352,14 @@ def cmd_symbols_check(cfg, out):
     z = complex(str(cfg["z"]).replace("i", "j"))
     poly = _parse_op(str(cfg["op"]))
     basis = fock.FockBasis(1, int(cfg["Nmax"]))
+    # coherent_state refuses a z whose Poisson tail past Nmax exceeds 1e-8
+    fock.coherent_state([z], basis)
+    # op has degree <= 4: four more levels keep a^q from cutting the ket
+    # short, and |<z|op|z> - lower| <= |lower| P[N > Nmax] <= 1e-8 |lower|
+    wide = fock.FockBasis(1, basis.n_max + 4)
+    ket = fock.coherent_state([z], wide).vector
+    lower = fock.lower_symbol(poly, z)
+    coherent_err = abs(np.vdot(ket, poly.to_matrix(wide) @ ket) - lower)
     identity_err = fock.verify_resolution(
         basis, Z=float(cfg["Z"]), n_angle=int(cfg["nodes"])
     )
@@ -360,13 +368,15 @@ def cmd_symbols_check(cfg, out):
     )
     result = {
         "config": cfg,
-        "lower_symbol": fock.lower_symbol(poly, z),
+        "lower_symbol": lower,
         "upper_symbol": fock.upper_symbol(poly, z),
         "identity_error": identity_err,
         "reconstruction_error": recon_err,
+        "coherent_error": coherent_err,
     }
     _write_json(os.path.join(out, "results.json"), result)
-    return 0 if max(identity_err, recon_err) < 1e-6 else 1
+    worst = max(identity_err, recon_err, coherent_err / max(1.0, abs(lower)))
+    return 0 if worst < 1e-6 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,6 @@ class SoftPotentials:
             return w
         return np.interp(np.asarray(r, dtype=float), self.r, w, right=0.0)
 
-    def fR_at(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.r, self.fR, right=0.0)
-
     def UR(self, r):
         r = np.asarray(r, dtype=float)
         inner = 2.0 ** (-1.0 / 3.0) * self.R
@@ -160,18 +157,15 @@ def _windowed_extremes(h, r, R):
     return hmin, hmax
 
 
-def build_soft_potentials(
-    chi: CutoffFunction, R, epsilon, r_max=None, n_r=6000
-) -> SoftPotentials:
-    """Sample h and f_R on a radial grid and package the soft potentials."""
+def build_soft_potentials(chi: CutoffFunction, R, epsilon) -> SoftPotentials:
+    """Sample h and f_R on 6000 radii out to 25 s and package the soft potentials."""
     if R <= 0 or not (0 < epsilon < 1):
         raise ValueError("need R > 0 and 0 < epsilon < 1")
     if R > chi.s:
         raise ValueError("validity window requires R <= cutoff scale s")
-    if r_max is None:
-        r_max = 25.0 * chi.s
-    r = np.linspace(0.0, r_max + R, n_r)
-    h = _h_radial(chi, r_max + R, n_r)
+    r_max = 25.0 * chi.s
+    r = np.linspace(0.0, r_max + R, 6000)
+    h = _h_radial(chi, r_max + R, 6000)
     n_keep = np.searchsorted(r, r_max)
     hmin, hmax = _windowed_extremes(h, r, R)
     fR = np.maximum(hmax - h, h - hmin)[:n_keep]
@@ -207,19 +201,17 @@ def check_dyson_inequality(
     a_scatt: float,
     ell_list=(0, 1, 2),
     basis_sizes=(150, 250, 350),
-    ball_radius=None,
 ):
     """Minimal eigenvalue of (kinetic + v/2) - ((1-eps) a U_R - (a/eps) w_R).
 
-    Returns a dict with the per-channel minima at each basis size, the
-    overall minimum at the finest size, and a pass flag at slack
+    The Bessel channels live on the ball of radius max(4 s, 10 R).  Returns
+    a dict with the per-channel minima at each basis size, the overall
+    minimum at the finest size, and a pass flag at slack
     1e-6 * a * ||U_R||_inf.
     """
     chi = sp.chi
     eps = sp.epsilon
-    if ball_radius is None:
-        ball_radius = max(4.0 * chi.s, 10.0 * sp.R)
-    L = float(ball_radius)
+    L = float(max(4.0 * chi.s, 10.0 * sp.R))
 
     def kin(p):
         return p * p * chi(p) ** 2

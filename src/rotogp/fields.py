@@ -101,9 +101,6 @@ class ComplexField:
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}"
             )
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
-
     def normalized(self) -> "ComplexField":
         return ComplexField(self.grid, self.values / norm(self))
 
@@ -154,16 +151,6 @@ def _check_same_grid(*objs):
     return g0
 
 
-def spectral_transform(f: ComplexField, direction: str = "forward") -> ComplexField:
-    """Unitary DFT of a field; inverse(forward(f)) == f to rounding."""
-    scale = f.grid.n ** (f.grid.dim / 2.0)
-    if direction == "forward":
-        return ComplexField(f.grid, np.fft.fftn(f.values) / scale)
-    if direction == "inverse":
-        return ComplexField(f.grid, np.fft.ifftn(f.values) * scale)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
 def gradient_arrays(f: ComplexField):
     """Spectral partial derivatives of f, one array per axis."""
     fhat = np.fft.fftn(f.values)
@@ -194,21 +181,8 @@ def norm4_pow4(f: ComplexField) -> float:
     return float(f.grid.spacing**f.grid.dim * np.sum(np.abs(f.values) ** 4))
 
 
-def norm_p(f: ComplexField, p: float) -> float:
-    """General Lp norm by midpoint quadrature."""
-    g = f.grid
-    return float((g.spacing**g.dim * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-
-
-def grad_norm_sq(f: ComplexField) -> float:
-    """int |grad f|^2 via Parseval."""
-    g = f.grid
-    fhat = np.fft.fftn(f.values) / g.n**g.dim
-    return float(g.length**g.dim * np.sum(g.ksq() * np.abs(fhat) ** 2))
-
-
-def boundary_decay_ok(f: ComplexField, rel: float = 1e-8) -> bool:
-    """True if the box faces hold less than rel of ||f||^2.
+def boundary_decay_ok(f: ComplexField) -> bool:
+    """True if the box faces hold less than 1e-8 of ||f||^2.
 
     The periodic spectral operators are only trustworthy when this holds.
     A norm share, not a pointwise bound: a solve converged to tol leaves
@@ -217,23 +191,23 @@ def boundary_decay_ok(f: ComplexField, rel: float = 1e-8) -> bool:
     total = np.sum(np.abs(f.values) ** 2)
     faces = sum(np.sum(np.abs(np.take(f.values, 0, axis=ax)) ** 2)
                 for ax in range(f.grid.dim))
-    return bool(faces <= rel * total)
+    return bool(faces <= 1e-8 * total)
 
 
-def gaussian_field(grid: Grid, width: float = 1.0) -> ComplexField:
-    """Normalized isotropic Gaussian exp(-|x|^2 / (2 width^2))."""
+def gaussian_field(grid: Grid) -> ComplexField:
+    """Normalized isotropic Gaussian exp(-|x|^2 / 2)."""
     r2 = grid.radius_sq()
-    vals = np.exp(-r2 / (2.0 * width**2)).astype(complex)
+    vals = np.exp(-r2 / 2.0).astype(complex)
     return ComplexField(grid, vals).normalized()
 
 
-def vortex_field(grid: Grid, winding: int = 1, width: float = 1.0) -> ComplexField:
+def vortex_field(grid: Grid, winding: int = 1) -> ComplexField:
     """Normalized (x + iy)^q Gaussian, a winding-q trial state."""
     x = grid.coords()
     zplane = x[0] + 1j * x[1]
     if winding < 0:
         zplane = np.conj(zplane)
-    vals = zplane ** abs(winding) * np.exp(-grid.radius_sq() / (2.0 * width**2))
+    vals = zplane ** abs(winding) * np.exp(-grid.radius_sq() / 2.0)
     return ComplexField(grid, vals).normalized()
 
 

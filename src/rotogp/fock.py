@@ -5,8 +5,7 @@ cap; its dimension is C(n_max + J, J).  Ladder operators follow the sqrt-n
 rules, and the raising operator simply drops the top total-number sector
 (the only place truncation is visible).  The model Hamiltonian is
 
-    H = sum_j e_j a+_j a_j + sum_{ijkl} W_{ijkl} a+_i a+_j a_k a_l
-        + (C/M) (N_hat - M)^2,
+    H = sum_j e_j a+_j a_j + sum_{ijkl} W_{ijkl} a+_i a+_j a_k a_l,
 
 which conserves total particle number, so each sector diagonalizes
 independently and truncation is exact on full sectors.
@@ -14,8 +13,7 @@ independently and truncation is exact on full sectors.
 Coherent states, lower/upper symbols of normal-ordered polynomials (the
 upper-symbol series terminates for degree <= 4), and the coherent-state
 resolution of identity int dz Pi(z) = Id (dz = pi^{-1} dx dy per mode)
-live here too, plus the closed-form error constants D1, D2, D3 and the
-soft-potential smoothing estimate.
+live here too, plus the closed-form error constants D1, D2, D3.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -26,7 +24,6 @@ import numpy as np
 from scipy import optimize, sparse, special
 from scipy.sparse.linalg import eigsh
 
-from .fields import ComplexField, norm4_pow4, norm_p, grad_norm_sq
 from .quadrature import gauss_legendre
 
 
@@ -58,12 +55,6 @@ class FockBasis:
 
     def __len__(self):
         return self.states.shape[0]
-
-    def index(self, occ) -> int:
-        occ = np.asarray(occ, dtype=np.int64)
-        if occ.shape != (self.modes,) or occ.min() < 0 or occ.sum() > self.n_max:
-            raise KeyError(f"occupation {occ.tolist()} outside the basis")
-        return int(np.searchsorted(self._keys, occ @ self._weights))
 
     def _lowered(self, src, *modes):
         """Indices of the states src with one particle removed from each of
@@ -103,33 +94,16 @@ def lowering_operator(basis: FockBasis, j: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((amp, (tgt, src)), shape=(n, n))
 
 
-def ladder_operators(basis: FockBasis, j: int):
-    """(a_j, a+_j); a+_j annihilates the top total-number sector."""
-    a = lowering_operator(basis, j)
-    return a, a.conj().T.tocsr()
-
-
-def number_operator(basis: FockBasis) -> sparse.csr_matrix:
-    return sparse.diags(basis.totals.astype(float)).tocsr()
-
-
-def is_hermitian(m, tol=1e-12) -> bool:
-    d = m - m.conj().T
-    return bool(abs(d).max() <= tol) if d.nnz else True
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ModeBasis:
-    """One-particle energies, two-body tensor, and number-penalty data."""
+    """One-particle energies and two-body tensor."""
 
     e: np.ndarray            # one-particle energies, positive nondecreasing
     W: np.ndarray            # W[i,j,k,l], hermitian with i<->j, k<->l symmetry
-    C: float = 0.0           # penalty weight
-    M: int = 0               # target particle number
 
     def __post_init__(self):
         self.e = np.asarray(self.e, dtype=float)
@@ -177,15 +151,11 @@ def _two_body(mb: ModeBasis, basis: FockBasis):
     return B.T @ WB
 
 
-def build_hamiltonian(mb: ModeBasis, basis: FockBasis, include_penalty=False):
-    """Sparse hermitian H = sum e_j n_j + two-body + optional number penalty."""
+def build_hamiltonian(mb: ModeBasis, basis: FockBasis):
+    """Sparse hermitian H = sum e_j n_j + two-body."""
     if mb.modes != basis.modes:
         raise ValueError("mode count mismatch")
     diag = basis.states.astype(float) @ mb.e
-    if include_penalty:
-        if mb.M <= 0:
-            raise ValueError("penalty requires a positive target M")
-        diag = diag + (mb.C / mb.M) * (basis.totals - mb.M) ** 2
     return (sparse.diags(diag) + _two_body(mb, basis)).tocsr()
 
 
@@ -207,8 +177,9 @@ def ground_state(H, basis: FockBasis, total: int):
     return e0, full
 
 
-def hartree_minimum(e, W, n_starts=24, seed=0):
-    """min over unit vectors of sum e|c|^2 + sum W_ijkl conj(c_i c_j) c_k c_l."""
+def hartree_minimum(e, W):
+    """min over unit vectors of sum e|c|^2 + sum W_ijkl conj(c_i c_j) c_k c_l,
+    best of 24 seeded Nelder-Mead starts."""
     e = np.asarray(e, dtype=float)
     W = np.asarray(W)
     J = e.size
@@ -226,10 +197,10 @@ def hartree_minimum(e, W, n_starts=24, seed=0):
             return 1e6
         return value(c)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = np.inf
     best_c = None
-    for _ in range(n_starts):
+    for _ in range(24):
         x0 = rng.standard_normal(2 * J)
         res = optimize.minimize(fun, x0, method="Nelder-Mead",
                                 options={"xatol": 1e-12, "fatol": 1e-14,
@@ -261,16 +232,16 @@ class CoherentVector:
     truncation_error: float
 
 
-def coherent_state(z, basis: FockBasis, tol=1e-8) -> CoherentVector:
-    """Truncated product coherent state with a Poisson tail certificate."""
+def coherent_state(z, basis: FockBasis) -> CoherentVector:
+    """Truncated product coherent state; its Poisson tail must stay below 1e-8."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.size != basis.modes:
         raise ValueError("one amplitude per mode")
     s = float(np.sum(np.abs(z) ** 2))
     # P[Poisson(s) > n_max]: the exact squared-norm deficit of the truncation
     tail = float(special.gammainc(basis.n_max + 1, s)) if s > 0 else 0.0
-    if tail > tol:
-        raise ValueError(f"coherent tail {tail:.3e} exceeds tolerance {tol:.0e}")
+    if tail > 1e-8:
+        raise ValueError(f"coherent tail {tail:.3e} exceeds tolerance 1e-8")
     logfact = special.gammaln(np.arange(basis.n_max + 1) + 1.0)
     amp = np.exp(-0.5 * s) * np.ones(len(basis), dtype=complex)
     for j in range(basis.modes):
@@ -372,24 +343,22 @@ def upper_symbol(poly: SymbolPolynomial, z):
     return poly.upper().evaluate(z)
 
 
-def verify_resolution(
-    basis: FockBasis, Z=6.0, n_radial=80, n_angle=64, poly=None, n_cut=3
-):
+def verify_resolution(basis: FockBasis, Z=6.0, n_angle=64, poly=None):
     """Operator-norm error of int dz U(z) Pi(z) against the target.
 
-    Single-mode quadrature: Gauss-Legendre radius on [0, Z], uniform angle;
-    with poly=None the target is the identity (U = 1); otherwise the target
-    is poly's matrix and U its upper symbol.  Compared on the n <= n_cut
-    block, which the coherent projector reproduces once Z covers the
+    Single-mode quadrature: 80-node Gauss-Legendre radius on [0, Z], uniform
+    angle; with poly=None the target is the identity (U = 1); otherwise the
+    target is poly's matrix and U its upper symbol.  Compared on the
+    n <= 3 block, which the coherent projector reproduces once Z covers the
     relevant matrix elements.
     """
     if basis.modes != 1:
         raise ValueError("resolution check implemented for a single mode")
-    if n_cut >= basis.n_max:
-        raise ValueError("n_cut must sit strictly below the truncation")
+    if basis.n_max <= 3:
+        raise ValueError("the n <= 3 block must sit strictly below the truncation")
     if not Z > 0 or n_angle < 1:
         raise ValueError("need Z > 0 and n_angle >= 1")
-    r, wr = gauss_legendre(n_radial)
+    r, wr = gauss_legendre(80)
     r = 0.5 * Z * (r + 1.0)
     wr = 0.5 * Z * wr
     th = 2.0 * np.pi * np.arange(n_angle) / n_angle
@@ -409,7 +378,7 @@ def verify_resolution(
         u = poly.upper().evaluate(zg[:, None])
         target = poly.to_matrix(basis).toarray()
     M = (V * (wg * u)[None, :]) @ V.conj().T
-    blk = slice(0, n_cut + 1)
+    blk = slice(0, 4)
     err = np.abs(M[blk, blk] - target[blk, blk]).max()
     return float(err)
 
@@ -462,34 +431,3 @@ def error_constants(w1, winf, delta, eta, e, J, M, E, C=0.0) -> ErrorConstants:
         + winf / delta
     )
     return ErrorConstants(D1=float(D1), D2=float(D2), D3=float(D3))
-
-
-# ---------------------------------------------------------------------------
-# smoothing estimate
-# ---------------------------------------------------------------------------
-
-def smoothing_estimate_check(phi: ComplexField, R: float):
-    """(lhs, rhs) of
-    |int |phi(x)|^2 |phi(y)|^2 U_R(x-y) - 4 pi ||phi||_4^4|
-        <= 8 pi R ||phi||_6^3 ||grad phi||_2.
-    The hat potential is discretized on the field's grid and renormalized
-    so its lattice integral is exactly 4 pi.
-    """
-    grid = phi.grid
-    if grid.dim != 3:
-        raise ValueError("smoothing estimate is a 3D statement")
-    if R <= 2.0 * grid.spacing:
-        raise ValueError("R must be resolved by a few grid spacings")
-    rr = np.sqrt(grid.radius_sq())
-    inner = 2.0 ** (-1.0 / 3.0) * R
-    U = np.where((rr >= inner) & (rr <= R), 6.0 / R**3, 0.0)
-    w = grid.spacing**3
-    total = w * U.sum()
-    if total == 0.0:
-        raise ValueError("hat shell not resolved by the grid")
-    U *= 4.0 * np.pi / total
-    rho = np.abs(phi.values) ** 2
-    conv = np.fft.ifftn(np.fft.fftn(rho) * np.fft.fftn(np.fft.ifftshift(U))).real * w
-    lhs = abs(w * np.sum(rho * conv) - 4.0 * np.pi * norm4_pow4(phi))
-    rhs = 8.0 * np.pi * R * norm_p(phi, 6) ** 3 * np.sqrt(grad_norm_sq(phi))
-    return float(lhs), float(rhs)

@@ -121,12 +121,6 @@ def gp_gradient(p: GpProblem, phi: ComplexField) -> ComplexField:
     return ComplexField(p.grid, out)
 
 
-def chemical_potential(p: GpProblem, phi: ComplexField) -> float:
-    """mu = <phi|H0 phi> + 8 pi a int|phi|^4 for normalized phi."""
-    _check_normalized(phi)
-    return inner(phi, gp_gradient(p, phi)).real
-
-
 def gp_residual(p: GpProblem, phi: ComplexField):
     """(mu, ||grad - mu phi||_2), the GP-equation defect of phi."""
     grad = gp_gradient(p, phi)

@@ -41,12 +41,10 @@ from .quadrature import BesselChannel, gauss_legendre
 
 @dataclass(frozen=True)
 class ConfiningPotential:
-    """Nonnegative confining potential; C1, C2 record log-growth constants."""
+    """Nonnegative confining potential."""
 
     func: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
-    C1: float = 0.0      # V(x) >= C1 ln|x| - C2 for |x| >= 1 (log class)
-    C2: float = 0.0
 
     def __call__(self, x):
         return self.func(np.asarray(x, dtype=float))
@@ -57,11 +55,10 @@ def harmonic_potential() -> ConfiningPotential:
 
 
 def log_potential(C1: float, C2: float = 0.0) -> ConfiningPotential:
+    """C1 log(1 + |x|), of the log class V(x) >= C1 ln|x| - C2 for |x| >= 1."""
     if not (0 < C1 < np.inf and np.isfinite(C2)):
         raise ValueError("need a finite log growth constant C1 > 0 and a finite C2")
-    return ConfiningPotential(
-        lambda x: C1 * np.log1p(np.abs(x)), label="log", C1=C1, C2=C2
-    )
+    return ConfiningPotential(lambda x: C1 * np.log1p(np.abs(x)), label="log")
 
 
 def zero_potential() -> ConfiningPotential:
@@ -77,11 +74,6 @@ def _check_nonneg(V: ConfiningPotential, span: float) -> None:
 # ---------------------------------------------------------------------------
 # smoothing profile
 # ---------------------------------------------------------------------------
-
-def j_t(x, t, d=1):
-    x = np.asarray(x, dtype=float)
-    return (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-(x**2) / (4.0 * t))
-
 
 @lru_cache(maxsize=16)
 def _theta_kernel(alpha, d):
@@ -108,10 +100,9 @@ def h_alpha(x, alpha, d=1):
     return np.exp(-np.square(np.asarray(x, dtype=float))[..., None] * q) @ c
 
 
-def h_alpha_integral(alpha, d=1, r_max=None):
-    """Numerical integral of h_alpha over R^d (radially reduced)."""
-    if r_max is None:
-        r_max = 12.0 * np.sqrt(alpha)
+def h_alpha_integral(alpha, d=1):
+    """Integral of h_alpha over |x| <= 12 sqrt(alpha) in R^d, radially reduced."""
+    r_max = 12.0 * np.sqrt(alpha)
     if d == 1:
         val, _ = quad(lambda r: h_alpha(r, alpha, d=1), 0.0, r_max, limit=200)
         return 2.0 * val
@@ -138,18 +129,17 @@ def _shell_average(r, rho, alpha):
     return float((c * t) @ ends) / (r * rho)
 
 
-def diag_bound(V: ConfiningPotential, alpha, xs, d=1, y_max=None):
+def diag_bound(V: ConfiningPotential, alpha, xs, d=1):
     """(4 pi alpha)^{-d/2} (e^{-alpha V} * h_alpha)(x), adaptive quadrature.
 
     The convolution is integrated directly with a breakpoint at the |x - y|
     cusp of h_alpha; no periodization, so unbounded V is handled exactly up
-    to the (certified-negligible) tail beyond y_max.
+    to the (certified-negligible) tail beyond y_max = max|x| + 12 sqrt(alpha) + 8.
     """
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if y_max is None:
-        y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
+    y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
     _check_nonneg(V, y_max)
     _, c, q = _theta_kernel(alpha, 1)
     out = np.empty(xs.size)
@@ -296,14 +286,13 @@ def mehler_diag(alpha, xs):
 # weighted trace with doubling certificate
 # ---------------------------------------------------------------------------
 
-def weighted_trace(V: ConfiningPotential, alpha, s, d=1, L0=8.0, doublings=4,
-                   n_per_unit=8, growth_tol=0.01):
+def weighted_trace(V: ConfiningPotential, alpha, s, d=1, doublings=4, n_per_unit=8):
     """int |x|^s * diag_bound(x) dx with a domain-doubling certificate.
 
     Returns {'value', 'converged', 'partials'}; divergence — successive
-    domain doublings growing by more than growth_tol — is reported in the
+    domain doublings growing by more than 1% — is reported in the
     certificate, never raised.  One profile on the largest domain serves all
-    doublings, partial k being the trapezoid rule over |x| <= L0 2^k: each x
+    doublings, partial k being the trapezoid rule over |x| <= 8 2^k: each x
     sees only y within 12 sqrt(alpha), inside every domain's y range.
     """
     if s < 0:
@@ -312,18 +301,18 @@ def weighted_trace(V: ConfiningPotential, alpha, s, d=1, L0=8.0, doublings=4,
         raise ValueError("d must be 1 or 3")
     if doublings < 1:
         raise ValueError("need at least one domain doubling")
-    L = L0 * 2**doublings
+    L = 8.0 * 2**doublings
     n = max(int(L * n_per_unit) | 1, 129)
     x = np.linspace(-L, L, n) if d == 1 else np.linspace(0.0, L, n)[1:]
     f = np.abs(x) ** (s + d - 1) * _diag_bound_grid(
         V, alpha, x, d, L + 12.0 * np.sqrt(alpha))
     scale = 4.0 * np.pi if d == 3 else 1.0
-    prefixes = (np.abs(x) <= L0 * 2**k * (1 + 1e-12) for k in range(doublings + 1))
+    prefixes = (np.abs(x) <= 8.0 * 2**k * (1 + 1e-12) for k in range(doublings + 1))
     partials = [float(scale * np.trapezoid(f[m], x[m])) for m in prefixes]
     growth = partials[-1] / partials[-2] - 1.0
     return {
         "value": partials[-1],
-        "converged": bool(abs(growth) <= growth_tol),
+        "converged": bool(abs(growth) <= 0.01),
         "partials": np.array(partials),
     }
 
@@ -332,10 +321,10 @@ def weighted_trace(V: ConfiningPotential, alpha, s, d=1, L0=8.0, doublings=4,
 # rank-one perturbation
 # ---------------------------------------------------------------------------
 
-def xi_alpha(xs, alpha, B, D, n_t=80):
+def xi_alpha(xs, alpha, B, D):
     """xi(x) = ||Phi||_2^{-1} sup_{0<t<alpha} (j_t * Phi)(x), Phi = sqrt(B) e^{-D|x|}.
 
-    One-dimensional; the sup runs over n_t geometric times in [1e-4 alpha,
+    One-dimensional; the sup runs over 80 geometric times in [1e-4 alpha,
     alpha] and the t -> 0 limit, Phi itself.  With x = |x|, in closed form
     (j_t * Phi)(x) = (sqrt(B)/2) [e^{D^2 t - D x} erfc((2Dt - x)/sqrt(4t))
                                   + e^{-x^2/4t} erfcx((2Dt + x)/sqrt(4t))].
@@ -345,7 +334,7 @@ def xi_alpha(xs, alpha, B, D, n_t=80):
     x = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
     if B == 0:
         return np.zeros(x.size)
-    t = np.geomspace(1e-4 * alpha, alpha, n_t)[:, None]
+    t = np.geomspace(1e-4 * alpha, alpha, 80)[:, None]
     sq = np.sqrt(4.0 * t)
     conv = 0.5 * np.sqrt(B) * (
         np.exp(D * D * t - D * x) * special.erfc((2.0 * D * t - x) / sq)

@@ -2,12 +2,11 @@
 
 The reduced radial problem is integrated outward,
 
-    u''(r) = factor * w(r) u(r),     u ~ const * (r - a)  beyond the range,
+    u''(r) = 2 w(r) u(r),     u ~ const * (r - a)  beyond the range,
 
 and since w vanishes past the range R, u is affine there: a = R - u(R)/u'(R)
-exactly.  The default factor is 2 (pair problem in units where hbar = 2m = 1,
-so the reduced-mass kinetic term carries an extra 2); factor=1 gives the
-single-particle convention.
+exactly.  The 2 is the pair problem's in units where hbar = 2m = 1: the
+reduced-mass kinetic term carries an extra 2.
 
 A hard core of radius r_c is handled exactly by starting the integration
 at r_c with u(r_c) = 0.
@@ -59,12 +58,6 @@ def square_barrier(radius: float, height: float) -> RadialPotential:
     )
 
 
-def square_well(radius: float, depth: float) -> RadialPotential:
-    return RadialPotential(
-        rrange=radius, func=lambda r: np.full_like(np.asarray(r, float), -abs(depth))
-    )
-
-
 def from_samples(r, w) -> RadialPotential:
     """Piecewise-linear potential through (r, w) sample points."""
     r = np.asarray(r, dtype=float)
@@ -92,8 +85,8 @@ def _rk4_step(u, v, h, w0, wh, w1):
             h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
 
 
-def _rk4_outward(h, wvals, factor):
-    """RK4 for u'' = factor*w*u from (u, u') = (0, 1); w on half-step nodes.
+def _rk4_outward(h, wvals):
+    """RK4 for u'' = 2 w u from (u, u') = (0, 1); w on half-step nodes.
 
     Returns the u samples and the final derivative u'.  The equation is
     linear, so step k maps (u, u') by a 2x2 matrix I + E_k; the samples are
@@ -102,7 +95,7 @@ def _rk4_outward(h, wvals, factor):
     (I + E_hi)(I + E_lo) - I = E_hi + E_lo + E_hi E_lo, so the O(h) steps
     are never rounded against the 1 on the diagonal.
     """
-    fw = factor * wvals
+    fw = 2.0 * wvals
     w0, wh, w1 = fw[:-1:2], fw[1::2], fw[2::2]
     E = np.empty((2, 2, wh.size))  # step index last
     E[0, 0], E[1, 0] = _rk4_step(1.0, 0.0, h, w0, wh, w1)
@@ -115,7 +108,7 @@ def _rk4_outward(h, wvals, factor):
     return np.concatenate([[0.0], E[0, 1]]), 1.0 + E[1, 1, -1]
 
 
-def radial_solution(pot: RadialPotential, n_steps: int = 20000, factor: float = 2.0):
+def radial_solution(pot: RadialPotential, n_steps: int = 20000):
     """(r, u) for the zero-energy radial solution out to 2 * rrange.
 
     Integration stops at rrange, where w may be discontinuous; past it the
@@ -127,7 +120,7 @@ def radial_solution(pot: RadialPotential, n_steps: int = 20000, factor: float = 
     if rr > r0:
         h = (rr - r0) / n_steps
         half_nodes = r0 + 0.5 * h * np.arange(2 * n_steps + 1)
-        us, v_end = _rk4_outward(h, pot.func(half_nodes), factor)
+        us, v_end = _rk4_outward(h, pot.func(half_nodes))
         r_in = r0 + h * np.arange(n_steps + 1)
     else:  # pure hard sphere: nothing to integrate
         us, v_end = np.array([0.0]), 1.0
@@ -137,11 +130,9 @@ def radial_solution(pot: RadialPotential, n_steps: int = 20000, factor: float = 
     return np.concatenate([r_in, r_out]), np.concatenate([us, u_out])
 
 
-def scattering_length(
-    pot: RadialPotential, n_steps: int = 20000, factor: float = 2.0
-) -> float:
+def scattering_length(pot: RadialPotential, n_steps: int = 20000) -> float:
     """a = R - u(R)/u'(R), R = rrange: exact, since u is affine past R."""
-    r, u = radial_solution(pot, n_steps=n_steps, factor=factor)
+    r, u = radial_solution(pot, n_steps=n_steps)
     # the last n_steps samples are the affine continuation on (R, 2R]
     R, u_R = pot.rrange, u[-n_steps - 1]
     slope = (u[-1] - u_R) / (r[-1] - R)
@@ -150,9 +141,9 @@ def scattering_length(
     return float(R - u_R / slope)
 
 
-def square_barrier_length(radius: float, height: float, factor: float = 2.0) -> float:
-    """Closed form a = R - tanh(kappa R)/kappa, kappa = sqrt(factor*height)."""
+def square_barrier_length(radius: float, height: float) -> float:
+    """Closed form a = R - tanh(kappa R)/kappa, kappa = sqrt(2 height)."""
     if height == 0.0:
         return 0.0
-    kappa = np.sqrt(factor * height)
+    kappa = np.sqrt(2.0 * height)
     return float(radius - np.tanh(kappa * radius) / kappa)

@@ -91,14 +91,19 @@ def test_criterion_3_concavity_in_coupling(coupling_sweep):
         E[lam * a] >= lam * E[a] - slack
         for a, lam in [(1.0, 0.5), (2.0, 0.5), (4.0, 0.5), (2.0, 0.25), (4.0, 0.25)]
     )
-    _report(3, "concavity in the coupling", mid_ok and scale_ok,
-            "midpoint and superhomogeneity inequalities")
+    # each divided second difference moves by at most 4 slack / min(da)
+    a = np.array(sorted(E))
+    defects = analysis.concavity_defects(a, [E[k] for k in a])
+    defects_ok = np.all(defects <= 4.0 * slack / np.diff(a).min())
+    _report(3, "concavity in the coupling", mid_ok and scale_ok and defects_ok,
+            "midpoint and superhomogeneity inequalities, "
+            f"second differences={[f'{d:.3f}' for d in defects]}")
 
 
 def test_criterion_4_vortex_onset(multivortex):
     t0 = time.perf_counter()
     # rotation-frequency scan in a 2D trap at fixed coupling
-    scan = []
+    scan, phis = [], []
     for om in (0.3, 0.5, 0.7, 0.9, 0.95):
         problem = gp.harmonic_problem(dim=2, n=48, length=14.0, omega=-om, a=8.0)
         state = gp.gp_minimize(
@@ -107,6 +112,7 @@ def test_criterion_4_vortex_onset(multivortex):
             opts=gp.GpSolverOptions(tol=1e-7),
         )
         assert state.converged
+        phis.append(state.phi)
         scan.append((om, analysis.angular_momentum_z(state.phi),
                      analysis.total_vortex_charge(state.phi)))
     above = [k for k, (_, lz, _) in enumerate(scan) if lz >= 0.5]
@@ -121,21 +127,33 @@ def test_criterion_4_vortex_onset(multivortex):
     winding = analysis.total_vortex_charge(state.phi)
     degeneracy_ok = state.converged and winding >= 2
     worst = 0.0
-    for theta in (0.35, 0.7, 1.2):
+    angles = (0.35, 0.7, 1.2)
+    copies = [state.phi]
+    for theta in angles:
         rotated = analysis.rotate_field(state.phi, theta).normalized()
         # re-descend to strip the O(interpolation) noise of the shears
         polished = gp.gp_minimize(problem, init=rotated, opts=opts)
         worst = max(worst, abs(polished.energy - state.energy))
+        copies.append(polished.phi)
     degeneracy_ok &= worst <= 5.0 * opts.tol
     # a quarter turn leaves so little shear noise that no polish is needed
     quarter = analysis.rotate_field(state.phi, np.pi / 2).normalized()
     degeneracy_ok &= abs(gp.gp_energy(problem, quarter) - state.energy) <= 5.0 * opts.tol
 
+    # symmetry breaking: the average of the degenerate rotated minimizers is
+    # a mixed state, while the same average of the vortex-free Omega = 0.3
+    # minimizer, rotated without a polish, is pure
+    broken = analysis.MixtureState(np.full(4, 0.25), copies)
+    symmetric = analysis.MixtureState(np.full(4, 0.25), [phis[0]] + [
+        analysis.rotate_field(phis[0], theta).normalized() for theta in angles])
+    breaking_ok = not analysis.is_extreme(broken) and analysis.is_extreme(symmetric)
+
     wall = time.perf_counter() - t0
-    ok = threshold_ok and degeneracy_ok and wall < 600.0
+    ok = threshold_ok and degeneracy_ok and breaking_ok and wall < 600.0
     _report(4, "vortex onset and degeneracy", ok,
             f"scan Lz={[f'{lz:.3f}' for _, lz, _ in scan]} "
-            f"winding={winding} worst dE={worst:.1e} wall={wall:.0f}s")
+            f"winding={winding} worst dE={worst:.1e} "
+            f"mixture top eigenvalue={broken.spectrum()[0]:.3f} wall={wall:.0f}s")
 
 
 def test_criterion_5_scattering_lengths():
@@ -197,9 +215,9 @@ def test_criterion_7_symbol_suite():
     )
     basis = fock.FockBasis(1, 8)
     errors = [
-        fock.verify_resolution(basis, Z=6.0, n_cut=3),
-        fock.verify_resolution(basis, Z=6.0, n_cut=3, poly=num),
-        fock.verify_resolution(basis, Z=6.0, n_cut=3, poly=pair),
+        fock.verify_resolution(basis, Z=6.0),
+        fock.verify_resolution(basis, Z=6.0, poly=num),
+        fock.verify_resolution(basis, Z=6.0, poly=pair),
     ]
     recon_ok = max(errors) < 1e-6
     _report(7, "coherent symbol suite", exact_ok and recon_ok,
@@ -214,7 +232,7 @@ def test_criterion_8_mean_field_surrogate():
     basis = fock.FockBasis(2, 12)
     gaps = []
     for N in range(2, 9):
-        mb = fock.ModeBasis(e=e, W=fock.pair_interaction_tensor(u, g / N), M=N)
+        mb = fock.ModeBasis(e=e, W=fock.pair_interaction_tensor(u, g / N))
         e0, _ = fock.ground_state(fock.build_hamiltonian(mb, basis), basis, N)
         gaps.append(abs(e0 / N - e_h))
     wall = time.perf_counter() - t0

@@ -142,7 +142,6 @@ def test_mixture_of_distinct_states_not_extreme(grid2d):
     ev = st.spectrum()
     # orthogonal constituents: spectrum is exactly the weights
     assert np.allclose(ev, [0.5, 0.5], atol=1e-12)
-    assert st.expectation(angular_momentum_z) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_mixture_validation(grid2d):

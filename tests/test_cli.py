@@ -240,6 +240,16 @@ class TestFockAndSymbols:
         assert abs(res["upper_symbol"]["re"] - (mod2 - 1.0)) < 1e-14
         assert res["identity_error"] < 1e-6
         assert res["reconstruction_error"] < 1e-6
+        # the truncated coherent state reproduces the lower symbol
+        assert res["coherent_error"] < 1e-6
+
+    @pytest.mark.parametrize("op", ["a a a", "adag a a a", "a a a a"])
+    def test_symbols_unbalanced_operator_passes(self, tmp_path, op):
+        # a^q shifts the ket down q levels; the check must not charge that
+        # shift to the symbol: the error stays the Poisson tail past Nmax 8
+        assert run(["symbols-check", "--op", op, "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert res["coherent_error"] < 1e-8
 
     def test_bad_operator_exits_2(self, tmp_path):
         assert run(["symbols-check", "--op", "adag b",
@@ -321,6 +331,8 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         ["scattering", "--potential", "hardcore", "x"],
         ["dyson-check", "--N", "0"],
         ["symbols-check", "--Nmax", "2"],
+        # |z|^2 = 9: the coherent state's Poisson tail past Nmax 8 exceeds 1e-8
+        ["symbols-check", "--z", "3"],
         # checks that run before any work
         ["symbols-check", "--nodes", "0"],
         ["symbols-check", "--Z", "-1"],

@@ -82,14 +82,14 @@ def test_wr_proportional_to_fr(soft):
 def test_fr_tail_decays(soft):
     s = soft.chi.s
     peak = soft.fR.max()
-    assert soft.fR_at(20.0 * s) < 1e-3 * peak
-    assert soft.fR_at(24.0 * s) < 2e-4 * peak
+    assert np.interp(20.0 * s, soft.r, soft.fR, right=0.0) < 1e-3 * peak
+    assert np.interp(24.0 * s, soft.r, soft.fR, right=0.0) < 2e-4 * peak
 
 
 def test_direction_sampled_fr_is_tight_lower_bound(soft):
     rs = np.linspace(0.05, 3.0, 40)
     approx = _sampled_direction_fR(soft, rs)
-    exact = soft.fR_at(rs)
+    exact = np.interp(rs, soft.r, soft.fR, right=0.0)
     assert np.all(approx <= exact + 1e-12)
     assert np.max(exact - approx) <= 0.02 * soft.fR.max()
 

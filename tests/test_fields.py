@@ -11,12 +11,10 @@ from rotogp.fields import (
     apply_gauge_kinetic,
     boundary_decay_ok,
     gaussian_field,
-    grad_norm_sq,
     inner,
     norm,
     norm4_pow4,
     read_field,
-    spectral_transform,
     write_field,
 )
 
@@ -40,36 +38,6 @@ def test_grid_validation():
     k = np.sort(g.wavenumbers)
     expected = 2 * np.pi * np.arange(-8, 8) / 8.0
     assert np.allclose(k, np.sort(expected))
-
-
-def test_transform_constant_field():
-    g = Grid(2, 16, 10.0)
-    f = ComplexField(g, np.ones(g.shape))
-    fhat = spectral_transform(f, "forward")
-    assert np.isclose(fhat.values[0, 0], 16.0)  # sqrt(n^dim)
-    off = fhat.values.copy()
-    off[0, 0] = 0
-    assert np.max(np.abs(off)) < 1e-12
-
-
-def test_transform_round_trip():
-    g = Grid(3, 16, 6.0)
-    f = random_field(g)
-    back = spectral_transform(spectral_transform(f, "forward"), "inverse")
-    rel = np.max(np.abs(back.values - f.values)) / np.max(np.abs(f.values))
-    assert rel < 1e-12
-
-
-def test_transform_plane_wave_single_mode():
-    g = Grid(2, 32, 8.0)
-    kx = g.wavenumbers[3]
-    x = g.coords()
-    f = ComplexField(g, np.exp(1j * kx * x[0]) * np.ones(g.shape))
-    fhat = spectral_transform(f, "forward").values
-    mask = np.zeros(g.shape, dtype=bool)
-    mask[3, 0] = True
-    assert np.abs(fhat[3, 0]) > 1.0
-    assert np.max(np.abs(fhat[~mask])) < 1e-10 * np.abs(fhat[3, 0])
 
 
 def test_gauge_kinetic_plane_wave_eigenfunction():
@@ -163,13 +131,6 @@ def test_inner_normalized_gaussian():
     assert np.isclose(inner(phi, phi).real, 1.0, atol=1e-8)
 
 
-def test_parseval():
-    g = Grid(2, 32, 9.0)
-    f = random_field(g)
-    fhat = spectral_transform(f, "forward")
-    assert np.isclose(norm(f), norm(fhat), rtol=1e-12)
-
-
 def test_norm4_gaussian_closed_form_and_quadrature_oracle():
     # phi = pi^{-3/4} exp(-|x|^2/2): int |phi|^4 = (2 pi)^{-3/2}
     g = Grid(3, 32, 14.0)
@@ -181,12 +142,6 @@ def test_norm4_gaussian_closed_form_and_quadrature_oracle():
     assert np.isclose(oracle, closed, rtol=1e-10)
     assert np.isclose(norm4_pow4(phi), closed, rtol=1e-7)
     assert np.isclose(closed, 0.063494, atol=1e-6)
-
-
-def test_grad_norm_sq_gaussian():
-    g = Grid(3, 32, 14.0)
-    phi = gaussian_field(g)
-    assert np.isclose(grad_norm_sq(phi), 1.5, atol=1e-8)
 
 
 def test_grid_mismatch_raises():

@@ -7,6 +7,12 @@ from rotogp import heatkernel as hk
 from rotogp.quadrature import gauss_legendre
 
 
+def _j_t(x, t, d=1):
+    """The free heat kernel (4 pi t)^{-d/2} e^{-|x|^2 / 4t}."""
+    x = np.asarray(x, dtype=float)
+    return (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-(x**2) / (4.0 * t))
+
+
 def _xi_alpha_quadrature(xs, alpha, B, D, n_t=80, n_y=4001):
     """xi_alpha with each convolution by the trapezoid rule on n_y nodes."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -17,7 +23,7 @@ def _xi_alpha_quadrature(xs, alpha, B, D, n_t=80, n_y=4001):
     phi = np.sqrt(B) * np.exp(-D * np.abs(y))
     out = np.sqrt(B) * np.exp(-D * np.abs(xs))
     for t in np.geomspace(1e-4 * alpha, alpha, n_t):
-        conv = hk.j_t(xs[:, None] - y[None, :], t, d=1) @ (wy * phi)
+        conv = _j_t(xs[:, None] - y[None, :], t, d=1) @ (wy * phi)
         out = np.maximum(out, conv)
     return out / np.sqrt(B / D)
 
@@ -59,7 +65,7 @@ def _diag_bound_per_call(V, alpha, xs, d):
 
     def h(x):
         t, w = theta_rule()
-        return hk.j_t(np.atleast_1d(x)[:, None], t[None, :], d=1) @ w
+        return _j_t(np.atleast_1d(x)[:, None], t[None, :], d=1) @ w
 
     def shell(r, rho):
         t, w = theta_rule()

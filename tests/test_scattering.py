@@ -11,8 +11,14 @@ from rotogp.scattering import (
     scattering_length,
     square_barrier,
     square_barrier_length,
-    square_well,
 )
+
+
+def square_well(radius, depth):
+    """Attractive well -|depth| on r <= radius."""
+    return RadialPotential(
+        rrange=radius, func=lambda r: np.full_like(np.asarray(r, float), -abs(depth))
+    )
 
 
 def test_hard_sphere_length_is_radius():
@@ -26,12 +32,12 @@ def test_square_barrier_against_closed_form():
         assert a == pytest.approx(square_barrier_length(r0, w0), abs=1e-6)
 
 
-def _rk4_loop(h, wvals, factor):
+def _rk4_loop(h, wvals):
     """Reference: the RK4 steps taken one at a time."""
     us = np.zeros((wvals.size + 1) // 2)
     u, v = 0.0, 1.0
     for k in range(1, us.size):
-        du, dv = _rk4_step(u, v, h, *(factor * wvals[2 * k - 2 : 2 * k + 1]))
+        du, dv = _rk4_step(u, v, h, *(2.0 * wvals[2 * k - 2 : 2 * k + 1]))
         u, v = u + du, v + dv
         us[k] = u
     return us, v
@@ -48,8 +54,8 @@ def test_rk4_prefix_products_match_stepwise_loop(pot):
     n = 2000
     h = (pot.rrange - pot.core) / n
     wvals = pot.func(pot.core + 0.5 * h * np.arange(2 * n + 1))
-    us, v = _rk4_outward(h, wvals, 2.0)
-    us_ref, v_ref = _rk4_loop(h, wvals, 2.0)
+    us, v = _rk4_outward(h, wvals)
+    us_ref, v_ref = _rk4_loop(h, wvals)
     tol = n * np.finfo(float).eps
     assert np.max(np.abs(us - us_ref)) <= tol * np.max(np.abs(us_ref))
     assert abs(v - v_ref) <= tol * abs(v_ref)
@@ -68,12 +74,6 @@ def test_tall_barrier_approaches_hard_sphere():
     a = scattering_length(square_barrier(1.0, 4.0e4))
     assert abs(a - 1.0) < 0.01
     assert a < 1.0
-
-
-def test_factor_switch():
-    # factor=1 convention changes kappa to sqrt(height)
-    a = scattering_length(square_barrier(1.0, 4.0), factor=1.0)
-    assert a == pytest.approx(1.0 - np.tanh(2.0) / 2.0, abs=1e-6)
 
 
 def test_attractive_well_sign():
