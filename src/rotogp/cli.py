@@ -309,10 +309,11 @@ def cmd_fock_ed(cfg, out):
     if not 0 <= sector <= n_max:
         raise ValueError("need 0 <= sector <= Nmax")
     # H conserves particle number, so its sector block is the same on every
-    # truncation that holds the sector: build only up to it
+    # truncation that holds the sector: build only up to it, and assemble
+    # the two-body term on the sector alone
     basis = fock.FockBasis(J, sector)
     mb = fock.ModeBasis(e=e, W=W)
-    H = fock.build_hamiltonian(mb, basis)
+    H = fock.build_hamiltonian(mb, basis, sector)
     energy, vec = fock.ground_state(H, basis, sector)
     residual = float(np.linalg.norm(H @ vec - energy * vec))
     result = {
@@ -466,7 +467,12 @@ def _flag_kwargs(key, default):
     return {**kw, **_FLAG_OVERRIDES.get(key, {})}
 
 
-def build_parser():
+def build_parser(only=None):
+    """The argument parser; with only naming a subcommand, only its flags.
+
+    Every subcommand is listed with its help line either way, so the
+    top-level --help and the choice of subcommand do not depend on only.
+    """
     parser = argparse.ArgumentParser(
         prog="rotogp",
         description="ground-state laboratory for rotating dilute Bose gases",
@@ -474,6 +480,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (handler, help_text, defaults) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        if only in COMMANDS and name != only:
+            continue
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--out", help="output directory (default: .)")
         for key, default in defaults.items():
@@ -483,8 +491,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # flags are built for the one subcommand that runs
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = _effective_config(args)
         out = args.out or "."

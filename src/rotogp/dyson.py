@@ -29,6 +29,7 @@ the minimal eigenvalue under refinement is reported alongside.
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .fields import ComplexField, apply_gauge_kinetic
@@ -255,36 +256,52 @@ class ModifiedOneBody:
     eta: float
     kappa: float
     e: np.ndarray           # lowest J eigenvalues of K0
-    modes: list             # matching eigenfields
 
 
 def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
-    """Lowest J eigenpairs of multiplier(k) + 2 p.A + |A|^2 + scalar(x).
+    """Lowest J eigenvalues, ascending, of multiplier(k) + 2 p.A + |A|^2 + scalar(x).
 
     p^2 + 2 p.A + |A|^2 is fields.apply_gauge_kinetic, the rest of the
     multiplier one n-D transform pair; at Omega = 0, A = 0 and the pair is
     all.  The multiplier is then real and even in k, so the operator is real
-    symmetric and ARPACK runs its real driver.  ARPACK starts from a seeded
-    vector: repeated solves agree bitwise.
+    symmetric: ARPACK runs its real driver and the pair is a real one on
+    the half spectrum.  ARPACK starts from a seeded vector: repeated solves
+    agree bitwise.
+
+    No eigenvector is returned, so ARPACK stops at a relative Ritz residual
+    ||r|| <= sqrt(eps) |theta|.  For a hermitian operator a Ritz value theta
+    with residual r lies within ||r||^2 / gap of an eigenvalue, gap being
+    its distance to the rest of the spectrum (Parlett, The Symmetric
+    Eigenvalue Problem, Thm 11.7.1): eps theta^2 / gap, the eigenvalues at
+    machine precision.
     """
     grid, gauge = p.grid, p.gauge
     rotating = bool(np.any(gauge.omega))
-    rest = multiplier - grid.ksq() if rotating else multiplier
 
-    def apply(x):
-        v = x.reshape(grid.shape)
-        out = np.fft.ifftn(rest * np.fft.fftn(v))
-        out = (out if rotating else out.real) + scalar * v
-        if rotating:
+    if rotating:
+        rest = multiplier - grid.ksq()
+
+        def apply(x):
+            v = x.reshape(grid.shape)
+            out = np.fft.ifftn(rest * np.fft.fftn(v)) + scalar * v
             out += apply_gauge_kinetic(ComplexField(grid, v), gauge).values
-        return out.reshape(-1)
+            return out.reshape(-1)
+    else:
+        # the last axis's first n//2 + 1 frequencies are rfftn's, up to the
+        # sign of the Nyquist one, which an even multiplier does not see
+        half = np.ascontiguousarray(multiplier[..., : grid.shape[-1] // 2 + 1])
+
+        def apply(x):
+            v = x.reshape(grid.shape)
+            out = sfft.irfftn(half * sfft.rfftn(v), s=grid.shape) + scalar * v
+            return out.reshape(-1)
 
     n = int(np.prod(grid.shape))
     op = LinearOperator((n, n), matvec=apply, dtype=complex if rotating else float)
     v0 = np.random.default_rng(0).standard_normal(n)
-    vals, vecs = eigsh(op, k=J, which="SA", v0=v0)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    vals = eigsh(op, k=J, which="SA", v0=v0, tol=np.sqrt(np.finfo(float).eps),
+                 return_eigenvectors=False)
+    return np.sort(vals)
 
 
 def kappa_eta(p: GpProblem, eta: float) -> float:
@@ -292,12 +309,11 @@ def kappa_eta(p: GpProblem, eta: float) -> float:
     if eta <= 0:
         raise ValueError("eta must be positive")
     scalar = eta * p.grid.radius_sq() ** 2 - p.gauge.magnitude_sq()
-    vals, _ = _lowest_eigs(p, eta * p.grid.ksq(), scalar, 1)
-    return float(vals[0])
+    return float(_lowest_eigs(p, eta * p.grid.ksq(), scalar, 1)[0])
 
 
 def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedOneBody:
-    """Lowest J eigenpairs of
+    """Lowest J eigenvalues of
     -grad (1 - chi^2) grad - 2 eta Lap + 2 p.A + A^2 + V + eta |x|^4 - kappa(eta).
     """
     if eta <= 0 or J < 1:
@@ -308,7 +324,4 @@ def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedO
     mult = grid.ksq() * (1.0 - chi(kmag) ** 2) + 2.0 * eta * grid.ksq()
     quartic = grid.radius_sq() ** 2
     scalar = p.potential + eta * quartic - kappa
-    vals, vecs = _lowest_eigs(p, mult, scalar, J)
-    w = grid.spacing ** (grid.dim / 2.0)
-    modes = [ComplexField(grid, vecs[:, j].reshape(grid.shape) / w) for j in range(J)]
-    return ModifiedOneBody(eta=eta, kappa=kappa, e=vals, modes=modes)
+    return ModifiedOneBody(eta=eta, kappa=kappa, e=_lowest_eigs(p, mult, scalar, J))

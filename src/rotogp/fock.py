@@ -122,20 +122,24 @@ class ModeBasis:
         return self.e.size
 
 
-def _two_body(mb: ModeBasis, basis: FockBasis):
+def _two_body(mb: ModeBasis, basis: FockBasis, total=None):
     """sum W_ijkl a+_i a+_j a_k a_l as B^H (Wp x Id) B in one sparse product.
 
     B stacks the pair annihilators B_p = a_k a_l over unordered pairs
     p = (k <= l); Wp[q, p] sums W over the orderings of both pairs, which
     is exact because a_k a_l = a_l a_k.  (Wp x Id) B is formed directly from
-    B's entries, never as a Kronecker product.
+    B's entries, never as a Kronecker product.  With total, B's source
+    states are that sector's alone, and the product is the sector's block.
     """
-    J, n, occ = mb.modes, len(basis), basis.states
+    J, n = mb.modes, len(basis)
+    sources = np.arange(n) if total is None else basis.sector(total)
+    occ = basis.states[sources]
     kk, ll = np.triu_indices(J)
     pairs = np.arange(kk.size)
     amp = np.sqrt(occ[:, ll] * (occ[:, kk] - (kk == ll)))  # a_l first, then a_k
     src, pair = np.nonzero(amp)
     amp = amp[src, pair]
+    src = sources[src]
     tgt = basis._lowered(src, kk[pair], ll[pair])
     fold = np.zeros((J * J, kk.size))
     fold[kk * J + ll, pairs] = 1.0
@@ -151,12 +155,17 @@ def _two_body(mb: ModeBasis, basis: FockBasis):
     return B.T @ WB
 
 
-def build_hamiltonian(mb: ModeBasis, basis: FockBasis):
-    """Sparse hermitian H = sum e_j n_j + two-body."""
+def build_hamiltonian(mb: ModeBasis, basis: FockBasis, total=None):
+    """Sparse hermitian H = sum e_j n_j + two-body.
+
+    H conserves particle number; with total, the two-body term is assembled
+    on that sector only, so H's block there is the full H's (bitwise) and
+    its two-body entries elsewhere are left out.
+    """
     if mb.modes != basis.modes:
         raise ValueError("mode count mismatch")
     diag = basis.states.astype(float) @ mb.e
-    return (sparse.diags(diag) + _two_body(mb, basis)).tocsr()
+    return (sparse.diags(diag) + _two_body(mb, basis, total)).tocsr()
 
 
 def ground_state(H, basis: FockBasis, total: int):

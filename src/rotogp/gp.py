@@ -132,6 +132,8 @@ def gp_residual(p: GpProblem, phi: ComplexField):
 def initial_field(p: GpProblem, strategy, rng) -> ComplexField:
     """Build a starting field: 'gaussian', 'random', or ('vortex', q)."""
     if isinstance(strategy, ComplexField):
+        if not np.all(np.isfinite(strategy.values)):
+            raise ValueError("starting field is not finite")
         return strategy.normalized()
     if strategy == "gaussian":
         return gaussian_field(p.grid)

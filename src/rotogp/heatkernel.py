@@ -171,7 +171,15 @@ def _diag_bound_grid(V: ConfiningPotential, alpha, xs, d, y_max, dy=0.01):
         ev = np.exp(-alpha * V(y))
         off = np.arange(-int(np.ceil(span / dy)), int(np.ceil(span / dy)) + 1)
         hv = h_alpha(np.abs(off) * dy, alpha, d=1)
-        conv = np.convolve(ev, hv, mode="same") * dy
+        # convolve only ev's nonzero run: outside it e^{-alpha V} underflows
+        # to exactly 0, and conv reaches one kernel half-width past its ends
+        live = np.flatnonzero(ev)
+        conv = np.zeros(y.size)
+        if live.size:
+            lo, hi, half = live[0], live[-1] + 1, off[-1]
+            part = np.convolve(ev[lo:hi], hv) * dy
+            a, b = max(lo - half, 0), min(hi + half, y.size)
+            conv[a:b] = part[a - lo + half : b - lo + half]
         return pref * np.interp(xs, y, conv)
     if d == 3:
         # angular average via the cumulative kernel G(s) = int_0^s u h(u) du:

@@ -430,6 +430,39 @@ def test_every_config_key_is_a_flag():
             assert cli._effective_config(args)[key] in (7, "7", [7.0], ["7"]), (name, key)
 
 
+class TestParser:
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert len(cli.COMMANDS) == 9
+        assert all(name in text for name in cli.COMMANDS)
+
+    def test_subcommand_help_lists_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["dyson-check", "--help"])
+        assert exc.value.code == 0
+        assert "--eta" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["no-such-command"], []])
+    def test_unknown_or_missing_subcommand_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_none_reads_sys_argv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["rotogp", "fock-ed", "--J", "1", "--Nmax", "3",
+                                          "--sector", "3", "--out", str(tmp_path)])
+        assert cli.main(None) == 0
+        assert json.loads((tmp_path / "results.json").read_text())["energy"] == 3.0
+
+    def test_single_command_parser_matches_full(self):
+        argv = ["heat-bound", "--V", "log", "2.0", "--alpha", "0.1", "--dim", "3"]
+        assert vars(cli.build_parser("heat-bound").parse_args(argv)) == \
+            vars(cli.build_parser().parse_args(argv))
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

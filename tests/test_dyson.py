@@ -373,3 +373,38 @@ def test_k0_repeatable_bitwise():
     second = build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
     assert first.kappa == second.kappa
     assert np.array_equal(first.e, second.e)
+
+
+@pytest.mark.parametrize("omega, n", [(0.0, 32), (0.4, 16)])
+def test_k0_eigenvalues_match_full_precision_solve(monkeypatch, omega, n):
+    # the Ritz residual rule sqrt(eps)|theta| against ARPACK run to machine
+    # precision (tol=0): at Omega = 0 on the CLI's default grid, at 0.4 with
+    # the complex driver
+    p = harmonic_problem(dim=2, n=n, length=12.0, omega=omega)
+    chi = CutoffFunction(3.5)
+    shipped = build_K0(p, chi, eta=1.0, J=4)
+    monkeypatch.setattr(dyson, "eigsh", lambda op, **kw: eigsh(op, **{**kw, "tol": 0}))
+    exact = build_K0(p, chi, eta=1.0, J=4)
+    assert abs(shipped.kappa - exact.kappa) <= 1e-10
+    assert np.max(np.abs(shipped.e - exact.e)) <= 1e-10
+
+
+def test_k0_default_solves_apply_count(monkeypatch):
+    # kappa(eta) and K0 at the CLI defaults took 2,067 applies when ARPACK
+    # ran to machine precision; the seeded start makes the count deterministic
+    applies = []  # one count per solve
+
+    def counted_eigsh(op, **kw):
+        applies.append(0)
+
+        def matvec(x):
+            applies[-1] += 1
+            return op.matvec(x)
+
+        return eigsh(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), **kw)
+
+    monkeypatch.setattr(dyson, "eigsh", counted_eigsh)
+    p = harmonic_problem(dim=2, n=32, length=12.0)
+    build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
+    assert len(applies) == 2
+    assert sum(applies) <= 1300

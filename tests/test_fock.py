@@ -347,3 +347,20 @@ def test_ground_state_repeatable_bitwise():
     e1, v1 = ground_state(H, b, 6)
     e2, v2 = ground_state(H, b, 6)
     assert e1 == e2 and np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("J, N", [(2, 0), (2, 1), (3, 4), (6, 8)])
+def test_sector_assembly_matches_union_block(J, N):
+    # N = 0 and N = 1 hold no pair to lower: the two-body term is empty
+    rng = np.random.default_rng(J + N)
+    g = rng.standard_normal((J, J))
+    b = FockBasis(J, N)
+    mb = ModeBasis(e=np.arange(1.0, J + 1.0), W=pair_interaction_tensor(0.5 * (g + g.T), 0.3))
+    full = build_hamiltonian(mb, b)
+    only = build_hamiltonian(mb, b, N)
+    idx = b.sector(N)
+    block, ref = only[np.ix_(idx, idx)], full[np.ix_(idx, idx)]
+    assert np.array_equal(block.toarray(), ref.toarray())
+    e_only, v_only = ground_state(only, b, N)
+    e_full, v_full = ground_state(full, b, N)
+    assert e_only == e_full and np.array_equal(v_only, v_full)

@@ -160,6 +160,7 @@ def test_negative_inputs_rejected():
         GpProblem(g, g.radius_sq(), 0.0, -1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_rejected(monkeypatch):
     g = Grid(2, 16, 10.0)
     V = g.radius_sq()

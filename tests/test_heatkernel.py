@@ -322,6 +322,23 @@ class TestWeightedTrace:
         full = _diag_bound_grid_full(V, alpha, x, 3, y_max)
         assert np.all(np.abs(trimmed - full) <= 1e-13 * np.abs(full) + 1e-300)
 
+    @pytest.mark.parametrize("V, alpha, L", [
+        (hk.harmonic_potential(), 1.0, 128.0),
+        (hk.harmonic_potential(), 0.3, 64.0),
+        (hk.log_potential(2.0), 0.1, 128.0),
+        (hk.ConfiningPotential(lambda x: (x - 30.0) ** 2), 1.0, 32.0),
+        (hk.ConfiningPotential(lambda x: (x + 31.9) ** 2), 1.0, 32.0),
+    ], ids=["harmonic-1", "harmonic-0.3", "log", "right-edge", "left-edge"])
+    def test_live_run_matches_full_convolution_1d(self, V, alpha, L):
+        # e^{-alpha V} is exactly 0 outside a run of samples (none for log);
+        # the run's convolution also reaches past the grid's ends (the edge
+        # cases), where the full "same" convolution cuts it
+        x = np.linspace(-L, L, int(8 * L) + 1)
+        y_max = L + 12.0 * np.sqrt(alpha)
+        live = hk._diag_bound_grid(V, alpha, x, 1, y_max)
+        full = _diag_bound_grid_full(V, alpha, x, 1, y_max)
+        assert np.all(np.abs(live - full) <= 1e-14 * np.abs(full))
+
     def test_partials_nondecreasing_3d(self):
         # the integrand is nonnegative; separate G tables per domain made the
         # partials dip (0.3125002, 0.3124985, ...)
