@@ -134,6 +134,8 @@ def initial_field(p: GpProblem, strategy, rng) -> ComplexField:
     if isinstance(strategy, ComplexField):
         if not np.all(np.isfinite(strategy.values)):
             raise ValueError("starting field is not finite")
+        if not norm(strategy) > 0:
+            raise ValueError("starting field has zero norm")
         return strategy.normalized()
     if strategy == "gaussian":
         return gaussian_field(p.grid)

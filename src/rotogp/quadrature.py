@@ -37,31 +37,58 @@ def bessel_zeros(ell, count):
     return z
 
 
+# Gauss nodes per block of the assembler: its transient is K x _BLOCK mode values
+_BLOCK = 256
+# channel 0 builds sin(k theta) by angle addition over k = a _STRIDE + b
+_STRIDE = 32
+
+
 class BesselChannel:
     """The first K Dirichlet modes of angular channel ell on the ball of radius L.
 
     Mode k is j_ell(p_k r) / norm_k, p_k L the k-th zero of j_ell, orthonormal
     in r^2 dr.  The radial kinetic form -u'' + ell(ell + 1) u / r^2 of
-    u = r j_ell(p r) is p^2 u: diagonal.  For ell = 0, r times mode k is
-    sqrt(2/L) sin(p_k r), the sine basis of [0, L].
+    u = r j_ell(p r) is p^2 u: diagonal.  For ell = 0, p_k = k pi / L and
+    r times mode k is sqrt(2/L) sin(p_k r), the sine basis of [0, L]
+    (Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)).
     """
 
     def __init__(self, ell, K, L):
-        alph = bessel_zeros(ell, K)
-        self.ell, self.p = ell, alph / L
-        self.norms = np.sqrt(L**3 / 2.0) * np.abs(special.spherical_jn(ell + 1, alph))
+        self.ell, self.L = ell, L
+        if ell == 0:
+            self.p = np.pi * np.arange(1, K + 1) / L
+        else:
+            alph = bessel_zeros(ell, K)
+            self.p = alph / L
+            self.norms = np.sqrt(L**3 / 2.0) * np.abs(special.spherical_jn(ell + 1, alph))
 
     def __call__(self, r):
         """Mode values at radii r, shape (K, r.size)."""
-        jn = special.spherical_jn(self.ell, np.multiply.outer(self.p, r))
-        return jn / self.norms[:, None]
+        r = np.asarray(r, dtype=float)
+        if self.ell > 0:
+            jn = special.spherical_jn(self.ell, np.multiply.outer(self.p, r))
+            return jn / self.norms[:, None]
+        # sin(k theta) = sin(a m theta) cos(b theta) + cos(a m theta) sin(b theta):
+        # 2 (K/m + m) sines and cosines per radius, and a mode's values do not
+        # depend on K, so a smaller basis is a leading block
+        K, theta = self.p.size, (np.pi / self.L) * r
+        a = np.multiply.outer(_STRIDE * np.arange(K // _STRIDE + 1), theta)
+        b = np.multiply.outer(np.arange(_STRIDE), theta)
+        sines = np.sin(a)[:, None] * np.cos(b) + np.cos(a)[:, None] * np.sin(b)
+        with np.errstate(invalid="ignore"):
+            modes = sines.reshape(-1, r.size)[1:K + 1] / r
+        modes[:, r == 0] = self.p[:, None]  # the limit of sin(p_k r) / r
+        return np.sqrt(2.0 / self.L) * modes
 
     def _nodes(self, pieces):
-        # pieces: (r_lo, r_hi, n_quad, func) Gauss-Legendre segments
+        # pieces: (r_lo, r_hi, n_quad, func) Gauss-Legendre segments, each
+        # walked in blocks of _BLOCK nodes
         for r_lo, r_hi, n_quad, func in pieces:
             x, w = gauss_legendre(n_quad)
             r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
-            yield self(r), 0.5 * (r_hi - r_lo) * w * func(r) * r * r
+            wq = 0.5 * (r_hi - r_lo) * w * func(r) * r * r
+            for i in range(0, n_quad, _BLOCK):
+                yield self(r[i:i + _BLOCK]), wq[i:i + _BLOCK]
 
     def matrix(self, kin_mult, pieces):
         """diag(kin_mult(p)) plus int mode_i func mode_j r^2 dr over the pieces.
@@ -71,7 +98,7 @@ class BesselChannel:
         """
         H = np.diag(kin_mult(self.p))
         for B, wq in self._nodes(pieces):
-            H += (B * wq[None, :]) @ B.T
+            H += (B * wq) @ B.T
         return 0.5 * (H + H.T)
 
     def project(self, pieces):

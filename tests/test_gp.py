@@ -179,6 +179,17 @@ def test_non_finite_inputs_rejected(monkeypatch):
         gp_minimize(p, init=ComplexField(p.grid, bad))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_start_rejected_before_normalizing(monkeypatch):
+    def no_gradient(*args):
+        raise AssertionError("gradient evaluated on a zero start")
+
+    monkeypatch.setattr("rotogp.gp.gp_gradient", no_gradient)
+    p = harmonic_problem(dim=2, n=16, length=10.0, a=1.0)
+    with pytest.raises(ValueError, match="zero norm"):
+        gp_minimize(p, init=ComplexField(p.grid, np.zeros(p.grid.shape, dtype=complex)))
+
+
 def test_non_positive_tol_rejected(monkeypatch):
     def no_gradient(*args):
         raise AssertionError("gradient evaluated with a non-positive tol")
