@@ -30,7 +30,7 @@ def _fold(d):
     return d - 2.0 * np.pi * np.ceil(d / (2.0 * np.pi) - 0.5)
 
 
-def _census_numpy(phase, ok, defined):
+def _plaquette_census(phase, ok, defined):
     d1 = _fold(phase[1:, :-1] - phase[:-1, :-1])
     d2 = _fold(phase[1:, 1:] - phase[1:, :-1])
     d3 = _fold(phase[:-1, 1:] - phase[1:, 1:])
@@ -70,7 +70,7 @@ def detect_vortices(phi: ComplexField):
     ok = amp > floor
     defined = amp > 1e-12 * amp.max()
     phase = np.angle(phi.values)
-    found = _census_numpy(phase, ok, defined)
+    found = _plaquette_census(phase, ok, defined)
     # repair pass: undefined nodes adjacent to live amplitude
     n = phi.grid.n
     bad = np.nonzero(~defined)

@@ -308,18 +308,16 @@ def cmd_fock_ed(cfg, out):
         W = fock.pair_interaction_tensor(u, float(cfg["g"]))
     if not 0 <= sector <= n_max:
         raise ValueError("need 0 <= sector <= Nmax")
-    # H conserves particle number, so its sector block is the same on every
-    # truncation that holds the sector: build only up to it, and assemble
-    # the two-body term on the sector alone
-    basis = fock.FockBasis(J, sector)
-    mb = fock.ModeBasis(e=e, W=W)
-    H = fock.build_hamiltonian(mb, basis, sector)
+    # H conserves particle number: its block on the sector is the same on
+    # every truncation that holds the sector, so only the sector is built
+    basis = fock.SectorBasis(J, sector)
+    H = fock.build_hamiltonian(fock.ModeBasis(e=e, W=W), basis)
     energy, vec = fock.ground_state(H, basis, sector)
     residual = float(np.linalg.norm(H @ vec - energy * vec))
     result = {
         "config": cfg,
         "dimension": math.comb(n_max + J, J),
-        "sector_dimension": int(basis.sector(sector).size),
+        "sector_dimension": len(basis),
         "energy": energy,
         "energy_per_particle": energy / max(sector, 1),
         "residual": residual,
@@ -352,20 +350,19 @@ def cmd_symbols_check(cfg, out):
 
     z = complex(str(cfg["z"]).replace("i", "j"))
     poly = _parse_op(str(cfg["op"]))
-    basis = fock.FockBasis(1, int(cfg["Nmax"]))
+    n_max = int(cfg["Nmax"])
     # coherent_state refuses a z whose Poisson tail past Nmax exceeds 1e-8
-    fock.coherent_state([z], basis)
+    fock.coherent_state(z, n_max)
     # op has degree <= 4: four more levels keep a^q from cutting the ket
     # short, and |<z|op|z> - lower| <= |lower| P[N > Nmax] <= 1e-8 |lower|
-    wide = fock.FockBasis(1, basis.n_max + 4)
-    ket = fock.coherent_state([z], wide).vector
+    ket = fock.coherent_state(z, n_max + 4).vector
     lower = fock.lower_symbol(poly, z)
-    coherent_err = abs(np.vdot(ket, poly.to_matrix(wide) @ ket) - lower)
+    coherent_err = abs(np.vdot(ket, poly.to_matrix(n_max + 4) @ ket) - lower)
     identity_err = fock.verify_resolution(
-        basis, Z=float(cfg["Z"]), n_angle=int(cfg["nodes"])
+        n_max, Z=float(cfg["Z"]), n_angle=int(cfg["nodes"])
     )
     recon_err = fock.verify_resolution(
-        basis, Z=float(cfg["Z"]), n_angle=int(cfg["nodes"]), poly=poly
+        n_max, Z=float(cfg["Z"]), n_angle=int(cfg["nodes"]), poly=poly
     )
     result = {
         "config": cfg,

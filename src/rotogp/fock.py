@@ -1,19 +1,22 @@
-"""Truncated bosonic Fock space: ED, coherent states, symbol calculus.
+"""Bosonic Fock space one number sector at a time: ED, coherent states,
+symbol calculus.
 
-The basis holds every occupation vector (n_1, ..., n_J) with total below a
-cap; its dimension is C(n_max + J, J).  Ladder operators follow the sqrt-n
-rules, and the raising operator simply drops the top total-number sector
-(the only place truncation is visible).  The model Hamiltonian is
+The model Hamiltonian
 
-    H = sum_j e_j a+_j a_j + sum_{ijkl} W_{ijkl} a+_i a+_j a_k a_l,
+    H = sum_j e_j a+_j a_j + sum_{ijkl} W_{ijkl} a+_i a+_j a_k a_l
 
-which conserves total particle number, so each sector diagonalizes
-independently and truncation is exact on full sectors.
+conserves the total particle number N, so it is built and diagonalized on
+one sector: the C(N + J - 1, J - 1) occupation vectors (n_1, ..., n_J) with
+sum N, in lexicographic order.  A state's index is its lexicographic rank,
+which the combinatorial number system gives in closed form; the pair
+annihilators a_k a_l map sector N into sector N - 2 and find their targets
+by that rank.
 
 Coherent states, lower/upper symbols of normal-ordered polynomials (the
 upper-symbol series terminates for degree <= 4), and the coherent-state
-resolution of identity int dz Pi(z) = Id (dz = pi^{-1} dx dy per mode)
-live here too, plus the closed-form error constants D1, D2, D3.
+resolution of identity int dz Pi(z) = Id (dz = pi^{-1} dx dy) live here too,
+on one mode truncated at level n_max, where a = diag(sqrt 1..sqrt n_max, 1);
+plus the closed-form error constants D1, D2, D3.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -28,70 +31,62 @@ from .quadrature import gauss_legendre
 
 
 # ---------------------------------------------------------------------------
-# basis and ladder operators
+# number sector
 # ---------------------------------------------------------------------------
 
-class FockBasis:
-    """All occupation vectors with sum(n) <= n_max: the union of the number
-    sectors 0..n_max, each in lexicographic order.
+class SectorBasis:
+    """The occupation vectors of `modes` modes holding `total` particles,
+    in lexicographic order: stars and bars, the gaps between modes - 1 bars
+    placed among total + modes - 1 slots."""
 
-    A state's key total * (n_max+1)^J + sum_j n_j (n_max+1)^(J-1-j) increases
-    along the basis, so states are found by binary search on it.
-    """
-
-    def __init__(self, modes: int, n_max: int):
-        if modes < 1 or n_max < 0:
-            raise ValueError("need modes >= 1 and n_max >= 0")
-        if (n_max + 1) ** (modes + 1) >= 2**63:
-            raise ValueError("basis keys overflow int64")
+    def __init__(self, modes: int, total: int):
+        if modes < 1 or total < 0:
+            raise ValueError("need modes >= 1 and total >= 0")
         self.modes = modes
-        self.n_max = n_max
-        self.states = np.concatenate([_sector_states(modes, N) for N in range(n_max + 1)])
-        self.totals = self.states.sum(axis=1)
-        # removing one particle from mode j lowers a key by _weights[j]
-        self._weights = (n_max + 1) ** modes + (n_max + 1) ** np.arange(
-            modes - 1, -1, -1, dtype=np.int64)
-        self._keys = self.states @ self._weights
+        self.total = total
+        count = comb(total + modes - 1, modes - 1)
+        bars = np.fromiter(
+            chain.from_iterable(combinations(range(total + modes - 1), modes - 1)),
+            dtype=np.int64, count=count * (modes - 1),
+        ).reshape(count, modes - 1)
+        edges = np.hstack([np.full((count, 1), -1), bars,
+                           np.full((count, 1), total + modes - 1)])
+        self.states = np.diff(edges, axis=1) - 1
 
     def __len__(self):
         return self.states.shape[0]
 
-    def _lowered(self, src, *modes):
-        """Indices of the states src with one particle removed from each of
-        modes (arrays aligned with src); each result must lie in the basis."""
-        keys = self._keys[src] - sum(self._weights[j] for j in modes)
-        return np.searchsorted(self._keys, keys)
-
     def sector(self, total: int) -> np.ndarray:
-        """Indices of all states with the given total particle number."""
-        idx = np.nonzero(self.totals == total)[0]
-        if idx.size == 0:
-            raise ValueError(f"sector {total} empty in truncation {self.n_max}")
-        return idx
+        """Indices of the states with the given total: all of the basis."""
+        if total != self.total:
+            raise ValueError(f"basis holds sector {self.total}, not {total}")
+        return np.arange(len(self))
 
 
-def _sector_states(modes, total):
-    """Occupations with sum `total`, lexicographic: stars and bars, the gaps
-    between modes - 1 bars placed among total + modes - 1 slots."""
-    count = comb(total + modes - 1, modes - 1)
-    bars = np.fromiter(
-        chain.from_iterable(combinations(range(total + modes - 1), modes - 1)),
-        dtype=np.int64, count=count * (modes - 1),
-    ).reshape(count, modes - 1)
-    edges = np.hstack([np.full((count, 1), -1), bars,
-                       np.full((count, 1), total + modes - 1)])
-    return np.diff(edges, axis=1) - 1
+def _rank(states, total):
+    """Lexicographic ranks of occupation rows that each sum to total.
+
+    The states before n are counted mode by mode: with r particles left for
+    the k + 1 modes from j on, those with a smaller n_j number
+    sum_{v < n_j} C(r - v + k - 1, k - 1) = C(r + k, k) - C(r - n_j + k, k)
+    (hockey stick).  Every table entry C(r + k, k), r <= total, k < modes,
+    counts a sector no larger than the rows' own, so int64 holds it exactly.
+    """
+    modes = states.shape[1]
+    table = np.ones((total + 1, modes), dtype=np.int64)
+    for k in range(1, modes):
+        table[:, k] = np.cumsum(table[:, k - 1])
+    after = total - np.cumsum(states[:, :-1], axis=1)  # r left after mode j
+    k = np.arange(modes - 1, 0, -1)
+    return (table[after + states[:, :-1], k] - table[after, k]).sum(axis=1)
 
 
-def lowering_operator(basis: FockBasis, j: int) -> sparse.csr_matrix:
-    """a_j on the truncated basis (sqrt-n rule)."""
-    if not 0 <= j < basis.modes:
-        raise IndexError(f"mode {j} out of range")
-    src = np.nonzero(basis.states[:, j] > 0)[0]
-    amp = np.sqrt(basis.states[src, j].astype(float))
-    tgt = basis._lowered(src, j)
-    n = len(basis)
-    return sparse.csr_matrix((amp, (tgt, src)), shape=(n, n))
+def lowering_operator(n_max: int) -> sparse.csr_matrix:
+    """a on one mode truncated at level n_max: diag(sqrt 1..sqrt n_max, 1)."""
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    return sparse.diags(np.sqrt(np.arange(1, n_max + 1, dtype=float)), 1,
+                        shape=(n_max + 1, n_max + 1), format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -122,31 +117,34 @@ class ModeBasis:
         return self.e.size
 
 
-def _two_body(mb: ModeBasis, basis: FockBasis, total=None):
-    """sum W_ijkl a+_i a+_j a_k a_l as B^H (Wp x Id) B in one sparse product.
+def _two_body(mb: ModeBasis, basis: SectorBasis):
+    """sum W_ijkl a+_i a+_j a_k a_l on the sector as B^H (Wp x Id) B in one
+    sparse product.
 
     B stacks the pair annihilators B_p = a_k a_l over unordered pairs
-    p = (k <= l); Wp[q, p] sums W over the orderings of both pairs, which
-    is exact because a_k a_l = a_l a_k.  (Wp x Id) B is formed directly from
-    B's entries, never as a Kronecker product.  With total, B's source
-    states are that sector's alone, and the product is the sector's block.
+    p = (k <= l), from sector N into sector N - 2; Wp[q, p] sums W over the
+    orderings of both pairs, which is exact because a_k a_l = a_l a_k.
+    (Wp x Id) B is formed directly from B's entries, never as a Kronecker
+    product.
     """
-    J, n = mb.modes, len(basis)
-    sources = np.arange(n) if total is None else basis.sector(total)
-    occ = basis.states[sources]
+    J, n, N = mb.modes, len(basis), basis.total
+    if N < 2:  # no pair to lower
+        return sparse.csr_matrix((n, n))
+    m = comb(N + J - 3, J - 1)  # dimension of sector N - 2
+    occ = basis.states
     kk, ll = np.triu_indices(J)
     pairs = np.arange(kk.size)
     amp = np.sqrt(occ[:, ll] * (occ[:, kk] - (kk == ll)))  # a_l first, then a_k
     src, pair = np.nonzero(amp)
     amp = amp[src, pair]
-    src = sources[src]
-    tgt = basis._lowered(src, kk[pair], ll[pair])
+    one = np.eye(J, dtype=np.int64)
+    tgt = _rank(occ[src] - one[kk[pair]] - one[ll[pair]], N - 2)
     fold = np.zeros((J * J, kk.size))
     fold[kk * J + ll, pairs] = 1.0
     fold[ll * J + kk, pairs] = 1.0
     Wp = fold.T @ mb.W.reshape(J * J, J * J) @ fold
-    B = sparse.csr_matrix((amp, (pair * n + tgt, src)), shape=(kk.size * n, n))
-    rows = pairs[:, None] * n + tgt[None, :]
+    B = sparse.csr_matrix((amp, (pair * m + tgt, src)), shape=(kk.size * m, n))
+    rows = pairs[:, None] * m + tgt[None, :]
     vals = Wp[:, pair] * amp[None, :]
     WB = sparse.csr_matrix(
         (vals.ravel(), (rows.ravel(), np.broadcast_to(src, rows.shape).ravel())),
@@ -155,35 +153,27 @@ def _two_body(mb: ModeBasis, basis: FockBasis, total=None):
     return B.T @ WB
 
 
-def build_hamiltonian(mb: ModeBasis, basis: FockBasis, total=None):
-    """Sparse hermitian H = sum e_j n_j + two-body.
-
-    H conserves particle number; with total, the two-body term is assembled
-    on that sector only, so H's block there is the full H's (bitwise) and
-    its two-body entries elsewhere are left out.
-    """
+def build_hamiltonian(mb: ModeBasis, basis: SectorBasis):
+    """Sparse hermitian H = sum e_j n_j + two-body on the basis's sector."""
     if mb.modes != basis.modes:
         raise ValueError("mode count mismatch")
     diag = basis.states.astype(float) @ mb.e
-    return (sparse.diags(diag) + _two_body(mb, basis, total)).tocsr()
+    return (sparse.diags(diag) + _two_body(mb, basis)).tocsr()
 
 
-def ground_state(H, basis: FockBasis, total: int):
-    """(E0, vector) on the fixed-total-number sector; residual <= 1e-10."""
-    idx = basis.sector(total)
-    sub = H[np.ix_(idx, idx)]
-    if idx.size <= 400:
-        w, v = np.linalg.eigh(sub.toarray())
+def ground_state(H, basis: SectorBasis, total: int):
+    """(E0, vector) of H on the sector basis; residual <= 1e-10."""
+    n = basis.sector(total).size  # ValueError unless total is the basis's
+    if n <= 400:
+        w, v = np.linalg.eigh(H.toarray())
     else:  # seeded start vector: repeated solves agree bitwise
-        v0 = np.random.default_rng(0).standard_normal(idx.size)
-        w, v = eigsh(sub.tocsc(), k=1, which="SA", v0=v0)
+        v0 = np.random.default_rng(0).standard_normal(n)
+        w, v = eigsh(H.tocsc(), k=1, which="SA", v0=v0)
     e0, vec = float(w[0]), v[:, 0]
-    resid = np.linalg.norm(sub @ vec - e0 * vec)
+    resid = np.linalg.norm(H @ vec - e0 * vec)
     if resid > 1e-10 * max(1.0, abs(e0)):
         raise ArithmeticError(f"eigensolver residual {resid}")
-    full = np.zeros(len(basis), dtype=vec.dtype)
-    full[idx] = vec
-    return e0, full
+    return e0, vec
 
 
 def hartree_minimum(e, W):
@@ -236,30 +226,28 @@ def pair_interaction_tensor(u, g=1.0):
 
 @dataclass
 class CoherentVector:
-    z: np.ndarray
+    z: complex
     vector: np.ndarray
     truncation_error: float
 
 
-def coherent_state(z, basis: FockBasis) -> CoherentVector:
-    """Truncated product coherent state; its Poisson tail must stay below 1e-8."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.size != basis.modes:
-        raise ValueError("one amplitude per mode")
-    s = float(np.sum(np.abs(z) ** 2))
+def coherent_state(z, n_max: int) -> CoherentVector:
+    """Coherent state of one mode on levels 0..n_max; its Poisson tail must
+    stay below 1e-8."""
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    z = complex(z)
+    s = abs(z) ** 2
     # P[Poisson(s) > n_max]: the exact squared-norm deficit of the truncation
-    tail = float(special.gammainc(basis.n_max + 1, s)) if s > 0 else 0.0
+    tail = float(special.gammainc(n_max + 1, s)) if s > 0 else 0.0
     if tail > 1e-8:
         raise ValueError(f"coherent tail {tail:.3e} exceeds tolerance 1e-8")
-    logfact = special.gammaln(np.arange(basis.n_max + 1) + 1.0)
-    amp = np.exp(-0.5 * s) * np.ones(len(basis), dtype=complex)
-    for j in range(basis.modes):
-        nj = basis.states[:, j]
-        zj = z[j]
-        if zj == 0:
-            amp = np.where(nj == 0, amp, 0.0)
-        else:
-            amp = amp * np.exp(nj * np.log(zj) - 0.5 * logfact[nj])
+    n = np.arange(n_max + 1)
+    amp = np.exp(-0.5 * s) * np.ones(n_max + 1, dtype=complex)
+    if z == 0:
+        amp = np.where(n == 0, amp, 0.0)
+    else:
+        amp = amp * np.exp(n * np.log(z) - 0.5 * special.gammaln(n + 1.0))
     return CoherentVector(z=z, vector=amp, truncation_error=tail)
 
 
@@ -328,18 +316,18 @@ class SymbolPolynomial:
         d2 = d1.contract()
         return self + d1.scale(-1.0) + d2.scale(0.5)
 
-    def to_matrix(self, basis: FockBasis):
-        n = len(basis)
-        out = sparse.csr_matrix((n, n), dtype=complex)
-        a = [lowering_operator(basis, j) for j in range(basis.modes)]
-        for (p, q), c in self.terms.items():
-            m = sparse.identity(n, dtype=complex, format="csr")
-            for j in range(basis.modes):
-                for _ in range(p[j]):
-                    m = m @ a[j].conj().T
-            for j in range(basis.modes):
-                for _ in range(q[j]):
-                    m = m @ a[j]
+    def to_matrix(self, n_max: int):
+        """The operator on levels 0..n_max of one mode."""
+        if self.modes != 1:
+            raise ValueError("matrix form implemented for a single mode")
+        a = lowering_operator(n_max)
+        out = sparse.csr_matrix(a.shape, dtype=complex)
+        for ((p,), (q,)), c in self.terms.items():
+            m = sparse.identity(n_max + 1, dtype=complex, format="csr")
+            for _ in range(p):
+                m = m @ a.conj().T
+            for _ in range(q):
+                m = m @ a
             out = out + c * m
         return out
 
@@ -352,18 +340,16 @@ def upper_symbol(poly: SymbolPolynomial, z):
     return poly.upper().evaluate(z)
 
 
-def verify_resolution(basis: FockBasis, Z=6.0, n_angle=64, poly=None):
+def verify_resolution(n_max: int, Z=6.0, n_angle=64, poly=None):
     """Operator-norm error of int dz U(z) Pi(z) against the target.
 
-    Single-mode quadrature: 80-node Gauss-Legendre radius on [0, Z], uniform
-    angle; with poly=None the target is the identity (U = 1); otherwise the
-    target is poly's matrix and U its upper symbol.  Compared on the
-    n <= 3 block, which the coherent projector reproduces once Z covers the
-    relevant matrix elements.
+    One mode truncated at level n_max; 80-node Gauss-Legendre radius on
+    [0, Z], uniform angle; with poly=None the target is the identity (U = 1);
+    otherwise the target is poly's matrix and U its upper symbol.  Compared
+    on the n <= 3 block, which the coherent projector reproduces once Z
+    covers the relevant matrix elements.
     """
-    if basis.modes != 1:
-        raise ValueError("resolution check implemented for a single mode")
-    if basis.n_max <= 3:
+    if n_max <= 3:
         raise ValueError("the n <= 3 block must sit strictly below the truncation")
     if not Z > 0 or n_angle < 1:
         raise ValueError("need Z > 0 and n_angle >= 1")
@@ -385,7 +371,7 @@ def verify_resolution(basis: FockBasis, Z=6.0, n_angle=64, poly=None):
         target = np.eye(4)
     else:
         u = poly.upper().evaluate(zg[:, None])
-        target = poly.to_matrix(basis)[:4, :4].toarray()
+        target = poly.to_matrix(n_max)[:4, :4].toarray()
     M = (V * (wg * u)[None, :]) @ V.conj().T
     return float(np.abs(M - target).max())
 

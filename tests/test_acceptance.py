@@ -213,11 +213,10 @@ def test_criterion_7_symbol_suite():
         and abs(fock.lower_symbol(pair, [z]) - m2**2) < 1e-15
         and abs(fock.upper_symbol(pair, [z]) - (m2**2 - 4 * m2 + 2.0)) < 1e-14
     )
-    basis = fock.FockBasis(1, 8)
     errors = [
-        fock.verify_resolution(basis, Z=6.0),
-        fock.verify_resolution(basis, Z=6.0, poly=num),
-        fock.verify_resolution(basis, Z=6.0, poly=pair),
+        fock.verify_resolution(8, Z=6.0),
+        fock.verify_resolution(8, Z=6.0, poly=num),
+        fock.verify_resolution(8, Z=6.0, poly=pair),
     ]
     recon_ok = max(errors) < 1e-6
     _report(7, "coherent symbol suite", exact_ok and recon_ok,
@@ -229,10 +228,10 @@ def test_criterion_8_mean_field_surrogate():
     u = np.array([[1.0, 0.3], [0.3, 0.8]])
     g, e = 0.4, np.array([0.5, 1.5])
     e_h, _ = fock.hartree_minimum(e, fock.pair_interaction_tensor(u, g))
-    basis = fock.FockBasis(2, 12)
     gaps = []
     for N in range(2, 9):
         mb = fock.ModeBasis(e=e, W=fock.pair_interaction_tensor(u, g / N))
+        basis = fock.SectorBasis(2, N)
         e0, _ = fock.ground_state(fock.build_hamiltonian(mb, basis), basis, N)
         gaps.append(abs(e0 / N - e_h))
     wall = time.perf_counter() - t0

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import product
-from math import comb
+from math import comb, sqrt
 from scipy import sparse
 
 from rotogp.fock import (
     CoherentVector,
     ErrorConstants,
-    FockBasis,
     ModeBasis,
+    SectorBasis,
     SymbolPolynomial,
+    _rank,
     build_hamiltonian,
     coherent_state,
     error_constants,
@@ -24,21 +25,32 @@ from rotogp.fock import (
 )
 
 
-def _two_body_reference(mb, basis):
-    """sum W_ijkl a+_i a+_j a_k a_l accumulated from ladder products."""
-    J = mb.modes
-    a = [lowering_operator(basis, j) for j in range(J)]
-    pair = {(k, l): (a[k] @ a[l]).tocsr() for k in range(J) for l in range(J)}
-    n = len(basis)
-    H = sparse.csr_matrix((n, n), dtype=mb.W.dtype)
-    for i in range(J):
-        for j in range(J):
-            left = pair[(j, i)].conj().T  # a+_i a+_j
-            for k in range(J):
-                for l in range(J):
-                    w = mb.W[i, j, k, l]
-                    if w != 0:
-                        H = H + w * (left @ pair[(k, l)])
+def _two_body_reference(W, states):
+    """sum W_ijkl a+_i a+_j a_k a_l on the span of the occupation tuples
+    states, one state at a time: a_l, a_k, a+_j, a+_i applied in turn, each
+    with its sqrt(n) factor.  An image outside the span raises KeyError."""
+    index = {s: col for col, s in enumerate(states)}
+    J = W.shape[0]
+    H = np.zeros((len(states), len(states)), dtype=W.dtype)
+    for state, col in index.items():
+        for k, l in product(range(J), repeat=2):
+            occ = list(state)
+            amp = sqrt(occ[l])
+            occ[l] -= 1
+            amp *= sqrt(max(occ[k], 0))
+            occ[k] -= 1
+            if amp == 0:
+                continue
+            for i, j in product(range(J), repeat=2):
+                w = W[i, j, k, l]
+                if w == 0:
+                    continue
+                up = list(occ)
+                up[j] += 1
+                a = amp * sqrt(up[j])
+                up[i] += 1
+                a *= sqrt(up[i])
+                H[index[tuple(up)], col] += w * a
     return H
 
 
@@ -47,110 +59,174 @@ def _lookup(basis):
     return {tuple(s): i for i, s in enumerate(basis.states.tolist())}
 
 
+def _states(basis):
+    return [tuple(s) for s in basis.states.tolist()]
+
+
 def test_basis_dimension_and_index_roundtrip():
-    for J, nmax in ((1, 12), (2, 8), (3, 5)):
-        b = FockBasis(J, nmax)
-        assert len(b) == comb(nmax + J, J)
+    for J, N in ((1, 12), (2, 8), (3, 5), (5, 0)):
+        b = SectorBasis(J, N)
+        assert len(b) == comb(N + J - 1, J - 1)
         index = _lookup(b)
         assert len(index) == len(b)  # no state repeats
-        for i in (0, len(b) // 2, len(b) - 1):
-            assert index[tuple(b.states[i])] == i
+        assert np.array_equal(_rank(b.states, N), np.arange(len(b)))
+        assert np.array_equal(b.sector(N), np.arange(len(b)))
+        with pytest.raises(ValueError):
+            b.sector(N + 1)
+    with pytest.raises(ValueError):
+        SectorBasis(0, 2)
+    with pytest.raises(ValueError):
+        SectorBasis(2, -1)
 
 
 def test_basis_is_sorted_product_enumeration():
-    for J, nmax in ((1, 5), (2, 4), (3, 4), (4, 3)):
-        b = FockBasis(J, nmax)
-        ref = sorted((s for s in product(range(nmax + 1), repeat=J) if sum(s) <= nmax),
-                     key=lambda s: (sum(s), s))
+    for J, N in ((1, 5), (2, 4), (3, 4), (4, 3)):
+        b = SectorBasis(J, N)
+        ref = sorted(s for s in product(range(N + 1), repeat=J) if sum(s) == N)
         assert b.states.tolist() == [list(s) for s in ref]
 
 
+def test_rank_roundtrip_forty_modes():
+    # a key (N + 1)^J over 40 modes would overflow int64; the rank does not
+    b = SectorBasis(40, 3)
+    assert len(b) == 11480
+    assert np.array_equal(_rank(b.states, 3), np.arange(len(b)))
+    # one particle removed from the first occupied mode lands in sector 2
+    below = _lookup(SectorBasis(40, 2))
+    lowered = b.states.copy()
+    lowered[np.arange(len(b)), np.argmax(b.states > 0, axis=1)] -= 1
+    assert _rank(lowered, 2).tolist() == [below[tuple(s)] for s in lowered.tolist()]
+
+
 def test_ccr_below_truncation():
-    b = FockBasis(2, 6)
-    a0, a1 = lowering_operator(b, 0), lowering_operator(b, 1)
-    ad0, ad1 = a0.conj().T, a1.conj().T
-    comm = (a0 @ ad0 - ad0 @ a0).toarray()
-    safe = b.totals < b.n_max  # top sector is where truncation leaks
-    assert np.allclose(comm[np.ix_(safe, safe)], np.eye(safe.sum()), atol=1e-13)
-    cross = (a0 @ ad1 - ad1 @ a0).toarray()
-    assert np.abs(cross[np.ix_(safe, safe)]).max() < 1e-13
-    # a |vac> = 0
-    vac = np.zeros(len(b))
-    vac[_lookup(b)[(0, 0)]] = 1.0
-    assert np.linalg.norm(a0 @ vac) == 0.0
-    # a+a eigenvalues are occupations
-    nn = (ad0 @ a0).diagonal()
-    assert np.allclose(nn, b.states[:, 0], rtol=1e-14)
-    with pytest.raises(IndexError):
-        lowering_operator(b, 5)
+    n_max = 6
+    a = lowering_operator(n_max)
+    ad = a.conj().T
+    comm = (a @ ad - ad @ a).toarray()
+    # the top level is where truncation leaks
+    assert np.allclose(comm[:n_max, :n_max], np.eye(n_max), atol=1e-13)
+    # a |vac> = 0, a+a eigenvalues are the levels
+    vac = np.eye(n_max + 1)[0]
+    assert np.linalg.norm(a @ vac) == 0.0
+    assert np.allclose((ad @ a).diagonal(), np.arange(n_max + 1), rtol=1e-14)
+    assert lowering_operator(0).shape == (1, 1)
+    with pytest.raises(ValueError):
+        lowering_operator(-1)
 
 
 def test_single_mode_spectrum_closed_form():
-    b = FockBasis(1, 10)
     g = 0.7
     mb = ModeBasis(e=[1e-12], W=np.full((1, 1, 1, 1), g))
-    H = build_hamiltonian(mb, b)
     for N in (0, 2, 5, 10):
-        e0, vec = ground_state(H, b, N)
+        b = SectorBasis(1, N)
+        e0, vec = ground_state(build_hamiltonian(mb, b), b, N)
         assert e0 == pytest.approx(g * N * (N - 1), abs=1e-9)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
 
 def test_no_interaction_ground_energy():
-    b = FockBasis(2, 8)
+    b = SectorBasis(2, 4)
     mb = ModeBasis(e=[0.5, 1.5], W=np.zeros((2, 2, 2, 2)))
     H = build_hamiltonian(mb, b)
     e0, _ = ground_state(H, b, 4)
     assert e0 == pytest.approx(4 * 0.5, abs=1e-12)
+    with pytest.raises(ValueError):
+        ground_state(H, b, 3)  # not the basis's sector
 
 
 def test_hamiltonian_hermitian_commutes_with_number():
-    b = FockBasis(2, 8)
+    # the reference acts on all states with at most n_max particles and
+    # never assumes number conservation; if H conserves it, the union's
+    # spectrum is the union of the sector spectra
+    J, n_max = 2, 8
     mb = ModeBasis(
         e=[0.5, 1.5],
         W=pair_interaction_tensor([[1.0, 0.3], [0.3, 0.8]], 0.2),
     )
-    H = build_hamiltonian(mb, b)
-    assert abs(H - H.conj().T).max() <= 1e-12
-    n_op = sparse.diags(b.totals.astype(float))
-    assert abs(H @ n_op - n_op @ H).max() <= 1e-12
+    union = [s for N in range(n_max + 1) for s in _states(SectorBasis(J, N))]
+    ref = np.diag(np.array(union, dtype=float) @ mb.e) + _two_body_reference(mb.W, union)
+    spectra = []
+    for N in range(n_max + 1):
+        H = build_hamiltonian(mb, SectorBasis(J, N))
+        assert abs(H - H.conj().T).max() <= 1e-12
+        spectra.append(np.linalg.eigvalsh(H.toarray()))
+    assert np.allclose(np.sort(np.concatenate(spectra)), np.linalg.eigvalsh(ref),
+                       rtol=0, atol=1e-12)
 
 
-def test_backends_build_identical_hamiltonian():
-    b = FockBasis(3, 5)
+def test_hamiltonian_matches_occupation_reference():
+    b = SectorBasis(3, 5)
     rng = np.random.default_rng(2)
     u = rng.standard_normal((3, 3))
     u = u @ u.T  # PSD symmetric
     mb = ModeBasis(e=[0.5, 1.0, 2.0], W=pair_interaction_tensor(u, 0.1))
     H = build_hamiltonian(mb, b)
-    ref = sparse.diags(b.states.astype(float) @ mb.e) + _two_body_reference(mb, b)
-    assert abs(H - ref.tocsr()).max() < 1e-12
+    ref = np.diag(b.states.astype(float) @ mb.e) + _two_body_reference(mb.W, _states(b))
+    assert np.abs(H.toarray() - ref).max() < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     J=st.integers(1, 3),
-    n_max=st.integers(0, 5),
+    total=st.integers(0, 5),
     entries=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
     g=st.floats(-1.0, 1.0),
 )
-def test_assembly_properties(J, n_max, entries, g):
+def test_assembly_properties(J, total, entries, g):
     u = np.array(entries[: J * J]).reshape(J, J)
     u = 0.5 * (u + u.T)
-    b = FockBasis(J, n_max)
+    b = SectorBasis(J, total)
     mb = ModeBasis(e=np.arange(1.0, J + 1.0), W=pair_interaction_tensor(u, g))
     H = build_hamiltonian(mb, b)
-    ref = sparse.diags(b.states.astype(float) @ mb.e) + _two_body_reference(mb, b)
-    scale = max(1.0, abs(ref).max())
-    assert abs(H - ref).max() <= 1e-12 * scale
+    ref = np.diag(b.states.astype(float) @ mb.e) + _two_body_reference(mb.W, _states(b))
+    scale = max(1.0, np.abs(ref).max())
+    assert np.abs(H.toarray() - ref).max() <= 1e-12 * scale
     assert abs(H - H.conj().T).max() <= 1e-12 * scale
-    n_op = sparse.diags(b.totals.astype(float))
-    assert abs(H @ n_op - n_op @ H).max() <= 1e-12 * scale * b.n_max
+
+
+@pytest.mark.parametrize("J, N", [(2, 0), (2, 1), (3, 4), (6, 8)])
+def test_sector_assembly_matches_reference(J, N):
+    # N = 0 and N = 1 hold no pair to lower: the two-body term is empty
+    rng = np.random.default_rng(J + N)
+    g = rng.standard_normal((J, J))
+    b = SectorBasis(J, N)
+    mb = ModeBasis(e=np.arange(1.0, J + 1.0), W=pair_interaction_tensor(0.5 * (g + g.T), 0.3))
+    two_body = build_hamiltonian(mb, b) - sparse.diags(b.states.astype(float) @ mb.e)
+    ref = _two_body_reference(mb.W, _states(b))
+    assert np.abs(two_body.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    if N < 2:
+        assert two_body.count_nonzero() == 0 and not ref.any()
+
+
+def test_pair_sector_matches_first_quantized():
+    # N = 2 on J = 40 modes (820 states, the eigsh branch): in first
+    # quantization H = e x 1 + 1 x e + 2W on C^J x C^J, restricted to the
+    # symmetric states; occupation (..1_k..1_l..) is (|kl> + |lk>)/sqrt 2
+    J = 40
+    rng = np.random.default_rng(40)
+    g = rng.standard_normal((J, J))
+    e = np.linspace(0.5, 2.5, J)
+    mb = ModeBasis(e=e, W=pair_interaction_tensor(0.5 * (g + g.T), 0.05))
+    b = SectorBasis(J, 2)
+    H = build_hamiltonian(mb, b)
+    one = np.eye(J)
+    first = (np.kron(np.diag(e), one) + np.kron(one, np.diag(e))
+             + 2.0 * mb.W.reshape(J * J, J * J))
+    S = np.zeros((J * J, len(b)))
+    for col, occ in enumerate(b.states):
+        k, l = np.repeat(np.arange(J), occ)
+        S[[k * J + l, l * J + k], col] = 1.0 / np.sqrt(2.0) if k != l else 1.0
+    sym = S.T @ first @ S
+    scale = np.abs(sym).max()
+    assert np.abs(H.toarray() - sym).max() <= 1e-12 * scale
+    e0, vec = ground_state(H, b, 2)
+    assert abs(e0 - np.linalg.eigvalsh(sym)[0]) <= 1e-12 * scale
+    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
 
 def test_mode_relabel_symmetry():
     # symmetric e and W: ground energy invariant under swapping the modes
-    b = FockBasis(2, 8)
+    b = SectorBasis(2, 4)
     u = np.array([[1.0, 0.4], [0.4, 1.0]])
     mb = ModeBasis(e=[1.0, 1.0], W=pair_interaction_tensor(u, 0.3))
     H = build_hamiltonian(mb, b)
@@ -177,10 +253,10 @@ def test_hartree_convergence_from_above_sector_sweep():
     g, e = 0.4, np.array([0.5, 1.5])
     e_h, c = hartree_minimum(e, pair_interaction_tensor(u, g))
     assert np.linalg.norm(c) == pytest.approx(1.0)
-    b = FockBasis(2, 12)
     gaps = []
     for N in range(2, 9):
         mb = ModeBasis(e=e, W=pair_interaction_tensor(u, g / N))
+        b = SectorBasis(2, N)
         e0, _ = ground_state(build_hamiltonian(mb, b), b, N)
         gaps.append(abs(e0 / N - e_h))
     assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
@@ -188,27 +264,25 @@ def test_hartree_convergence_from_above_sector_sweep():
 
 
 def test_coherent_state_properties():
-    b = FockBasis(1, 12)
     z = 0.8
-    cs = coherent_state([z], b)
+    cs = coherent_state(z, 12)
     assert cs.truncation_error < 1e-8
     assert np.linalg.norm(cs.vector) == pytest.approx(1.0, abs=1e-8)
-    a = lowering_operator(b, 0)
+    a = lowering_operator(12)
     ad = a.conj().T
     assert np.linalg.norm(a @ cs.vector - z * cs.vector) < 1e-5
     nbar = np.vdot(cs.vector, (ad @ a) @ cs.vector).real
     assert nbar == pytest.approx(abs(z) ** 2, abs=1e-8)
     # vacuum
-    vac = coherent_state([0.0], b)
-    assert vac.vector[_lookup(b)[(0,)]] == pytest.approx(1.0)
+    vac = coherent_state(0.0, 12)
+    assert vac.vector[0] == pytest.approx(1.0)
     assert np.linalg.norm(vac.vector) == pytest.approx(1.0)
 
 
 def test_coherent_overlap_closed_form():
-    b = FockBasis(1, 14)
     z1, z2 = 0.5 + 0.3j, -0.4 + 0.6j
-    c1 = coherent_state([z1], b)
-    c2 = coherent_state([z2], b)
+    c1 = coherent_state(z1, 14)
+    c2 = coherent_state(z2, 14)
     ov = np.vdot(c1.vector, c2.vector)
     expect = np.exp(-0.5 * abs(z1) ** 2 - 0.5 * abs(z2) ** 2 + np.conj(z1) * z2)
     assert abs(ov - expect) < 1e-8
@@ -216,7 +290,9 @@ def test_coherent_overlap_closed_form():
 
 def test_coherent_tail_rejected():
     with pytest.raises(ValueError):
-        coherent_state([3.0], FockBasis(1, 4))
+        coherent_state(3.0, 4)
+    with pytest.raises(ValueError):
+        coherent_state(0.0, -1)
 
 
 def test_symbols_reference_values():
@@ -234,12 +310,11 @@ def test_symbols_reference_values():
 
 
 def test_lower_symbol_equals_coherent_expectation():
-    b = FockBasis(1, 14)
     z = 0.6 - 0.4j
-    cs = coherent_state([z], b)
+    cs = coherent_state(z, 14)
     for p, q in (((1,), (1,)), ((2,), (2,)), ((1,), (0,)), ((2,), (1,))):
         poly = SymbolPolynomial.term(1, p, q, coeff=0.7)
-        mat = poly.to_matrix(b)
+        mat = poly.to_matrix(14)
         expect = np.vdot(cs.vector, mat @ cs.vector)
         assert abs(expect - lower_symbol(poly, z)) < 1e-6
 
@@ -260,16 +335,15 @@ def test_upper_lower_roundtrip():
 
 
 def test_resolution_of_identity():
-    b = FockBasis(1, 12)
-    assert verify_resolution(b, Z=6.0) < 1e-6
+    assert verify_resolution(12, Z=6.0) < 1e-6
     num = SymbolPolynomial.term(1, (1,), (1,))
-    assert verify_resolution(b, Z=6.0, poly=num) < 1e-6
+    assert verify_resolution(12, Z=6.0, poly=num) < 1e-6
     quart = SymbolPolynomial.term(1, (2,), (2,))
-    assert verify_resolution(b, Z=6.0, poly=quart) < 1e-6
+    assert verify_resolution(12, Z=6.0, poly=quart) < 1e-6
     with pytest.raises(ValueError):
-        verify_resolution(FockBasis(2, 4))
-    with pytest.raises(ValueError):
-        verify_resolution(FockBasis(1, 3))  # no room above the n <= 3 block
+        verify_resolution(3)  # no room above the n <= 3 block
+    with pytest.raises(ValueError):  # the matrix form is single-mode
+        verify_resolution(4, poly=SymbolPolynomial.term(2, (1, 0), (1, 0)))
 
 
 def test_error_constants_limits():
@@ -340,27 +414,10 @@ def test_ground_state_repeatable_bitwise():
     # sector 6 of J = 6 holds C(11, 5) = 462 states: the sparse eigsh branch
     rng = np.random.default_rng(3)
     g = rng.standard_normal((6, 6))
-    b = FockBasis(6, 6)
+    b = SectorBasis(6, 6)
     mb = ModeBasis(e=np.arange(1.0, 7.0), W=pair_interaction_tensor(0.5 * (g + g.T), 0.1))
     H = build_hamiltonian(mb, b)
-    assert b.sector(6).size > 400
+    assert len(b) > 400
     e1, v1 = ground_state(H, b, 6)
     e2, v2 = ground_state(H, b, 6)
     assert e1 == e2 and np.array_equal(v1, v2)
-
-
-@pytest.mark.parametrize("J, N", [(2, 0), (2, 1), (3, 4), (6, 8)])
-def test_sector_assembly_matches_union_block(J, N):
-    # N = 0 and N = 1 hold no pair to lower: the two-body term is empty
-    rng = np.random.default_rng(J + N)
-    g = rng.standard_normal((J, J))
-    b = FockBasis(J, N)
-    mb = ModeBasis(e=np.arange(1.0, J + 1.0), W=pair_interaction_tensor(0.5 * (g + g.T), 0.3))
-    full = build_hamiltonian(mb, b)
-    only = build_hamiltonian(mb, b, N)
-    idx = b.sector(N)
-    block, ref = only[np.ix_(idx, idx)], full[np.ix_(idx, idx)]
-    assert np.array_equal(block.toarray(), ref.toarray())
-    e_only, v_only = ground_state(only, b, N)
-    e_full, v_full = ground_state(full, b, N)
-    assert e_only == e_full and np.array_equal(v_only, v_full)

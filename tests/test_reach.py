@@ -66,7 +66,7 @@ def unreached():
 
 def test_scan_sees_the_package():
     labels = {label for label, _ in public_names()}
-    assert {"gp.gp_minimize", "fock.FockBasis.sector", "cli.main"} <= labels
+    assert {"gp.gp_minimize", "fock.SectorBasis.sector", "cli.main"} <= labels
 
 
 def test_every_public_name_is_reached():
