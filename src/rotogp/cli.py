@@ -3,15 +3,17 @@
 One table, COMMANDS, maps each subcommand to its handler, help line and
 config defaults; every config key is also the flag --key, typed from its
 default.  Every subcommand reads an optional JSON config (--config);
-explicit flags override file values, and subcommands that write a config
-echo put the effective config into the result, so a run is reproducible
-from its artifacts alone.  Artifacts are written by json.dump, whose repr
-of each float round-trips it exactly.
+explicit flags override file values.
 
-Exit codes: 0 when the requested invariant checks pass; 1 on a numerical
-failure (LinAlgError, ArithmeticError); 2 on a configuration error, which
-is any ValueError or OSError, because every ValueError the library raises
-comes from an input check.
+A handler returns (record, verdicts): the values it reports (None if it
+writes only its own artifacts) and, per check, the record key it judges
+mapped to pass or fail.  main writes each record to results.json between
+the effective config and the verdicts, so a run is reproducible from its
+artifacts alone, and holds the one exit rule: 0 when every verdict passes;
+1 when one fails, or on a numerical failure (LinAlgError, ArithmeticError);
+2 on a configuration error, which is any ValueError or OSError, because
+every ValueError the library raises comes from an input check.  Artifacts
+are written by json.dump, whose repr of each float round-trips it exactly.
 """
 
 import argparse
@@ -124,8 +126,7 @@ def _solve(cfg):
 def cmd_solve_gp(cfg, out):
     t0 = time.perf_counter()
     problem, state = _solve(cfg)
-    result = {
-        "config": cfg,
+    record = {
         "energy": state.energy,
         "mu": state.mu,
         "residual": state.residual,
@@ -145,8 +146,7 @@ def cmd_solve_gp(cfg, out):
     }
     fields.write_field(state.phi, os.path.join(out, "field.f64"),
                        omega=problem.omega)
-    _write_json(os.path.join(out, "results.json"), result)
-    return 0 if state.converged else 1
+    return record, {"converged": state.converged}
 
 
 def _scan(cfg, key, values, csv_name, out):
@@ -167,7 +167,7 @@ def _scan(cfg, key, values, csv_name, out):
                      analysis.angular_momentum_z(state.phi), winding))
     _write_csv(os.path.join(out, csv_name),
                ["parameter", "energy", "mu", "Lz", "total_winding"], rows)
-    return 0 if all_ok else 1
+    return None, {"converged": all_ok}
 
 
 def cmd_scan_omega(cfg, out):
@@ -200,7 +200,7 @@ def cmd_analyze(cfg, out):
         ]
         report["total_winding"] = int(sum(q for _, _, q in vortices))
     _write_json(os.path.join(out, "vortex_report.json"), report)
-    return 0
+    return None, {}
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,8 @@ def cmd_scattering(cfg, out):
     a = scattering.scattering_length(pot)
     # RK4 step doubling: the relative change from half as many steps
     a_half = scattering.scattering_length(pot, n_steps=10000)
-    result = {"a": a, "residual": abs(a - a_half) / max(abs(a), 1e-300)}
-    _write_json(os.path.join(out, "results.json"), result)
-    return 0 if result["residual"] < 1e-10 else 1
+    residual = abs(a - a_half) / max(abs(a), 1e-300)
+    return {"a": a, "residual": residual}, {"residual": residual < 1e-10}
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +263,7 @@ def cmd_dyson_check(cfg, out):
     problem = gp.harmonic_problem(dim=2, n=int(cfg["n"]), length=float(cfg["box"]))
     k0 = dyson.build_K0(problem, chi, float(cfg["eta"]), int(cfg["J"]))
 
-    result = {
-        "config": cfg,
+    record = {
         "a": scattering.scattering_length(pot),
         "a_N": a_n,
         "int_UR": sp.int_UR,
@@ -276,14 +274,10 @@ def cmd_dyson_check(cfg, out):
         "kappa": k0.kappa,
         "e_spectrum": k0.e,
     }
-    _write_json(os.path.join(out, "results.json"), result)
-    ok = (
-        check["passed"]
-        and abs(sp.int_UR - 4 * np.pi) < 1e-2 * 4 * np.pi
-        and scaling["slope"] >= 1.9
-        and np.min(k0.e) >= -1e-8
-    )
-    return 0 if ok else 1
+    return record, {"dyson_passed": check["passed"],
+                    "int_UR": abs(sp.int_UR - 4 * np.pi) < 1e-2 * 4 * np.pi,
+                    "slope": scaling["slope"] >= 1.9,
+                    "e_spectrum": np.min(k0.e) >= -1e-8}
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +308,14 @@ def cmd_fock_ed(cfg, out):
     H = fock.build_hamiltonian(fock.ModeBasis(e=e, W=W), basis)
     energy, vec = fock.ground_state(H, basis, sector)
     residual = float(np.linalg.norm(H @ vec - energy * vec))
-    result = {
-        "config": cfg,
+    record = {
         "dimension": math.comb(n_max + J, J),
         "sector_dimension": len(basis),
         "energy": energy,
         "energy_per_particle": energy / max(sector, 1),
         "residual": residual,
     }
-    _write_json(os.path.join(out, "results.json"), result)
-    return 0 if residual <= 1e-8 else 1
+    return record, {"residual": residual <= 1e-8}
 
 
 def _parse_op(text):
@@ -364,17 +356,16 @@ def cmd_symbols_check(cfg, out):
     recon_err = fock.verify_resolution(
         n_max, Z=float(cfg["Z"]), n_angle=int(cfg["nodes"]), poly=poly
     )
-    result = {
-        "config": cfg,
+    record = {
         "lower_symbol": lower,
         "upper_symbol": fock.upper_symbol(poly, z),
         "identity_error": identity_err,
         "reconstruction_error": recon_err,
         "coherent_error": coherent_err,
     }
-    _write_json(os.path.join(out, "results.json"), result)
-    worst = max(identity_err, recon_err, coherent_err / max(1.0, abs(lower)))
-    return 0 if worst < 1e-6 else 1
+    return record, {"identity_error": identity_err < 1e-6,
+                    "reconstruction_error": recon_err < 1e-6,
+                    "coherent_error": coherent_err / max(1.0, abs(lower)) < 1e-6}
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +376,7 @@ def cmd_heat_bound(cfg, out):
     from . import heatkernel
 
     tokens = _tokens(cfg["V"])
+    cfg["V"] = " ".join(tokens)  # echoed as one string
     alpha, s, d = float(cfg["alpha"]), float(cfg["s"]), int(cfg["dim"])
     if d not in (1, 3) or not alpha > 0 or not s >= 0:
         raise ValueError("need --dim 1 or 3, --alpha > 0 and --s >= 0")
@@ -398,8 +390,7 @@ def cmd_heat_bound(cfg, out):
     brute, modes, drift = heatkernel.brute_diag(V, alpha, xs, d=d)
     bound = heatkernel.diag_bound(V, alpha, xs, d=d)
     trace = heatkernel.weighted_trace(V, alpha, s, d=d)
-    result = {
-        "config": {**cfg, "V": " ".join(tokens)},
+    record = {
         "int_h": heatkernel.h_alpha_integral(alpha, d=d),
         "max_violation": float(np.max(brute - bound)),
         "violation": (brute - bound).tolist(),
@@ -409,8 +400,8 @@ def cmd_heat_bound(cfg, out):
         "trace_value": trace["value"],
         "converged": trace["converged"],
     }
-    _write_json(os.path.join(out, "results.json"), result)
-    return 0 if result["max_violation"] <= 0 and abs(result["int_h"] - 1) < 1e-6 else 1
+    return record, {"max_violation": record["max_violation"] <= 0,
+                    "int_h": abs(record["int_h"] - 1) < 1e-6}
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +486,10 @@ def main(argv=None) -> int:
         cfg = _effective_config(args)
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
-        return args.func(cfg, out)
+        record, verdicts = args.func(cfg, out)
+        if record is not None:
+            _write_json(os.path.join(out, "results.json"),
+                        {"config": cfg, **record, "verdicts": verdicts})
     # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -504,6 +498,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return 0 if all(verdicts.values()) else 1
 
 
 if __name__ == "__main__":

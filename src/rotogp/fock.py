@@ -104,6 +104,8 @@ class ModeBasis:
         self.e = np.asarray(self.e, dtype=float)
         self.W = np.asarray(self.W)
         J = self.e.size
+        if not (np.all(np.isfinite(self.e)) and np.all(np.isfinite(self.W))):
+            raise ValueError("non-finite entry in the energies or in W")
         if np.any(np.diff(self.e) < 0) or np.any(self.e <= 0):
             raise ValueError("energies must be positive and nondecreasing")
         if self.W.shape != (J, J, J, J):

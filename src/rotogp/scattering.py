@@ -59,11 +59,15 @@ def square_barrier(radius: float, height: float) -> RadialPotential:
 
 
 def from_samples(r, w) -> RadialPotential:
-    """Piecewise-linear potential through (r, w) sample points."""
+    """Piecewise-linear potential through (r, w) sample points, w >= 0."""
     r = np.asarray(r, dtype=float)
     w = np.asarray(w, dtype=float)
     if r.ndim != 1 or r.shape != w.shape or r.size < 2:
         raise ValueError("need matching 1D sample arrays")
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
+        raise ValueError("potential samples must be finite")
+    if np.any(w < 0):
+        raise ValueError("potential samples must be nonnegative")
     if np.any(np.diff(r) <= 0):
         raise ValueError("sample radii must be strictly increasing")
     return RadialPotential(

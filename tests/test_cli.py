@@ -1,6 +1,10 @@
+import dataclasses
+import functools
+import importlib
 import json
 import math
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -297,6 +301,14 @@ class TestHeatBound:
 def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
     missing = str(tmp_path / "missing.json")
     configs = tmp_path_factory.mktemp("configs")
+    r = np.linspace(0.0, 1.0, 51)
+    for name, bad in [("nan", np.nan), ("inf", np.inf), ("well", -50.0)]:
+        w = np.full_like(r, 25.0)
+        w[10:20] = bad
+        np.save(configs / f"pot_{name}.npy", np.stack([r, w]))
+    W_nan = np.zeros((2, 2, 2, 2))
+    W_nan[0, 0, 0, 0] = np.nan
+    np.save(configs / "W_nan.npy", W_nan)
     for name, text in [("int", "5"), ("list", '["a"]'), ("V_empty_list", '{"V": []}'),
                        ("V_empty", '{"V": ""}'), ("omega_text", '{"omega": "nan"}'),
                        ("e_text", '{"e": ["nan", 2]}'),
@@ -371,12 +383,22 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         [*gp2d, "--config", str(configs / "init_int.json")],
         ["heat-bound", "--config", str(configs / "V_number.json")],
         ["heat-bound", "--config", str(configs / "alpha_list.json")],
+        # sampled potentials must be finite and nonnegative (v >= 0 in the lemma)
+        *(["scattering", "--potential", "file", str(configs / f"pot_{name}.npy")]
+          for name in ("nan", "inf", "well")),
+        *(["dyson-check", "--potential", "file", str(configs / f"pot_{name}.npy")]
+          for name in ("nan", "inf", "well")),
+        ["fock-ed", "--W-file", str(configs / "W_nan.npy")],
     ]
     for argv in cases:
         assert run([*argv, "--out", str(tmp_path)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
     # rejected before any work: nothing was computed or written
     assert list(tmp_path.iterdir()) == []
+    # a NaN in W is named as such, not as a failed hermiticity test
+    assert run(["fock-ed", "--W-file", str(configs / "W_nan.npy"),
+                "--out", str(tmp_path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_config_values_of_their_defaults_type_run(tmp_path):
@@ -471,6 +493,136 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+# one small run of each subcommand; {solve-gp} is that run's output directory
+_SMALL_RUNS = {
+    "solve-gp": ["--dim", "2", "--n", "16", "--box", "8"],
+    "scan-omega": ["--dim", "2", "--n", "16", "--box", "8", "--num", "2"],
+    "scan-a": ["--dim", "2", "--n", "16", "--box", "8", "--num", "2"],
+    "analyze": ["--field", "{solve-gp}/field.f64"],
+    "scattering": ["--potential", "square", "1", "50"],
+    "dyson-check": ["--J", "2", "--n", "16", "--box", "10"],
+    "fock-ed": [],
+    "symbols-check": [],
+    "heat-bound": [],
+}
+_NO_RESULTS = ("scan-omega", "scan-a", "analyze")  # they write their own artifacts
+
+
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """Subcommand -> (exit code, verdicts its handler returned, results.json or None)."""
+    root = tmp_path_factory.mktemp("small_runs")
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, flags in _SMALL_RUNS.items():
+            handler, help_text, defaults = cli.COMMANDS[name]
+            returned = []
+
+            def keep(cfg, out, handler=handler, returned=returned):
+                returned.append(handler(cfg, out))
+                return returned[-1]
+
+            mp.setitem(cli.COMMANDS, name, (keep, help_text, defaults))
+            flags = [f.replace("{solve-gp}", str(root / "solve-gp")) for f in flags]
+            rc = run([name, *flags, "--out", str(root / name)])
+            path = root / name / "results.json"
+            res = json.loads(path.read_text()) if path.exists() else None
+            runs[name] = (rc, returned[0][1], res)
+    return runs
+
+
+def test_every_results_json_holds_config_and_verdicts(small_runs):
+    assert set(small_runs) == set(cli.COMMANDS)
+    for name, (rc, verdicts, res) in small_runs.items():
+        assert rc == (0 if all(verdicts.values()) else 1), name
+        if name in _NO_RESULTS:
+            assert res is None, name
+            continue
+        assert list(res)[0] == "config" and list(res)[-1] == "verdicts", name
+        assert set(res["config"]) == set(cli.COMMANDS[name][2]), name
+        assert res["verdicts"] == verdicts and verdicts, name
+        for key, ok in res["verdicts"].items():
+            assert type(ok) is bool and key in set(res) - {"config", "verdicts"}, (name, key)
+    assert small_runs["analyze"][:2] == (0, {})
+
+
+def _wrapped(target, wrap):
+    """(owner, attribute, wrap(its value)) for target 'module.attr' or
+    'module.Class.attr' under rotogp."""
+    module, *path, attr = target.split(".")
+    owner = functools.reduce(getattr, path, importlib.import_module(f"rotogp.{module}"))
+    return owner, attr, wrap(getattr(owner, attr))
+
+
+def _then(change):
+    """A wrap that passes a function's value through change."""
+    return lambda f: lambda *a, **kw: change(f(*a, **kw))
+
+
+_not_converged = _then(lambda state: dataclasses.replace(state, converged=False))
+_DYSON_SMALL = ["dyson-check", "--J", "2", "--n", "16", "--box", "10"]
+# (argv, verdict, library value it reads, wrap that breaks that value alone)
+_FAILURES = [
+    (["scattering", "--potential", "square", "1", "50"], "residual",
+     "scattering.scattering_length",
+     lambda f: lambda pot, n_steps=20000: f(pot, n_steps) + 1e-6 * (n_steps == 10000)),
+    (_DYSON_SMALL, "dyson_passed", "dyson.check_dyson_inequality",
+     _then(lambda check: {**check, "passed": False})),
+    (_DYSON_SMALL, "int_UR", "dyson.SoftPotentials.int_UR",
+     lambda p: property(lambda sp: 1.1 * p.fget(sp))),
+    (_DYSON_SMALL, "slope", "dyson.verify_wr_scaling",
+     _then(lambda scaling: {**scaling, "slope": 1.0})),
+    (_DYSON_SMALL, "e_spectrum", "dyson.build_K0",
+     _then(lambda k0: dataclasses.replace(k0, e=k0.e - 1e3))),
+    (["fock-ed"], "residual", "fock.ground_state",
+     _then(lambda ev: (ev[0] + 1.0, ev[1]))),
+    (["symbols-check"], "identity_error", "fock.verify_resolution",
+     lambda f: lambda *a, **kw: f(*a, **kw) + ("poly" not in kw)),
+    (["symbols-check"], "reconstruction_error", "fock.verify_resolution",
+     lambda f: lambda *a, **kw: f(*a, **kw) + ("poly" in kw)),
+    (["symbols-check"], "coherent_error", "fock.lower_symbol", _then(lambda z: z + 1.0)),
+    (["heat-bound"], "max_violation", "heatkernel.diag_bound", _then(lambda b: b - 1.0)),
+    (["heat-bound"], "int_h", "heatkernel.h_alpha_integral", _then(lambda v: v + 0.1)),
+    (["solve-gp", "--dim", "2", "--n", "16", "--box", "8"], "converged",
+     "gp.gp_minimize", _not_converged),
+]
+
+
+@pytest.mark.parametrize("argv, verdict, target, wrap", _FAILURES,
+                         ids=[f"{c[0][0]}-{c[1]}" for c in _FAILURES])
+def test_failed_verdict_exits_1_and_names_itself(tmp_path, monkeypatch,
+                                                 argv, verdict, target, wrap):
+    monkeypatch.setattr(*_wrapped(target, wrap))
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    res = json.loads((tmp_path / "results.json").read_text())
+    assert [name for name, ok in res["verdicts"].items() if not ok] == [verdict]
+
+
+def test_failed_scan_point_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(*_wrapped("gp.gp_minimize", _not_converged))
+    assert run(["scan-a", "--dim", "2", "--n", "16", "--box", "8", "--num", "2",
+                "--out", str(tmp_path)]) == 1
+    assert (tmp_path / "scan_a.csv").exists()
+    assert not (tmp_path / "results.json").exists()
+
+
+def test_failure_cases_cover_every_verdict(small_runs):
+    written = {(name, v) for name, (_, verdicts, res) in small_runs.items()
+               if res is not None for v in verdicts}
+    assert {(argv[0], verdict) for argv, verdict, *_ in _FAILURES} == written
+
+
+def test_readme_verdict_table_matches_runs(small_runs):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Subcommand | Verdict |", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for line in table.splitlines()[2:]:
+        commands, verdicts = line.split("|")[1:3]
+        for name in re.findall(r"`([\w-]+)`", commands):
+            listed.setdefault(name, set()).update(re.findall(r"`(\w+)`", verdicts))
+    assert listed == {name: set(v) for name, (_, v, _) in small_runs.items()}
 
 
 _GP_PATH = r"""

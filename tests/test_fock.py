@@ -246,6 +246,11 @@ def test_mode_basis_validation():
     W[0, 0, 1, 1] = 1.0  # not hermitian: W_0011 != conj(W_1100)
     with pytest.raises(ValueError):
         ModeBasis(e=[1.0, 2.0], W=W)
+    W[0, 0, 1, 1] = W[1, 1, 0, 0] = np.nan  # hermitian pattern, not finite
+    with pytest.raises(ValueError, match="non-finite"):
+        ModeBasis(e=[1.0, 2.0], W=W)
+    with pytest.raises(ValueError, match="non-finite"):
+        ModeBasis(e=[1.0, np.nan], W=np.zeros((2, 2, 2, 2)))
 
 
 def test_hartree_convergence_from_above_sector_sweep():

@@ -135,4 +135,15 @@ def test_validation():
     with pytest.raises(ValueError):
         from_samples([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
+        from_samples([0.0, np.nan, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
         square_barrier(1.0, 1.0).scaled(0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -50.0])
+def test_from_samples_rejects_non_finite_or_negative(bad):
+    r = np.linspace(0.0, 1.0, 51)
+    w = np.full_like(r, 25.0)
+    w[10:20] = bad
+    with pytest.raises(ValueError):
+        from_samples(r, w)
