@@ -388,7 +388,7 @@ def cmd_heat_bound(cfg, out):
         raise ValueError("V must be 'harmonic' or 'log C1 [C2]'")
     xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
     brute, modes, drift = heatkernel.brute_diag(V, alpha, xs, d=d)
-    bound = heatkernel.diag_bound(V, alpha, xs, d=d)
+    bound, bound_error = heatkernel.diag_bound(V, alpha, xs, d=d)
     trace = heatkernel.weighted_trace(V, alpha, s, d=d)
     record = {
         "int_h": heatkernel.h_alpha_integral(alpha, d=d),
@@ -397,6 +397,7 @@ def cmd_heat_bound(cfg, out):
         "oracle_modes": modes,
         "oracle_drift": float(drift.max()),
         "drift": drift.tolist(),
+        "bound_error": bound_error.tolist(),
         "trace_value": trace["value"],
         "converged": trace["converged"],
     }

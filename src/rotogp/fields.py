@@ -238,4 +238,6 @@ def read_field(path: str):
     if size != expected:
         raise ValueError(f"dump holds {size} bytes, its sidecar implies {expected}")
     vals = np.fromfile(path, dtype="<c16").reshape(grid.shape)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"dump {path} holds non-finite samples")
     return ComplexField(grid, vals), np.asarray(side["omega"])

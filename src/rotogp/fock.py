@@ -24,7 +24,7 @@ from itertools import chain, combinations
 from math import comb
 
 import numpy as np
-from scipy import optimize, sparse, special
+from scipy import sparse, special
 from scipy.sparse.linalg import eigsh
 
 from .quadrature import gauss_legendre
@@ -181,36 +181,25 @@ def ground_state(H, basis: SectorBasis, total: int):
 def hartree_minimum(e, W):
     """min over unit vectors of sum e|c|^2 + sum W_ijkl conj(c_i c_j) c_k c_l,
     best of 24 seeded Nelder-Mead starts."""
-    e = np.asarray(e, dtype=float)
-    W = np.asarray(W)
+    from scipy import optimize  # only here: no subcommand loads it
+    e, W = np.asarray(e, dtype=float), np.asarray(W)
     J = e.size
-
-    def value(c):
-        c = c / np.linalg.norm(c)
-        quad = float(e @ np.abs(c) ** 2)
-        quart = np.einsum("ijkl,i,j,k,l->", W, np.conj(c), np.conj(c), c, c)
-        return quad + float(quart.real)
 
     def fun(x):
         c = x[:J] + 1j * x[J:]
         nc = np.linalg.norm(c)
         if nc < 1e-12:
             return 1e6
-        return value(c)
+        c = c / nc
+        quart = np.einsum("ijkl,i,j,k,l->", W, np.conj(c), np.conj(c), c, c)
+        return float(e @ np.abs(c) ** 2) + float(quart.real)
 
     rng = np.random.default_rng(0)
-    best = np.inf
-    best_c = None
-    for _ in range(24):
-        x0 = rng.standard_normal(2 * J)
-        res = optimize.minimize(fun, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-14,
-                                         "maxiter": 6000})
-        if res.fun < best:
-            best = res.fun
-            c = res.x[:J] + 1j * res.x[J:]
-            best_c = c / np.linalg.norm(c)
-    return float(best), best_c
+    best = min((optimize.minimize(fun, rng.standard_normal(2 * J), method="Nelder-Mead",
+                                  options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 6000})
+                for _ in range(24)), key=lambda res: res.fun)  # the first of equal minima
+    c = best.x[:J] + 1j * best.x[J:]
+    return float(best.fun), c / np.linalg.norm(c)
 
 
 def pair_interaction_tensor(u, g=1.0):

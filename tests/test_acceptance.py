@@ -269,13 +269,13 @@ def test_criterion_10_heat_kernel_suite():
         for alpha in (0.3, 1.0, 5.0) for d in (1, 3)
     )
     free = heatkernel.diag_bound(heatkernel.zero_potential(), 1.0,
-                                 [0.0, 1.0, 3.0], d=1)
+                                 [0.0, 1.0, 3.0], d=1)[0]
     equality_ok = np.max(np.abs(free - (4 * np.pi) ** -0.5)) < 1e-8
 
     xs = np.linspace(0.0, 3.0, 7)
     V = heatkernel.harmonic_potential()
     mehler_ok = np.all(
-        heatkernel.diag_bound(V, 1.0, xs, d=1) >= heatkernel.mehler_diag(1.0, xs)
+        heatkernel.diag_bound(V, 1.0, xs, d=1)[0] >= heatkernel.mehler_diag(1.0, xs)
     )
     perturbed_ok = heatkernel.perturbed_bound_check(V, 1.0, 1.0, 1.0,
                                                     box=12.0, n=1000) <= 1e-8

@@ -292,7 +292,9 @@ class TestHeatBound:
     def test_reports_per_point_resolution(self, tmp_path, flags, n_points):
         assert run(["heat-bound", *flags, "--out", str(tmp_path)]) == 0
         res = json.loads((tmp_path / "results.json").read_text())
-        assert len(res["violation"]) == len(res["drift"]) == n_points
+        assert len(res["violation"]) == len(res["drift"]) == len(res["bound_error"]) == n_points
+        # the quadrature's estimate is far below the margin it certifies
+        assert 0 <= max(res["bound_error"]) < 1e-3 * abs(res["max_violation"])
         assert max(res["violation"]) == res["max_violation"]
         assert max(res["drift"]) == res["oracle_drift"]
         assert min(res["drift"]) >= 0
@@ -306,6 +308,10 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         w = np.full_like(r, 25.0)
         w[10:20] = bad
         np.save(configs / f"pot_{name}.npy", np.stack([r, w]))
+    from rotogp import fields
+    field = fields.gaussian_field(fields.Grid(2, 16, 8.0))
+    field.values[3, 5] = np.nan
+    fields.write_field(field, str(configs / "nan.f64"))
     W_nan = np.zeros((2, 2, 2, 2))
     W_nan[0, 0, 0, 0] = np.nan
     np.save(configs / "W_nan.npy", W_nan)
@@ -389,6 +395,8 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         *(["dyson-check", "--potential", "file", str(configs / f"pot_{name}.npy")]
           for name in ("nan", "inf", "well")),
         ["fock-ed", "--W-file", str(configs / "W_nan.npy")],
+        # a field dump with a NaN sample
+        ["analyze", "--field", str(configs / "nan.f64")],
     ]
     for argv in cases:
         assert run([*argv, "--out", str(tmp_path)]) == 2, argv
@@ -399,6 +407,8 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
     assert run(["fock-ed", "--W-file", str(configs / "W_nan.npy"),
                 "--out", str(tmp_path)]) == 2
     assert "non-finite" in capsys.readouterr().err
+    assert run(["analyze", "--field", str(configs / "nan.f64"), "--out", str(tmp_path)]) == 2
+    assert "nan.f64" in capsys.readouterr().err
 
 
 def test_config_values_of_their_defaults_type_run(tmp_path):
@@ -642,6 +652,33 @@ def test_gp_path_imports_no_scipy_or_numba(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _GP_PATH, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+_CERTIFY_PATH = r"""
+import sys
+from rotogp import cli
+
+out = sys.argv[1]
+for argv in (["scattering", "--potential", "square", "1", "50"],
+             ["dyson-check", "--J", "2", "--n", "16", "--box", "10"],
+             ["heat-bound"], ["heat-bound", "--dim", "3"],
+             ["heat-bound", "--V", "log", "2.0", "--alpha", "0.1"],
+             ["fock-ed"], ["symbols-check"]):
+    assert cli.main([*argv, "--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))))
+"""
+
+
+def test_certify_path_imports_no_integrate_or_optimize(tmp_path):
+    # heat-bound integrates with quadrature.integrate; only hartree_minimum,
+    # which no subcommand calls, imports scipy.optimize
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CERTIFY_PATH, str(tmp_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr

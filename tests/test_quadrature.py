@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from rotogp import dyson, heatkernel
-from rotogp.quadrature import BesselChannel, bessel_zeros, gauss_legendre
+from rotogp import dyson, heatkernel, quadrature
+from rotogp.quadrature import BesselChannel, bessel_zeros, gauss_legendre, integrate
 from rotogp.scattering import scattering_length, square_barrier
 
 
@@ -161,3 +161,74 @@ def test_channel_assembly_memory_is_bounded_by_node_blocks(dyson_pieces):
         if not tracing:
             tracemalloc.stop()
     assert peak <= 8e6
+
+
+@pytest.mark.parametrize("deg", [0, 1, 7, 13, 22])
+def test_integrate_is_exact_for_polynomials(deg):
+    # the 15-point Kronrod rule is exact to degree 22 and its 7-point check to
+    # degree 13, so up to there one panel passes: one call of f, zero error
+    a, b = -0.3, 1.7
+    p = np.polynomial.Polynomial(np.arange(1.0, deg + 2.0))
+    exact = p.integ()(b) - p.integ()(a)
+    calls = []
+    value, error = integrate(lambda y: calls.append(y.shape) or p(y), [a, b])
+    assert value == pytest.approx(exact, rel=1e-14, abs=1e-14)
+    if deg <= 13:
+        assert calls == [(1, 15)] and error <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("breaks", [[-1.0, 2.0], [-1.0, 0.0, 2.0]], ids=["inside", "at-break"])
+def test_integrate_resolves_a_square_root_cusp(breaks):
+    exact = 2.0 / 3.0 * (1.0 + 2.0**1.5)
+    value, error = integrate(lambda y: np.sqrt(np.abs(y)), breaks)
+    assert abs(value - exact) <= error <= 1e-8 * exact
+
+
+def test_integrate_resolves_a_narrow_gaussian():
+    # width 1e-4 on [0, 1]: a panel reaching 10 widths past the peak finds it;
+    # a peak no node sees at all (here, one at a break) would be invisible
+    c, s = 0.3, 1e-4
+    exact = s * np.sqrt(2.0 * np.pi)
+    value, error = integrate(lambda y: np.exp(-0.5 * ((y - c) / s) ** 2),
+                             [0.0, c - 10 * s, c + 10 * s, 1.0])
+    assert abs(value - exact) <= error <= 1e-8 * exact
+
+
+def test_integrate_rows_match_single_integrals_and_calls_stay_in_blocks():
+    # one row per (a, k): int_a^{a+2} e^{-k y} dy, with a duplicate break in the first;
+    # 40 panels per row are more than one call of f takes
+    a, k = np.array([0.0, 1.0, -0.5]), np.array([1.0, 3.0, 0.5])
+    breaks = np.column_stack([a, a + 0.5, a + 0.5, a[:, None] + np.linspace(0.55, 2.0, 39)])
+    seen = []
+
+    def f(y, k):
+        seen.append(y.size)
+        return np.exp(-k * y)
+
+    value, error = integrate(f, breaks, k)
+    exact = (np.exp(-k * a) - np.exp(-k * (a + 2.0))) / k
+    # smooth rows: the checks sit at rounding level, so allow a few ulps besides
+    assert np.all(np.abs(value - exact) <= error + 4e-16 * exact)
+    assert np.all(error <= 1e-8 * exact)
+    assert sum(seen) == 3 * 40 * 15 and max(seen) <= quadrature._BLOCK
+    for i in range(3):
+        single = integrate(lambda y: np.exp(-k[i] * y), [a[i], a[i] + 2.0])
+        assert single[0] == pytest.approx(value[i], rel=1e-13)
+
+
+def test_diag_bound_integrand_transient_is_bounded():
+    # a call evaluates at most 255 nodes x 200 theta terms: 0.4 MB per array
+    xs = np.linspace(0.2, 3.0, 8)
+    V = heatkernel.harmonic_potential()
+    heatkernel.diag_bound(V, 1.0, xs, d=3)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        heatkernel.diag_bound(V, 1.0, xs, d=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4e6
