@@ -270,6 +270,8 @@ def cmd_dyson_check(cfg, out):
         "int_wR": sp.int_wR,
         "slope": scaling["slope"],
         "min_eig": check["min_eig"],
+        "refinement_drift": check["refinement_drift"],
+        "channels": [check["channels"][ell] for ell in sorted(check["channels"])],
         "dyson_passed": check["passed"],
         "kappa": k0.kappa,
         "e_spectrum": k0.e,
@@ -343,8 +345,8 @@ def cmd_symbols_check(cfg, out):
     z = complex(str(cfg["z"]).replace("i", "j"))
     poly = _parse_op(str(cfg["op"]))
     n_max = int(cfg["Nmax"])
-    # coherent_state refuses a z whose Poisson tail past Nmax exceeds 1e-8
-    fock.coherent_state(z, n_max)
+    # coherent_state refuses a z whose Poisson tail P[N > Nmax] exceeds 1e-8
+    tail = fock.coherent_state(z, n_max).truncation_error
     # op has degree <= 4: four more levels keep a^q from cutting the ket
     # short, and |<z|op|z> - lower| <= |lower| P[N > Nmax] <= 1e-8 |lower|
     ket = fock.coherent_state(z, n_max + 4).vector
@@ -362,6 +364,7 @@ def cmd_symbols_check(cfg, out):
         "identity_error": identity_err,
         "reconstruction_error": recon_err,
         "coherent_error": coherent_err,
+        "coherent_tail": tail,
     }
     return record, {"identity_error": identity_err < 1e-6,
                     "reconstruction_error": recon_err < 1e-6,

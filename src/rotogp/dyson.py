@@ -106,7 +106,6 @@ class SoftPotentials:
     R: float
     epsilon: float
     r: np.ndarray          # radial grid
-    h: np.ndarray          # h samples on r
     fR: np.ndarray         # f_R samples on r
     int_fR: float          # int f_R over R^3
     UR_height: float = dc_field(init=False)
@@ -172,9 +171,7 @@ def build_soft_potentials(chi: CutoffFunction, R, epsilon) -> SoftPotentials:
     fR = np.maximum(hmax - h, h - hmin)[:n_keep]
     r = r[:n_keep]
     int_fR = 4.0 * np.pi * np.trapezoid(fR * r * r, r)
-    return SoftPotentials(
-        chi=chi, R=R, epsilon=epsilon, r=r, h=h[:n_keep], fR=fR, int_fR=int_fR
-    )
+    return SoftPotentials(chi=chi, R=R, epsilon=epsilon, r=r, fR=fR, int_fR=int_fR)
 
 
 def verify_wr_scaling(s, R_values, epsilon=0.5):
@@ -187,9 +184,7 @@ def verify_wr_scaling(s, R_values, epsilon=0.5):
         [build_soft_potentials(chi, R, epsilon).int_wR for R in R_values]
     )
     slope = np.polyfit(np.log(R_values), np.log(integrals), 1)[0]
-    ratios = integrals / (R_values**2 / s**2)
-    return {"R": R_values, "int_wR": integrals, "slope": float(slope),
-            "ratio": ratios}
+    return {"R": R_values, "int_wR": integrals, "slope": float(slope)}
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +202,9 @@ def check_dyson_inequality(
 
     The Bessel channels live on the ball of radius max(4 s, 10 R).  Returns
     a dict with the per-channel minima at each basis size, the overall
-    minimum at the finest size, and a pass flag at slack
-    1e-6 * a * ||U_R||_inf.
+    minimum at the finest size, the largest change of a channel's minimum
+    between the two finest sizes (the refinement drift), and a pass flag at
+    slack 1e-6 * a * ||U_R||_inf.
     """
     chi = sp.chi
     eps = sp.epsilon
@@ -253,7 +249,6 @@ def check_dyson_inequality(
 
 @dataclass
 class ModifiedOneBody:
-    eta: float
     kappa: float
     e: np.ndarray           # lowest J eigenvalues of K0
 
@@ -324,4 +319,4 @@ def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedO
     mult = grid.ksq() * (1.0 - chi(kmag) ** 2) + 2.0 * eta * grid.ksq()
     quartic = grid.radius_sq() ** 2
     scalar = p.potential + eta * quartic - kappa
-    return ModifiedOneBody(eta=eta, kappa=kappa, e=_lowest_eigs(p, mult, scalar, J))
+    return ModifiedOneBody(kappa=kappa, e=_lowest_eigs(p, mult, scalar, J))

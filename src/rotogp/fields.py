@@ -102,7 +102,13 @@ class ComplexField:
             )
 
     def normalized(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values / norm(self))
+        """The field over its norm; a ValueError unless it is finite and nonzero."""
+        if not np.isfinite(self.values).all():
+            raise ValueError("cannot normalize a non-finite field")
+        n = norm(self)
+        if not n > 0:
+            raise ValueError("cannot normalize a field of zero norm")
+        return ComplexField(self.grid, self.values / n)
 
 
 @dataclass
@@ -240,4 +246,4 @@ def read_field(path: str):
     vals = np.fromfile(path, dtype="<c16").reshape(grid.shape)
     if not np.isfinite(vals).all():
         raise ValueError(f"dump {path} holds non-finite samples")
-    return ComplexField(grid, vals), np.asarray(side["omega"])
+    return ComplexField(grid, vals), GaugeField(grid, side["omega"]).omega

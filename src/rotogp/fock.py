@@ -217,7 +217,6 @@ def pair_interaction_tensor(u, g=1.0):
 
 @dataclass
 class CoherentVector:
-    z: complex
     vector: np.ndarray
     truncation_error: float
 
@@ -239,7 +238,7 @@ def coherent_state(z, n_max: int) -> CoherentVector:
         amp = np.where(n == 0, amp, 0.0)
     else:
         amp = amp * np.exp(n * np.log(z) - 0.5 * special.gammaln(n + 1.0))
-    return CoherentVector(z=z, vector=amp, truncation_error=tail)
+    return CoherentVector(vector=amp, truncation_error=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +264,9 @@ class SymbolPolynomial:
                 raise ValueError("symbol calculus is exact only to degree 4")
 
     @classmethod
-    def term(cls, modes, p, q, coeff=1.0):
-        return cls(modes, {(tuple(p), tuple(q)): coeff})
+    def term(cls, modes, p, q):
+        """The monomial with coefficient 1; .scale(c) gives coefficient c."""
+        return cls(modes, {(tuple(p), tuple(q)): 1.0})
 
     def __add__(self, other):
         out = dict(self.terms)

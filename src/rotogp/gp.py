@@ -75,14 +75,13 @@ class GpState:
     converged: bool
     restart_energies: list = dc_field(default_factory=list)
     boundary_ok: bool = True
-    termination: str = "converged"   # or "max_iter", "stalled" (dt collapsed),
+    termination: str = "converged"   # or "max_iter", "stalled" (step collapsed),
                                      # "non_finite" (a trial was not finite)
     gradient_evals: int = 0          # operator applies of the minimizer
 
 
 @dataclass
 class GpSolverOptions:
-    dt: float = 0.9
     tol: float = 1e-7
     max_iter: int = 20000
     restarts: int = 1
@@ -130,12 +129,9 @@ def gp_residual(p: GpProblem, phi: ComplexField):
 
 
 def initial_field(p: GpProblem, strategy, rng) -> ComplexField:
-    """Build a starting field: 'gaussian', 'random', or ('vortex', q)."""
+    """Build a starting field: 'gaussian', 'random', ('vortex', q) or a given
+    field.  Each is normalized once, which refuses a non-finite or zero field."""
     if isinstance(strategy, ComplexField):
-        if not np.all(np.isfinite(strategy.values)):
-            raise ValueError("starting field is not finite")
-        if not norm(strategy) > 0:
-            raise ValueError("starting field has zero norm")
         return strategy.normalized()
     if strategy == "gaussian":
         return gaussian_field(p.grid)
@@ -158,6 +154,8 @@ _SLACK = 1e-11
 # rebuilding every iteration takes 6242 iterations against 376; never
 # rebuilding leaves the 96^2 multivortex at residual 1e-3 after 40000.
 _REBUILD = 50
+# the first trial step of the line search; later steps follow the secant
+_FIRST_STEP = 0.9
 
 
 def _precond_weight(p: GpProblem, vals):
@@ -181,7 +179,7 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     kp = 1.0 / (1.0 + p.grid.ksq())
     g, energy = _gradient_energy(p, vals)
     r = g - w * np.vdot(vals, g).real * vals
-    evals, t, it = 1, opts.dt, 0
+    evals, t, it = 1, _FIRST_STEP, 0
     while it < opts.max_iter:
         it += 1
         if np.sqrt(w * np.vdot(r, r).real) <= opts.tol:
@@ -267,8 +265,6 @@ def gp_minimize(
     energies = []
     for strat in init_list:
         phi0 = initial_field(p, strat, rng)
-        if not np.all(np.isfinite(phi0.values)):
-            raise ValueError("starting field is not finite")
         state = _descend(p, phi0, opts)
         energies.append(state.energy)
         if best is None or state.energy < best.energy - 1e-12:

@@ -28,9 +28,7 @@ trace reads every domain doubling off one profile on the largest domain,
 each point summing only the radii where neither factor is an exact zero.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -38,33 +36,25 @@ from scipy import special
 from .quadrature import BesselChannel, gauss_legendre, integrate
 
 
-@dataclass(frozen=True)
-class ConfiningPotential:
-    """Nonnegative confining potential."""
+# A confining potential V is a plain callable, nonnegative, evaluated on
+# float arrays of positions (radii in d = 3); every function below takes one.
 
-    func: Callable[[np.ndarray], np.ndarray]
-    label: str = "custom"
-
-    def __call__(self, x):
-        return self.func(np.asarray(x, dtype=float))
+def harmonic_potential():
+    return lambda x: x**2
 
 
-def harmonic_potential() -> ConfiningPotential:
-    return ConfiningPotential(lambda x: x**2, label="harmonic")
-
-
-def log_potential(C1: float, C2: float = 0.0) -> ConfiningPotential:
+def log_potential(C1: float, C2: float = 0.0):
     """C1 log(1 + |x|), of the log class V(x) >= C1 ln|x| - C2 for |x| >= 1."""
     if not (0 < C1 < np.inf and np.isfinite(C2)):
         raise ValueError("need a finite log growth constant C1 > 0 and a finite C2")
-    return ConfiningPotential(lambda x: C1 * np.log1p(np.abs(x)), label="log")
+    return lambda x: C1 * np.log1p(np.abs(x))
 
 
-def zero_potential() -> ConfiningPotential:
-    return ConfiningPotential(lambda x: np.zeros_like(x), label="zero")
+def zero_potential():
+    return lambda x: np.zeros_like(x)
 
 
-def _check_nonneg(V: ConfiningPotential, span: float) -> None:
+def _check_nonneg(V, span: float) -> None:
     probe = np.linspace(0.0, span, 64)
     if np.min(V(probe)) < -1e-12:
         raise ValueError("confining potential must be nonnegative")
@@ -136,7 +126,7 @@ def _shell_average(r, rho, alpha):
     return np.where(zero, h_alpha(np.maximum(r, rho), alpha, d=3), out) if zero.any() else out
 
 
-def diag_bound(V: ConfiningPotential, alpha, xs, d=1):
+def diag_bound(V, alpha, xs, d=1):
     """(4 pi alpha)^{-d/2} (e^{-alpha V} * h_alpha)(x), all points in one
     `quadrature.integrate`, panels graded toward the |x - y| cusp of h_alpha
     and split at y = 0 (log1p|y|'s cusp), up to the (certified-negligible)
@@ -160,7 +150,7 @@ def diag_bound(V: ConfiningPotential, alpha, xs, d=1):
         f, np.sort(np.clip(breaks, lo, y_max), axis=1), x)
 
 
-def _diag_bound_grid(V: ConfiningPotential, alpha, xs, d, y_max, dy=0.01):
+def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
     """Fixed-spacing convolution on an equispaced grid, for trace scans.
 
     The spacing is independent of the domain size so that doubling the
@@ -253,7 +243,7 @@ def _oracle_basis(V, alpha, L, d):
     return K, pieces(K)
 
 
-def brute_diag(V: ConfiningPotential, alpha, xs, d=1):
+def brute_diag(V, alpha, xs, d=1):
     """Heat-kernel diagonal e^{alpha(Delta - V)}(x, x) from a Galerkin eigenbasis.
 
     d = 1: the sine basis of [-box, box].  d = 3 (radial V): partial-wave
@@ -298,7 +288,11 @@ def mehler_diag(alpha, xs):
 # weighted trace with doubling certificate
 # ---------------------------------------------------------------------------
 
-def weighted_trace(V: ConfiningPotential, alpha, s, d=1, doublings=4, n_per_unit=8):
+# domain doublings of the trace certificate, and profile points per unit length
+_DOUBLINGS, _PER_UNIT = 4, 8
+
+
+def weighted_trace(V, alpha, s, d=1):
     """int |x|^s * diag_bound(x) dx with a domain-doubling certificate.
 
     Returns {'value', 'converged', 'partials'}; divergence — successive
@@ -311,15 +305,13 @@ def weighted_trace(V: ConfiningPotential, alpha, s, d=1, doublings=4, n_per_unit
         raise ValueError("weight exponent must be nonnegative")
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
-    if doublings < 1:
-        raise ValueError("need at least one domain doubling")
-    L = 8.0 * 2**doublings
-    n = max(int(L * n_per_unit) | 1, 129)
+    L = 8.0 * 2**_DOUBLINGS
+    n = max(int(L * _PER_UNIT) | 1, 129)
     x = np.linspace(-L, L, n) if d == 1 else np.linspace(0.0, L, n)[1:]
     f = np.abs(x) ** (s + d - 1) * _diag_bound_grid(
         V, alpha, x, d, L + 12.0 * np.sqrt(alpha))
     scale = 4.0 * np.pi if d == 3 else 1.0
-    prefixes = (np.abs(x) <= 8.0 * 2**k * (1 + 1e-12) for k in range(doublings + 1))
+    prefixes = (np.abs(x) <= 8.0 * 2**k * (1 + 1e-12) for k in range(_DOUBLINGS + 1))
     partials = [float(scale * np.trapezoid(f[m], x[m])) for m in prefixes]
     growth = partials[-1] / partials[-2] - 1.0
     return {
@@ -356,7 +348,7 @@ def xi_alpha(xs, alpha, B, D):
     return out / np.sqrt(B / D)  # ||Phi||_2 of the exponential profile
 
 
-def perturbed_bound_check(V: ConfiningPotential, alpha, B, D, box=14.0, n=1400):
+def perturbed_bound_check(V, alpha, B, D, box=14.0, n=1400):
     """Max of |e^{alpha(Delta - V - K)}(x, y)| minus its bound over a 1D grid.
 
     K is the rank-one integral operator with kernel Phi(x)Phi(y),

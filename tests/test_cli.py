@@ -310,6 +310,11 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         np.save(configs / f"pot_{name}.npy", np.stack([r, w]))
     from rotogp import fields
     field = fields.gaussian_field(fields.Grid(2, 16, 8.0))
+    sidecars = {"nan": [0.0, 0.0, math.nan], "short": [0.0, 0.0], "text": "abc"}
+    for name, omega in sidecars.items():
+        fields.write_field(field, str(configs / f"omega_{name}.f64"))
+        (configs / f"omega_{name}.f64.json").write_text(
+            json.dumps({"dim": 2, "n": 16, "L": 8.0, "omega": omega}))
     field.values[3, 5] = np.nan
     fields.write_field(field, str(configs / "nan.f64"))
     W_nan = np.zeros((2, 2, 2, 2))
@@ -395,8 +400,11 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         *(["dyson-check", "--potential", "file", str(configs / f"pot_{name}.npy")]
           for name in ("nan", "inf", "well")),
         ["fock-ed", "--W-file", str(configs / "W_nan.npy")],
-        # a field dump with a NaN sample
+        # a field dump with a NaN sample, sidecars with a malformed omega
         ["analyze", "--field", str(configs / "nan.f64")],
+        *(["analyze", "--field", str(configs / f"omega_{name}.f64")] for name in sidecars),
+        # the vortex start underflows to zero at every sample
+        ["solve-gp", "--dim", "2", "--n", "2", "--box", "100", "--init", "vortex:1"],
     ]
     for argv in cases:
         assert run([*argv, "--out", str(tmp_path)]) == 2, argv
@@ -556,6 +564,18 @@ def test_every_results_json_holds_config_and_verdicts(small_runs):
         for key, ok in res["verdicts"].items():
             assert type(ok) is bool and key in set(res) - {"config", "verdicts"}, (name, key)
     assert small_runs["analyze"][:2] == (0, {})
+    # dyson-check's refinement estimate: each channel's minimum at K = 150,
+    # 250, 350, ordered by ell, and the largest change from 250 to 350
+    dyson = small_runs["dyson-check"][2]
+    channels = dyson["channels"]
+    assert len(channels) == 3 and all(len(c) == 3 for c in channels)
+    assert all(type(v) is float for c in channels for v in c)
+    assert type(dyson["refinement_drift"]) is float
+    assert dyson["refinement_drift"] == max(abs(c[2] - c[1]) for c in channels)
+    assert dyson["min_eig"] == min(c[2] for c in channels)
+    # symbols-check's Poisson tail P[N > Nmax], below coherent_state's 1e-8
+    tail = small_runs["symbols-check"][2]["coherent_tail"]
+    assert type(tail) is float and 0.0 <= tail <= 1e-8
 
 
 def _wrapped(target, wrap):

@@ -35,12 +35,14 @@ def _sampled_direction_fR(sp, r_values, n_radii=8):
                      for k in (-1, 0, 1) if (i, j, k) != (0, 0, 0)], dtype=float)
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     out = np.zeros(len(r_values))
-    hr = np.interp(r_values, sp.r, sp.h)
+    # h on sp.r: build_soft_potentials samples it out to 25 s + R on 6000 radii
+    h = _h_radial(sp.chi, 25.0 * sp.chi.s + sp.R, 6000)[:sp.r.size]
+    hr = np.interp(r_values, sp.r, h)
     for rho in sp.R * np.arange(1, n_radii + 1) / n_radii:
         for d in dirs:
             # x along the z-axis wlog, h being radial
             dist = np.sqrt(r_values**2 - 2.0 * r_values * (rho * d[2]) + rho**2)
-            out = np.maximum(out, np.abs(np.interp(dist, sp.r, sp.h) - hr))
+            out = np.maximum(out, np.abs(np.interp(dist, sp.r, h) - hr))
     return out
 
 
@@ -97,7 +99,8 @@ def test_direction_sampled_fr_is_tight_lower_bound(soft):
 def test_wr_integral_scaling():
     out = verify_wr_scaling(3.5, np.geomspace(0.035, 0.35, 6))
     assert out["slope"] >= 1.9
-    assert out["ratio"].max() / out["ratio"].min() < 3.0
+    ratio = out["int_wR"] / (out["R"] / 3.5) ** 2
+    assert ratio.max() / ratio.min() < 3.0
     # halving R shrinks the integral by about 4x
     chi = CutoffFunction(3.5)
     i1 = build_soft_potentials(chi, 0.3, 0.5).int_wR

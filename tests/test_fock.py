@@ -318,7 +318,7 @@ def test_lower_symbol_equals_coherent_expectation():
     z = 0.6 - 0.4j
     cs = coherent_state(z, 14)
     for p, q in (((1,), (1,)), ((2,), (2,)), ((1,), (0,)), ((2,), (1,))):
-        poly = SymbolPolynomial.term(1, p, q, coeff=0.7)
+        poly = SymbolPolynomial.term(1, p, q).scale(0.7)
         mat = poly.to_matrix(14)
         expect = np.vdot(cs.vector, mat @ cs.vector)
         assert abs(expect - lower_symbol(poly, z)) < 1e-6
@@ -327,9 +327,9 @@ def test_lower_symbol_equals_coherent_expectation():
 def test_upper_lower_roundtrip():
     # applying e^{+D} (finite series) to the upper symbol returns u exactly
     poly = (
-        SymbolPolynomial.term(2, (1, 0), (1, 0), 0.5)
-        + SymbolPolynomial.term(2, (1, 1), (1, 1), 0.25)
-        + SymbolPolynomial.term(2, (0, 2), (0, 2), -0.1)
+        SymbolPolynomial.term(2, (1, 0), (1, 0)).scale(0.5)
+        + SymbolPolynomial.term(2, (1, 1), (1, 1)).scale(0.25)
+        + SymbolPolynomial.term(2, (0, 2), (0, 2)).scale(-0.1)
     )
     up = poly.upper()
     d1 = up.contract()
@@ -407,7 +407,7 @@ def test_evaluate_points_matches_per_point_loop(data, modes, seed):
 
 
 def test_evaluate_single_point_returns_scalar():
-    poly = SymbolPolynomial.term(2, (1, 0), (0, 1), 0.5)
+    poly = SymbolPolynomial.term(2, (1, 0), (0, 1)).scale(0.5)
     z = np.array([0.3 + 0.1j, -0.2 + 0.5j])
     val = poly.evaluate(z)
     assert isinstance(val, complex)

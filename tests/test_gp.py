@@ -142,9 +142,11 @@ def test_minimize_energy_is_gp_energy_of_result():
     assert abs(st.energy - gp_energy(p, st.phi)) <= 1e-12 * abs(st.energy)
 
 
-def test_termination_reasons():
+def test_termination_reasons(monkeypatch):
     p = harmonic_problem(dim=2, n=32, length=12.0, a=1.0)
-    stalled = gp_minimize(p, opts=GpSolverOptions(dt=1e-13))
+    with monkeypatch.context() as m:
+        m.setattr("rotogp.gp._FIRST_STEP", 1e-13)
+        stalled = gp_minimize(p)
     assert not stalled.converged and stalled.termination == "stalled"
     assert stalled.iterations == 1
     capped = gp_minimize(p, opts=GpSolverOptions(max_iter=3))
@@ -188,6 +190,10 @@ def test_zero_start_rejected_before_normalizing(monkeypatch):
     p = harmonic_problem(dim=2, n=16, length=10.0, a=1.0)
     with pytest.raises(ValueError, match="zero norm"):
         gp_minimize(p, init=ComplexField(p.grid, np.zeros(p.grid.shape, dtype=complex)))
+    # a constructed start too: on 2 points per axis of a 100-wide box,
+    # (x + iy) e^{-|x|^2/2} underflows to 0 at every sample
+    with pytest.raises(ValueError, match="zero norm"):
+        gp_minimize(harmonic_problem(dim=2, n=2, length=100.0), init=("vortex", 1))
 
 
 def test_non_positive_tol_rejected(monkeypatch):
