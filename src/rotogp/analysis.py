@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, Grid, GridMismatchError, gradient_arrays, inner
+from .fields import ComplexField, Grid, GridMismatchError, inner
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +96,12 @@ def total_vortex_charge(phi: ComplexField) -> int:
 # ---------------------------------------------------------------------------
 
 def angular_momentum_z(phi: ComplexField) -> float:
-    """<phi| x p_y - y p_x |phi> with p = -i grad taken spectrally."""
-    grads = gradient_arrays(phi)
+    """<phi| x p_y - y p_x |phi>, p_i = ifft_i(k_i fft_i(phi)) by 1D transforms
+    along axis i, as in fields.apply_gauge_kinetic."""
+    px, py = (np.fft.ifft(k * np.fft.fft(phi.values, axis=ax), axis=ax)
+              for ax, k in enumerate(phi.grid.kvecs()[:2]))
     x, y = phi.grid.coords()[:2]
-    lz = ComplexField(phi.grid, -1j * (x * grads[1] - y * grads[0]))
-    return inner(phi, lz).real
+    return inner(phi, ComplexField(phi.grid, x * py - y * px)).real
 
 
 # ---------------------------------------------------------------------------

@@ -321,46 +321,42 @@ def cmd_fock_ed(cfg, out):
 
 
 def _parse_op(text):
-    """'adag adag a a' -> single-mode monomial (a^dag)^p a^q."""
-    from . import fock
-
+    """'adag adag a a' -> (p, q) of the monomial (a^dag)^p a^q, which must be
+    normal-ordered and of degree <= 4 (cmd_symbols_check pads the ket by
+    four levels)."""
     p = q = 0
     for tok in text.split():
         if tok == "adag":
+            if q:
+                raise ValueError("--op must be normal-ordered: no adag after an a")
             p += 1
         elif tok == "a":
             q += 1
-        elif tok in ("1", "identity"):
-            pass
-        else:
+        elif tok not in ("1", "identity"):
             raise ValueError(f"unknown operator token {tok!r}")
     if p + q > 4:
         raise ValueError("operators beyond degree 4 are not supported")
-    return fock.SymbolPolynomial.term(1, (p,), (q,))
+    return p, q
 
 
 def cmd_symbols_check(cfg, out):
     from . import fock
 
     z = complex(str(cfg["z"]).replace("i", "j"))
-    poly = _parse_op(str(cfg["op"]))
-    n_max = int(cfg["Nmax"])
+    p, q = _parse_op(str(cfg["op"]))
+    n_max, Z, nodes = int(cfg["Nmax"]), float(cfg["Z"]), int(cfg["nodes"])
     # coherent_state refuses a z whose Poisson tail P[N > Nmax] exceeds 1e-8
     tail = fock.coherent_state(z, n_max).truncation_error
     # op has degree <= 4: four more levels keep a^q from cutting the ket
     # short, and |<z|op|z> - lower| <= |lower| P[N > Nmax] <= 1e-8 |lower|
     ket = fock.coherent_state(z, n_max + 4).vector
-    lower = fock.lower_symbol(poly, z)
-    coherent_err = abs(np.vdot(ket, poly.to_matrix(n_max + 4) @ ket) - lower)
-    identity_err = fock.verify_resolution(
-        n_max, Z=float(cfg["Z"]), n_angle=int(cfg["nodes"])
-    )
-    recon_err = fock.verify_resolution(
-        n_max, Z=float(cfg["Z"]), n_angle=int(cfg["nodes"]), poly=poly
-    )
+    lower = fock.lower_symbol(p, q, z)
+    coherent_err = abs(np.vdot(ket, fock.monomial_matrix(p, q, n_max + 4) @ ket) - lower)
+    identity_err = fock.verify_resolution(0, 0, n_max, Z=Z, n_angle=nodes)
+    recon_err = fock.verify_resolution(p, q, n_max, Z=Z, n_angle=nodes)
     record = {
         "lower_symbol": lower,
-        "upper_symbol": fock.upper_symbol(poly, z),
+        "upper_symbol": fock.upper_symbol(p, q, z),
         "identity_error": identity_err,
         "reconstruction_error": recon_err,
         "coherent_error": coherent_err,

@@ -157,12 +157,6 @@ def _check_same_grid(*objs):
     return g0
 
 
-def gradient_arrays(f: ComplexField):
-    """Spectral partial derivatives of f, one array per axis."""
-    fhat = np.fft.fftn(f.values)
-    return [np.fft.ifftn(1j * k * fhat) for k in f.grid.kvecs()]
-
-
 def apply_gauge_kinetic(phi: ComplexField, A: GaugeField) -> ComplexField:
     """(-i grad + A)^2 phi = sum_i ifft_i((k_i + A_i)^2 fft_i(phi)): dim 1D
     transform pairs, about two n-D transforms, a bare Laplacian's cost at Omega = 0."""
@@ -208,12 +202,19 @@ def gaussian_field(grid: Grid) -> ComplexField:
 
 
 def vortex_field(grid: Grid, winding: int = 1) -> ComplexField:
-    """Normalized (x + iy)^q Gaussian, a winding-q trial state."""
+    """Normalized (x + iy)^q Gaussian, a winding-q trial state.
+
+    For q != 0 the in-plane factor is formed, up to a constant, as
+    (w e^{(1 - |w|^2)/2})^|q| with w = (x + iy)/sqrt|q|: the base's modulus
+    peaks at 1, so no power overflows on a grid that can hold the state.
+    """
     x = grid.coords()
-    zplane = x[0] + 1j * x[1]
-    if winding < 0:
-        zplane = np.conj(zplane)
-    vals = zplane ** abs(winding) * np.exp(-grid.radius_sq() / 2.0)
+    q = abs(winding)
+    if q == 0:
+        return gaussian_field(grid)
+    w = (x[0] + 1j * np.sign(winding) * x[1]) / np.sqrt(q)
+    vals = (w * np.exp((1.0 - np.abs(w) ** 2) / 2.0)) ** q
+    vals = vals * np.exp(-sum(c**2 for c in x[2:]) / 2.0)  # the Gaussian along z in 3D
     return ComplexField(grid, vals).normalized()
 
 

@@ -12,16 +12,16 @@ which the combinatorial number system gives in closed form; the pair
 annihilators a_k a_l map sector N into sector N - 2 and find their targets
 by that rank.
 
-Coherent states, lower/upper symbols of normal-ordered polynomials (the
-upper-symbol series terminates for degree <= 4), and the coherent-state
-resolution of identity int dz Pi(z) = Id (dz = pi^{-1} dx dy) live here too,
-on one mode truncated at level n_max, where a = diag(sqrt 1..sqrt n_max, 1);
-plus the closed-form error constants D1, D2, D3.
+Coherent states, the lower and upper symbols of one normal-ordered
+monomial (a+)^p a^q in closed form, and the coherent-state resolution
+int dz U(z) Pi(z) (dz = pi^{-1} dx dy) live here too, on one mode truncated
+at level n_max, where a = diag(sqrt 1..sqrt n_max, 1); plus the
+closed-form error constants D1, D2, D3.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 from scipy import sparse, special
@@ -242,102 +242,44 @@ def coherent_state(z, n_max: int) -> CoherentVector:
 
 
 # ---------------------------------------------------------------------------
-# normal-ordered polynomials and their symbols
+# symbols of one normal-ordered monomial (a+)^p a^q
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SymbolPolynomial:
-    """sum of coeff * prod_j (a+_j)^{p_j} prod_j (a_j)^{q_j}, degree <= 4.
+def lower_symbol(p, q, z):
+    """<z| (a+)^p a^q |z> = zbar^p z^q, at a point or elementwise on an array."""
+    z = np.asarray(z)
+    return np.conj(z) ** p * z**q
 
-    Also read as the polynomial u(z) = sum coeff * zbar^p z^q, which is the
-    lower symbol of the operator.
+
+def upper_symbol(p, q, z):
+    """U(z) with int dz U(z) Pi(z) = (a+)^p a^q, exact at every degree.
+
+    Reordering to antinormal form, (a+)^p a^q = sum_k c_k a^(q-k) (a+)^(p-k)
+    with c_k = (-1)^k k! C(p, k) C(q, k) (Cahill & Glauber, Phys. Rev. 177,
+    1857 (1969)), and each antinormal term has the upper symbol
+    zbar^(p-k) z^(q-k).
     """
-
-    modes: int
-    terms: dict = dc_field(default_factory=dict)  # {(p, q): coeff}
-
-    def __post_init__(self):
-        for (p, q), _ in self.terms.items():
-            if len(p) != self.modes or len(q) != self.modes:
-                raise ValueError("term arity does not match mode count")
-            if sum(p) + sum(q) > 4:
-                raise ValueError("symbol calculus is exact only to degree 4")
-
-    @classmethod
-    def term(cls, modes, p, q):
-        """The monomial with coefficient 1; .scale(c) gives coefficient c."""
-        return cls(modes, {(tuple(p), tuple(q)): 1.0})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return SymbolPolynomial(self.modes, out)
-
-    def scale(self, c):
-        return SymbolPolynomial(
-            self.modes, {k: c * v for k, v in self.terms.items()}
-        )
-
-    def evaluate(self, z):
-        """u(z), the lower symbol, at one point z (one amplitude per mode)
-        or, as an array, at each row of a (points, modes) array."""
-        z = np.asarray(z, dtype=complex)
-        z = z if z.ndim == 2 else np.atleast_1d(z)
-        val = np.zeros(z.shape[:-1], dtype=complex)
-        for (p, q), c in self.terms.items():
-            val += c * np.prod(np.conj(z) ** p, axis=-1) * np.prod(z**q, axis=-1)
-        return val if z.ndim == 2 else complex(val)
-
-    def contract(self):
-        """sum_j d/dz_j d/dzbar_j applied termwise."""
-        out = {}
-        for (p, q), c in self.terms.items():
-            for j in range(self.modes):
-                if p[j] > 0 and q[j] > 0:
-                    np_ = tuple(x - (1 if t == j else 0) for t, x in enumerate(p))
-                    nq = tuple(x - (1 if t == j else 0) for t, x in enumerate(q))
-                    key = (np_, nq)
-                    out[key] = out.get(key, 0.0) + c * p[j] * q[j]
-        return SymbolPolynomial(self.modes, out)
-
-    def upper(self):
-        """Upper-symbol polynomial U = u - Du + D^2 u / 2 (exact, degree <= 4)."""
-        d1 = self.contract()
-        d2 = d1.contract()
-        return self + d1.scale(-1.0) + d2.scale(0.5)
-
-    def to_matrix(self, n_max: int):
-        """The operator on levels 0..n_max of one mode."""
-        if self.modes != 1:
-            raise ValueError("matrix form implemented for a single mode")
-        a = lowering_operator(n_max)
-        out = sparse.csr_matrix(a.shape, dtype=complex)
-        for ((p,), (q,)), c in self.terms.items():
-            m = sparse.identity(n_max + 1, dtype=complex, format="csr")
-            for _ in range(p):
-                m = m @ a.conj().T
-            for _ in range(q):
-                m = m @ a
-            out = out + c * m
-        return out
+    z = np.asarray(z)
+    return sum((-1) ** k * factorial(k) * comb(p, k) * comb(q, k)
+               * np.conj(z) ** (p - k) * z ** (q - k) for k in range(min(p, q) + 1))
 
 
-def lower_symbol(poly: SymbolPolynomial, z):
-    return poly.evaluate(z)
+def monomial_matrix(p, q, n_max: int):
+    """(a+)^p a^q on levels 0..n_max of one mode, from the truncated a."""
+    a = lowering_operator(n_max)
+    m = sparse.identity(n_max + 1, format="csr")
+    for factor in [a.T] * p + [a] * q:
+        m = m @ factor
+    return m
 
 
-def upper_symbol(poly: SymbolPolynomial, z):
-    return poly.upper().evaluate(z)
-
-
-def verify_resolution(n_max: int, Z=6.0, n_angle=64, poly=None):
-    """Operator-norm error of int dz U(z) Pi(z) against the target.
+def verify_resolution(p, q, n_max: int, Z=6.0, n_angle=64):
+    """Operator-norm error of int dz U(z) Pi(z) against (a+)^p a^q, U its
+    upper symbol; (p, q) = (0, 0) checks the resolution of identity.
 
     One mode truncated at level n_max; 80-node Gauss-Legendre radius on
-    [0, Z], uniform angle; with poly=None the target is the identity (U = 1);
-    otherwise the target is poly's matrix and U its upper symbol.  Compared
-    on the n <= 3 block, which the coherent projector reproduces once Z
+    [0, Z], uniform angle.  Compared on the n <= 3 block, which the
+    truncation leaves exact and the coherent projector reproduces once Z
     covers the relevant matrix elements.
     """
     if n_max <= 3:
@@ -357,12 +299,8 @@ def verify_resolution(n_max: int, Z=6.0, n_angle=64, poly=None):
         np.outer(ns, np.log(zg)) - 0.5 * logfact[:, None]
         - 0.5 * np.abs(zg)[None, :] ** 2
     )
-    if poly is None:
-        u = np.ones_like(wg)
-        target = np.eye(4)
-    else:
-        u = poly.upper().evaluate(zg[:, None])
-        target = poly.to_matrix(n_max)[:4, :4].toarray()
+    u = upper_symbol(p, q, zg)
+    target = monomial_matrix(p, q, n_max)[:4, :4].toarray()
     M = (V * (wg * u)[None, :]) @ V.conj().T
     return float(np.abs(M - target).max())
 

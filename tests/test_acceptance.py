@@ -200,23 +200,23 @@ def test_criterion_6_dyson_suite():
 
 
 def test_criterion_7_symbol_suite():
-    one = fock.SymbolPolynomial.term(1, (1,), (0,))          # creation
-    num = fock.SymbolPolynomial.term(1, (1,), (1,))          # a^dag a
-    pair = fock.SymbolPolynomial.term(1, (2,), (2,))         # a^dag^2 a^2
+    one = (1, 0)          # creation
+    num = (1, 1)          # a^dag a
+    pair = (2, 2)         # a^dag^2 a^2
     z = 0.7 + 0.2j
     m2 = abs(z) ** 2
     exact_ok = (
-        fock.lower_symbol(one, [z]) == np.conj(z)
-        and fock.upper_symbol(one, [z]) == np.conj(z)
-        and abs(fock.lower_symbol(num, [z]) - m2) < 1e-15
-        and abs(fock.upper_symbol(num, [z]) - (m2 - 1.0)) < 1e-15
-        and abs(fock.lower_symbol(pair, [z]) - m2**2) < 1e-15
-        and abs(fock.upper_symbol(pair, [z]) - (m2**2 - 4 * m2 + 2.0)) < 1e-14
+        fock.lower_symbol(*one, z) == np.conj(z)
+        and fock.upper_symbol(*one, z) == np.conj(z)
+        and abs(fock.lower_symbol(*num, z) - m2) < 1e-15
+        and abs(fock.upper_symbol(*num, z) - (m2 - 1.0)) < 1e-15
+        and abs(fock.lower_symbol(*pair, z) - m2**2) < 1e-15
+        and abs(fock.upper_symbol(*pair, z) - (m2**2 - 4 * m2 + 2.0)) < 1e-14
     )
     errors = [
-        fock.verify_resolution(8, Z=6.0),
-        fock.verify_resolution(8, Z=6.0, poly=num),
-        fock.verify_resolution(8, Z=6.0, poly=pair),
+        fock.verify_resolution(0, 0, 8, Z=6.0),
+        fock.verify_resolution(*num, 8, Z=6.0),
+        fock.verify_resolution(*pair, 8, Z=6.0),
     ]
     recon_ok = max(errors) < 1e-6
     _report(7, "coherent symbol suite", exact_ok and recon_ok,

@@ -10,7 +10,7 @@ from rotogp.analysis import (
     rotate_field,
     total_vortex_charge,
 )
-from rotogp.fields import ComplexField, Grid, gaussian_field, norm, vortex_field
+from rotogp.fields import ComplexField, Grid, gaussian_field, inner, norm, vortex_field
 
 
 @pytest.fixture
@@ -66,6 +66,21 @@ def test_angular_momentum_of_winding_states(grid2d):
     for q in (0, 1, 2, -1):
         phi = vortex_field(grid2d, winding=q)
         assert angular_momentum_z(phi) == pytest.approx(q, abs=1e-9)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 64, 14.0), Grid(3, 24, 10.0)], ids=["2d", "3d"])
+def test_angular_momentum_matches_nd_gradient(grid):
+    # reference: every partial derivative from one n-D transform pair
+    rng = np.random.default_rng(5)
+    envelope = np.exp(-grid.radius_sq() / 2.0)
+    phi = ComplexField(grid, envelope * (rng.standard_normal(grid.shape)
+                                         + 1j * rng.standard_normal(grid.shape))).normalized()
+    fhat = np.fft.fftn(phi.values)
+    grads = [np.fft.ifftn(1j * k * fhat) for k in grid.kvecs()]
+    x, y = grid.coords()[:2]
+    lz = ComplexField(grid, -1j * (x * grads[1] - y * grads[0]))
+    ref = inner(phi, lz).real
+    assert abs(angular_momentum_z(phi) - ref) < 1e-13 * max(1.0, abs(ref))
 
 
 def test_rotation_of_winding_state_is_phase(grid2d):

@@ -359,6 +359,10 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         # checks that run before any work
         ["symbols-check", "--nodes", "0"],
         ["symbols-check", "--Z", "-1"],
+        # --op must be normal-ordered, and of degree <= 4 for the ket's padding
+        ["symbols-check", "--op", "a adag"],
+        ["symbols-check", "--op", "adag a adag"],
+        ["symbols-check", "--op", "adag adag adag a a"],
         ["solve-gp", "--dim", "2", "--n", "16", "--box", "8", "--restarts", "0"],
         ["scan-omega", "--num", "0"],
         ["scan-a", "--num", "0"],
@@ -609,9 +613,9 @@ _FAILURES = [
     (["fock-ed"], "residual", "fock.ground_state",
      _then(lambda ev: (ev[0] + 1.0, ev[1]))),
     (["symbols-check"], "identity_error", "fock.verify_resolution",
-     lambda f: lambda *a, **kw: f(*a, **kw) + ("poly" not in kw)),
+     lambda f: lambda p, q, *a, **kw: f(p, q, *a, **kw) + ((p, q) == (0, 0))),
     (["symbols-check"], "reconstruction_error", "fock.verify_resolution",
-     lambda f: lambda *a, **kw: f(*a, **kw) + ("poly" in kw)),
+     lambda f: lambda p, q, *a, **kw: f(p, q, *a, **kw) + ((p, q) != (0, 0))),
     (["symbols-check"], "coherent_error", "fock.lower_symbol", _then(lambda z: z + 1.0)),
     (["heat-bound"], "max_violation", "heatkernel.diag_bound", _then(lambda b: b - 1.0)),
     (["heat-bound"], "int_h", "heatkernel.h_alpha_integral", _then(lambda v: v + 0.1)),

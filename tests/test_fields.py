@@ -15,6 +15,7 @@ from rotogp.fields import (
     norm,
     norm4_pow4,
     read_field,
+    vortex_field,
     write_field,
 )
 
@@ -142,6 +143,30 @@ def test_norm4_gaussian_closed_form_and_quadrature_oracle():
     assert np.isclose(oracle, closed, rtol=1e-10)
     assert np.isclose(norm4_pow4(phi), closed, rtol=1e-7)
     assert np.isclose(closed, 0.063494, atol=1e-6)
+
+
+def _vortex_reference(grid, winding):
+    """(x +- iy)^|q| e^{-|x|^2/2}, the power taken before the Gaussian damps it."""
+    x = grid.coords()
+    zplane = x[0] + 1j * x[1]
+    if winding < 0:
+        zplane = np.conj(zplane)
+    return ComplexField(grid, zplane ** abs(winding) * np.exp(-grid.radius_sq() / 2.0)).normalized()
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 64, 12.0), Grid(3, 24, 10.0)], ids=["2d", "3d"])
+def test_vortex_field_matches_the_direct_power(grid):
+    for q in (1, 2, 3, -2, 0):
+        diff = vortex_field(grid, q).values - _vortex_reference(grid, q).values
+        assert np.abs(diff).max() < 1e-14, q
+
+
+def test_vortex_field_of_high_winding_stays_finite():
+    # the direct power reaches |x + iy|^200 = 42^200 at the box corners and
+    # overflows; the state itself peaks near |x + iy| = sqrt 200, inside the box
+    phi = vortex_field(Grid(2, 128, 60.0), 200)
+    assert np.isfinite(phi.values).all()
+    assert norm(phi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_mismatch_raises():

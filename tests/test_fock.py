@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import product
-from math import comb, sqrt
+from math import comb, factorial, sqrt
 from scipy import sparse
 
 from rotogp.fock import (
@@ -10,7 +10,6 @@ from rotogp.fock import (
     ErrorConstants,
     ModeBasis,
     SectorBasis,
-    SymbolPolynomial,
     _rank,
     build_hamiltonian,
     coherent_state,
@@ -19,6 +18,7 @@ from rotogp.fock import (
     hartree_minimum,
     lower_symbol,
     lowering_operator,
+    monomial_matrix,
     pair_interaction_tensor,
     upper_symbol,
     verify_resolution,
@@ -302,53 +302,53 @@ def test_coherent_tail_rejected():
 
 def test_symbols_reference_values():
     z = 0.7 + 0.2j
-    num = SymbolPolynomial.term(1, (1,), (1,))
-    assert lower_symbol(num, z) == pytest.approx(abs(z) ** 2)
-    assert upper_symbol(num, z) == pytest.approx(abs(z) ** 2 - 1.0)
-    quart = SymbolPolynomial.term(1, (2,), (2,))
-    assert lower_symbol(quart, z) == pytest.approx(abs(z) ** 4)
-    raise_op = SymbolPolynomial.term(1, (1,), (0,))
-    assert lower_symbol(raise_op, z) == pytest.approx(np.conj(z))
-    assert upper_symbol(raise_op, z) == pytest.approx(np.conj(z))
-    with pytest.raises(ValueError):
-        SymbolPolynomial.term(1, (3,), (2,))  # degree 5
+    assert lower_symbol(1, 1, z) == pytest.approx(abs(z) ** 2)
+    assert upper_symbol(1, 1, z) == pytest.approx(abs(z) ** 2 - 1.0)
+    assert lower_symbol(2, 2, z) == pytest.approx(abs(z) ** 4)
+    assert lower_symbol(1, 0, z) == pytest.approx(np.conj(z))
+    assert upper_symbol(1, 0, z) == pytest.approx(np.conj(z))
+    # a point or an array of points: the same values elementwise
+    zs = np.array([z, -1.2 + 0.5j, 0.0])
+    assert upper_symbol(2, 1, zs)[0] == upper_symbol(2, 1, z)
+    assert upper_symbol(2, 1, zs)[2] == 0.0
 
 
 def test_lower_symbol_equals_coherent_expectation():
     z = 0.6 - 0.4j
     cs = coherent_state(z, 14)
-    for p, q in (((1,), (1,)), ((2,), (2,)), ((1,), (0,)), ((2,), (1,))):
-        poly = SymbolPolynomial.term(1, p, q).scale(0.7)
-        mat = poly.to_matrix(14)
-        expect = np.vdot(cs.vector, mat @ cs.vector)
-        assert abs(expect - lower_symbol(poly, z)) < 1e-6
+    for p, q in ((1, 1), (2, 2), (1, 0), (2, 1)):
+        expect = np.vdot(cs.vector, monomial_matrix(p, q, 14) @ cs.vector)
+        assert abs(expect - lower_symbol(p, q, z)) < 1e-6
 
 
-def test_upper_lower_roundtrip():
-    # applying e^{+D} (finite series) to the upper symbol returns u exactly
-    poly = (
-        SymbolPolynomial.term(2, (1, 0), (1, 0)).scale(0.5)
-        + SymbolPolynomial.term(2, (1, 1), (1, 1)).scale(0.25)
-        + SymbolPolynomial.term(2, (0, 2), (0, 2)).scale(-0.1)
-    )
-    up = poly.upper()
-    d1 = up.contract()
-    d2 = d1.contract()
-    back = up + d1 + d2.scale(0.5)
-    z = np.array([0.3 + 0.1j, -0.2 + 0.5j])
-    assert back.evaluate(z) == pytest.approx(poly.evaluate(z), abs=1e-12)
+def test_antinormal_coefficients_reorder_the_monomial():
+    # (a+)^p a^q = sum_k c_k a^(q-k) (a+)^(p-k), c_k = (-1)^k k! C(p,k) C(q,k),
+    # checked with dense powers of a on levels 0..40; (a+)^(p-k) raises
+    # columns n <= 40 - p without reaching the cut, so those columns are exact
+    n_max = 40
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    ad = a.T
+    mp = np.linalg.matrix_power
+    z = np.array([0.7 + 0.2j, -1.1 + 0.4j])
+    for p, q in product(range(5), repeat=2):
+        coeffs = [(-1) ** k * factorial(k) * comb(p, k) * comb(q, k)
+                  for k in range(min(p, q) + 1)]
+        normal = mp(ad, p) @ mp(a, q)
+        antinormal = sum(c * mp(a, q - k) @ mp(ad, p - k) for k, c in enumerate(coeffs))
+        cols = slice(0, n_max + 1 - p)
+        assert np.abs(normal - antinormal)[:, cols].max() <= 1e-9 * np.abs(normal).max()
+        # the upper symbol is the antinormal polynomial with these coefficients
+        expect = sum(c * np.conj(z) ** (p - k) * z ** (q - k) for k, c in enumerate(coeffs))
+        assert np.allclose(upper_symbol(p, q, z), expect, rtol=1e-14, atol=0)
 
 
 def test_resolution_of_identity():
-    assert verify_resolution(12, Z=6.0) < 1e-6
-    num = SymbolPolynomial.term(1, (1,), (1,))
-    assert verify_resolution(12, Z=6.0, poly=num) < 1e-6
-    quart = SymbolPolynomial.term(1, (2,), (2,))
-    assert verify_resolution(12, Z=6.0, poly=quart) < 1e-6
+    # (0, 0) is the identity; every monomial of degree <= 4 is rebuilt
+    for p in range(5):
+        for q in range(5 - p):
+            assert verify_resolution(p, q, 12, Z=6.0) < 1e-6, (p, q)
     with pytest.raises(ValueError):
-        verify_resolution(3)  # no room above the n <= 3 block
-    with pytest.raises(ValueError):  # the matrix form is single-mode
-        verify_resolution(4, poly=SymbolPolynomial.term(2, (1, 0), (1, 0)))
+        verify_resolution(0, 0, 3)  # no room above the n <= 3 block
 
 
 def test_error_constants_limits():
@@ -371,48 +371,6 @@ def test_error_constants_limits():
     assert ec.D2 < vals[1e6].D2
     with pytest.raises(ValueError):
         error_constants(1.0, 1.0, 0.1, 1.0, e, 20, 10, 1.0)
-
-
-def _evaluate_reference(poly, z):
-    """u(z) at one point, term by term in scalar arithmetic."""
-    val = 0.0 + 0.0j
-    for (p, q), c in poly.terms.items():
-        val += c * np.prod(np.conj(z) ** p) * np.prod(z**q)
-    return complex(val)
-
-
-def _symbol_terms(modes):
-    exps = st.lists(st.integers(0, 2), min_size=modes, max_size=modes)
-    term = st.tuples(exps, exps).filter(lambda pq: sum(pq[0]) + sum(pq[1]) <= 4)
-    coeff = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
-    return st.dictionaries(term.map(lambda pq: (tuple(pq[0]), tuple(pq[1]))), coeff,
-                           max_size=5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), modes=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
-def test_evaluate_points_matches_per_point_loop(data, modes, seed):
-    poly = SymbolPolynomial(modes, data.draw(_symbol_terms(modes)))
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-2, 2, (17, modes)) + 1j * rng.uniform(-2, 2, (17, modes))
-    # |z_j| < 3, so each monomial is below 3^4 times its coefficient
-    scale = max(1.0, sum(abs(c) for c in poly.terms.values())) * 3.0**4
-    for pol in (poly, poly.upper()):
-        vals = pol.evaluate(z)
-        ref = np.array([_evaluate_reference(pol, zg) for zg in z])
-        assert vals.shape == (17,)
-        assert np.max(np.abs(vals - ref)) <= 1e-14 * scale
-        # a single point keeps scalar arithmetic: bitwise the reference
-        assert all(pol.evaluate(zg) == r for zg, r in zip(z, ref))
-
-
-def test_evaluate_single_point_returns_scalar():
-    poly = SymbolPolynomial.term(2, (1, 0), (0, 1)).scale(0.5)
-    z = np.array([0.3 + 0.1j, -0.2 + 0.5j])
-    val = poly.evaluate(z)
-    assert isinstance(val, complex)
-    assert val == 0.5 * np.conj(z[0]) * z[1]
-    assert poly.evaluate(z[None, :]).shape == (1,)
 
 
 def test_ground_state_repeatable_bitwise():
