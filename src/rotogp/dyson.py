@@ -175,16 +175,12 @@ def build_soft_potentials(chi: CutoffFunction, R, epsilon) -> SoftPotentials:
 
 
 def verify_wr_scaling(s, R_values, epsilon=0.5):
-    """Table of int w_R over an R sweep at fixed s, plus the log-log slope."""
+    """Log-log slope of int w_R over an R sweep at fixed s."""
     R_values = np.asarray(R_values, dtype=float)
     if R_values.size < 3 or R_values.max() / R_values.min() < 8.0:
         raise ValueError("R sweep should span about a decade")
-    chi = CutoffFunction(s)
-    integrals = np.array(
-        [build_soft_potentials(chi, R, epsilon).int_wR for R in R_values]
-    )
-    slope = np.polyfit(np.log(R_values), np.log(integrals), 1)[0]
-    return {"R": R_values, "int_wR": integrals, "slope": float(slope)}
+    integrals = [build_soft_potentials(CutoffFunction(s), R, epsilon).int_wR for R in R_values]
+    return {"slope": float(np.polyfit(np.log(R_values), np.log(integrals), 1)[0])}
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
 # ---------------------------------------------------------------------------
 
 # dense K x K solves on 2 cores: one channel in d = 1 (0.5 s at K = 948), up to 61
-# channels in d = 3 (9.9 s at K = 376)
+# channels in d = 3 (5.2 s at K = 376)
 MAX_ORACLE_MODES = {1: 1000, 3: 400}
 
 

@@ -1,9 +1,9 @@
 """Gauss-Legendre rules and the Galerkin assembler in Dirichlet Bessel bases."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 from scipy.special import roots_legendre
 
 
@@ -68,17 +68,61 @@ def integrate(f, breaks, *args):
     return acc if np.ndim(breaks) == 2 else acc[:, 0]
 
 
+def _upward(ell, x):
+    # sin x = t c and cos x = c - 1, c = 2 / (1 + t^2), t = tan(x/2): numpy
+    # vectorises tan but not sin or cos.  In place, as fresh blocks page-fault
+    t = np.tan(0.5 * x)
+    c = 2.0 / (1.0 + t * t)
+    j0 = np.divide(t * c, x, out=t)
+    j1 = np.divide(j0 - c + 1.0, x, out=c)
+    for n in range(1, ell + 1):
+        j0, j1 = j1, np.subtract((2 * n + 1) * j1 / x, j0, out=j0)
+    return j0, j1
+
+
+def _series(ell, x):
+    for m in (ell, ell + 1):
+        c = np.cumprod([1.0 / math.prod(range(1, 2 * m + 2, 2))]
+                       + [-0.5 / (k * (2 * m + 2 * k + 1)) for k in range(1, 10)])
+        yield x**m * np.polynomial.polynomial.polyval(x * x, c)
+
+
+def _miller(ell, x):
+    f_next, f = np.zeros_like(x), np.ones_like(x)
+    for n in range(ell + 10 + int(6 * ell ** (1 / 3)), 0, -1):
+        f_next, f = f, np.subtract((2 * n + 1) * f / x, f_next, out=f_next)
+        if n == ell + 1:
+            top = np.array([f, f_next])  # a copy, as the two buffers are reused
+    norm = np.hypot(f, f_next)
+    j0, j1 = _upward(0, x)
+    return top * (((f / norm) * j0 + (f_next / norm) * j1) / norm)
+
+
+def _spherical_jn_pair(ell, x):
+    """(j_ell(x), j_{ell+1}(x)) on an array x >= 0, ell <= 110, within about 1e-15:
+    upward recurrence where x >= max(ell, 1); the power series where x < 1;
+    Miller's downward recurrence between, from order ell + 10 + 6 ell^(1/3)
+    past the Airy layer, fitted to (j_0, j_1) as j_0 alone has zeros.
+    """
+    upward, small = x >= max(ell, 1), x < 1.0
+    pair = _upward(ell, x if upward.all() else np.where(upward, x, ell + 1.0))
+    for mask, part in ((small, _series), (~(upward | small), _miller)):
+        if mask.any():
+            pair[0][mask], pair[1][mask] = part(ell, x[mask])
+    return pair
+
+
 def bessel_zeros(ell, count):
     """First `count` positive zeros of the spherical Bessel function j_ell."""
     # j_ell > 0 on (0, first zero), and the count-th zero lies below
     # (count + ell/2) pi: one scan brackets every zero, the secant through
     # each bracket starts Newton steps with j_ell' = (ell/x) j_ell - j_{ell+1}
     x = np.arange(max(1.0, ell), (count + 0.5 * ell + 1.0) * np.pi, 0.1)
-    fx = special.spherical_jn(ell, x)
+    fx = _spherical_jn_pair(ell, x)[0]
     idx = np.nonzero((fx[:-1] == 0.0) | (fx[:-1] * fx[1:] < 0.0))[0][:count]
     z = x[idx] - 0.1 * fx[idx] / (fx[idx + 1] - fx[idx])
     for _ in range(4):
-        j, j_next = special.spherical_jn([[ell], [ell + 1]], z)
+        j, j_next = _spherical_jn_pair(ell, z)
         z = z + j / (j_next - ell * j / z)
     return z
 
@@ -104,14 +148,14 @@ class BesselChannel:
         else:
             alph = bessel_zeros(ell, K)
             self.p = alph / L
-            self.norms = np.sqrt(L**3 / 2.0) * np.abs(special.spherical_jn(ell + 1, alph))
+            self.norms = np.sqrt(L**3 / 2.0) * np.abs(_spherical_jn_pair(ell, alph)[1])
 
     def __call__(self, r):
         """Mode values at radii r, shape (K, r.size)."""
         r = np.asarray(r, dtype=float)
         if self.ell > 0:
-            jn = special.spherical_jn(self.ell, np.multiply.outer(self.p, r))
-            return jn / self.norms[:, None]
+            modes = _spherical_jn_pair(self.ell, np.multiply.outer(self.p, r))[0]
+            return modes / self.norms[:, None]
         # sin(k theta) = sin(a m theta) cos(b theta) + cos(a m theta) sin(b theta):
         # 2 (K/m + m) sines and cosines per radius, and a mode's values do not
         # depend on K, so a smaller basis is a leading block

@@ -97,12 +97,12 @@ def test_direction_sampled_fr_is_tight_lower_bound(soft):
 
 
 def test_wr_integral_scaling():
-    out = verify_wr_scaling(3.5, np.geomspace(0.035, 0.35, 6))
-    assert out["slope"] >= 1.9
-    ratio = out["int_wR"] / (out["R"] / 3.5) ** 2
+    R = np.geomspace(0.035, 0.35, 6)
+    assert verify_wr_scaling(3.5, R)["slope"] >= 1.9
+    chi = CutoffFunction(3.5)
+    ratio = np.array([build_soft_potentials(chi, r, 0.5).int_wR for r in R]) / (R / 3.5) ** 2
     assert ratio.max() / ratio.min() < 3.0
     # halving R shrinks the integral by about 4x
-    chi = CutoffFunction(3.5)
     i1 = build_soft_potentials(chi, 0.3, 0.5).int_wR
     i2 = build_soft_potentials(chi, 0.15, 0.5).int_wR
     assert i1 / i2 == pytest.approx(4.0, rel=0.1)
@@ -207,14 +207,15 @@ def test_bessel_zeros_channel0_are_n_pi():
     assert np.allclose(z, np.pi * np.arange(1, 6), atol=1e-10)
 
 
-@pytest.mark.parametrize("ell", [1, 2, 17])
-def test_bessel_zeros_match_brentq(ell):
-    z = bessel_zeros(ell, 350)
-    assert z.size == 350 and np.all(np.diff(z) > 0)
+@pytest.mark.parametrize("ell, count", [(1, 350), (2, 350), (17, 350), (30, 400), (60, 400)],
+                         ids=["1", "2", "17", "30", "60"])
+def test_bessel_zeros_match_brentq(ell, count):
+    z = bessel_zeros(ell, count)
+    assert z.size == count and np.all(np.diff(z) > 0)
     # independent reference: a finer scan, each bracket refined by brentq
-    x = np.arange(max(1.0, ell), 1200.0, 0.01)
+    x = np.arange(max(1.0, ell), 1400.0, 0.01)
     fx = special.spherical_jn(ell, x)
-    idx = np.nonzero(fx[:-1] * fx[1:] < 0.0)[0][:350]
+    idx = np.nonzero(fx[:-1] * fx[1:] < 0.0)[0][:count]
     f = lambda t: special.spherical_jn(ell, t)
     ref = np.array([optimize.brentq(f, x[i], x[i + 1], xtol=1e-14) for i in idx])
     assert np.max(np.abs(z / ref - 1.0)) < 1e-12

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,20 +114,60 @@ def test_blocked_matrix_matches_unblocked_on_dyson_pieces(ell, dyson_pieces):
     assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_blocked_assembly_matches_unblocked_on_oracle_pieces():
-    # the d = 1 heat-kernel oracle: two pieces of K + 16 nodes on [0, L],
-    # L = 2 box for points |x| <= 3, as brute_diag takes it
+def _check_oracle_assembly(ell, d, K_range):
+    # the heat-kernel oracle for points |x| <= 3, as brute_diag takes it: in
+    # d = 1, two pieces of K + 16 nodes on [0, L], L = 2 box; in d = 3, one
+    # piece of 2K + 16 nodes on [0, box]
     alpha = 0.08
-    L = 2.0 * (3.0 + 12.0 * np.sqrt(alpha) + 8.0)
-    K, pieces = heatkernel._oracle_basis(heatkernel.log_potential(2.0), alpha, L, 1)
-    assert 360 <= K <= 400
-    ch = BesselChannel(0, K, L)
-    H, ref = ch.matrix(np.square, pieces), _unblocked_matrix(0, K, L, np.square, pieces)
+    L = (3.0 + 12.0 * np.sqrt(alpha) + 8.0) * (2.0 if d == 1 else 1.0)
+    K, pieces = heatkernel._oracle_basis(heatkernel.log_potential(2.0), alpha, L, d)
+    assert K_range[0] <= K <= K_range[1]
+    ch = BesselChannel(ell, K, L)
+    H, ref = ch.matrix(np.square, pieces), _unblocked_matrix(ell, K, L, np.square, pieces)
     assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
     bump = [(lo, hi, n, lambda r: np.exp(-np.abs(r - L / 2)) / r) for lo, hi, n, _ in pieces]
     coef = ch.project(bump)
-    coef_ref = sum(B @ wq for B, wq in _unblocked(0, K, L, bump))
+    coef_ref = sum(B @ wq for B, wq in _unblocked(ell, K, L, bump))
     assert np.max(np.abs(coef - coef_ref)) <= 1e-13 * np.max(np.abs(coef_ref))
+
+
+def test_blocked_assembly_matches_unblocked_on_oracle_pieces():
+    _check_oracle_assembly(0, 1, (360, 400))
+
+
+def test_blocked_assembly_matches_unblocked_on_d3_oracle_pieces():
+    # channel 17 has mode values below and above its turning point
+    _check_oracle_assembly(17, 3, (180, 200))
+
+
+# x up to the d = 3 oracle's largest argument, (K + ell/2 + 1) pi at K = 400
+_KERNEL_X = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.0, 431 * np.pi, 40001),
+                            np.geomspace(1e-6, 70.0, 4001)])
+
+
+@pytest.mark.parametrize("ell", range(61))
+def test_spherical_jn_pair_matches_scipy(ell):
+    x = np.concatenate([_KERNEL_X, ell + np.linspace(-1e-3, 1e-3, 41)])
+    x = x[x >= 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, j_next = quadrature._spherical_jn_pair(ell, x)
+    assert np.max(np.abs(j - special.spherical_jn(ell, x))) <= 1e-13
+    assert np.max(np.abs(j_next - special.spherical_jn(ell + 1, x))) <= 1e-13
+    assert j[0] == (ell == 0) and j_next[0] == 0.0
+
+
+def test_channels_make_no_scipy_bessel_call(monkeypatch, dyson_pieces):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.special.spherical_jn called")
+
+    monkeypatch.setattr(special, "spherical_jn", refuse)
+    assert not hasattr(quadrature, "spherical_jn")
+    kin, pieces = dyson_pieces
+    assert np.all(np.isfinite(BesselChannel(1, 350, 14.0).matrix(kin, pieces)))
+    ch = BesselChannel(60, 40, 30.0)
+    assert np.all(np.isfinite(ch(np.linspace(0.0, 30.0, 301))))
+    assert bessel_zeros(17, 100).size == 100
 
 
 def test_channel_zero_matches_spherical_bessel():
@@ -145,7 +186,7 @@ def test_channel_zero_matches_spherical_bessel():
 
 def test_channel_assembly_memory_is_bounded_by_node_blocks(dyson_pieces):
     # a whole-piece table of 350 modes at 2400 nodes is 6.7 MB alone; the
-    # assembler without node blocks peaks near 29 MB, with them near 4.7 MB
+    # assembler without node blocks peaks near 29 MB, with them near 7.1 MB
     kin, pieces = dyson_pieces
     ch = BesselChannel(1, 350, 14.0)
     for _, _, n_quad, _ in pieces:

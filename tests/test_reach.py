@@ -23,8 +23,8 @@ A benchmark string equal to a field, key or option counts too: the tracer
 binds check_dyson_inequality's ell_list and basis_sizes by name.
 
 Matching is by name alone, so a name shared with another object (an
-ndarray's .copy, say) reads as reached, and so does a key: cfg["R"] and a
-results.json subscript reach verify_wr_scaling's "R" and "int_wR".  The
+ndarray's .copy, say) reads as reached, and so does a key: a cfg or
+results.json subscript reaches any returned key of the same name.  The
 scan can miss dead code, but never flags live code.
 """
 
