@@ -266,7 +266,7 @@ def cmd_dyson_check(cfg, out):
     record = {
         "a": scattering.scattering_length(pot),
         "a_N": a_n,
-        "int_UR": sp.int_UR,
+        "int_UR": check["int_UR"],
         "int_wR": sp.int_wR,
         "slope": scaling["slope"],
         "min_eig": check["min_eig"],
@@ -277,7 +277,7 @@ def cmd_dyson_check(cfg, out):
         "e_spectrum": k0.e,
     }
     return record, {"dyson_passed": check["passed"],
-                    "int_UR": abs(sp.int_UR - 4 * np.pi) < 1e-2 * 4 * np.pi,
+                    "int_UR": abs(check["int_UR"] - 4 * np.pi) < 1e-2 * 4 * np.pi,
                     "slope": scaling["slope"] >= 1.9,
                     "e_spectrum": np.min(k0.e) >= -1e-8}
 

@@ -34,7 +34,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .fields import ComplexField, apply_gauge_kinetic
 from .gp import GpProblem
-from .quadrature import BesselChannel, gauss_legendre
+from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, weighted_nodes
 from .scattering import RadialPotential
 
 
@@ -126,10 +126,6 @@ class SoftPotentials:
         return np.where((r >= inner) & (r <= self.R), self.UR_height, 0.0)
 
     @property
-    def int_UR(self):
-        return 4.0 * np.pi  # 6 R^{-3} * (4 pi / 3)(R^3 - R^3/2), exactly
-
-    @property
     def int_wR(self):
         return (2.0 / np.pi**2) * self.int_fR**2
 
@@ -196,35 +192,42 @@ def check_dyson_inequality(
 ):
     """Minimal eigenvalue of (kinetic + v/2) - ((1-eps) a U_R - (a/eps) w_R).
 
-    The Bessel channels live on the ball of radius max(4 s, 10 R).  Returns
-    a dict with the per-channel minima at each basis size, the overall
-    minimum at the finest size, the largest change of a channel's minimum
-    between the two finest sizes (the refinement drift), and a pass flag at
-    slack 1e-6 * a * ||U_R||_inf.
+    The Bessel channels live on the ball of radius L = max(4 s, 10 R), and
+    each piece of the potential is integrated on Gauss panels sized for the
+    largest basis (quadrature.gauss_pieces).  Returns a dict with the
+    per-channel minima at each basis size, the overall minimum at the finest
+    size, the largest change of a channel's minimum between the two finest
+    sizes (the refinement drift), int U_R on the nodes of the U_R piece, and
+    a pass flag at slack 1e-6 * a * ||U_R||_inf.
     """
+    if v.core > 0:
+        raise ValueError("approximate a hard core by a tall finite barrier")
     chi = sp.chi
     eps = sp.epsilon
     L = float(max(4.0 * chi.s, 10.0 * sp.R))
+    K = max(basis_sizes)
 
     def kin(p):
         return p * p * chi(p) ** 2
 
-    # multiplicative part: v/2 - (1-eps) a U_R + (a/eps) w_R, split into
-    # quadrature segments tuned to each piece's support
-    inner_shell = 2.0 ** (-1.0 / 3.0) * sp.R
+    # multiplicative part: v/2 - (1-eps) a U_R + (a/eps) w_R.  A panel edge
+    # sits on every kink and jump: v's knots and its range, cut at L, where
+    # the modes end, and the two edges of the hat.  w_R, piecewise linear on
+    # its 6000-point grid, stays one panel: at the dyson-check defaults it is
+    # below 3e-6, and its kinks move the minima by about 1e-13
+    top = min(v.rrange, L)
+    hat = gauss_pieces((2.0 ** (-1.0 / 3.0) * sp.R, sp.R), sp.UR, K, L)[0]
     pieces = [
-        (0.0, v.rrange, 600, lambda r: 0.5 * v(r)),
-        (inner_shell, sp.R, 200,
-         lambda r: -(1.0 - eps) * a_scatt * sp.UR(r)),
-        (0.0, L, 2400, lambda r: (a_scatt / eps) * sp.wR(r)),
+        *gauss_pieces([0.0, *(k for k in v.knots if 0.0 < k < top), top],
+                      lambda r: 0.5 * v(r), K, L),
+        (*hat[:3], lambda r: -(1.0 - eps) * a_scatt * sp.UR(r)),
+        *gauss_pieces((0.0, L), lambda r: (a_scatt / eps) * sp.wR(r), K, L),
     ]
-    if v.core > 0:
-        raise ValueError("approximate a hard core by a tall finite barrier")
 
     table = {}
     for ell in ell_list:  # one matrix per channel; each size is a leading block
-        H = BesselChannel(ell, max(basis_sizes), L).matrix(kin, pieces)
-        table[ell] = [float(np.linalg.eigvalsh(H[:K, :K])[0]) for K in basis_sizes]
+        H = BesselChannel(ell, K, L).matrix(kin, pieces)
+        table[ell] = [float(np.linalg.eigvalsh(H[:k, :k])[0]) for k in basis_sizes]
     min_eig = min(table[ell][-1] for ell in ell_list)
     slack = 1e-6 * a_scatt * sp.UR_height if a_scatt > 0 else 1e-10
     drift = max(
@@ -233,6 +236,7 @@ def check_dyson_inequality(
     return {
         "channels": table,
         "min_eig": min_eig,
+        "int_UR": 4.0 * np.pi * float(weighted_nodes(*hat)[1].sum()),
         "slack": slack,
         "refinement_drift": drift,
         "passed": bool(min_eig >= -slack),

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .quadrature import BesselChannel, gauss_legendre, integrate
+from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, integrate
 
 
 # A confining potential V is a plain callable, nonnegative, evaluated on
@@ -233,14 +233,13 @@ def _oracle_basis(V, alpha, L, d):
     """
     cuts = (0.0, L / 2, L) if d == 1 else (0.0, L)
     pot = (lambda r: V(r - L / 2)) if d == 1 else V
-    pieces = lambda K: [(lo, hi, int(2 * K * (hi - lo) / L) + 16, pot)
-                        for lo, hi in zip(cuts, cuts[1:])]
-    lam0 = np.linalg.eigvalsh(BesselChannel(0, 32, L).matrix(np.square, pieces(32)))[0]
+    lam0 = np.linalg.eigvalsh(
+        BesselChannel(0, 32, L).matrix(np.square, gauss_pieces(cuts, pot, 32, L)))[0]
     K = int(np.ceil(4.0 / 3.0 * L / np.pi * np.sqrt(lam0 + 80.0 * max(1.0 / alpha, lam0 / d))))
     if K > MAX_ORACLE_MODES[d]:
         raise ValueError(f"alpha = {alpha:g} needs {K} oracle modes in d = {d}, "
                          f"more than {MAX_ORACLE_MODES[d]}")
-    return K, pieces(K)
+    return K, gauss_pieces(cuts, pot, K, L)
 
 
 def brute_diag(V, alpha, xs, d=1):

@@ -12,7 +12,8 @@ def gauss_legendre(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     scipy's roots_legendre: Golub-Welsch eigenvalues of the banded Jacobi
-    matrix, one Newton step per node.  It still costs 0.2-0.3 s at n = 2400,
+    matrix, one Newton step per node.  Its cost grows faster than n (15 ms
+    at n = 716, dyson-check's largest rule, 0.17 s at n = 2400, on 2 cores),
     so each rule is built once per interpreter, cached and shared between
     callers, and therefore read-only.
     """
@@ -20,6 +21,24 @@ def gauss_legendre(n: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def gauss_pieces(breaks, func, K, L):
+    """Gauss-Legendre pieces (lo, hi, n, func) of func between successive
+    breaks, for the first K modes of a basis on [0, L]: n = int(2K(hi - lo)/L)
+    + 16 nodes, two per half-wave of mode K plus 16.  The breaks must hold
+    every kink and jump of func.
+    """
+    return [(lo, hi, int(2 * K * (hi - lo) / L) + 16, func)
+            for lo, hi in zip(breaks, breaks[1:])]
+
+
+def weighted_nodes(lo, hi, n, func):
+    """Nodes r of the n-point Gauss-Legendre rule on [lo, hi] and the weights
+    w func(r) r^2, so that sum(weights) is int_lo^hi func r^2 dr."""
+    x, w = gauss_legendre(n)
+    r = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    return r, 0.5 * (hi - lo) * w * func(r) * r * r
 
 
 # Gauss nodes per block of the assembler or of an integrand call, which bounds their transients
@@ -171,11 +190,9 @@ class BesselChannel:
     def _nodes(self, pieces):
         # pieces: (r_lo, r_hi, n_quad, func) Gauss-Legendre segments, each
         # walked in blocks of _BLOCK nodes
-        for r_lo, r_hi, n_quad, func in pieces:
-            x, w = gauss_legendre(n_quad)
-            r = 0.5 * (r_hi - r_lo) * x + 0.5 * (r_hi + r_lo)
-            wq = 0.5 * (r_hi - r_lo) * w * func(r) * r * r
-            for i in range(0, n_quad, _BLOCK):
+        for piece in pieces:
+            r, wq = weighted_nodes(*piece)
+            for i in range(0, r.size, _BLOCK):
                 yield self(r[i:i + _BLOCK]), wq[i:i + _BLOCK]
 
     def matrix(self, kin_mult, pieces):

@@ -25,6 +25,7 @@ class RadialPotential:
     rrange: float                      # w(r) = 0 for r > rrange
     func: Callable[[np.ndarray], np.ndarray]
     core: float = 0.0                  # hard-core radius (w = +inf below)
+    knots: tuple = ()                  # radii where func has a kink or jump
 
     def __post_init__(self):
         if not (0 < self.rrange < np.inf and 0 <= self.core <= self.rrange):
@@ -43,6 +44,7 @@ class RadialPotential:
             rrange=self.rrange / n,
             func=lambda r, _f=f, _n=n: _n**2 * _f(_n * r),
             core=self.core / n,
+            knots=tuple(k / n for k in self.knots),
         )
 
 
@@ -71,7 +73,8 @@ def from_samples(r, w) -> RadialPotential:
     if np.any(np.diff(r) <= 0):
         raise ValueError("sample radii must be strictly increasing")
     return RadialPotential(
-        rrange=float(r[-1]), func=lambda x: np.interp(x, r, w, left=w[0], right=0.0)
+        rrange=float(r[-1]), func=lambda x: np.interp(x, r, w, left=w[0], right=0.0),
+        knots=tuple(r.tolist()),
     )
 
 

@@ -176,7 +176,6 @@ def test_criterion_5_scattering_lengths():
 def test_criterion_6_dyson_suite():
     chi = dyson.CutoffFunction(3.5)
     sp = dyson.build_soft_potentials(chi, 0.35, 0.5)
-    int_ok = abs(sp.int_UR - 4.0 * np.pi) < 1e-12
 
     scaling = dyson.verify_wr_scaling(3.5, np.geomspace(0.105, 1.05, 5))
     slope_ok = scaling["slope"] >= 1.9
@@ -184,6 +183,7 @@ def test_criterion_6_dyson_suite():
     pot = scattering.square_barrier(1.0, 4.0e4).scaled(8.0)
     a_n = scattering.scattering_length(pot)
     check = dyson.check_dyson_inequality(pot, sp, a_n)
+    int_ok = abs(check["int_UR"] - 4.0 * np.pi) < 1e-12
     ineq_ok = check["passed"] and check["min_eig"] >= -check["slack"]
 
     problem = gp.harmonic_problem(dim=2, n=32, length=12.0)

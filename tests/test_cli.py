@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import importlib
@@ -604,8 +605,8 @@ _FAILURES = [
      lambda f: lambda pot, n_steps=20000: f(pot, n_steps) + 1e-6 * (n_steps == 10000)),
     (_DYSON_SMALL, "dyson_passed", "dyson.check_dyson_inequality",
      _then(lambda check: {**check, "passed": False})),
-    (_DYSON_SMALL, "int_UR", "dyson.SoftPotentials.int_UR",
-     lambda p: property(lambda sp: 1.1 * p.fget(sp))),
+    (_DYSON_SMALL, "int_UR", "dyson.check_dyson_inequality",
+     _then(lambda check: {**check, "int_UR": 1.1 * check["int_UR"]})),
     (_DYSON_SMALL, "slope", "dyson.verify_wr_scaling",
      _then(lambda scaling: {**scaling, "slope": 1.0})),
     (_DYSON_SMALL, "e_spectrum", "dyson.build_K0",
@@ -632,6 +633,24 @@ def test_failed_verdict_exits_1_and_names_itself(tmp_path, monkeypatch,
     assert run([*argv, "--out", str(tmp_path)]) == 1
     res = json.loads((tmp_path / "results.json").read_text())
     assert [name for name, ok in res["verdicts"].items() if not ok] == [verdict]
+
+
+def test_default_dyson_check_assembles_at_most_1000_nodes_per_channel(tmp_path, monkeypatch):
+    # a cost guard: the Gauss nodes at which each channel's modes are built,
+    # 757 at the defaults, where the basis has K = 350 modes
+    from rotogp import dyson
+
+    nodes = collections.Counter()
+
+    class Counting(dyson.BesselChannel):
+        def __call__(self, r):
+            nodes[self.ell] += np.size(r)
+            return super().__call__(r)
+
+    monkeypatch.setattr(dyson, "BesselChannel", Counting)
+    assert run([*_DYSON_SMALL, "--out", str(tmp_path)]) == 0
+    assert sorted(nodes) == [0, 1, 2]
+    assert max(nodes.values()) <= 1000
 
 
 def test_failed_scan_point_exits_1(tmp_path, monkeypatch):

@@ -16,8 +16,8 @@ from rotogp.dyson import (
     _windowed_extremes,
 )
 from rotogp.gp import harmonic_problem
-from rotogp.quadrature import bessel_zeros, gauss_legendre
-from rotogp.scattering import RadialPotential, scattering_length, square_barrier
+from rotogp.quadrature import BesselChannel, bessel_zeros, gauss_legendre
+from rotogp.scattering import RadialPotential, from_samples, scattering_length, square_barrier
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +60,11 @@ def test_cutoff_plateaus_and_monotone():
 
 
 def test_hat_potential_integral_exact(soft):
-    # 6 R^{-3} * (4 pi / 3)(R^3 - R^3/2) = 4 pi
-    assert soft.int_UR == 4.0 * np.pi
+    # 6 R^{-3} * (4 pi / 3)(R^3 - R^3/2) = 4 pi; the inequality's Gauss
+    # nodes on the shell integrate the hat's r^2 exactly, up to rounding
+    v0 = RadialPotential(rrange=0.125, func=lambda r: np.zeros_like(r))
+    int_UR = check_dyson_inequality(v0, soft, 0.0, ell_list=(0,), basis_sizes=(20,))["int_UR"]
+    assert int_UR == pytest.approx(4.0 * np.pi, rel=1e-14, abs=0.0)
     assert soft.UR_height == 6.0 / 0.35**3
     r = np.linspace(0, 1, 2001)
     vals = soft.UR(r)
@@ -298,21 +301,67 @@ def test_h_radial_matches_sinc_form(s):
         assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_nested_galerkin_blocks_match_one_solve_per_size(soft):
+@pytest.fixture
+def recorded(monkeypatch):
+    """(kin_mult, pieces, matrix) of each channel matrix dyson builds."""
+    calls = []
+
+    class Recorder(BesselChannel):
+        def matrix(self, kin_mult, pieces):
+            calls.append((kin_mult, pieces, super().matrix(kin_mult, pieces)))
+            return calls[-1][2]
+
+    monkeypatch.setattr(dyson, "BesselChannel", Recorder)
+    return calls
+
+
+def test_nested_galerkin_blocks_match_one_solve_per_size(soft, recorded):
     v_n = square_barrier(1.0, 50.0).scaled(4)
     a_n = scattering_length(v_n)
     sizes = (90, 120, 60)  # unsorted, the largest in the middle
     nested = check_dyson_inequality(v_n, soft, a_n, ell_list=(0, 1), basis_sizes=sizes)
+    kin, pieces, _ = recorded[0]
     for ell in (0, 1):
         for K, lam in zip(sizes, nested["channels"][ell]):
-            single = check_dyson_inequality(
-                v_n, soft, a_n, ell_list=(ell,), basis_sizes=(K,)
-            )["channels"][ell][0]
+            # a K-mode basis built alone on the same Gauss pieces
+            single = np.linalg.eigvalsh(BesselChannel(ell, K, 14.0).matrix(kin, pieces))[0]
             assert lam == pytest.approx(single, rel=1e-12, abs=0.0)
     # the table keeps the caller's order, and the minima fall as K grows
     lam90, lam120, lam60 = nested["channels"][0]
     assert lam120 <= lam90 <= lam60
     assert nested["min_eig"] == min(nested["channels"][ell][-1] for ell in (0, 1))
+
+
+def test_potential_past_the_ball_gives_the_matrix_of_its_clipped_copy(soft, recorded):
+    # dyson-check --N 0.05: the barrier's range 20 reaches past the ball of
+    # radius 14, where the modes end
+    far = square_barrier(1.0, 4.0e4).scaled(0.05)
+    clipped = RadialPotential(rrange=14.0, func=far.func)
+    a_n = scattering_length(far)
+    for v in (far, clipped):
+        check_dyson_inequality(v, soft, a_n, ell_list=(0, 1), basis_sizes=(60, 120))
+    H = [h for _, _, h in recorded]
+    assert len(H) == 4
+    assert np.array_equal(H[0], H[2]) and np.array_equal(H[1], H[3])
+
+
+@pytest.mark.parametrize("pot", [
+    square_barrier(1.0, 4.0e4).scaled(8.0),
+    # a piecewise-linear barrier as `--potential file` reads it, kinked at
+    # each sample radius
+    from_samples([0.0, 0.2, 0.5, 0.8, 1.0], [3e4, 4e4, 2e4, 4e4, 1e4]).scaled(8.0),
+], ids=["default", "file"])
+def test_channel_minima_converge_in_the_gauss_nodes(soft, pot):
+    a_n = scattering_length(pot)
+    rule, minima = dyson.gauss_pieces, []
+    for m in (1, 2, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dyson, "gauss_pieces",
+                       lambda *a: [(lo, hi, m * n, f) for lo, hi, n, f in rule(*a)])
+            channels = check_dyson_inequality(pot, soft, a_n)["channels"]
+        minima.append(np.array([channels[ell] for ell in (0, 1, 2)]))
+    assert np.max(np.abs(minima[1] - minima[0])) <= 1e-10
+    assert np.max(np.abs(minima[2] - minima[0])) <= 1e-10
 
 
 def _captured_operators(monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from scipy import special
 
 from rotogp import dyson, heatkernel, quadrature
-from rotogp.quadrature import BesselChannel, bessel_zeros, gauss_legendre, integrate
+from rotogp.quadrature import (BesselChannel, bessel_zeros, gauss_legendre, gauss_pieces,
+                               integrate, weighted_nodes)
 from rotogp.scattering import scattering_length, square_barrier
 
 
@@ -64,10 +65,22 @@ def test_channel_matrix_is_orthonormal_and_nested(ell):
     assert np.max(np.abs(coef - np.eye(K)[4])) < 1e-12
 
 
+def test_gauss_pieces_put_two_nodes_per_half_wave_of_mode_K():
+    pieces = gauss_pieces((0.0, 1.5, 7.0, 10.0), np.cos, 100, 10.0)
+    assert [(lo, hi, n) for lo, hi, n, _ in pieces] == [
+        (0.0, 1.5, 46), (1.5, 7.0, 126), (7.0, 10.0, 76)]
+    assert all(func is np.cos for *_, func in pieces)
+    # the weights integrate func r^2 over the piece
+    r, wq = weighted_nodes(1.5, 7.0, 126, np.ones_like)
+    assert np.all((r > 1.5) & (r < 7.0))
+    assert wq.sum() == pytest.approx((7.0**3 - 1.5**3) / 3.0, rel=1e-14, abs=0.0)
+
+
 @pytest.fixture(scope="module")
 def dyson_pieces():
     """Kinetic multiplier and Gauss pieces of check_dyson_inequality at the
-    dyson-check defaults: 600, 200 and 2400 nodes on the ball of radius 14."""
+    dyson-check defaults: int(2K(hi - lo)/L) + 16 nodes per piece for K = 350
+    on the ball of radius L = 14, that is 22, 19 and 716."""
     seen = []
 
     class Recorder(BesselChannel):
@@ -81,9 +94,11 @@ def dyson_pieces():
         mp.setattr(dyson, "BesselChannel", Recorder)
         dyson.check_dyson_inequality(pot, sp, scattering_length(pot))
     kin, pieces = seen[0]
-    # the w_R piece spans the whole ball
-    assert [(n, hi) for _, hi, n, _ in pieces][1:] == [(200, 0.35), (2400, 14.0)]
-    assert pieces[0][2] == 600
+    # v/2 on its range 1/8, the U_R shell, and the w_R piece on the whole ball
+    assert [(lo, hi) for lo, hi, _, _ in pieces] == [
+        (0.0, 0.125), (2.0 ** (-1.0 / 3.0) * 0.35, 0.35), (0.0, 14.0)]
+    assert [n for _, _, n, _ in pieces] == [22, 19, 716]
+    assert all(n == int(2 * 350 * (hi - lo) / 14.0) + 16 for lo, hi, n, _ in pieces)
     return kin, pieces
 
 
@@ -185,8 +200,8 @@ def test_channel_zero_matches_spherical_bessel():
 
 
 def test_channel_assembly_memory_is_bounded_by_node_blocks(dyson_pieces):
-    # a whole-piece table of 350 modes at 2400 nodes is 6.7 MB alone; the
-    # assembler without node blocks peaks near 29 MB, with them near 7.1 MB
+    # a whole-piece table of 350 modes at 716 nodes is 2.0 MB alone; the
+    # assembler without node blocks peaks near 11.6 MB, with them near 4.8 MB
     kin, pieces = dyson_pieces
     ch = BesselChannel(1, 350, 14.0)
     for _, _, n_quad, _ in pieces:

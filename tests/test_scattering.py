@@ -147,3 +147,10 @@ def test_from_samples_rejects_non_finite_or_negative(bad):
     w[10:20] = bad
     with pytest.raises(ValueError):
         from_samples(r, w)
+
+
+def test_knots_follow_the_samples_and_the_scaling():
+    pot = from_samples([0.5, 1.0, 2.0], [3.0, 1.0, 2.0])
+    assert pot.knots == (0.5, 1.0, 2.0)
+    assert pot.scaled(4.0).knots == (0.125, 0.25, 0.5)
+    assert square_barrier(1.0, 2.0).scaled(4.0).knots == ()
