@@ -381,10 +381,10 @@ def cmd_heat_bound(cfg, out):
         raise ValueError("need --dim 1 or 3, --alpha > 0 and --s >= 0")
     if tokens == ["harmonic"]:
         V = heatkernel.harmonic_potential()
-    elif tokens[:1] == ["log"] and len(tokens) in (2, 3):
-        V = heatkernel.log_potential(*map(float, tokens[1:]))
+    elif tokens[:1] == ["log"] and len(tokens) == 2:
+        V = heatkernel.log_potential(float(tokens[1]))
     else:
-        raise ValueError("V must be 'harmonic' or 'log C1 [C2]'")
+        raise ValueError("V must be 'harmonic' or 'log C1'")
     xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
     brute, modes, drift = heatkernel.brute_diag(V, alpha, xs, d=d)
     bound, bound_error = heatkernel.diag_bound(V, alpha, xs, d=d)
@@ -443,7 +443,7 @@ _FLAG_OVERRIDES = {
     "potential": {"nargs": "+", "help": "hardcore R0 | square R0 W0 | file <path.npy>"},
     "scale": {"type": float, "help": "evaluate w_N(r) = N^2 w(N r)"},
     "e": {"type": float, "nargs": "+"},
-    "V": {"help": "harmonic | log C1 [C2]"},
+    "V": {"help": "harmonic | log C1"},
 }
 
 

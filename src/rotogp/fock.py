@@ -178,28 +178,37 @@ def ground_state(H, basis: SectorBasis, total: int):
     return e0, vec
 
 
+# the identity and the Pauli matrices: rho = sum_a m_a sigma_a / 2, m = (1, n)
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
 def hartree_minimum(e, W):
-    """min over unit vectors of sum e|c|^2 + sum W_ijkl conj(c_i c_j) c_k c_l,
-    best of 24 seeded Nelder-Mead starts."""
-    from scipy import optimize  # only here: no subcommand loads it
-    e, W = np.asarray(e, dtype=float), np.asarray(W)
-    J = e.size
+    """min over unit c in C^2 of sum e|c|^2 + sum W_ijkl conj(c_i c_j) c_k c_l,
+    and a minimizer c.
 
-    def fun(x):
-        c = x[:J] + 1j * x[J:]
-        nc = np.linalg.norm(c)
-        if nc < 1e-12:
-            return 1e6
-        c = c / nc
-        quart = np.einsum("ijkl,i,j,k,l->", W, np.conj(c), np.conj(c), c, c)
-        return float(e @ np.abs(c) ** 2) + float(quart.real)
-
-    rng = np.random.default_rng(0)
-    best = min((optimize.minimize(fun, rng.standard_normal(2 * J), method="Nelder-Mead",
-                                  options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 6000})
-                for _ in range(24)), key=lambda res: res.fun)  # the first of equal minima
-    c = best.x[:J] + 1j * best.x[J:]
-    return float(best.fun), c / np.linalg.norm(c)
+    With rho = c c^+ = (1 + n.sigma)/2 the energy is E0 + 2 b.n + n.Q n on
+    the unit (Bloch) sphere.  Its minimum is at n = -(Q - lam)^-1 b, with
+    lam < lambda_min(Q) the root of |n| = 1; |n| rises with lam, so bisection
+    finds it.  Where b is orthogonal to Q's lowest eigenvector (the hard
+    case), |n| stays below 1 and that eigenvector makes up the rest.
+    """
+    e = np.asarray(e, dtype=float)
+    if e.size != 2:
+        raise ValueError("the closed-form Hartree minimum needs J = 2 modes")
+    # with tr rho = 1, sum e_j rho_jj = sum e_j rho_jj rho_ii: the energy is
+    # sum W1_ijkl rho_ki rho_lj, a quadratic form m.A m in m = (1, n)
+    W1 = np.asarray(W) + np.einsum("ik,jl,j->ijkl", np.eye(2), np.eye(2), e)
+    A = np.einsum("ijkl,aki,blj->ab", W1, _PAULI, _PAULI).real
+    A = (A + A.T) / 8
+    b, (q, V) = A[0, 1:], np.linalg.eigh(A[1:, 1:])
+    beta = V.T @ b
+    lo, hi = q[0] - np.linalg.norm(b), q[0]  # |n(lo)| <= 1
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # down to adjacent floats
+        lo, hi = (mid, hi) if np.sum((beta / (q - mid)) ** 2) <= 1.0 else (lo, mid)
+    n = np.divide(-beta, q - lo, out=np.zeros(3), where=q > lo)
+    n[0] = np.copysign(np.sqrt(max(1.0 - n[1:] @ n[1:], 0.0)), n[0])  # |n| = 1, hard case too
+    c = np.linalg.eigh(np.tensordot(np.r_[1.0, V @ n], _PAULI, 1))[1][:, -1]
+    return float(np.einsum("ijkl,i,j,k,l->", W1, np.conj(c), np.conj(c), c, c).real), c
 
 
 def pair_interaction_tensor(u, g=1.0):

@@ -43,10 +43,10 @@ def harmonic_potential():
     return lambda x: x**2
 
 
-def log_potential(C1: float, C2: float = 0.0):
-    """C1 log(1 + |x|), of the log class V(x) >= C1 ln|x| - C2 for |x| >= 1."""
-    if not (0 < C1 < np.inf and np.isfinite(C2)):
-        raise ValueError("need a finite log growth constant C1 > 0 and a finite C2")
+def log_potential(C1: float):
+    """C1 log(1 + |x|) >= C1 ln|x|: the log class V >= C1 ln|x| - C2 with C2 = 0."""
+    if not 0 < C1 < np.inf:
+        raise ValueError("need a finite log growth constant C1 > 0")
     return lambda x: C1 * np.log1p(np.abs(x))
 
 

@@ -132,7 +132,9 @@ def _spherical_jn_pair(ell, x):
 
 
 def bessel_zeros(ell, count):
-    """First `count` positive zeros of the spherical Bessel function j_ell."""
+    """First `count` positive zeros of j_ell; for ell = 0, k pi in closed form."""
+    if ell == 0:
+        return np.pi * np.arange(1, count + 1)
     # j_ell > 0 on (0, first zero), and the count-th zero lies below
     # (count + ell/2) pi: one scan brackets every zero, the secant through
     # each bracket starts Newton steps with j_ell' = (ell/x) j_ell - j_{ell+1}
@@ -146,10 +148,6 @@ def bessel_zeros(ell, count):
     return z
 
 
-# channel 0 builds sin(k theta) by angle addition over k = a _STRIDE + b
-_STRIDE = 32
-
-
 class BesselChannel:
     """The first K Dirichlet modes of angular channel ell on the ball of radius L.
 
@@ -161,31 +159,16 @@ class BesselChannel:
     """
 
     def __init__(self, ell, K, L):
-        self.ell, self.L = ell, L
-        if ell == 0:
-            self.p = np.pi * np.arange(1, K + 1) / L
-        else:
-            alph = bessel_zeros(ell, K)
-            self.p = alph / L
-            self.norms = np.sqrt(L**3 / 2.0) * np.abs(_spherical_jn_pair(ell, alph)[1])
+        self.ell = ell
+        alph = bessel_zeros(ell, K)
+        self.p = alph / L
+        self.norms = np.sqrt(L**3 / 2.0) * np.abs(_spherical_jn_pair(ell, alph)[1])
 
     def __call__(self, r):
-        """Mode values at radii r, shape (K, r.size)."""
-        r = np.asarray(r, dtype=float)
-        if self.ell > 0:
-            modes = _spherical_jn_pair(self.ell, np.multiply.outer(self.p, r))[0]
-            return modes / self.norms[:, None]
-        # sin(k theta) = sin(a m theta) cos(b theta) + cos(a m theta) sin(b theta):
-        # 2 (K/m + m) sines and cosines per radius, and a mode's values do not
-        # depend on K, so a smaller basis is a leading block
-        K, theta = self.p.size, (np.pi / self.L) * r
-        a = np.multiply.outer(_STRIDE * np.arange(K // _STRIDE + 1), theta)
-        b = np.multiply.outer(np.arange(_STRIDE), theta)
-        sines = np.sin(a)[:, None] * np.cos(b) + np.cos(a)[:, None] * np.sin(b)
-        with np.errstate(invalid="ignore"):
-            modes = sines.reshape(-1, r.size)[1:K + 1] / r
-        modes[:, r == 0] = self.p[:, None]  # the limit of sin(p_k r) / r
-        return np.sqrt(2.0 / self.L) * modes
+        """Mode values at radii r, shape (K, r.size).  A mode's values do not
+        depend on K, so a smaller basis is a leading block."""
+        x = np.multiply.outer(self.p, np.asarray(r, dtype=float))
+        return _spherical_jn_pair(self.ell, x)[0] / self.norms[:, None]
 
     def _nodes(self, pieces):
         # pieces: (r_lo, r_hi, n_quad, func) Gauss-Legendre segments, each

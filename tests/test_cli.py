@@ -1,3 +1,4 @@
+import ast
 import collections
 import dataclasses
 import functools
@@ -278,6 +279,12 @@ class TestHeatBound:
         res = json.loads((tmp_path / "results.json").read_text())
         assert res["converged"] is False
         assert res["max_violation"] < 0
+
+    def test_log_takes_one_constant(self, tmp_path, capsys):
+        # C1 log(1 + |x|) has no second constant: a third token is refused
+        assert run(["heat-bound", "--V", "log", "2.0", "5.0", "--out", str(tmp_path)]) == 2
+        assert "log C1" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_reports_oracle_resolution(self, tmp_path, dim):
@@ -716,9 +723,27 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.o
 """
 
 
+def test_no_module_imports_optimize_integrate_or_numba():
+    # a static scan of every import statement, so that a function-local
+    # import that no subcommand reaches is caught too
+    banned = ("scipy.optimize", "scipy.integrate", "numba")
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "rotogp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert found == []
+
+
 def test_certify_path_imports_no_integrate_or_optimize(tmp_path):
-    # heat-bound integrates with quadrature.integrate; only hartree_minimum,
-    # which no subcommand calls, imports scipy.optimize
+    # heat-bound integrates with quadrature.integrate and fock minimizes in
+    # closed form: no module imports scipy.optimize or scipy.integrate
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _CERTIFY_PATH, str(tmp_path)],

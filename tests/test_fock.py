@@ -268,6 +268,61 @@ def test_hartree_convergence_from_above_sector_sweep():
     assert gaps[-1] < 0.1 * e_h
 
 
+def _hartree_energy(e, W, c):
+    """sum e|c|^2 + sum W_ijkl conj(c_i c_j) c_k c_l, c of shape (2, ...)."""
+    quart = np.einsum("ijkl,i...,j...,k...,l...->...", W, np.conj(c), np.conj(c), c, c)
+    return np.einsum("j,j...->...", e, np.abs(c) ** 2) + quart.real
+
+
+def _random_two_mode_model(seed):
+    # a complex W with the i <-> j and k <-> l symmetries, made hermitian
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4)
+    S = X + X.transpose(1, 0, 2, 3)
+    S = S + S.transpose(0, 1, 3, 2)
+    mb = ModeBasis(e=np.sort(rng.uniform(0.2, 2.0, 2)),
+                   W=0.1 * (S + np.conj(S.transpose(2, 3, 0, 1))))
+    return mb.e, mb.W
+
+
+_HARTREE_MODELS = [(np.array([0.5, 1.5]), pair_interaction_tensor([[1.0, 0.3], [0.3, 0.8]], 0.4)),
+                   *(_random_two_mode_model(seed) for seed in range(5))]
+
+
+@pytest.mark.parametrize("e, W", _HARTREE_MODELS, ids=["criterion-8", *map(str, range(5))])
+def test_hartree_minimum_lies_below_a_dense_bloch_grid(e, W):
+    e_h, c = hartree_minimum(e, W)
+    assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-15)
+    assert _hartree_energy(e, W, c) == pytest.approx(e_h, abs=1e-14)
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, 401), np.linspace(0.0, 2 * np.pi, 400))
+    c_grid = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    grid = _hartree_energy(e, W, c_grid)
+    assert grid.min() >= e_h - 1e-14
+    assert grid.min() - e_h < 1e-4
+
+
+def test_hartree_minimum_hard_case():
+    # u diagonal: the energy 1.1 - 0.1 z + 0.25 (0.6 + 0.4 z)^2 depends on
+    # the Bloch vector's z alone, so Q's lowest eigenvectors (x and y) are
+    # orthogonal to b; its minimum, z = -1/4 inside the sphere, is 1.1875
+    e_h, c = hartree_minimum([1.0, 1.2], pair_interaction_tensor(np.diag([1.0, 0.2]), 0.25))
+    assert e_h == pytest.approx(1.1875, abs=1e-14)
+    assert abs(c[0]) ** 2 - abs(c[1]) ** 2 == pytest.approx(-0.25, abs=1e-12)
+
+
+def test_hartree_minimum_is_phase_invariant_and_takes_two_modes():
+    e, W = _HARTREE_MODELS[1]
+    e_h, c = hartree_minimum(e, W)
+    # a global phase of c leaves its energy, and a phase of one mode
+    # (W_ijkl times its phases at i, j over those at k, l) the minimum
+    assert _hartree_energy(e, W, np.exp(0.7j) * c) == pytest.approx(e_h, abs=1e-14)
+    u = np.exp(1j * np.array([0.0, 1.3]))
+    rephased = W * np.einsum("i,j,k,l->ijkl", u, u, u.conj(), u.conj())
+    assert hartree_minimum(e, rephased)[0] == pytest.approx(e_h, abs=1e-14)
+    with pytest.raises(ValueError, match="J = 2"):
+        hartree_minimum(np.ones(3), np.zeros((3,) * 4))
+
+
 def test_coherent_state_properties():
     z = 0.8
     cs = coherent_state(z, 12)

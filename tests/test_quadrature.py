@@ -49,6 +49,29 @@ def test_channel_zero_is_the_sine_basis():
     assert np.max(np.abs(r * ch(r) - sines)) < 1e-13
 
 
+@pytest.mark.parametrize("K, L, r", [
+    # p_k r < 1 for every mode: the kernel's power series
+    (40, 7.5, np.geomspace(1e-12, 7.5 / (40 * np.pi), 50)),
+    # r = L / m, m odd, puts p_k r on odd multiples of pi for k = m, 3m, ...,
+    # where tan(x/2) blows up
+    (40, 7.5, 7.5 / np.arange(1, 40, 2)),
+    # the d = 1 oracle's cap, K = 1000 on L = 60
+    (1000, 60.0, np.linspace(0.0, 60.0, 1201)),
+], ids=["series", "odd-zeros", "oracle-cap"])
+def test_channel_zero_edge_cases(K, L, r):
+    sines = np.sqrt(2.0 / L) * np.sin(np.multiply.outer(np.arange(1, K + 1) * np.pi / L, r))
+    assert np.max(np.abs(r * BesselChannel(0, K, L)(r) - sines)) < 1e-13
+
+
+def test_channel_zero_has_exact_zeros_and_nested_modes():
+    # r = 0 is checked against the limit sqrt(2/L) p_k in
+    # test_channel_zero_matches_spherical_bessel
+    L, K = 60.0, 1000
+    assert np.array_equal(bessel_zeros(0, K), np.pi * np.arange(1, K + 1))
+    r = np.linspace(0.0, L, 257)
+    assert np.array_equal(BesselChannel(0, 37, L)(r), BesselChannel(0, K, L)(r)[:37])
+
+
 @pytest.mark.parametrize("ell", [0, 2, 9])
 def test_channel_matrix_is_orthonormal_and_nested(ell):
     # a constant potential c adds c times the identity; the split is exact
