@@ -10,6 +10,14 @@ Since A_i never depends on x_i, the gauge kinetic operator splits exactly
 into sum_i (-i d_i + A_i)^2, each term the multiplier (k_i + A_i)^2 of the
 1D transform along axis i.  Each Grid caches its wavenumber grids
 (read-only) and each GaugeField builds its multipliers once.
+
+apply_gauge_kinetic is the GP solver's hot path, so it works in place: each
+axis's transform is multiplied and inverted in its own buffer, and the
+terms are summed with += from the first axis on.  That is bitwise the sum
+of the separate expressions: a real-times-complex product only swaps its
+factors, which IEEE multiplication commutes, and += adds the same operands
+in the same order (sum()'s leading 0 is gone; it could only turn a -0.0
+into +0.0).  The GP solver's iterates depend on that: see gp.
 """
 
 import json
@@ -161,8 +169,15 @@ def apply_gauge_kinetic(phi: ComplexField, A: GaugeField) -> ComplexField:
     """(-i grad + A)^2 phi = sum_i ifft_i((k_i + A_i)^2 fft_i(phi)): dim 1D
     transform pairs, about two n-D transforms, a bare Laplacian's cost at Omega = 0."""
     _check_same_grid(phi, A)
-    out = sum(np.fft.ifft(sym * np.fft.fft(phi.values, axis=ax), axis=ax)
-              for ax, sym in enumerate(A.symbols))
+    out = None
+    for ax, sym in enumerate(A.symbols):
+        term = np.fft.fft(phi.values, axis=ax)
+        term *= sym
+        np.fft.ifft(term, axis=ax, out=term)
+        if out is None:
+            out = term
+        else:
+            out += term
     return ComplexField(phi.grid, out)
 
 

@@ -127,7 +127,9 @@ def _two_body(mb: ModeBasis, basis: SectorBasis):
     p = (k <= l), from sector N into sector N - 2; Wp[q, p] sums W over the
     orderings of both pairs, which is exact because a_k a_l = a_l a_k.
     (Wp x Id) B is formed directly from B's entries, never as a Kronecker
-    product.
+    product.  B is real, so B^H = B^T, built as CSR with the source states
+    as rows: the product is CSR x CSR and the larger (Wp x Id) B is never
+    converted to another format.
     """
     J, n, N = mb.modes, len(basis), basis.total
     if N < 2:  # no pair to lower
@@ -145,14 +147,14 @@ def _two_body(mb: ModeBasis, basis: SectorBasis):
     fold[kk * J + ll, pairs] = 1.0
     fold[ll * J + kk, pairs] = 1.0
     Wp = fold.T @ mb.W.reshape(J * J, J * J) @ fold
-    B = sparse.csr_matrix((amp, (pair * m + tgt, src)), shape=(kk.size * m, n))
+    BT = sparse.csr_matrix((amp, (src, pair * m + tgt)), shape=(n, kk.size * m))
     rows = pairs[:, None] * m + tgt[None, :]
     vals = Wp[:, pair] * amp[None, :]
     WB = sparse.csr_matrix(
         (vals.ravel(), (rows.ravel(), np.broadcast_to(src, rows.shape).ravel())),
-        shape=B.shape,
+        shape=BT.shape[::-1],
     )
-    return B.T @ WB
+    return BT @ WB
 
 
 def build_hamiltonian(mb: ModeBasis, basis: SectorBasis):
@@ -170,7 +172,7 @@ def ground_state(H, basis: SectorBasis, total: int):
         w, v = np.linalg.eigh(H.toarray())
     else:  # seeded start vector: repeated solves agree bitwise
         v0 = np.random.default_rng(0).standard_normal(n)
-        w, v = eigsh(H.tocsc(), k=1, which="SA", v0=v0)
+        w, v = eigsh(H, k=1, which="SA", v0=v0)
     e0, vec = float(w[0]), v[:, 0]
     resid = np.linalg.norm(H @ vec - e0 * vec)
     if resid > 1e-10 * max(1.0, abs(e0)):

@@ -12,6 +12,22 @@ and an energy-monotone secant line search; its fixed points are exactly
 the solutions of the GP equation.  Each line-search trial costs one
 operator apply: its gradient g gives its energy as
 Re<phi, g> - 4 pi a int|phi|^4, and an accepted trial's g is reused.
+
+The CG loop writes in place wherever it can, and keeps every floating-point
+operation's operands and order, so its iterates are bitwise those of the
+plain expressions (tests/test_gp_inplace.py keeps them as references):
+    - gp_gradient adds V phi, then 8 pi a |phi|^2 phi (the product written
+      as before), to the kinetic term with +=;
+    - the preconditioner forms z = D r, then applies fftn, *= (1 + k^2)^{-1},
+      ifftn and *= D to z itself (a real-times-complex product commutes);
+    - beta (d - c vals) - z is d -= c vals, d *= beta, d -= z; vals + t d
+      is trial = t d, trial += vals; the residual r_t = g_t - c trial is
+      subtracted in g_t's own array, which is not read again.
+Nothing is reassociated or fused, and |phi|^2 and |phi|^4 are computed
+apart: a rounding-level change has moved the 64^2 vortex-pair solve between
+376 and 316 iterations.  Every operator apply still goes through
+gp_gradient -> apply_gauge_kinetic, and each iteration makes one fftn and
+one ifftn call.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -115,8 +131,8 @@ def gp_gradient(p: GpProblem, phi: ComplexField) -> ComplexField:
     if phi.grid != p.grid:
         raise GridMismatchError("field grid does not match problem grid")
     out = apply_gauge_kinetic(phi, p.gauge).values
-    out = out + p.potential * phi.values
-    out = out + 8.0 * np.pi * p.a * np.abs(phi.values) ** 2 * phi.values
+    out += p.potential * phi.values
+    out += 8.0 * np.pi * p.a * np.abs(phi.values) ** 2 * phi.values
     return ComplexField(p.grid, out)
 
 
@@ -163,6 +179,16 @@ def _precond_weight(p: GpProblem, vals):
     return 1.0 / np.sqrt(1.0 + p.potential + 8.0 * np.pi * p.a * np.abs(vals) ** 2)
 
 
+def _precondition(r, dw, kp):
+    """z = D (1 - Lap)^{-1} D r in one fftn and one ifftn, both in place."""
+    z = dw * r
+    np.fft.fftn(z, out=z)
+    z *= kp
+    np.fft.ifftn(z, out=z)
+    z *= dw
+    return z
+
+
 def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     """Preconditioned nonlinear CG (Polak-Ribiere+) on the unit sphere.
 
@@ -186,20 +212,23 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
             break
         if (it - 1) % _REBUILD == 0:
             dw, rz_old = _precond_weight(p, vals), None
-        z = dw * np.fft.ifftn(kp * np.fft.fftn(dw * r))
+        z = _precondition(r, dw, kp)
         z -= w * np.vdot(vals, z).real * vals
         rz = w * np.vdot(r, z).real
         if rz_old is None:
             d = -z
         else:
             beta = max(0.0, (rz - w * np.vdot(r_old, z).real) / rz_old)
-            d = beta * (d - w * np.vdot(vals, d).real * vals) - z
+            d -= w * np.vdot(vals, d).real * vals
+            d *= beta
+            d -= z
         slope = 2.0 * w * np.vdot(r, d).real
         if slope >= 0.0:  # not a descent direction: restart
             d, slope = -z, -2.0 * rz
         r_old, rz_old = r, rz
         while t > 1e-12:
-            trial = vals + t * d
+            trial = t * d
+            trial += vals
             # a finite, positive sum of squares means every entry is finite
             norm_sq = w * np.sum(np.abs(trial) ** 2)
             if not (np.isfinite(norm_sq) and norm_sq > 0.0):
@@ -209,7 +238,8 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
             evals += 1
             if not np.isfinite(e_t):
                 return vals, it, evals, "non_finite"
-            r_t = g_t - w * np.vdot(trial, g_t).real * trial
+            r_t = g_t
+            r_t -= w * np.vdot(trial, g_t).real * trial
             s_t = 2.0 * w * np.vdot(r_t, d).real
             root = t * slope / (slope - s_t) if s_t > slope else np.inf
             if e_t <= energy + _SLACK * max(1.0, abs(energy)):

@@ -163,14 +163,16 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
         span = 12.0 * np.sqrt(alpha)
         y = np.arange(-y_max, y_max + dy / 2, dy)
         ev = np.exp(-alpha * V(y))
-        off = np.arange(-int(np.ceil(span / dy)), int(np.ceil(span / dy)) + 1)
-        hv = h_alpha(np.abs(off) * dy, alpha, d=1)
+        half = int(np.ceil(span / dy))
+        # h_alpha is even: evaluate the offsets 0..half and mirror them
+        hv = h_alpha(np.arange(half + 1) * dy, alpha, d=1)
+        hv = np.concatenate([hv[:0:-1], hv])
         # convolve only ev's nonzero run: outside it e^{-alpha V} underflows
         # to exactly 0, and conv reaches one kernel half-width past its ends
         live = np.flatnonzero(ev)
         conv = np.zeros(y.size)
         if live.size:
-            lo, hi, half = live[0], live[-1] + 1, off[-1]
+            lo, hi = live[0], live[-1] + 1
             part = np.convolve(ev[lo:hi], hv) * dy
             a, b = max(lo - half, 0), min(hi + half, y.size)
             conv[a:b] = part[a - lo + half : b - lo + half]

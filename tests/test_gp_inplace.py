@@ -1,0 +1,183 @@
+"""The GP hot path in place: bitwise the old expressions, the same call boundary.
+
+apply_gauge_kinetic, gp_gradient and the CG loop write into arrays they
+own instead of allocating a temporary per operation.  Every floating-point
+operation keeps its operands and its order; a product of a real and a
+complex array at most swaps its two factors, which IEEE multiplication
+commutes.  So the results must be equal, not close: the references below
+are the expressions the code used before, kept verbatim and compared with
+np.array_equal.  A reassociated sum or a shared |phi| would fail here; a
+rounding-level change has moved the vortex-pair solve between 376 and 316
+CG iterations.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from rotogp import gp
+from rotogp.fields import ComplexField, apply_gauge_kinetic, gaussian_field, inner, norm4_pow4
+
+
+# -- the expressions before the in-place rewrite -----------------------------
+
+def _gauge_kinetic_reference(vals, A):
+    return sum(np.fft.ifft(sym * np.fft.fft(vals, axis=ax), axis=ax)
+               for ax, sym in enumerate(A.symbols))
+
+
+def _gradient_reference(p, vals):
+    out = _gauge_kinetic_reference(vals, p.gauge)
+    out = out + p.potential * vals
+    out = out + 8.0 * np.pi * p.a * np.abs(vals) ** 2 * vals
+    return out
+
+
+def _gradient_energy_reference(p, vals):
+    f = ComplexField(p.grid, vals)
+    g = ComplexField(p.grid, _gradient_reference(p, vals))
+    return g.values, inner(f, g).real - 4.0 * np.pi * p.a * norm4_pow4(f)
+
+
+def _precondition_reference(r, dw, kp):
+    return dw * np.fft.ifftn(kp * np.fft.fftn(dw * r))
+
+
+def _conjugate_gradient_reference(p, vals, opts):
+    w = p.grid.spacing**p.grid.dim
+    kp = 1.0 / (1.0 + p.grid.ksq())
+    g, energy = _gradient_energy_reference(p, vals)
+    r = g - w * np.vdot(vals, g).real * vals
+    evals, t, it = 1, gp._FIRST_STEP, 0
+    while it < opts.max_iter:
+        it += 1
+        if np.sqrt(w * np.vdot(r, r).real) <= opts.tol:
+            break
+        if (it - 1) % gp._REBUILD == 0:
+            dw, rz_old = gp._precond_weight(p, vals), None
+        z = _precondition_reference(r, dw, kp)
+        z -= w * np.vdot(vals, z).real * vals
+        rz = w * np.vdot(r, z).real
+        if rz_old is None:
+            d = -z
+        else:
+            beta = max(0.0, (rz - w * np.vdot(r_old, z).real) / rz_old)
+            d = beta * (d - w * np.vdot(vals, d).real * vals) - z
+        slope = 2.0 * w * np.vdot(r, d).real
+        if slope >= 0.0:
+            d, slope = -z, -2.0 * rz
+        r_old, rz_old = r, rz
+        while t > 1e-12:
+            trial = vals + t * d
+            norm_sq = w * np.sum(np.abs(trial) ** 2)
+            if not (np.isfinite(norm_sq) and norm_sq > 0.0):
+                return vals, it, evals, "non_finite"
+            trial /= np.sqrt(norm_sq)
+            g_t, e_t = _gradient_energy_reference(p, trial)
+            evals += 1
+            if not np.isfinite(e_t):
+                return vals, it, evals, "non_finite"
+            r_t = g_t - w * np.vdot(trial, g_t).real * trial
+            s_t = 2.0 * w * np.vdot(r_t, d).real
+            root = t * slope / (slope - s_t) if s_t > slope else np.inf
+            if e_t <= energy + gp._SLACK * max(1.0, abs(energy)):
+                vals, r, energy = trial, r_t, min(energy, e_t)
+                t = min(max(root, 0.25 * t), 4.0 * t)
+                break
+            t = min(max(root, 0.1 * t), 0.5 * t)
+        else:
+            return vals, it, evals, "stalled"
+    return vals, it, evals, None
+
+
+# -- fixtures ----------------------------------------------------------------
+
+PROBLEMS = {
+    "2d-rotating": lambda: gp.harmonic_problem(2, 32, 12.0, -0.9, 8.0),
+    "2d-static": lambda: gp.harmonic_problem(2, 32, 12.0, 0.0, 4.0),
+    "3d": lambda: gp.harmonic_problem(3, 16, 10.0, [0.3, -0.2, 0.5], 5.0),
+}
+
+
+def _rough_field(grid, seed):
+    """A normalized Gaussian with random phase and amplitude noise."""
+    rng = np.random.default_rng(seed)
+    base = gaussian_field(grid).values
+    noise = (1.0 + 0.3 * rng.standard_normal(grid.shape)) * np.exp(
+        2j * np.pi * rng.random(grid.shape))
+    return ComplexField(grid, base * noise).normalized()
+
+
+@pytest.fixture(params=sorted(PROBLEMS))
+def problem_and_field(request):
+    p = PROBLEMS[request.param]()
+    return p, _rough_field(p.grid, seed=len(request.param))
+
+
+# -- bitwise identity --------------------------------------------------------
+
+def test_gauge_kinetic_is_bitwise_the_summed_expression(problem_and_field):
+    p, phi = problem_and_field
+    out = apply_gauge_kinetic(phi, p.gauge).values
+    assert np.array_equal(out, _gauge_kinetic_reference(phi.values, p.gauge))
+
+
+def test_gradient_and_energy_are_bitwise_the_old_expressions(problem_and_field):
+    p, phi = problem_and_field
+    before = phi.values.copy()
+    assert np.array_equal(gp.gp_gradient(p, phi).values, _gradient_reference(p, phi.values))
+    g, e = gp._gradient_energy(p, phi.values)
+    g_ref, e_ref = _gradient_energy_reference(p, phi.values)
+    assert np.array_equal(g, g_ref) and e == e_ref
+    assert np.array_equal(phi.values, before)  # the input is never written
+
+
+def test_preconditioned_step_is_bitwise_the_old_expression(problem_and_field):
+    p, phi = problem_and_field
+    r = _rough_field(p.grid, seed=11).values
+    dw, kp = gp._precond_weight(p, phi.values), 1.0 / (1.0 + p.grid.ksq())
+    r_before = r.copy()
+    assert np.array_equal(gp._precondition(r, dw, kp), _precondition_reference(r, dw, kp))
+    assert np.array_equal(r, r_before)
+
+
+@pytest.mark.parametrize("max_iter", [20, 60], ids=["20-iterations", "past-a-rebuild"])
+def test_cg_iterates_are_bitwise_the_old_loop(max_iter):
+    p = gp.harmonic_problem(2, 32, 12.0, -0.6, 4.0)
+    start = gp.initial_field(p, ("vortex", 1), None).values
+    opts = gp.GpSolverOptions(max_iter=max_iter)
+    vals, it, evals, stop = gp._conjugate_gradient(p, start.copy(), opts)
+    vals_ref, it_ref, evals_ref, stop_ref = _conjugate_gradient_reference(p, start.copy(), opts)
+    assert (it, evals, stop) == (it_ref, evals_ref, stop_ref)
+    assert np.array_equal(vals, vals_ref)
+    if max_iter == 20:
+        assert it == 20 and stop is None  # all 20 iterations ran
+
+
+# -- the tracer's boundary ---------------------------------------------------
+
+def test_one_gradient_per_trial_and_one_fft_pair_per_iteration(monkeypatch):
+    # perfbench counts these calls by name: every operator apply goes through
+    # gp.gp_gradient -> fields.apply_gauge_kinetic, and the preconditioner
+    # makes exactly one numpy.fft.fftn and one numpy.fft.ifftn call
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(gp, "gp_gradient", counting("gradient", gp.gp_gradient))
+    monkeypatch.setattr(gp, "apply_gauge_kinetic", counting("gauge", apply_gauge_kinetic))
+    for name in ("fftn", "ifftn", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    p = gp.harmonic_problem(2, 32, 12.0, -0.6, 4.0)
+    start = gp.initial_field(p, ("vortex", 1), None).values
+    _, it, evals, stop = gp._conjugate_gradient(p, start, gp.GpSolverOptions(max_iter=20))
+    assert it == 20 and stop is None
+    # the start's gradient, then one per line-search trial
+    assert counts["gradient"] == counts["gauge"] == evals > it
+    assert counts["fftn"] == counts["ifftn"] == it
+    assert counts["fft"] == counts["ifft"] == p.grid.dim * evals

@@ -1,0 +1,76 @@
+"""A traced run's per-layer metrics are finite and serialize as strict JSON.
+
+perfbench/run.py ends with one JSON line that a strict parser must accept.
+A per-layer value that json.dumps writes as a bare NaN or Infinity, a probe
+that fails on a changed signature, or a metric source that the tracer can
+no longer find would make that result unreadable or incomplete.  This test
+uses perfbench's files read-only: in a fresh interpreter it installs
+perfbench/tracer.Tracer, runs small solve-gp, analyze, fock-ed and
+symbols-check jobs through rotogp.cli.main and computes
+layer_metrics.compute on the trace.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHILD = r"""
+import contextlib, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+import layer_metrics
+import rotogp.cli
+
+JOBS = [
+    ["solve-gp", "--dim", "2", "--n", "32", "--box", "12", "--omega", "-0.6",
+     "--a", "4", "--init", "vortex:1", "--out", "gp"],
+    ["analyze", "--field", "gp/field.f64", "--out", "analyze"],
+    ["fock-ed", "--J", "3", "--Nmax", "4", "--sector", "3", "--g", "0.5", "--out", "fock"],
+    ["symbols-check", "--op", "adag a", "--out", "symbols"],
+]
+codes, subcommands = [], {}
+with contextlib.redirect_stdout(sys.stderr):
+    for job, argv in enumerate(JOBS):
+        tracer.job = job
+        subcommands[job] = argv[0]
+        codes.append(rotogp.cli.main(argv))
+values, missing = layer_metrics.compute(
+    tracer.stats(), {"subcommands": subcommands, "bytes_written": 0},
+    ("fields.", "gp.", "analysis.", "fock.", "cli."))
+print(json.dumps({
+    "codes": codes,
+    "values": values,
+    "missing": missing,
+    "unwrapped": sorted(layer_metrics.source_names() - set(tracer.names)),
+    "probe_errors": tracer.probe_errors,
+}, allow_nan=False))
+"""
+
+
+def _reject(token):
+    raise ValueError(f"non-finite JSON constant {token}")
+
+
+def test_traced_jobs_give_finite_strict_json_metrics(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "perfbench"), str(ROOT / "src")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # the result is the last line, and a strict parser accepts it
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["probe_errors"] == {}
+    assert result["unwrapped"] == []
+    assert result["missing"] == []
+    values = result["values"]
+    # a strict parse still reads an overflowing literal such as 1e999 as inf
+    assert all(math.isfinite(v) for v in values.values())
+    assert values["gp.gradient_calls"] > 0 and values["fock.assembly_nnz"] > 0
+    assert values["fields.fft_per_grad"] > 0 and values["fields.io_bytes"] > 0
