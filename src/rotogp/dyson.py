@@ -23,14 +23,22 @@ is checked per angular-momentum channel by Galerkin compression in the
 Dirichlet spherical-Bessel basis on a large ball, where the momentum
 multiplier is diagonal.  A compression of a nonnegative operator is
 nonnegative, so the test is meaningful at any basis size; stability of
-the minimal eigenvalue under refinement is reported alongside.
+the minimal eigenvalue under refinement is reported alongside.  A
+potential whose range reaches the ball's wall is refused.
+
+The modified one-body operator K0 and the constant kappa(eta) that keeps
+it nonnegative are the lowest eigenvalues of spectral operators on the GP
+grid.  One preconditioned block eigensolver (LOBPCG) computes them, real
+at Omega = 0 and complex when rotating, with the operator's axis-separable
+part inverted exactly as its preconditioner; see _lowest_eigs.
 """
 
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .fields import ComplexField, apply_gauge_kinetic
 from .gp import GpProblem
@@ -194,7 +202,9 @@ def check_dyson_inequality(
 
     The Bessel channels live on the ball of radius L = max(4 s, 10 R), and
     each piece of the potential is integrated on Gauss panels sized for the
-    largest basis (quadrature.gauss_pieces).  Returns a dict with the
+    largest basis (quadrature.gauss_pieces).  A potential whose range
+    reaches L is refused (ValueError): the modes' Dirichlet wall, not the
+    inequality, would decide the verdict.  Returns a dict with the
     per-channel minima at each basis size, the overall minimum at the finest
     size, the largest change of a channel's minimum between the two finest
     sizes (the refinement drift), int U_R on the nodes of the U_R piece, and
@@ -205,20 +215,22 @@ def check_dyson_inequality(
     chi = sp.chi
     eps = sp.epsilon
     L = float(max(4.0 * chi.s, 10.0 * sp.R))
+    if v.rrange >= L:
+        raise ValueError(f"the potential's range {v.rrange:g} reaches the ball's "
+                         f"radius L = {L:g}, where the Bessel modes end")
     K = max(basis_sizes)
 
     def kin(p):
         return p * p * chi(p) ** 2
 
     # multiplicative part: v/2 - (1-eps) a U_R + (a/eps) w_R.  A panel edge
-    # sits on every kink and jump: v's knots and its range, cut at L, where
-    # the modes end, and the two edges of the hat.  w_R, piecewise linear on
-    # its 6000-point grid, stays one panel: at the dyson-check defaults it is
-    # below 3e-6, and its kinks move the minima by about 1e-13
-    top = min(v.rrange, L)
+    # sits on every kink and jump: v's knots and its range, and the two
+    # edges of the hat.  w_R, piecewise linear on its 6000-point grid, stays
+    # one panel: at the dyson-check defaults it is below 3e-6, and its kinks
+    # move the minima by about 1e-13
     hat = gauss_pieces((2.0 ** (-1.0 / 3.0) * sp.R, sp.R), sp.UR, K, L)[0]
     pieces = [
-        *gauss_pieces([0.0, *(k for k in v.knots if 0.0 < k < top), top],
+        *gauss_pieces([0.0, *(k for k in v.knots if 0.0 < k < v.rrange), v.rrange],
                       lambda r: 0.5 * v(r), K, L),
         (*hat[:3], lambda r: -(1.0 - eps) * a_scatt * sp.UR(r)),
         *gauss_pieces((0.0, L), lambda r: (a_scatt / eps) * sp.wR(r), K, L),
@@ -247,10 +259,40 @@ def check_dyson_inequality(
 # modified one-body operator
 # ---------------------------------------------------------------------------
 
+# LOBPCG iterations before the residual rule is judged; the CLI defaults
+# take 25 (kappa) and 31 (K0), the rotating 3D n = 12 grid of the tests 74
+_LOBPCG_MAXITER = 200
+
+
 @dataclass
 class ModifiedOneBody:
     kappa: float
     e: np.ndarray           # lowest J eigenvalues of K0
+
+
+def _separable_part(grid, multiplier, potential):
+    """Eigenpairs (lam_d, Q_d) of H0 = sum_d A_d, one n x n operator per axis.
+
+    A_d is the multiplier along the k_d axis plus the potential along the
+    x_d axis through the origin, each less (dim - 1)/dim of its value at
+    k = 0 or x = 0, so that the constants add up once.  The multiplier is
+    real and even, so A_d's kinetic part is a real symmetric circulant
+    (eigh reads its lower triangle).
+    """
+    n, dim = grid.n, grid.dim
+    share = (dim - 1) / dim
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    pairs = []
+    for d in range(dim):
+        k_axis = [0] * dim
+        x_axis = [n // 2] * dim  # x = 0 sits at index n/2
+        k_axis[d] = x_axis[d] = slice(None)
+        m = multiplier[tuple(k_axis)] - share * multiplier[(0,) * dim]
+        w = potential[tuple(x_axis)] - share * potential[(n // 2,) * dim]
+        A = sfft.ifft(m).real[lag]  # the circulant of the multiplier
+        A[np.diag_indices(n)] += w
+        pairs.append(np.linalg.eigh(A))
+    return pairs
 
 
 def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
@@ -259,44 +301,108 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     p^2 + 2 p.A + |A|^2 is fields.apply_gauge_kinetic, the rest of the
     multiplier one n-D transform pair; at Omega = 0, A = 0 and the pair is
     all.  The multiplier is then real and even in k, so the operator is real
-    symmetric: ARPACK runs its real driver and the pair is a real one on
-    the half spectrum.  ARPACK starts from a seeded vector: repeated solves
-    agree bitwise.
+    symmetric, and a block of vectors goes through one real half-spectrum
+    pair (scipy.fft.rfftn/irfftn over the grid axes).  When rotating, the
+    block is applied column by column.
 
-    No eigenvector is returned, so ARPACK stops at a relative Ritz residual
-    ||r|| <= sqrt(eps) |theta|.  For a hermitian operator a Ritz value theta
-    with residual r lies within ||r||^2 / gap of an eigenvalue, gap being
-    its distance to the rest of the spectrum (Parlett, The Symmetric
-    Eigenvalue Problem, Thm 11.7.1): eps theta^2 / gap, the eigenvalues at
-    machine precision.
+    One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) on
+    J + 2 seeded vectors, complex when rotating, serves both cases.  Its
+    preconditioner is the exact inverse of the separable part H0 = sum_d A_d
+    (_separable_part), by fast diagonalization (Lynch, Rice & Thomas, Numer.
+    Math. 6, 185 (1964)): Q^T, a division by lam_i + lam_j [+ lam_k], and Q
+    along each axis.  What H0 leaves out is small next to it: the cross
+    terms 2 eta x_i^2 x_j^2 of eta |x|^4 and the cutoff's k^2 (1 - chi^2) on
+    |k| < 2/s, both >= 0, and the rotation's 2 p.A.  So the iteration count
+    does not grow with n.  Should H0 not be positive definite, its
+    denominators are shifted up to its first gap.
+
+    No eigenvector is returned.  Each returned Ritz pair's residual is
+    recomputed, and the solve must meet ||H x - theta x|| <= sqrt(eps)
+    max(1, |theta|) for unit x, or ArithmeticError is raised.  For a
+    hermitian operator a Ritz value theta with residual r lies within
+    ||r||^2 / gap of an eigenvalue, gap being its distance to the rest of
+    the spectrum (Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1):
+    eps theta^2 / gap, the eigenvalues at machine precision.
     """
     grid, gauge = p.grid, p.gauge
     rotating = bool(np.any(gauge.omega))
+    shape, dim = grid.shape, grid.dim
+    size = int(np.prod(shape))
+    if J > size:
+        raise ValueError(f"J = {J} eigenvalues need a grid of at least {J} points")
 
     if rotating:
         rest = multiplier - grid.ksq()
 
-        def apply(x):
-            v = x.reshape(grid.shape)
-            out = np.fft.ifftn(rest * np.fft.fftn(v)) + scalar * v
-            out += apply_gauge_kinetic(ComplexField(grid, v), gauge).values
-            return out.reshape(-1)
+        def apply(X):
+            X = X.reshape(size, -1)
+            out = np.empty(X.shape, dtype=complex)
+            for c in range(X.shape[1]):
+                v = X[:, c].reshape(shape)
+                col = np.fft.ifftn(rest * np.fft.fftn(v)) + scalar * v
+                col += apply_gauge_kinetic(ComplexField(grid, v), gauge).values
+                out[:, c] = col.reshape(-1)
+            return out
     else:
         # the last axis's first n//2 + 1 frequencies are rfftn's, up to the
-        # sign of the Nyquist one, which an even multiplier does not see
-        half = np.ascontiguousarray(multiplier[..., : grid.shape[-1] // 2 + 1])
+        # sign of the Nyquist one, which an even multiplier does not see;
+        # the block's columns run along a trailing axis
+        half = multiplier[..., : grid.n // 2 + 1, None]
+        axes = tuple(range(dim))
 
-        def apply(x):
-            v = x.reshape(grid.shape)
-            out = sfft.irfftn(half * sfft.rfftn(v), s=grid.shape) + scalar * v
-            return out.reshape(-1)
+        def apply(X):
+            X = X.reshape(size, -1)
+            V = X.reshape(shape + X.shape[1:])
+            out = sfft.irfftn(half * sfft.rfftn(V, axes=axes), s=shape, axes=axes)
+            out += scalar[..., None] * V
+            return out.reshape(X.shape)
 
-    n = int(np.prod(grid.shape))
-    op = LinearOperator((n, n), matvec=apply, dtype=complex if rotating else float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    vals = eigsh(op, k=J, which="SA", v0=v0, tol=np.sqrt(np.finfo(float).eps),
-                 return_eigenvectors=False)
-    return np.sort(vals)
+    pairs = _separable_part(grid, multiplier, scalar + gauge.magnitude_sq())
+    denom = sum(lam.reshape((1,) * d + (-1,) + (1,) * (dim - d - 1))
+                for d, (lam, _) in enumerate(pairs))
+    if denom.min() <= 0.0:
+        gap = min(lam[1] - lam[0] for lam, _ in pairs)
+        denom = denom - denom.min() + gap
+    denom = denom[..., None]
+
+    def precondition(X):
+        # Q acts on real and imaginary parts alike: a complex block is
+        # transformed as its float view, the columns' two halves side by side
+        X = np.ascontiguousarray(X.reshape(size, -1))
+        Y = X.view(float)
+        for d, (_, Q) in enumerate(pairs):
+            Y = np.matmul(Q.T, Y.reshape(grid.n**d, grid.n, -1))
+        Y = Y.reshape(shape + (-1,)) / denom
+        for d, (_, Q) in enumerate(pairs):
+            Y = np.matmul(Q, Y.reshape(grid.n**d, grid.n, -1))
+        return Y.reshape(size, -1).view(X.dtype)
+
+    dtype = complex if rotating else float
+    op = LinearOperator((size, size), matvec=apply, matmat=apply, dtype=dtype)
+    prec = LinearOperator((size, size), matvec=precondition, matmat=precondition,
+                          dtype=dtype)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((size, J + 2))
+    if rotating:
+        X = X + 1j * rng.standard_normal((size, J + 2))
+    root_eps = np.sqrt(np.finfo(float).eps)
+    with warnings.catch_warnings():
+        # convergence is judged below, on recomputed residuals
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            vals, vecs = lobpcg(op, X, M=prec, tol=root_eps, maxiter=_LOBPCG_MAXITER,
+                                largest=False)
+        except ValueError as exc:  # a failed Rayleigh-Ritz step, not an input
+            raise ArithmeticError(f"eigensolver failed: {exc}") from exc
+    keep = np.argsort(vals)[:J]
+    vals, vecs = vals[keep], vecs[:, keep]
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    resid = np.linalg.norm(op.matmat(vecs) - vecs * vals, axis=0)
+    if not np.all(resid <= root_eps * np.maximum(1.0, np.abs(vals))):
+        raise ArithmeticError(
+            f"eigensolver missed its residual rule: residuals {resid.tolist()} "
+            f"at Ritz values {vals.tolist()}")
+    return vals
 
 
 def kappa_eta(p: GpProblem, eta: float) -> float:

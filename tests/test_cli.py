@@ -660,6 +660,26 @@ def test_default_dyson_check_assembles_at_most_1000_nodes_per_channel(tmp_path, 
     assert max(nodes.values()) <= 1000
 
 
+def test_dyson_check_refuses_a_potential_past_its_ball(tmp_path):
+    # --N 0.05 scales the barrier's range to 20, past the ball's radius 14,
+    # where the Dirichlet wall and not the inequality would decide
+    assert run(["dyson-check", "--N", "0.05", "--out", str(tmp_path / "far")]) == 2
+    assert not (tmp_path / "far" / "results.json").exists()
+    assert run(["dyson-check", "--out", str(tmp_path / "defaults")]) == 0
+
+
+def test_dyson_check_exits_1_when_the_eigensolver_misses_its_residual_rule(
+        tmp_path, monkeypatch):
+    from scipy.sparse.linalg import lobpcg
+
+    from rotogp import dyson
+
+    monkeypatch.setattr(dyson, "lobpcg",
+                        lambda A, X, **kw: lobpcg(A, X, **{**kw, "maxiter": 2}))
+    assert run([*_DYSON_SMALL, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "results.json").exists()
+
+
 def test_failed_scan_point_exits_1(tmp_path, monkeypatch):
     monkeypatch.setattr(*_wrapped("gp.gp_minimize", _not_converged))
     assert run(["scan-a", "--dim", "2", "--n", "16", "--box", "8", "--num", "2",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize, special
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg
 
 from rotogp import dyson
 from rotogp.dyson import (
@@ -203,6 +203,8 @@ def test_build_k0_validation():
         build_K0(p, CutoffFunction(2.0), eta=-1.0, J=2)
     with pytest.raises(ValueError):
         kappa_eta(p, 0.0)
+    with pytest.raises(ValueError):  # J = 5 eigenvalues of a 2 x 2 grid
+        build_K0(harmonic_problem(dim=2, n=2, length=4.0), CutoffFunction(2.0), eta=1.0, J=5)
 
 
 def test_bessel_zeros_channel0_are_n_pi():
@@ -332,17 +334,20 @@ def test_nested_galerkin_blocks_match_one_solve_per_size(soft, recorded):
     assert nested["min_eig"] == min(nested["channels"][ell][-1] for ell in (0, 1))
 
 
-def test_potential_past_the_ball_gives_the_matrix_of_its_clipped_copy(soft, recorded):
+def test_potential_reaching_the_ball_is_refused(soft):
     # dyson-check --N 0.05: the barrier's range 20 reaches past the ball of
-    # radius 14, where the modes end
+    # radius 14, where the modes end, and the Dirichlet wall would decide
+    # the verdict; a range of exactly 14 reaches the wall too
     far = square_barrier(1.0, 4.0e4).scaled(0.05)
-    clipped = RadialPotential(rrange=14.0, func=far.func)
-    a_n = scattering_length(far)
-    for v in (far, clipped):
-        check_dyson_inequality(v, soft, a_n, ell_list=(0, 1), basis_sizes=(60, 120))
-    H = [h for _, _, h in recorded]
-    assert len(H) == 4
-    assert np.array_equal(H[0], H[2]) and np.array_equal(H[1], H[3])
+    edge = RadialPotential(rrange=14.0, func=far.func)
+    for v in (far, edge):
+        with pytest.raises(ValueError, match="reaches the ball"):
+            check_dyson_inequality(v, soft, scattering_length(far),
+                                   ell_list=(0, 1), basis_sizes=(60, 120))
+    # --N 0.1 scales the range to 10, inside the ball: it runs
+    near = square_barrier(1.0, 4.0e4).scaled(0.1)
+    check_dyson_inequality(near, soft, scattering_length(near),
+                           ell_list=(0,), basis_sizes=(60,))
 
 
 @pytest.mark.parametrize("pot", [
@@ -364,24 +369,44 @@ def test_channel_minima_converge_in_the_gauss_nodes(soft, pot):
     assert np.max(np.abs(minima[2] - minima[0])) <= 1e-10
 
 
-def _captured_operators(monkeypatch):
-    ops = []
+def _captured_solves(monkeypatch):
+    """(operator, preconditioner) of each lobpcg solve in rotogp.dyson."""
+    solves = []
 
-    def capture(op, **kw):
-        ops.append(op)
-        return eigsh(op, **kw)
+    def capture(A, X, **kw):
+        solves.append((A, kw["M"]))
+        return lobpcg(A, X, **kw)
 
-    monkeypatch.setattr(dyson, "eigsh", capture)
-    return ops
+    monkeypatch.setattr(dyson, "lobpcg", capture)
+    return solves
+
+
+def _separable_apply(grid, multiplier, scalar, vec):
+    """H0 vec: per axis, the multiplier along k_d and the scalar along x_d
+    through the origin, each less (dim - 1)/dim of its value at the origin."""
+    dim, o = grid.dim, grid.n // 2
+    share = (dim - 1) / dim
+    v = vec.reshape(grid.shape)
+    out = np.zeros_like(v, dtype=complex)
+    for d in range(dim):
+        line = [1] * dim
+        line[d] = grid.n
+        k_axis = tuple(slice(None) if e == d else 0 for e in range(dim))
+        x_axis = tuple(slice(None) if e == d else o for e in range(dim))
+        m = multiplier[k_axis] - share * multiplier[(0,) * dim]
+        w = scalar[x_axis] - share * scalar[(o,) * dim]
+        out += np.fft.ifft(m.reshape(line) * np.fft.fft(v, axis=d), axis=d)
+        out += w.reshape(line) * v
+    return out.reshape(-1)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.4])
 def test_k0_operators_match_per_axis_formula(monkeypatch, omega):
     p = harmonic_problem(dim=2, n=16, length=10.0, omega=omega)
     chi, eta, grid = CutoffFunction(2.0), 1.0, p.grid
-    ops = _captured_operators(monkeypatch)
+    solves = _captured_solves(monkeypatch)
     mob = build_K0(p, chi, eta=eta, J=2)
-    assert len(ops) == 2  # kappa(eta), then K0
+    assert len(solves) == 2  # kappa(eta), then K0
     quartic = grid.radius_sq() ** 2
     ksq = grid.ksq()
     mult = ksq * (1.0 - chi(np.sqrt(ksq)) ** 2) + 2.0 * eta * ksq
@@ -390,15 +415,24 @@ def test_k0_operators_match_per_axis_formula(monkeypatch, omega):
         (mult, p.gauge.magnitude_sq() + p.potential + eta * quartic - mob.kappa),
     ]
     rng = np.random.default_rng(5)
-    for op, (m, scalar) in zip(ops, refs):
+    size = grid.n**grid.dim
+    for (op, prec), (m, scalar) in zip(solves, refs):
         # at Omega = 0 the operator is real symmetric: real probes
-        assert op.dtype == (complex if omega else float)
-        for _ in range(3):
-            x = rng.standard_normal(op.shape[0])
-            if omega:
-                x = x + 1j * rng.standard_normal(op.shape[0])
-            ref = _fft_apply(grid, m, p.gauge, scalar, x)
-            assert np.max(np.abs(op.matvec(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        dtype = complex if omega else float
+        assert op.dtype == prec.dtype == dtype
+        X = rng.standard_normal((size, 3))
+        if omega:
+            X = X + 1j * rng.standard_normal((size, 3))
+        ref = np.stack([_fft_apply(grid, m, p.gauge, scalar, x) for x in X.T], axis=1)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(op.matvec(X[:, 0]) - ref[:, 0])) <= 1e-12 * scale
+        assert np.max(np.abs(op.matmat(X) - ref)) <= 1e-12 * scale
+        # the preconditioner is the exact inverse of the separable part H0
+        H0X = np.stack([_separable_apply(grid, m, scalar, x) for x in X.T], axis=1)
+        if not omega:
+            H0X = H0X.real
+        assert np.max(np.abs(prec.matmat(H0X) - X)) <= 1e-12 * np.max(np.abs(X))
+        assert np.max(np.abs(prec.matvec(H0X[:, 0]) - X[:, 0])) <= 1e-12 * np.max(np.abs(X))
 
 
 def test_k0_real_eigensolve_matches_complex_path(monkeypatch):
@@ -406,15 +440,23 @@ def test_k0_real_eigensolve_matches_complex_path(monkeypatch):
     chi = CutoffFunction(3.5)
     real = build_K0(p, chi, eta=1.0, J=4)
 
-    def complex_eigsh(op, **kw):
-        # the same operator through ARPACK's complex driver
-        cop = LinearOperator(
-            op.shape, dtype=complex,
-            matvec=lambda x: op.matvec(x.real) + 1j * op.matvec(x.imag),
-        )
-        return eigsh(cop, **kw)
+    def lift(op):
+        # the real operator acting on complex vectors
+        def matmat(Z):
+            return op.matmat(Z.real) + 1j * op.matmat(Z.imag)
+        return LinearOperator(op.shape, matvec=matmat, matmat=matmat, dtype=complex)
 
-    monkeypatch.setattr(dyson, "eigsh", complex_eigsh)
+    def complex_lobpcg(A, X, **kw):
+        # the same solve on a complex block; a complex eigenvector z of a
+        # real symmetric operator has real eigenvectors Re z and Im z, and
+        # the one of larger norm goes back for the residual check
+        Z = X + 1j * np.random.default_rng(1).standard_normal(X.shape)
+        vals, vecs = lobpcg(lift(A), Z, **{**kw, "M": lift(kw["M"])})
+        re, im = vecs.real, vecs.imag
+        pick = np.linalg.norm(re, axis=0) >= np.linalg.norm(im, axis=0)
+        return vals, np.where(pick, re, im)
+
+    monkeypatch.setattr(dyson, "lobpcg", complex_lobpcg)
     cplx = build_K0(p, chi, eta=1.0, J=4)
     assert abs(real.kappa - cplx.kappa) <= 1e-10
     assert np.max(np.abs(real.e - cplx.e)) <= 1e-10
@@ -428,36 +470,65 @@ def test_k0_repeatable_bitwise():
     assert np.array_equal(first.e, second.e)
 
 
-@pytest.mark.parametrize("omega, n", [(0.0, 32), (0.4, 16)])
-def test_k0_eigenvalues_match_full_precision_solve(monkeypatch, omega, n):
-    # the Ritz residual rule sqrt(eps)|theta| against ARPACK run to machine
-    # precision (tol=0): at Omega = 0 on the CLI's default grid, at 0.4 with
-    # the complex driver
-    p = harmonic_problem(dim=2, n=n, length=12.0, omega=omega)
-    chi = CutoffFunction(3.5)
-    shipped = build_K0(p, chi, eta=1.0, J=4)
-    monkeypatch.setattr(dyson, "eigsh", lambda op, **kw: eigsh(op, **{**kw, "tol": 0}))
-    exact = build_K0(p, chi, eta=1.0, J=4)
-    assert abs(shipped.kappa - exact.kappa) <= 1e-10
-    assert np.max(np.abs(shipped.e - exact.e)) <= 1e-10
+@pytest.mark.parametrize("dim, omega, n", [
+    (2, 0.0, 32), (2, 0.4, 16), (2, 0.9, 32), (3, 0.0, 12), (3, (0.0, 0.0, 0.5), 12),
+], ids=["0.0-32", "0.4-16", "0.9-32", "3d-0.0-12", "3d-0.5z-12"])
+def test_k0_eigenvalues_match_full_precision_solve(monkeypatch, dim, omega, n):
+    # the residual rule sqrt(eps) max(1, |theta|) against ARPACK run to
+    # machine precision (tol=0) on the same operators: on the CLI's default
+    # grid, rotating (the complex block), and in 3D, where K0's second level
+    # is threefold
+    p = harmonic_problem(dim=dim, n=n, length=12.0, omega=omega)
+    solves = _captured_solves(monkeypatch)
+    shipped = build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
+    v0 = np.random.default_rng(0).standard_normal(n**dim)
+    exact = [np.sort(eigsh(op, k=k, which="SA", tol=0, v0=v0, return_eigenvectors=False))
+             for (op, _), k in zip(solves, (1, 4))]
+    assert abs(shipped.kappa - exact[0][0]) <= 1e-10
+    assert np.max(np.abs(shipped.e - exact[1])) <= 1e-10
 
 
 def test_k0_default_solves_apply_count(monkeypatch):
-    # kappa(eta) and K0 at the CLI defaults took 2,067 applies when ARPACK
-    # ran to machine precision; the seeded start makes the count deterministic
-    applies = []  # one count per solve
+    # kappa(eta) and K0 at the CLI defaults took 1,251 ARPACK applies; the
+    # preconditioned block solve takes about 220 column applies, and the
+    # seeded start makes the count deterministic
+    applies = []  # column applies per solve
 
-    def counted_eigsh(op, **kw):
+    def counted_lobpcg(A, X, **kw):
         applies.append(0)
 
-        def matvec(x):
-            applies[-1] += 1
-            return op.matvec(x)
+        def matmat(Z):
+            applies[-1] += Z.shape[1]
+            return A.matmat(Z)
 
-        return eigsh(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), **kw)
+        return lobpcg(LinearOperator(A.shape, matvec=matmat, matmat=matmat, dtype=A.dtype),
+                      X, **kw)
 
-    monkeypatch.setattr(dyson, "eigsh", counted_eigsh)
+    monkeypatch.setattr(dyson, "lobpcg", counted_lobpcg)
     p = harmonic_problem(dim=2, n=32, length=12.0)
     build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
     assert len(applies) == 2
-    assert sum(applies) <= 1300
+    # plus one apply per returned pair for the residual check: 1 + 4
+    assert sum(applies) + 5 <= 300
+
+
+def test_k0_solve_with_indefinite_separable_part():
+    # K0 less 10: the separable part's lowest level goes negative, so its
+    # denominators are shifted to keep the preconditioner positive definite
+    p = harmonic_problem(dim=2, n=32, length=12.0)
+    chi, eta, grid = CutoffFunction(3.5), 1.0, p.grid
+    ksq = grid.ksq()
+    mult = ksq * (1.0 - chi(np.sqrt(ksq)) ** 2) + 2.0 * eta * ksq
+    scalar = p.potential + eta * grid.radius_sq() ** 2
+    base = dyson._lowest_eigs(p, mult, scalar, 4)
+    shifted = dyson._lowest_eigs(p, mult, scalar - 10.0, 4)
+    assert base[0] - 10.0 < 0.0
+    assert np.max(np.abs(shifted - (base - 10.0))) <= 1e-10
+
+
+def test_missed_residual_rule_raises(monkeypatch):
+    # two iterations cannot reach sqrt(eps): the recomputed residuals fail
+    # the rule, whatever scipy reports
+    monkeypatch.setattr(dyson, "lobpcg", lambda A, X, **kw: lobpcg(A, X, **{**kw, "maxiter": 2}))
+    with pytest.raises(ArithmeticError, match="residual rule"):
+        build_K0(harmonic_problem(dim=2, n=16, length=12.0), CutoffFunction(3.5), eta=1.0, J=2)

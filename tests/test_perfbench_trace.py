@@ -5,13 +5,17 @@ A per-layer value that json.dumps writes as a bare NaN or Infinity, a probe
 that fails on a changed signature, or a metric source that the tracer can
 no longer find would make that result unreadable or incomplete.  This test
 uses perfbench's files read-only: in a fresh interpreter it installs
-perfbench/tracer.Tracer, runs small solve-gp, analyze, fock-ed and
-symbols-check jobs through rotogp.cli.main and computes
-layer_metrics.compute on the trace.
+perfbench/tracer.Tracer, runs small solve-gp, analyze, fock-ed,
+symbols-check and dyson-check jobs through rotogp.cli.main and computes
+layer_metrics.compute on the trace.  The dyson-check job also runs
+untraced in its own interpreter, and the two results.json files must agree
+as perfbench/run.py compares a traced pass with a plain one.
 """
 
+import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +38,7 @@ JOBS = [
     ["analyze", "--field", "gp/field.f64", "--out", "analyze"],
     ["fock-ed", "--J", "3", "--Nmax", "4", "--sector", "3", "--g", "0.5", "--out", "fock"],
     ["symbols-check", "--op", "adag a", "--out", "symbols"],
+    ["dyson-check", "--n", "16", "--out", "dyson"],
 ]
 codes, subcommands = [], {}
 with contextlib.redirect_stdout(sys.stderr):
@@ -43,7 +48,7 @@ with contextlib.redirect_stdout(sys.stderr):
         codes.append(rotogp.cli.main(argv))
 values, missing = layer_metrics.compute(
     tracer.stats(), {"subcommands": subcommands, "bytes_written": 0},
-    ("fields.", "gp.", "analysis.", "fock.", "cli."))
+    ("fields.", "gp.", "analysis.", "fock.", "dyson.", "cli."))
 print(json.dumps({
     "codes": codes,
     "values": values,
@@ -54,18 +59,27 @@ print(json.dumps({
 """
 
 
+def _perfbench_run(monkeypatch):
+    """perfbench/run.py as a module; it imports its sibling workloads.py."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _reject(token):
     raise ValueError(f"non-finite JSON constant {token}")
 
 
-def test_traced_jobs_give_finite_strict_json_metrics(tmp_path):
+def test_traced_jobs_give_finite_strict_json_metrics(tmp_path, monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(ROOT / "perfbench"), str(ROOT / "src")],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     # the result is the last line, and a strict parser accepts it
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject)
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["probe_errors"] == {}
     assert result["unwrapped"] == []
     assert result["missing"] == []
@@ -74,3 +88,16 @@ def test_traced_jobs_give_finite_strict_json_metrics(tmp_path):
     assert all(math.isfinite(v) for v in values.values())
     assert values["gp.gradient_calls"] > 0 and values["fock.assembly_nnz"] > 0
     assert values["fields.fft_per_grad"] > 0 and values["fields.io_bytes"] > 0
+    assert {"dyson.k0_s", "dyson.inequality_s", "dyson.channel_solves"} <= values.keys()
+    assert values["dyson.channel_solves"] > 0
+
+    # the same dyson-check untraced, in a fresh interpreter: the eigensolvers
+    # must give the traced run's record to perfbench's rounding tolerance
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    plain = subprocess.run(
+        [sys.executable, "-m", "rotogp.cli", "dyson-check", "--n", "16", "--out", "plain/dyson"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert plain.returncode == 0, plain.stderr
+    run = _perfbench_run(monkeypatch)
+    assert (tmp_path / "plain" / "dyson" / "results.json").is_file()
+    assert run.same_outputs(tmp_path / "plain", tmp_path) == []
