@@ -40,7 +40,6 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .fields import ComplexField, apply_gauge_kinetic
 from .gp import GpProblem
 from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, weighted_nodes
 from .scattering import RadialPotential
@@ -260,7 +259,7 @@ def check_dyson_inequality(
 # ---------------------------------------------------------------------------
 
 # LOBPCG iterations before the residual rule is judged; the CLI defaults
-# take 25 (kappa) and 31 (K0), the rotating 3D n = 12 grid of the tests 74
+# take 25 (kappa) and 31 (K0), the tests' rotating 3D n = 12 grids up to 80
 _LOBPCG_MAXITER = 200
 
 
@@ -296,14 +295,15 @@ def _separable_part(grid, multiplier, potential):
 
 
 def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
-    """Lowest J eigenvalues, ascending, of multiplier(k) + 2 p.A + |A|^2 + scalar(x).
+    """Lowest J eigenvalues, ascending, of multiplier(k) + 2 A.p + scalar(x).
 
-    p^2 + 2 p.A + |A|^2 is fields.apply_gauge_kinetic, the rest of the
-    multiplier one n-D transform pair; at Omega = 0, A = 0 and the pair is
-    all.  The multiplier is then real and even in k, so the operator is real
-    symmetric, and a block of vectors goes through one real half-spectrum
-    pair (scipy.fft.rfftn/irfftn over the grid axes).  When rotating, the
-    block is applied column by column.
+    A block of vectors, its columns on a trailing axis, goes through one
+    n-D transform pair over the grid axes for the multiplier.  At
+    Omega = 0, A = 0 and the operator is real symmetric (the multiplier is
+    real and even in k), so the pair is the real half-spectrum one
+    (scipy.fft.rfftn/irfftn).  When rotating it is the complex pair, and
+    2 A.p adds sum_i 2 A_i ifft_i(k_i fft_i V), one 1D pair along each axis:
+    exact, since A_i does not depend on x_i (the split of fields).
 
     One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) on
     J + 2 seeded vectors, complex when rotating, serves both cases.  Its
@@ -312,9 +312,10 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     Math. 6, 185 (1964)): Q^T, a division by lam_i + lam_j [+ lam_k], and Q
     along each axis.  What H0 leaves out is small next to it: the cross
     terms 2 eta x_i^2 x_j^2 of eta |x|^4 and the cutoff's k^2 (1 - chi^2) on
-    |k| < 2/s, both >= 0, and the rotation's 2 p.A.  So the iteration count
-    does not grow with n.  Should H0 not be positive definite, its
-    denominators are shifted up to its first gap.
+    |k| < 2/s, both >= 0, and the rotation's 2 A.p, with |A|^2's cross
+    terms when the axis is off z.  So the iteration count does not grow
+    with n.  Should H0 not be positive definite, its denominators are
+    shifted up to its first gap.
 
     No eigenvector is returned.  Each returned Ritz pair's residual is
     recomputed, and the solve must meet ||H x - theta x|| <= sqrt(eps)
@@ -324,40 +325,35 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     the spectrum (Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1):
     eps theta^2 / gap, the eigenvalues at machine precision.
     """
-    grid, gauge = p.grid, p.gauge
-    rotating = bool(np.any(gauge.omega))
+    grid = p.grid
+    rotating = bool(np.any(p.gauge.omega))
     shape, dim = grid.shape, grid.dim
     size = int(np.prod(shape))
     if J > size:
         raise ValueError(f"J = {J} eigenvalues need a grid of at least {J} points")
 
+    axes = tuple(range(dim))
     if rotating:
-        rest = multiplier - grid.ksq()
-
-        def apply(X):
-            X = X.reshape(size, -1)
-            out = np.empty(X.shape, dtype=complex)
-            for c in range(X.shape[1]):
-                v = X[:, c].reshape(shape)
-                col = np.fft.ifftn(rest * np.fft.fftn(v)) + scalar * v
-                col += apply_gauge_kinetic(ComplexField(grid, v), gauge).values
-                out[:, c] = col.reshape(-1)
-            return out
+        mult, forward, inverse = multiplier[..., None], sfft.fftn, sfft.ifftn
+        drift = [(ax, k[..., None], 2.0 * a[..., None])
+                 for ax, (k, a) in enumerate(zip(grid.kvecs(), p.gauge.components))]
     else:
         # the last axis's first n//2 + 1 frequencies are rfftn's, up to the
         # sign of the Nyquist one, which an even multiplier does not see;
-        # the block's columns run along a trailing axis
-        half = multiplier[..., : grid.n // 2 + 1, None]
-        axes = tuple(range(dim))
+        # irfftn's default length along that axis, 2 (n//2), is n (n is even)
+        mult, forward = multiplier[..., : grid.n // 2 + 1, None], sfft.rfftn
+        inverse, drift = sfft.irfftn, []
 
-        def apply(X):
-            X = X.reshape(size, -1)
-            V = X.reshape(shape + X.shape[1:])
-            out = sfft.irfftn(half * sfft.rfftn(V, axes=axes), s=shape, axes=axes)
-            out += scalar[..., None] * V
-            return out.reshape(X.shape)
+    def apply(X):
+        X = X.reshape(size, -1)
+        V = X.reshape(shape + X.shape[1:])
+        out = inverse(mult * forward(V, axes=axes), axes=axes)
+        out += scalar[..., None] * V
+        for ax, k, two_a in drift:
+            out += two_a * sfft.ifft(k * sfft.fft(V, axis=ax), axis=ax)
+        return out.reshape(X.shape)
 
-    pairs = _separable_part(grid, multiplier, scalar + gauge.magnitude_sq())
+    pairs = _separable_part(grid, multiplier, scalar)
     denom = sum(lam.reshape((1,) * d + (-1,) + (1,) * (dim - d - 1))
                 for d, (lam, _) in enumerate(pairs))
     if denom.min() <= 0.0:
@@ -409,8 +405,7 @@ def kappa_eta(p: GpProblem, eta: float) -> float:
     """inf spec(-eta Lap + 2 p.A + eta |x|^4) on the problem's grid."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    scalar = eta * p.grid.radius_sq() ** 2 - p.gauge.magnitude_sq()
-    return float(_lowest_eigs(p, eta * p.grid.ksq(), scalar, 1)[0])
+    return float(_lowest_eigs(p, eta * p.grid.ksq(), eta * p.grid.radius_sq() ** 2, 1)[0])
 
 
 def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedOneBody:
@@ -424,5 +419,5 @@ def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedO
     kmag = np.sqrt(grid.ksq())
     mult = grid.ksq() * (1.0 - chi(kmag) ** 2) + 2.0 * eta * grid.ksq()
     quartic = grid.radius_sq() ** 2
-    scalar = p.potential + eta * quartic - kappa
+    scalar = p.gauge.magnitude_sq() + p.potential + eta * quartic - kappa
     return ModifiedOneBody(kappa=kappa, e=_lowest_eigs(p, mult, scalar, J))

@@ -238,6 +238,8 @@ def coherent_state(z, n_max: int) -> CoherentVector:
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     z = complex(z)
+    if not np.isfinite(z):  # a NaN would slip past the tail test below
+        raise ValueError(f"coherent state needs a finite z, got {z}")
     s = abs(z) ** 2
     # P[Poisson(s) > n_max]: the exact squared-norm deficit of the truncation
     tail = float(special.gammainc(n_max + 1, s)) if s > 0 else 0.0

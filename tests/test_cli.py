@@ -389,6 +389,8 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         ["scattering", "--potential", "square", "1", "50", "--scale", "nan"],
         ["dyson-check", "--N", "nan"],
         ["fock-ed", "--e", "nan", "2"],
+        ["symbols-check", "--z", "nan"],
+        ["symbols-check", "--z", "1+nanj"],
         # malformed JSON config files
         [*gp2d, "--config", str(configs / "int.json")],
         [*gp2d, "--config", str(configs / "list.json")],

@@ -400,9 +400,13 @@ def _separable_apply(grid, multiplier, scalar, vec):
     return out.reshape(-1)
 
 
-@pytest.mark.parametrize("omega", [0.0, 0.4])
-def test_k0_operators_match_per_axis_formula(monkeypatch, omega):
-    p = harmonic_problem(dim=2, n=16, length=10.0, omega=omega)
+@pytest.mark.parametrize("dim, omega, n", [
+    (2, 0.0, 16), (2, 0.4, 16), (3, (0.3, 0.0, 0.8), 10),
+], ids=["0.0", "0.4", "3d-offaxis-10"])
+def test_k0_operators_match_per_axis_formula(monkeypatch, dim, omega, n):
+    # off the z axis every A_i depends on two coordinates, the case the
+    # per-axis 2 A.p term must get right
+    p = harmonic_problem(dim=dim, n=n, length=10.0, omega=omega)
     chi, eta, grid = CutoffFunction(2.0), 1.0, p.grid
     solves = _captured_solves(monkeypatch)
     mob = build_K0(p, chi, eta=eta, J=2)
@@ -418,10 +422,11 @@ def test_k0_operators_match_per_axis_formula(monkeypatch, omega):
     size = grid.n**grid.dim
     for (op, prec), (m, scalar) in zip(solves, refs):
         # at Omega = 0 the operator is real symmetric: real probes
-        dtype = complex if omega else float
+        rotating = bool(np.any(omega))
+        dtype = complex if rotating else float
         assert op.dtype == prec.dtype == dtype
         X = rng.standard_normal((size, 3))
-        if omega:
+        if rotating:
             X = X + 1j * rng.standard_normal((size, 3))
         ref = np.stack([_fft_apply(grid, m, p.gauge, scalar, x) for x in X.T], axis=1)
         scale = np.max(np.abs(ref))
@@ -429,7 +434,7 @@ def test_k0_operators_match_per_axis_formula(monkeypatch, omega):
         assert np.max(np.abs(op.matmat(X) - ref)) <= 1e-12 * scale
         # the preconditioner is the exact inverse of the separable part H0
         H0X = np.stack([_separable_apply(grid, m, scalar, x) for x in X.T], axis=1)
-        if not omega:
+        if not rotating:
             H0X = H0X.real
         assert np.max(np.abs(prec.matmat(H0X) - X)) <= 1e-12 * np.max(np.abs(X))
         assert np.max(np.abs(prec.matvec(H0X[:, 0]) - X[:, 0])) <= 1e-12 * np.max(np.abs(X))
@@ -472,12 +477,13 @@ def test_k0_repeatable_bitwise():
 
 @pytest.mark.parametrize("dim, omega, n", [
     (2, 0.0, 32), (2, 0.4, 16), (2, 0.9, 32), (3, 0.0, 12), (3, (0.0, 0.0, 0.5), 12),
-], ids=["0.0-32", "0.4-16", "0.9-32", "3d-0.0-12", "3d-0.5z-12"])
+    (3, (0.3, 0.0, 0.8), 12),
+], ids=["0.0-32", "0.4-16", "0.9-32", "3d-0.0-12", "3d-0.5z-12", "3d-offaxis-12"])
 def test_k0_eigenvalues_match_full_precision_solve(monkeypatch, dim, omega, n):
     # the residual rule sqrt(eps) max(1, |theta|) against ARPACK run to
     # machine precision (tol=0) on the same operators: on the CLI's default
-    # grid, rotating (the complex block), and in 3D, where K0's second level
-    # is threefold
+    # grid, rotating (the complex block), in 3D, where K0's second level
+    # is threefold at Omega = 0, and about an axis off z
     p = harmonic_problem(dim=dim, n=n, length=12.0, omega=omega)
     solves = _captured_solves(monkeypatch)
     shipped = build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)

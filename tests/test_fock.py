@@ -353,6 +353,10 @@ def test_coherent_tail_rejected():
         coherent_state(3.0, 4)
     with pytest.raises(ValueError):
         coherent_state(0.0, -1)
+    # a NaN compares False with the tail's bound, so it is refused by name
+    for z in (np.nan, complex(1.0, np.nan), np.inf):
+        with pytest.raises(ValueError, match="finite z"):
+            coherent_state(z, 12)
 
 
 def test_symbols_reference_values():
