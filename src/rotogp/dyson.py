@@ -41,7 +41,7 @@ from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .gp import GpProblem
-from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, weighted_nodes
+from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, sin_cos, weighted_nodes
 from .scattering import RadialPotential
 
 
@@ -99,9 +99,9 @@ def _h_radial(chi: CutoffFunction, r_max, n):
     c = amp / q
     r = np.linspace(0.0, r_max, n)
     m = int(np.ceil(np.sqrt(n)))
-    qa = np.multiply.outer(m * r[1] * np.arange(-(-n // m)), q)
-    qb = np.multiply.outer(r[1] * np.arange(m), q)
-    sines = ((np.sin(qa) * c) @ np.cos(qb).T + (np.cos(qa) * c) @ np.sin(qb).T).ravel()
+    sin_a, cos_a = sin_cos(np.multiply.outer(m * r[1] * np.arange(-(-n // m)), q))
+    sin_b, cos_b = sin_cos(np.multiply.outer(r[1] * np.arange(m), q))
+    sines = ((sin_a * c) @ cos_b.T + (cos_a * c) @ sin_b.T).ravel()
     # Gauss nodes q > 0; the r = 0 kernel is 1
     h = np.concatenate([[amp.sum()], sines[1:n] / r[1:]])
     return h / (2.0 * np.pi**2)
@@ -259,8 +259,10 @@ def check_dyson_inequality(
 # ---------------------------------------------------------------------------
 
 # LOBPCG iterations before the residual rule is judged; the CLI defaults
-# take 25 (kappa) and 31 (K0), the tests' rotating 3D n = 12 grids up to 80
+# take 21 (kappa) and 24 (K0), the tests' rotating 3D n = 12 grids up to 65
 _LOBPCG_MAXITER = 200
+# amplitude of the seeded random part of LOBPCG's start block, per entry
+_START_NOISE = 1e-2
 
 
 @dataclass
@@ -305,8 +307,8 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     2 A.p adds sum_i 2 A_i ifft_i(k_i fft_i V), one 1D pair along each axis:
     exact, since A_i does not depend on x_i (the split of fields).
 
-    One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) on
-    J + 2 seeded vectors, complex when rotating, serves both cases.  Its
+    One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) on a
+    block of J + 2 vectors, complex when rotating, serves both cases.  Its
     preconditioner is the exact inverse of the separable part H0 = sum_d A_d
     (_separable_part), by fast diagonalization (Lynch, Rice & Thomas, Numer.
     Math. 6, 185 (1964)): Q^T, a division by lam_i + lam_j [+ lam_k], and Q
@@ -315,7 +317,9 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     |k| < 2/s, both >= 0, and the rotation's 2 A.p, with |A|^2's cross
     terms when the axis is off z.  So the iteration count does not grow
     with n.  Should H0 not be positive definite, its denominators are
-    shifted up to its first gap.
+    shifted up to its first gap.  The block starts at H0's J + 2 lowest
+    eigenvectors, tensor products of the Q columns that the preconditioner
+    already holds, plus a seeded random part.
 
     No eigenvector is returned.  Each returned Ritz pair's residual is
     recomputed, and the solve must meet ||H x - theta x|| <= sqrt(eps)
@@ -359,28 +363,36 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     if denom.min() <= 0.0:
         gap = min(lam[1] - lam[0] for lam, _ in pairs)
         denom = denom - denom.min() + gap
-    denom = denom[..., None]
+
+    def along_axes(Y, trans):
+        # Q^T (trans) or Q along every grid axis of a real (size, m) block
+        for d, (_, Q) in enumerate(pairs):
+            Y = np.matmul(Q.T if trans else Q, Y.reshape(grid.n**d, grid.n, -1))
+        return Y.reshape(size, -1)
 
     def precondition(X):
         # Q acts on real and imaginary parts alike: a complex block is
         # transformed as its float view, the columns' two halves side by side
         X = np.ascontiguousarray(X.reshape(size, -1))
-        Y = X.view(float)
-        for d, (_, Q) in enumerate(pairs):
-            Y = np.matmul(Q.T, Y.reshape(grid.n**d, grid.n, -1))
-        Y = Y.reshape(shape + (-1,)) / denom
-        for d, (_, Q) in enumerate(pairs):
-            Y = np.matmul(Q, Y.reshape(grid.n**d, grid.n, -1))
-        return Y.reshape(size, -1).view(X.dtype)
+        Y = along_axes(X.view(float), True) / denom.reshape(size, 1)
+        return along_axes(Y, False).view(X.dtype)
 
     dtype = complex if rotating else float
     op = LinearOperator((size, size), matvec=apply, matmat=apply, dtype=dtype)
     prec = LinearOperator((size, size), matvec=precondition, matmat=precondition,
                           dtype=dtype)
+    # the random part reaches every symmetry sector, also those in which
+    # H0's lowest eigenvectors have no component; on a grid of fewer than
+    # J + 2 points the columns past its size are random alone
+    block = J + 2
+    lowest = np.argsort(denom.ravel(), kind="stable")[:block]
+    E = np.zeros((size, block))
+    E[lowest, np.arange(lowest.size)] = 1.0
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((size, J + 2))
+    noise = rng.standard_normal((size, block))
     if rotating:
-        X = X + 1j * rng.standard_normal((size, J + 2))
+        noise = noise + 1j * rng.standard_normal((size, block))
+    X = along_axes(E, False) + _START_NOISE * noise
     root_eps = np.sqrt(np.finfo(float).eps)
     with warnings.catch_warnings():
         # convergence is judged below, on recomputed residuals

@@ -150,6 +150,10 @@ def diag_bound(V, alpha, xs, d=1):
         f, np.sort(np.clip(breaks, lo, y_max), axis=1), x)
 
 
+# rows of the d = 3 trace profile per block of _diag_bound_grid
+_TRACE_ROWS = 32
+
+
 def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
     """Fixed-spacing convolution on an equispaced grid, for trace scans.
 
@@ -194,16 +198,26 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
             [[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))]
         )
         # G is constant from sat on and ev is 0 from rho[n_live] on, both exactly:
-        # row r sums only the rho within sat of r and below rho[n_live]
+        # row r sums only the rho within sat of r and below rho[n_live]; a row
+        # with no such rho stays exactly 0
         sat = s_tab[min(np.flatnonzero(np.diff(G))[-1] + 2, s_tab.size - 1)]
         n_live = ev.size - np.argmax(ev[::-1] != 0.0)
-        out = np.empty(xs.size)
-        for i, r in enumerate(np.abs(xs)):
-            win = slice(*np.searchsorted(rho[:n_live], [r - sat, r + sat]))
-            inner = np.interp(r + rho[win], s_tab, G) - np.interp(
-                np.abs(r - rho[win]), s_tab, G
-            )
-            out[i] = 2.0 * np.pi / max(r, dy) * np.sum(ev[win] * inner)
+        r = np.abs(xs)
+        lo, hi = np.searchsorted(rho[:n_live], [r - sat, r + sat])
+        rows = np.flatnonzero(hi > lo)
+        out = np.zeros(xs.size)
+        # _TRACE_ROWS rows at a time, each window padded to the block's widest
+        # with weight 0, which bounds the transients
+        for b in range(0, rows.size, _TRACE_ROWS):
+            i = rows[b:b + _TRACE_ROWS]
+            idx = lo[i, None] + np.arange((hi[i] - lo[i]).max())
+            pad = idx >= hi[i, None]
+            idx[pad] = lo[i[0]]
+            y, rb = rho[idx], r[i, None]
+            inner = np.interp(rb + y, s_tab, G) - np.interp(np.abs(rb - y), s_tab, G)
+            w = ev[idx]
+            w[pad] = 0.0
+            out[i] = 2.0 * np.pi / np.maximum(r[i], dy) * np.sum(w * inner, axis=1)
         return pref * out
     raise ValueError("d must be 1 or 3")
 

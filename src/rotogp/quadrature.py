@@ -87,13 +87,19 @@ def integrate(f, breaks, *args):
     return acc if np.ndim(breaks) == 2 else acc[:, 0]
 
 
-def _upward(ell, x):
-    # sin x = t c and cos x = c - 1, c = 2 / (1 + t^2), t = tan(x/2): numpy
-    # vectorises tan but not sin or cos.  In place, as fresh blocks page-fault
+def sin_cos(x):
+    """(sin x, cos x) = (t c, c - 1), c = 2 / (1 + t^2), from one t = tan(x/2):
+    numpy vectorises tan but not sin or cos.  In place, as fresh blocks
+    page-fault."""
     t = np.tan(0.5 * x)
     c = 2.0 / (1.0 + t * t)
-    j0 = np.divide(t * c, x, out=t)
-    j1 = np.divide(j0 - c + 1.0, x, out=c)
+    return np.multiply(t, c, out=t), np.subtract(c, 1.0, out=c)
+
+
+def _upward(ell, x):
+    s, c = sin_cos(x)
+    j0 = np.divide(s, x, out=s)
+    j1 = np.divide(j0 - c, x, out=c)
     for n in range(1, ell + 1):
         j0, j1 = j1, np.subtract((2 * n + 1) * j1 / x, j0, out=j0)
     return j0, j1

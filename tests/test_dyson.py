@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,29 +477,45 @@ def test_k0_repeatable_bitwise():
     assert np.array_equal(first.e, second.e)
 
 
-@pytest.mark.parametrize("dim, omega, n", [
-    (2, 0.0, 32), (2, 0.4, 16), (2, 0.9, 32), (3, 0.0, 12), (3, (0.0, 0.0, 0.5), 12),
-    (3, (0.3, 0.0, 0.8), 12),
-], ids=["0.0-32", "0.4-16", "0.9-32", "3d-0.0-12", "3d-0.5z-12", "3d-offaxis-12"])
-def test_k0_eigenvalues_match_full_precision_solve(monkeypatch, dim, omega, n):
+@pytest.mark.parametrize("dim, omega, n, J", [
+    (2, 0.0, 32, 4), (2, 0.4, 16, 4), (2, 0.9, 32, 4), (3, 0.0, 12, 4),
+    (3, (0.0, 0.0, 0.5), 12, 4), (3, (0.3, 0.0, 0.8), 12, 4), (2, 0.0, 16, 6),
+], ids=["0.0-32", "0.4-16", "0.9-32", "3d-0.0-12", "3d-0.5z-12", "3d-offaxis-12",
+        "J6-0.0-16"])
+def test_k0_eigenvalues_match_full_precision_solve(monkeypatch, dim, omega, n, J):
     # the residual rule sqrt(eps) max(1, |theta|) against ARPACK run to
     # machine precision (tol=0) on the same operators: on the CLI's default
     # grid, rotating (the complex block), in 3D, where K0's second level
-    # is threefold at Omega = 0, and about an axis off z
+    # is threefold at Omega = 0, about an axis off z, and with J = 6 levels,
+    # more than the start block's lowest separable vectors resolve
     p = harmonic_problem(dim=dim, n=n, length=12.0, omega=omega)
     solves = _captured_solves(monkeypatch)
-    shipped = build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
+    shipped = build_K0(p, CutoffFunction(3.5), eta=1.0, J=J)
     v0 = np.random.default_rng(0).standard_normal(n**dim)
     exact = [np.sort(eigsh(op, k=k, which="SA", tol=0, v0=v0, return_eigenvectors=False))
-             for (op, _), k in zip(solves, (1, 4))]
+             for (op, _), k in zip(solves, (1, J))]
     assert abs(shipped.kappa - exact[0][0]) <= 1e-10
     assert np.max(np.abs(shipped.e - exact[1])) <= 1e-10
 
 
+@pytest.mark.parametrize("J", [15, 16])
+def test_k0_on_a_grid_smaller_than_the_block(monkeypatch, J):
+    # 16 points hold fewer than J + 2 start vectors: the columns past the
+    # grid's size start random, and the solve matches the dense spectrum
+    p = harmonic_problem(dim=2, n=4, length=12.0)
+    solves = _captured_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # lobpcg's dense fallback
+        mob = build_K0(p, CutoffFunction(3.5), eta=1.0, J=J)
+    dense = np.linalg.eigvalsh(solves[1][0].matmat(np.eye(16)))
+    assert np.max(np.abs(mob.e - dense[:J])) <= 1e-10 * np.max(np.abs(dense))
+
+
 def test_k0_default_solves_apply_count(monkeypatch):
     # kappa(eta) and K0 at the CLI defaults took 1,251 ARPACK applies; the
-    # preconditioned block solve takes about 220 column applies, and the
-    # seeded start makes the count deterministic
+    # preconditioned block solve took 222 column applies from a random
+    # start, and takes 191 from the separable part's lowest eigenvectors;
+    # the seeded start makes the count deterministic
     applies = []  # column applies per solve
 
     def counted_lobpcg(A, X, **kw):
@@ -516,6 +534,7 @@ def test_k0_default_solves_apply_count(monkeypatch):
     assert len(applies) == 2
     # plus one apply per returned pair for the residual check: 1 + 4
     assert sum(applies) + 5 <= 300
+    assert sum(applies) + 5 <= 200
 
 
 def test_k0_solve_with_indefinite_separable_part():

@@ -443,3 +443,25 @@ def test_ground_state_repeatable_bitwise():
     e1, v1 = ground_state(H, b, 6)
     e2, v2 = ground_state(H, b, 6)
     assert e1 == e2 and np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("N", [2, 4, 5, 6])
+def test_ground_state_matches_full_dense_solve(N):
+    # up to 400 states (N <= 5 of J = 6) the dense branch computes the lowest
+    # pair alone: against every pair of the full matrix, the vector up to
+    # its phase; N = 6 holds 462 states, ARPACK's branch from the state of
+    # lowest diagonal entry
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((6, 6))
+    b = SectorBasis(6, N)
+    mb = ModeBasis(e=np.arange(1.0, 7.0), W=pair_interaction_tensor(0.5 * (g + g.T), 0.4 / N))
+    H = build_hamiltonian(mb, b)
+    e0, vec = ground_state(H, b, N)
+    if len(b) <= 400:
+        w, v = np.linalg.eigh(H.toarray())
+        assert w[1] - w[0] > 1e-3  # a simple level: its vector is defined
+        assert abs(e0 - w[0]) <= 1e-12
+        assert abs(abs(np.vdot(v[:, 0], vec)) - 1.0) <= 1e-12
+    else:
+        assert len(b) == 462
+        assert abs(e0 - np.linalg.eigvalsh(H.toarray())[0]) <= 1e-10

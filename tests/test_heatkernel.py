@@ -56,6 +56,26 @@ def _diag_bound_grid_full(V, alpha, xs, d, y_max, dy=0.01):
     return pref * out
 
 
+def _diag_bound_grid_per_point_3d(V, alpha, xs, y_max, dy=0.01):
+    """The d = 3 grid profile one point at a time, each summing its own window."""
+    rho = np.arange(dy, y_max, dy)
+    ev = np.exp(-alpha * V(rho)) * rho * dy
+    s_tab = np.linspace(0.0, y_max + np.abs(xs).max() + dy, 20000)
+    n_h = np.searchsorted(s_tab, np.sqrt(746.0 / hk._theta_kernel(alpha, 3)[2].min()))
+    g_int = np.zeros(s_tab.size)
+    g_int[:n_h] = s_tab[:n_h] * hk.h_alpha(s_tab[:n_h], alpha, d=3)
+    g_int[0] = 0.0
+    G = np.concatenate([[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))])
+    sat = s_tab[min(np.flatnonzero(np.diff(G))[-1] + 2, s_tab.size - 1)]
+    n_live = ev.size - np.argmax(ev[::-1] != 0.0)
+    out = np.empty(xs.size)
+    for i, r in enumerate(np.abs(xs)):
+        win = slice(*np.searchsorted(rho[:n_live], [r - sat, r + sat]))
+        inner = np.interp(r + rho[win], s_tab, G) - np.interp(np.abs(r - rho[win]), s_tab, G)
+        out[i] = 2.0 * np.pi / max(r, dy) * np.sum(ev[win] * inner)
+    return (4.0 * np.pi * alpha) ** -1.5 * out
+
+
 def _per_call_kernels(alpha):
     """h_alpha and the d = 3 shell average with the theta rule and (4 pi t)^{-d/2}
     rebuilt in every call, for the kernels diag_bound reads from the shared cache."""
@@ -315,6 +335,24 @@ class TestWeightedTrace:
         trimmed = hk._diag_bound_grid(V, alpha, x, 3, y_max)
         full = _diag_bound_grid_full(V, alpha, x, 3, y_max)
         assert np.all(np.abs(trimmed - full) <= 1e-13 * np.abs(full) + 1e-300)
+
+    @pytest.mark.parametrize("V, alpha, L", [
+        (hk.harmonic_potential(), 1.0, 128.0),
+        (hk.harmonic_potential(), 0.3, 64.0),
+        (hk.log_potential(2.0), 1.0, 32.0),
+    ], ids=["harmonic-1", "harmonic-0.3", "log"])
+    def test_row_blocks_match_per_point_windows_3d(self, V, alpha, L):
+        # harmonic: the rows past sat beyond the live range sum nothing and
+        # must be exactly 0; every case spans several blocks of rows
+        x = np.linspace(0.0, L, int(8 * L) + 1)[1:]
+        y_max = L + 12.0 * np.sqrt(alpha)
+        blocks = hk._diag_bound_grid(V, alpha, x, 3, y_max)
+        ref = _diag_bound_grid_per_point_3d(V, alpha, x, y_max)
+        assert np.count_nonzero(ref) > 2 * hk._TRACE_ROWS
+        assert np.array_equal(blocks == 0.0, ref == 0.0)
+        assert np.all(np.abs(blocks - ref) <= 1e-13 * np.abs(ref))
+        if np.exp(-alpha * V(y_max)) == 0.0:
+            assert ref[-1] == 0.0
 
     @pytest.mark.parametrize("V, alpha, L", [
         (hk.harmonic_potential(), 1.0, 128.0),

@@ -50,15 +50,18 @@ def _rk4_loop(h, wvals):
     RadialPotential(2.0, lambda r: 50.0 / (1.0 + r**2), core=0.3),
 ], ids=["weak", "tall-scaled", "well", "smooth-core"])
 def test_rk4_prefix_products_match_stepwise_loop(pot):
-    # the products round in another order than the loop: allow eps per step
-    n = 2000
-    h = (pot.rrange - pot.core) / n
-    wvals = pot.func(pot.core + 0.5 * h * np.arange(2 * n + 1))
-    us, v = _rk4_outward(h, wvals)
-    us_ref, v_ref = _rk4_loop(h, wvals)
-    tol = n * np.finfo(float).eps
-    assert np.max(np.abs(us - us_ref)) <= tol * np.max(np.abs(us_ref))
-    assert abs(v - v_ref) <= tol * abs(v_ref)
+    # the products round in another order than the loop: allow eps per step.
+    # Odd counts and 2^10 + 1 reach the scan's ragged ends: the up-sweep's
+    # unpaired last step and the down-sweep's indices past the last 2^m - 1
+    for n in (1, 2, 3, 7, 1024, 1025, 2000):
+        h = (pot.rrange - pot.core) / n
+        wvals = pot.func(pot.core + 0.5 * h * np.arange(2 * n + 1))
+        us, v = _rk4_outward(h, wvals)
+        us_ref, v_ref = _rk4_loop(h, wvals)
+        tol = n * np.finfo(float).eps
+        assert us.shape == us_ref.shape
+        assert np.max(np.abs(us - us_ref)) <= tol * np.max(np.abs(us_ref)), n
+        assert abs(v - v_ref) <= tol * abs(v_ref), n
 
 
 @pytest.mark.parametrize("r0, w0", [(1.0, 1.0), (1.0, 25.0), (1.0, 50.0),
