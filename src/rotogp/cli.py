@@ -456,10 +456,12 @@ def _flag_kwargs(key, default):
 
 
 def build_parser(only=None):
-    """The argument parser; with only naming a subcommand, only its flags.
+    """The argument parser; with only naming a subcommand, that one alone.
 
-    Every subcommand is listed with its help line either way, so the
-    top-level --help and the choice of subcommand do not depend on only.
+    argparse builds a subparser per add_parser call, which costs more than
+    the parse, so a run builds only its own.  Any other only (None, --help,
+    an unknown name) gets every subcommand, so the top-level --help and the
+    error for a bad name list them all.
     """
     parser = argparse.ArgumentParser(
         prog="rotogp",
@@ -467,9 +469,9 @@ def build_parser(only=None):
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (handler, help_text, defaults) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
         if only in COMMANDS and name != only:
             continue
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file; flags override it")
         sp.add_argument("--out", help="output directory (default: .)")
         for key, default in defaults.items():

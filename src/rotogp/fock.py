@@ -293,14 +293,25 @@ def monomial_matrix(p, q, n_max: int):
     return m
 
 
+def _coherent_rows(z, count):
+    """V[n] = z^n e^{-|z|^2/2} / sqrt(n!) for n < count, one row per level,
+    by V[n] = V[n - 1] z / sqrt(n): products only, no complex exp or log."""
+    V = np.empty((count, z.size), dtype=complex)
+    V[0] = np.exp(-0.5 * (z.real * z.real + z.imag * z.imag))
+    for n in range(1, count):
+        V[n] = V[n - 1] * z / np.sqrt(n)
+    return V
+
+
 def verify_resolution(p, q, n_max: int, Z=6.0, n_angle=64):
     """Operator-norm error of int dz U(z) Pi(z) against (a+)^p a^q, U its
     upper symbol; (p, q) = (0, 0) checks the resolution of identity.
 
     One mode truncated at level n_max; 80-node Gauss-Legendre radius on
-    [0, Z], uniform angle.  Compared on the n <= 3 block, which the
-    truncation leaves exact and the coherent projector reproduces once Z
-    covers the relevant matrix elements.
+    [0, Z], uniform angle.  The coherent rows <n|z> at the nodes come by
+    recurrence in n (_coherent_rows).  Compared on the n <= 3 block, which
+    the truncation leaves exact and the coherent projector reproduces once
+    Z covers the relevant matrix elements.
     """
     if n_max <= 3:
         raise ValueError("the n <= 3 block must sit strictly below the truncation")
@@ -312,13 +323,7 @@ def verify_resolution(p, q, n_max: int, Z=6.0, n_angle=64):
     th = 2.0 * np.pi * np.arange(n_angle) / n_angle
     zg = np.outer(r, np.exp(1j * th)).ravel()
     wg = np.outer(wr * r, np.full(n_angle, 2.0 * np.pi / n_angle)).ravel() / np.pi
-    # V[n, g] = z_g^n / sqrt(n!) * e^{-|z_g|^2/2}, only for the compared n <= 3
-    ns = np.arange(4)
-    logfact = special.gammaln(ns + 1.0)
-    V = np.exp(
-        np.outer(ns, np.log(zg)) - 0.5 * logfact[:, None]
-        - 0.5 * np.abs(zg)[None, :] ** 2
-    )
+    V = _coherent_rows(zg, 4)  # only the compared n <= 3
     u = upper_symbol(p, q, zg)
     target = monomial_matrix(p, q, n_max)[:4, :4].toarray()
     M = (V * (wg * u)[None, :]) @ V.conj().T

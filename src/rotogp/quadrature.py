@@ -4,6 +4,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_legendre
 
 
@@ -137,6 +138,27 @@ def _spherical_jn_pair(ell, x):
     return pair
 
 
+# fine frequencies per row of the channel-0 cosine sums
+_FINE = 32
+
+
+def _cosine_sums(r, g, L, rows):
+    """F(m) = sum_n g_n cos(m pi r_n / L) for m < rows * _FINE, by angle
+    addition: cos((_FINE a + b) x) = cos(_FINE a x) cos(b x) - sin(_FINE a x)
+    sin(b x), from a rows x nodes table of the coarse angles and a _FINE x
+    nodes table of the fine ones.  Each coarse row is one vector-matrix
+    product of fixed shape, so F(m) does not depend on rows to the last bit;
+    one rows x _FINE matrix product would, as BLAS picks its kernel by shape
+    (a single row goes through gemv).
+    """
+    x = (np.pi / L) * r
+    s, c = sin_cos(np.multiply.outer(np.arange(_FINE), x))
+    fine = np.concatenate([c, -s], axis=1).T
+    s, c = sin_cos(np.multiply.outer(_FINE * np.arange(rows), x))
+    coarse = np.concatenate([c, s], axis=1) * np.r_[g, g]
+    return np.concatenate([row @ fine for row in coarse])
+
+
 def bessel_zeros(ell, count):
     """First `count` positive zeros of j_ell; for ell = 0, k pi in closed form."""
     if ell == 0:
@@ -165,7 +187,7 @@ class BesselChannel:
     """
 
     def __init__(self, ell, K, L):
-        self.ell = ell
+        self.ell, self.L = ell, L
         alph = bessel_zeros(ell, K)
         self.p = alph / L
         self.norms = np.sqrt(L**3 / 2.0) * np.abs(_spherical_jn_pair(ell, alph)[1])
@@ -187,9 +209,24 @@ class BesselChannel:
     def matrix(self, kin_mult, pieces):
         """diag(kin_mult(p)) plus int mode_i func mode_j r^2 dr over the pieces.
 
-        Entry (i, j) depends on modes i and j only, so the matrix of the
-        first K' < K modes is exactly its leading K' x K' block.
+        Channel 0 assembles by product to sum: r mode_k is sqrt(2/L)
+        sin(k pi r / L), so entry (i, j), counted from 0, is (F(i - j) -
+        F(i + j + 2)) / L, a Toeplitz less a Hankel matrix of the cosine sums
+        F(m) = sum over the nodes of func cos(m pi r / L) times the Gauss
+        weight (_cosine_sums), for m <= 2K: no K x nodes mode table.  Other
+        channels sum (B wq) B^T over blocks of mode tables B.  Entry (i, j)
+        depends on modes i and j only, so the matrix of the first K' < K
+        modes is exactly its leading K' x K' block.
         """
+        if self.ell == 0:
+            K, rows = self.p.size, 2 * self.p.size // _FINE + 1
+            F = sum((_cosine_sums(r, wq / (r * r), self.L, rows)
+                     for r, wq in (weighted_nodes(*piece) for piece in pieces)),
+                    np.zeros(rows * _FINE))[:2 * K + 1]
+            toeplitz = sliding_window_view(np.r_[F[K - 1:0:-1], F[:K]], K)[::-1]
+            H = (toeplitz - sliding_window_view(F[2:], K)) / self.L
+            H[np.diag_indices(K)] += kin_mult(self.p)
+            return H
         H = np.diag(kin_mult(self.p))
         for B, wq in self._nodes(pieces):
             H += (B * wq) @ B.T

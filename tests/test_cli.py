@@ -1,3 +1,4 @@
+import argparse
 import ast
 import collections
 import dataclasses
@@ -512,9 +513,44 @@ class TestParser:
         assert json.loads((tmp_path / "results.json").read_text())["energy"] == 3.0
 
     def test_single_command_parser_matches_full(self):
-        argv = ["heat-bound", "--V", "log", "2.0", "--alpha", "0.1", "--dim", "3"]
-        assert vars(cli.build_parser("heat-bound").parse_args(argv)) == \
-            vars(cli.build_parser().parse_args(argv))
+        flags = {
+            "solve-gp": ["--dim", "2", "--n", "16", "--omega", "0.4", "--init", "vortex:1"],
+            "scan-omega": ["--omega-min", "0.1", "--omega-max", "0.5", "--num", "3"],
+            "scan-a": ["--a-max", "2.0", "--num", "3"],
+            "analyze": ["--field", "run/field.f64"],
+            "scattering": ["--potential", "square", "1", "50", "--scale", "2"],
+            "dyson-check": ["--J", "2", "--potential", "file", "w.npy"],
+            "fock-ed": ["--e", "0", "1", "--W-file", "w.npy", "--g", "0.5"],
+            "symbols-check": ["--op", "adag adag a", "--z", "0.5+0.1j"],
+            "heat-bound": ["--V", "log", "2.0", "--alpha", "0.1", "--dim", "3"],
+        }
+        assert list(flags) == list(cli.COMMANDS)
+        full = cli.build_parser()
+        for name, rest in flags.items():
+            argv = [name, *rest, "--config", "c.json", "--out", "out"]
+            assert vars(cli.build_parser(name).parse_args(argv)) == \
+                vars(full.parse_args(argv)), name
+
+    @pytest.mark.parametrize("argv, built", [
+        (["fock-ed", "--J", "1", "--Nmax", "3", "--sector", "3"], 1),
+        (["--help"], 9), ([], 9), (["no-such-command"], 9),
+    ], ids=["known", "help", "none", "unknown"])
+    def test_main_builds_only_the_subparser_it_runs(self, argv, built, tmp_path, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        if built == 1:
+            assert run([*argv, "--out", str(tmp_path)]) == 0
+            assert names == argv[:1]
+        else:
+            with pytest.raises(SystemExit):
+                run(argv)
+            assert names == list(cli.COMMANDS)
 
 
 def test_readme_command_lines_parse():
@@ -645,9 +681,10 @@ def test_failed_verdict_exits_1_and_names_itself(tmp_path, monkeypatch,
 
 
 def test_default_dyson_check_assembles_at_most_1000_nodes_per_channel(tmp_path, monkeypatch):
-    # a cost guard: the Gauss nodes at which each channel's modes are built,
-    # 757 at the defaults, where the basis has K = 350 modes
-    from rotogp import dyson
+    # a cost guard: the Gauss nodes at which each channel's modes are built
+    # (channel 0: its cosine tables), 757 at the defaults, where the basis
+    # has K = 350 modes
+    from rotogp import dyson, quadrature
 
     nodes = collections.Counter()
 
@@ -656,7 +693,13 @@ def test_default_dyson_check_assembles_at_most_1000_nodes_per_channel(tmp_path, 
             nodes[self.ell] += np.size(r)
             return super().__call__(r)
 
+    def cosine_sums(r, *args):
+        nodes[0] += np.size(r)
+        return sums(r, *args)
+
+    sums = quadrature._cosine_sums
     monkeypatch.setattr(dyson, "BesselChannel", Counting)
+    monkeypatch.setattr(quadrature, "_cosine_sums", cosine_sums)
     assert run([*_DYSON_SMALL, "--out", str(tmp_path)]) == 0
     assert sorted(nodes) == [0, 1, 2]
     assert max(nodes.values()) <= 1000

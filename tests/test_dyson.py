@@ -352,12 +352,15 @@ def test_potential_reaching_the_ball_is_refused(soft):
                            ell_list=(0,), basis_sizes=(60,))
 
 
-@pytest.mark.parametrize("pot", [
+_BARRIERS = pytest.mark.parametrize("pot", [
     square_barrier(1.0, 4.0e4).scaled(8.0),
     # a piecewise-linear barrier as `--potential file` reads it, kinked at
     # each sample radius
     from_samples([0.0, 0.2, 0.5, 0.8, 1.0], [3e4, 4e4, 2e4, 4e4, 1e4]).scaled(8.0),
 ], ids=["default", "file"])
+
+
+@_BARRIERS
 def test_channel_minima_converge_in_the_gauss_nodes(soft, pot):
     a_n = scattering_length(pot)
     rule, minima = dyson.gauss_pieces, []
@@ -369,6 +372,33 @@ def test_channel_minima_converge_in_the_gauss_nodes(soft, pot):
         minima.append(np.array([channels[ell] for ell in (0, 1, 2)]))
     assert np.max(np.abs(minima[1] - minima[0])) <= 1e-10
     assert np.max(np.abs(minima[2] - minima[0])) <= 1e-10
+
+
+@_BARRIERS
+def test_channel_minima_match_a_full_eigvalsh(soft, recorded, pot, monkeypatch):
+    # the lowest eigenvalue alone (dsyevx to 2 dlamch('S')) against every
+    # eigenvalue of the same leading block
+    eigvalsh = np.linalg.eigvalsh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", refuse)
+        channels = check_dyson_inequality(pot, soft, scattering_length(pot))["channels"]
+    assert len(recorded) == 3
+    for ell, (_, _, H) in zip((0, 1, 2), recorded):
+        for k, lam in zip((150, 250, 350), channels[ell]):
+            assert abs(lam - eigvalsh(H[:k, :k])[0]) <= 1e-12, (ell, k)
+
+
+def test_lowest_eig_refuses_a_matrix_with_nan():
+    # dsyevx reports no eigenvalue and info 0 there, and leaves w[0] at 0
+    H = np.diag([3.0, 1.0, 2.0])
+    assert dyson._lowest_eig(H) == 1.0
+    H[0, 1] = H[1, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        dyson._lowest_eig(H)
 
 
 def _captured_solves(monkeypatch):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import product
 from math import comb, factorial, sqrt
-from scipy import sparse
+from scipy import sparse, special
 
+from rotogp import fock
 from rotogp.fock import (
     CoherentVector,
     ErrorConstants,
@@ -408,6 +409,40 @@ def test_resolution_of_identity():
             assert verify_resolution(p, q, 12, Z=6.0) < 1e-6, (p, q)
     with pytest.raises(ValueError):
         verify_resolution(0, 0, 3)  # no room above the n <= 3 block
+
+
+def _coherent_rows_exp_log(z, count):
+    """The rows z^n e^{-|z|^2/2} / sqrt(n!) as one complex exp of
+    n log z - log(n!)/2 - |z|^2/2, the former form of verify_resolution."""
+    ns = np.arange(count)
+    return np.exp(np.outer(ns, np.log(z)) - 0.5 * special.gammaln(ns + 1.0)[:, None]
+                  - 0.5 * np.abs(z)[None, :] ** 2)
+
+
+def test_resolution_rows_match_the_closed_form(monkeypatch):
+    # the rows verify_resolution builds at symbols-check --nodes 96, Z = 6
+    seen = []
+    rows = fock._coherent_rows
+
+    def recording(z, count):
+        seen.append((z, rows(z, count)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fock, "_coherent_rows", recording)
+    verify_resolution(1, 1, 12, Z=6.0, n_angle=96)
+    (z, V), = seen
+    assert V.shape == (4, 80 * 96)
+    power = np.array([z**n * np.exp(-0.5 * np.abs(z) ** 2) / sqrt(factorial(n))
+                      for n in range(4)])
+    for ref in (power, _coherent_rows_exp_log(z, 4)):
+        assert np.max(np.abs(V - ref) / np.abs(ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 1), (2, 2), (2, 1)])
+def test_resolution_error_matches_the_exp_log_rows(monkeypatch, p, q):
+    new = verify_resolution(p, q, 12, n_angle=96)
+    monkeypatch.setattr(fock, "_coherent_rows", _coherent_rows_exp_log)
+    assert abs(new - verify_resolution(p, q, 12, n_angle=96)) <= 1e-13
 
 
 def test_error_constants_limits():

@@ -152,6 +152,26 @@ def test_blocked_matrix_matches_unblocked_on_dyson_pieces(ell, dyson_pieces):
     assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_sine_channel_blocks_nest_bitwise_at_the_row_edges(dyson_pieces):
+    # channel 0's cosine sums come in rows of 32 frequencies (2K // 32 + 1
+    # rows): sizes on both sides of a row edge, and the single-row builds
+    kin, pieces = dyson_pieces
+    H = BesselChannel(0, 100, 14.0).matrix(kin, pieces)
+    for K in (1, 2, 15, 16, 17, 31, 32, 33):
+        assert np.array_equal(BesselChannel(0, K, 14.0).matrix(kin, pieces), H[:K, :K]), K
+
+
+def test_sine_assembly_matches_mode_tables_on_the_shell(dyson_pieces):
+    # the potential part alone, without the kinetic diagonal that dominates
+    # max|H|: the U_R shell piece, whose edges are jumps inside the ball,
+    # and all three pieces
+    _, pieces = dyson_pieces
+    for part in (pieces[1:2], pieces):
+        H = BesselChannel(0, 350, 14.0).matrix(np.zeros_like, part)
+        ref = _unblocked_matrix(0, 350, 14.0, np.zeros_like, part)
+        assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def _check_oracle_assembly(ell, d, K_range):
     # the heat-kernel oracle for points |x| <= 3, as brute_diag takes it: in
     # d = 1, two pieces of K + 16 nodes on [0, L], L = 2 box; in d = 3, one
