@@ -163,12 +163,7 @@ def concavity_defects(a_values, energies):
         raise ValueError("need matching 1D arrays with at least 3 points")
     if np.any(np.diff(a) <= 0):
         raise ValueError("a_values must be strictly increasing")
-    out = []
-    for i in range(1, a.size - 1):
-        left = (e[i] - e[i - 1]) / (a[i] - a[i - 1])
-        right = (e[i + 1] - e[i]) / (a[i + 1] - a[i])
-        out.append(right - left)
-    return np.array(out)
+    return np.diff(np.diff(e) / np.diff(a))
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +189,12 @@ class MixtureState:
                 raise GridMismatchError("mixture fields live on different grids")
 
     def gram(self):
-        """Weighted Gram matrix sqrt(w_i w_j) <phi_i|phi_j>."""
-        m = len(self.fields)
-        g = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(i, m):
-                g[i, j] = inner(self.fields[i], self.fields[j])
-                g[j, i] = np.conj(g[i, j])
-        rw = np.sqrt(self.weights)
-        return rw[:, None] * g * rw[None, :]
+        """Weighted Gram matrix sqrt(w_i w_j) <phi_i|phi_j>, the quadrature
+        inner products of all pairs in one product of the stacked values."""
+        grid = self.fields[0].grid
+        x = np.stack([f.values.ravel() for f in self.fields])
+        x = np.sqrt(self.weights)[:, None] * x
+        return grid.spacing**grid.dim * (x.conj() @ x.T)
 
     def spectrum(self):
         """Nonzero eigenvalues of the mixture's one-body density matrix.

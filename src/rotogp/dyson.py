@@ -42,7 +42,7 @@ from scipy.linalg.lapack import dsyevx
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .gp import GpProblem
-from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, sin_cos, weighted_nodes
+from .quadrature import BesselChannel, gauss_pieces, sin_cos, weighted_nodes
 from .scattering import RadialPotential
 
 
@@ -93,10 +93,7 @@ def _h_radial(chi: CutoffFunction, r_max, n):
     m ~ sqrt(n): sin q(r_a + r_b) = sin q r_a cos q r_b + cos q r_a sin q r_b,
     two (n/m x 400)(400 x m) products instead of an n x 400 sine table.
     """
-    q, wq = gauss_legendre(400)
-    q = 0.5 * chi.p_hi * (q + 1.0)
-    wq = 0.5 * chi.p_hi * wq
-    amp = wq * q * q * (1.0 - chi(q))
+    q, amp = weighted_nodes(0.0, chi.p_hi, 400, lambda q: 1.0 - chi(q))
     c = amp / q
     r = np.linspace(0.0, r_max, n)
     m = int(np.ceil(np.sqrt(n)))
@@ -121,11 +118,9 @@ class SoftPotentials:
     def __post_init__(self):
         self.UR_height = 6.0 / self.R**3
 
-    def wR(self, r=None):
-        """w_R on the stored grid (or interpolated to r)."""
+    def wR(self, r):
+        """w_R interpolated to r from the stored grid, zero beyond it."""
         w = (2.0 / np.pi**2) * self.fR * self.int_fR
-        if r is None:
-            return w
         return np.interp(np.asarray(r, dtype=float), self.r, w, right=0.0)
 
     def UR(self, r):

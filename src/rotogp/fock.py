@@ -14,14 +14,14 @@ by that rank.
 
 Coherent states, the lower and upper symbols of one normal-ordered
 monomial (a+)^p a^q in closed form, and the coherent-state resolution
-int dz U(z) Pi(z) (dz = pi^{-1} dx dy) live here too, on one mode truncated
-at level n_max, where a = diag(sqrt 1..sqrt n_max, 1); plus the
-closed-form error constants D1, D2, D3.
+int dz U(z) Pi(z) (dz = pi^{-1} dx dy) live here too, with the monomial's
+matrix on one mode truncated at level n_max, one diagonal in closed form;
+plus the closed-form error constants D1, D2, D3.
 """
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 from scipy import linalg, sparse, special
@@ -79,14 +79,6 @@ def _rank(states, total):
     after = total - np.cumsum(states[:, :-1], axis=1)  # r left after mode j
     k = np.arange(modes - 1, 0, -1)
     return (table[after + states[:, :-1], k] - table[after, k]).sum(axis=1)
-
-
-def lowering_operator(n_max: int) -> sparse.csr_matrix:
-    """a on one mode truncated at level n_max: diag(sqrt 1..sqrt n_max, 1)."""
-    if n_max < 0:
-        raise ValueError("need n_max >= 0")
-    return sparse.diags(np.sqrt(np.arange(1, n_max + 1, dtype=float)), 1,
-                        shape=(n_max + 1, n_max + 1), format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +276,19 @@ def upper_symbol(p, q, z):
                * np.conj(z) ** (p - k) * z ** (q - k) for k in range(min(p, q) + 1))
 
 
-def monomial_matrix(p, q, n_max: int):
-    """(a+)^p a^q on levels 0..n_max of one mode, from the truncated a."""
-    a = lowering_operator(n_max)
-    m = sparse.identity(n_max + 1, format="csr")
-    for factor in [a.T] * p + [a] * q:
-        m = m @ factor
-    return m
+def monomial_matrix(p, q, n_max: int) -> sparse.csr_matrix:
+    """(a+)^p a^q on levels 0..n_max of one mode, with the truncated
+    a = diag(sqrt 1..sqrt n_max, 1): one diagonal in closed form.
+
+    Level n goes to n - q + p with sqrt(n!/(n-q)!) sqrt((n-q+p)!/(n-q)!), the
+    root of an exact integer product, for q <= n <= n_max - max(p - q, 0);
+    every other column is zero, as in the product of the truncated factors.
+    """
+    if min(p, q, n_max) < 0:
+        raise ValueError("need p, q, n_max >= 0")
+    cols = np.arange(q, n_max + 1 - max(p - q, 0))
+    vals = np.sqrt([float(perm(n, q) * perm(n - q + p, p)) for n in cols.tolist()])
+    return sparse.csr_matrix((vals, (cols - q + p, cols)), shape=(n_max + 1, n_max + 1))
 
 
 def _coherent_rows(z, count):
@@ -304,14 +302,14 @@ def _coherent_rows(z, count):
 
 
 def verify_resolution(p, q, n_max: int, Z=6.0, n_angle=64):
-    """Operator-norm error of int dz U(z) Pi(z) against (a+)^p a^q, U its
+    """Largest entry error of int dz U(z) Pi(z) against (a+)^p a^q, U its
     upper symbol; (p, q) = (0, 0) checks the resolution of identity.
 
-    One mode truncated at level n_max; 80-node Gauss-Legendre radius on
-    [0, Z], uniform angle.  The coherent rows <n|z> at the nodes come by
-    recurrence in n (_coherent_rows).  Compared on the n <= 3 block, which
-    the truncation leaves exact and the coherent projector reproduces once
-    Z covers the relevant matrix elements.
+    80-node Gauss-Legendre radius on [0, Z], uniform angle.  The coherent
+    rows <n|z> at the nodes come by recurrence in n (_coherent_rows).
+    Compared on the n <= 3 block, whose entries the closed form gives
+    exactly (monomial_matrix at n_max 3) and the coherent projector
+    reproduces once Z covers them; n_max only has to lie above that block.
     """
     if n_max <= 3:
         raise ValueError("the n <= 3 block must sit strictly below the truncation")
@@ -325,7 +323,7 @@ def verify_resolution(p, q, n_max: int, Z=6.0, n_angle=64):
     wg = np.outer(wr * r, np.full(n_angle, 2.0 * np.pi / n_angle)).ravel() / np.pi
     V = _coherent_rows(zg, 4)  # only the compared n <= 3
     u = upper_symbol(p, q, zg)
-    target = monomial_matrix(p, q, n_max)[:4, :4].toarray()
+    target = monomial_matrix(p, q, 3).toarray()
     M = (V * (wg * u)[None, :]) @ V.conj().T
     return float(np.abs(M - target).max())
 

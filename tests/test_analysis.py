@@ -144,6 +144,26 @@ def test_concavity_defects_signs():
         concavity_defects(a[::-1], concave)
 
 
+def test_concavity_defects_match_the_pointwise_loop():
+    # the same subtractions and divisions of the same operands: bitwise equal
+    rng = np.random.default_rng(5)
+    a = np.cumsum(rng.uniform(0.1, 1.0, 12))
+    e = -a**2 + 1e-3 * rng.standard_normal(12)
+    loop = [(e[i + 1] - e[i]) / (a[i + 1] - a[i]) - (e[i] - e[i - 1]) / (a[i] - a[i - 1])
+            for i in range(1, a.size - 1)]
+    assert np.array_equal(concavity_defects(a, e), loop)
+
+
+def test_mixture_gram_matches_pairwise_inner_products(grid2d):
+    fields = [gaussian_field(grid2d), vortex_field(grid2d, 1), vortex_field(grid2d, -2),
+              rotate_field(vortex_field(grid2d, 1), 0.3)]
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    g = MixtureState(w, fields).gram()
+    ref = np.array([[np.sqrt(w[i] * w[j]) * inner(f, h) for j, h in enumerate(fields)]
+                    for i, f in enumerate(fields)])
+    assert np.abs(g - ref).max() <= 1e-15
+
+
 def test_mixture_pure_state_is_extreme(grid2d):
     phi = gaussian_field(grid2d)
     same_ray = ComplexField(grid2d, np.exp(1j * 0.7) * phi.values)

@@ -329,6 +329,7 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
     W_nan = np.zeros((2, 2, 2, 2))
     W_nan[0, 0, 0, 0] = np.nan
     np.save(configs / "W_nan.npy", W_nan)
+    np.save(configs / "W_shape.npy", np.zeros((3, 3, 3, 3)))
     for name, text in [("int", "5"), ("list", '["a"]'), ("V_empty_list", '{"V": []}'),
                        ("V_empty", '{"V": ""}'), ("omega_text", '{"omega": "nan"}'),
                        ("e_text", '{"e": ["nan", 2]}'),
@@ -352,6 +353,9 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         ["dyson-check", "--R", "-1"],
         # inputs the library rejects with ValueError
         ["fock-ed", "--e", "2", "1"],
+        # --e must hold J numbers, and a --W-file a (J, J, J, J) tensor
+        ["fock-ed", "--e", "1", "2", "3"],
+        ["fock-ed", "--W-file", str(configs / "W_shape.npy")],
         ["fock-ed", "--J", "0"],
         ["fock-ed", "--sector", "-1"],
         ["solve-gp", "--n", "7"],

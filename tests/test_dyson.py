@@ -78,7 +78,7 @@ def test_hat_potential_integral_exact(soft):
 
 
 def test_wr_proportional_to_fr(soft):
-    w = soft.wR()
+    w = soft.wR(soft.r)
     assert np.all(soft.fR >= 0.0)
     assert np.all(w >= 0.0)
     c = (2.0 / np.pi**2) * soft.int_fR

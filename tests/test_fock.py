@@ -18,7 +18,6 @@ from rotogp.fock import (
     ground_state,
     hartree_minimum,
     lower_symbol,
-    lowering_operator,
     monomial_matrix,
     pair_interaction_tensor,
     upper_symbol,
@@ -101,7 +100,7 @@ def test_rank_roundtrip_forty_modes():
 
 def test_ccr_below_truncation():
     n_max = 6
-    a = lowering_operator(n_max)
+    a = monomial_matrix(0, 1, n_max)
     ad = a.conj().T
     comm = (a @ ad - ad @ a).toarray()
     # the top level is where truncation leaks
@@ -110,9 +109,30 @@ def test_ccr_below_truncation():
     vac = np.eye(n_max + 1)[0]
     assert np.linalg.norm(a @ vac) == 0.0
     assert np.allclose((ad @ a).diagonal(), np.arange(n_max + 1), rtol=1e-14)
-    assert lowering_operator(0).shape == (1, 1)
-    with pytest.raises(ValueError):
-        lowering_operator(-1)
+    assert np.allclose(monomial_matrix(1, 1, n_max).diagonal(), np.arange(n_max + 1), rtol=1e-14)
+    assert monomial_matrix(0, 1, 0).shape == (1, 1)
+    for bad in [(0, 1, -1), (-1, 0, 4), (0, -1, 4)]:
+        with pytest.raises(ValueError):
+            monomial_matrix(*bad)
+
+
+def test_monomial_matrix_matches_dense_powers_of_the_truncated_a():
+    # (a+)^p a^q from p + q dense products of a = diag(sqrt 1..sqrt n_max, 1);
+    # empty where q > n_max or p - q > n_max, then exactly zero
+    mp = np.linalg.matrix_power
+    for n_max in range(21):
+        a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+        for p, q in product(range(5), repeat=2):
+            m = monomial_matrix(p, q, n_max)
+            assert m.format == "csr" and m.shape == (n_max + 1, n_max + 1)
+            ref = mp(a.T, p) @ mp(a, q)
+            if q > n_max or p - q > n_max:
+                assert m.nnz == 0 and not ref.any(), (p, q, n_max)
+            else:
+                err = np.abs(m.toarray() - ref).max()
+                assert err <= 2e-15 * np.abs(ref).max(), (p, q, n_max)
+    # the one diagonal is held in O(n_max) memory
+    assert monomial_matrix(2, 2, 5000).nnz == 4999
 
 
 def test_single_mode_spectrum_closed_form():
@@ -329,10 +349,9 @@ def test_coherent_state_properties():
     cs = coherent_state(z, 12)
     assert cs.truncation_error < 1e-8
     assert np.linalg.norm(cs.vector) == pytest.approx(1.0, abs=1e-8)
-    a = lowering_operator(12)
-    ad = a.conj().T
+    a = monomial_matrix(0, 1, 12)
     assert np.linalg.norm(a @ cs.vector - z * cs.vector) < 1e-5
-    nbar = np.vdot(cs.vector, (ad @ a) @ cs.vector).real
+    nbar = np.vdot(cs.vector, monomial_matrix(1, 1, 12) @ cs.vector).real
     assert nbar == pytest.approx(abs(z) ** 2, abs=1e-8)
     # vacuum
     vac = coherent_state(0.0, 12)
@@ -409,6 +428,13 @@ def test_resolution_of_identity():
             assert verify_resolution(p, q, 12, Z=6.0) < 1e-6, (p, q)
     with pytest.raises(ValueError):
         verify_resolution(0, 0, 3)  # no room above the n <= 3 block
+
+
+def test_resolution_error_is_independent_of_the_truncation():
+    # the n <= 3 block comes from the closed form, which n_max never enters
+    for p, q in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)]:
+        errs = {verify_resolution(p, q, n_max, n_angle=96) for n_max in (4, 8, 12, 40)}
+        assert len(errs) == 1, (p, q, errs)
 
 
 def _coherent_rows_exp_log(z, count):
