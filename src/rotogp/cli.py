@@ -2,8 +2,10 @@
 
 One table, COMMANDS, maps each subcommand to its handler, help line and
 config defaults; every config key is also the flag --key, typed from its
-default.  Every subcommand reads an optional JSON config (--config);
-explicit flags override file values.
+default or _FLAG_OVERRIDES.  Every subcommand reads an optional JSON config
+(--config), each value parsed as its flag parses it; explicit flags override
+file values.  solve-gp and the scans hand gp.gp_minimize one list of starts:
+--init, in gp's start grammar, then --restarts - 1 "random" ones.
 
 A handler returns (record, verdicts): the values it reports (None if it
 writes only its own artifacts) and, per check, the record key it judges
@@ -12,11 +14,14 @@ the effective config and the verdicts, so a run is reproducible from its
 artifacts alone, and holds the one exit rule: 0 when every verdict passes;
 1 when one fails, or on a numerical failure (LinAlgError, ArithmeticError);
 2 on a configuration error, which is any ValueError or OSError, because
-every ValueError the library raises comes from an input check.  Artifacts
-are written by json.dump, whose repr of each float round-trips it exactly.
+every ValueError the library raises comes from an input check.  The --out
+directory is made at the first artifact written, so a refused run leaves
+none behind.  Artifacts are written by json.dump, whose repr of each float
+round-trips it exactly.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,6 +48,12 @@ def _plain(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _artifact(out, name):
+    """The path out/name, making the directory out on the first write."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, default=_plain)
@@ -56,12 +67,31 @@ def _write_csv(path, header, rows):
             fh.write(",".join(json.dumps(v, default=_plain) for v in row) + "\n")
 
 
+def _config_value(key, val, spec):
+    """A config-file value as the flag --key (argparse kwargs spec) parses it:
+    a JSON value of the flag's type (an int where a float is due, never a
+    bool); for a list key, a nonempty list of them, where numbers stand for
+    string tokens too, or one string of whitespace-separated tokens."""
+    kind, many = spec.get("type", str), "nargs" in spec
+    if many and isinstance(val, str):
+        items, accepted = val.split(), str
+    else:
+        items = val if many else [val]
+        accepted = {int: int, float: (int, float), str: (str, int, float) if many else str}[kind]
+    if not (isinstance(items, list) and items and all(
+            isinstance(v, accepted) and not isinstance(v, bool) for v in items)):
+        raise ValueError(f"{key} must be {'a list of' if many else 'a'} {kind.__name__}, "
+                         f"got {val!r}")
+    items = [kind(v) for v in items]
+    return items if many else items[0]
+
+
 def _effective_config(args):
     """Table defaults <- config file <- explicit flags, in increasing priority.
 
-    A config-file value must have its default's type (an int where a float
-    is due; None defaults take any), and every float in the result, list
-    items included, must be finite.
+    A config-file value is read as its flag reads it (_config_value), or is
+    null where the default is, and every float in the result, list items
+    included, must be finite.
     """
     cfg = dict(args.defaults)
     if args.config:
@@ -73,11 +103,9 @@ def _effective_config(args):
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_cfg.items():
-            # a list-valued key also takes a string, which _tokens splits
-            kind = {int: int, float: (int, float), str: str, list: (list, str)}.get(type(cfg[key]))
-            if kind and (isinstance(val, bool) or not isinstance(val, kind)):
-                raise ValueError(f"{key} must be a {type(cfg[key]).__name__}, got {val!r}")
-        cfg.update(file_cfg)
+            default = args.defaults[key]
+            if val is not None or default is not None:
+                cfg[key] = _config_value(key, val, _flag_kwargs(key, default))
     for key in args.defaults:
         val = getattr(args, key.replace("-", "_"))
         if val is not None:
@@ -89,38 +117,28 @@ def _effective_config(args):
     return cfg
 
 
-def _tokens(value):
-    """A multi-token key: a list from its flag or a config file, or a string."""
-    return value if isinstance(value, list) else str(value or "").split()
-
-
 # ---------------------------------------------------------------------------
 # solve-gp / scans / analyze
 # ---------------------------------------------------------------------------
 
 def _build_problem(cfg):
-    grid = fields.Grid(int(cfg["dim"]), int(cfg["n"]), float(cfg["box"]))
+    grid = fields.Grid(cfg["dim"], cfg["n"], cfg["box"])
     if cfg["trap"] == "harmonic":
         V = grid.radius_sq()
-    elif str(cfg["trap"]).startswith("file:"):
-        V = np.load(str(cfg["trap"])[5:])
+    elif cfg["trap"].startswith("file:"):
+        V = np.load(cfg["trap"][5:])
     else:
         raise ValueError("trap must be 'harmonic' or 'file:<path.npy>'")
-    return gp.GpProblem(grid, V, float(cfg["omega"]), float(cfg["a"]))
-
-
-def _init_strategy(spec):
-    if isinstance(spec, str) and spec.startswith("vortex:"):
-        return ("vortex", int(spec.split(":")[1]))
-    return spec
+    return gp.GpProblem(grid, V, cfg["omega"], cfg["a"])
 
 
 def _solve(cfg):
     problem = _build_problem(cfg)
-    opts = gp.GpSolverOptions(
-        tol=float(cfg["tol"]), restarts=int(cfg["restarts"]), seed=int(cfg["seed"])
-    )
-    return problem, gp.gp_minimize(problem, init=_init_strategy(cfg["init"]), opts=opts)
+    if cfg["restarts"] < 1:
+        raise ValueError(f"--restarts must be at least 1, got {cfg['restarts']}")
+    starts = [cfg["init"]] + ["random"] * (cfg["restarts"] - 1)
+    opts = gp.GpSolverOptions(tol=cfg["tol"], seed=cfg["seed"])
+    return problem, gp.gp_minimize(problem, starts, opts)
 
 
 def cmd_solve_gp(cfg, out):
@@ -141,15 +159,17 @@ def cmd_solve_gp(cfg, out):
         "restart_energies": state.restart_energies,
         "iterations": state.iterations,
         "gradient_evals": state.gradient_evals,
-        "tolerance": float(cfg["tol"]),
+        "tolerance": cfg["tol"],
         "seconds": time.perf_counter() - t0,
     }
-    fields.write_field(state.phi, os.path.join(out, "field.f64"),
-                       omega=problem.omega)
+    fields.write_field(state.phi, _artifact(out, "field.f64"), omega=problem.omega)
     return record, {"converged": state.converged}
 
 
-def _scan(cfg, key, values, csv_name, out):
+def _scan(cfg, out, key):
+    """scan-omega and scan-a: one solve at each of --num values of key,
+    evenly spaced from --<key>-min to --<key>-max."""
+    values = np.linspace(cfg[f"{key}-min"], cfg[f"{key}-max"], cfg["num"])
     if values.size < 1:
         raise ValueError("--num must be at least 1")
     rows = []
@@ -159,26 +179,12 @@ def _scan(cfg, key, values, csv_name, out):
         run_cfg[key] = float(val)
         _, state = _solve(run_cfg)
         all_ok &= state.converged
-        winding = (
-            analysis.total_vortex_charge(state.phi)
-            if int(run_cfg["dim"]) == 2 else 0
-        )
+        winding = analysis.total_vortex_charge(state.phi) if run_cfg["dim"] == 2 else 0
         rows.append((val, state.energy, state.mu,
                      analysis.angular_momentum_z(state.phi), winding))
-    _write_csv(os.path.join(out, csv_name),
+    _write_csv(_artifact(out, f"scan_{key}.csv"),
                ["parameter", "energy", "mu", "Lz", "total_winding"], rows)
     return None, {"converged": all_ok}
-
-
-def cmd_scan_omega(cfg, out):
-    values = np.linspace(float(cfg["omega-min"]), float(cfg["omega-max"]),
-                         int(cfg["num"]))
-    return _scan(cfg, "omega", values, "scan_omega.csv", out)
-
-
-def cmd_scan_a(cfg, out):
-    values = np.linspace(float(cfg["a-min"]), float(cfg["a-max"]), int(cfg["num"]))
-    return _scan(cfg, "a", values, "scan_a.csv", out)
 
 
 def cmd_analyze(cfg, out):
@@ -199,7 +205,7 @@ def cmd_analyze(cfg, out):
             {"i": int(i), "j": int(j), "charge": int(q)} for i, j, q in vortices
         ]
         report["total_winding"] = int(sum(q for _, _, q in vortices))
-    _write_json(os.path.join(out, "vortex_report.json"), report)
+    _write_json(_artifact(out, "vortex_report.json"), report)
     return None, {}
 
 
@@ -207,8 +213,7 @@ def cmd_analyze(cfg, out):
 # scattering
 # ---------------------------------------------------------------------------
 
-def _parse_potential(spec):
-    tokens = _tokens(spec)
+def _parse_potential(tokens):
     if not tokens:
         raise ValueError("missing --potential specification")
     kind = tokens[0]
@@ -227,7 +232,7 @@ def _parse_potential(spec):
 def cmd_scattering(cfg, out):
     pot = _parse_potential(cfg["potential"])
     if cfg["scale"] is not None:
-        pot = pot.scaled(float(cfg["scale"]))
+        pot = pot.scaled(cfg["scale"])
     a = scattering.scattering_length(pot)
     # RK4 step doubling: the relative change from half as many steps
     a_half = scattering.scattering_length(pot, n_steps=10000)
@@ -242,26 +247,22 @@ def cmd_scattering(cfg, out):
 def cmd_dyson_check(cfg, out):
     from . import dyson
 
-    if not (0 < float(cfg["R"]) <= float(cfg["s"]) and 0 < float(cfg["eps"]) < 1
-            and float(cfg["eta"]) > 0 and int(cfg["J"]) >= 1):
+    s, R, eps = cfg["s"], cfg["R"], cfg["eps"]
+    if not (0 < R <= s and 0 < eps < 1 and cfg["eta"] > 0 and cfg["J"] >= 1):
         raise ValueError("need 0 < R <= s, 0 < eps < 1, eta > 0 and J >= 1")
     pot = (_parse_potential(cfg["potential"]) if cfg["potential"] else
-           scattering.square_barrier(float(cfg["R0"]), float(cfg["W0"])))
-    pot_n = pot.scaled(float(cfg["N"]))
+           scattering.square_barrier(cfg["R0"], cfg["W0"]))
+    pot_n = pot.scaled(cfg["N"])
     a_n = scattering.scattering_length(pot_n)
 
-    chi = dyson.CutoffFunction(float(cfg["s"]))
-    sp = dyson.build_soft_potentials(chi, float(cfg["R"]), float(cfg["eps"]))
+    chi = dyson.CutoffFunction(s)
+    sp = dyson.build_soft_potentials(chi, R, eps)
     check = dyson.check_dyson_inequality(pot_n, sp, a_n)
 
-    scaling = dyson.verify_wr_scaling(
-        float(cfg["s"]),
-        np.geomspace(0.03 * float(cfg["s"]), 0.3 * float(cfg["s"]), 5),
-        epsilon=float(cfg["eps"]),
-    )
+    scaling = dyson.verify_wr_scaling(s, np.geomspace(0.03 * s, 0.3 * s, 5), epsilon=eps)
 
-    problem = gp.harmonic_problem(dim=2, n=int(cfg["n"]), length=float(cfg["box"]))
-    k0 = dyson.build_K0(problem, chi, float(cfg["eta"]), int(cfg["J"]))
+    problem = gp.harmonic_problem(dim=2, n=cfg["n"], length=cfg["box"])
+    k0 = dyson.build_K0(problem, chi, cfg["eta"], cfg["J"])
 
     record = {
         "a": scattering.scattering_length(pot),
@@ -289,17 +290,15 @@ def cmd_dyson_check(cfg, out):
 def cmd_fock_ed(cfg, out):
     from . import fock
 
-    J, n_max, sector = int(cfg["J"]), int(cfg["Nmax"]), int(cfg["sector"])
+    J, n_max, sector = cfg["J"], cfg["Nmax"], cfg["sector"]
     e = np.asarray(cfg["e"], dtype=float) if cfg["e"] is not None else (
         np.arange(1, J + 1, dtype=float)
     )
     if e.size != J:
         raise ValueError("spectrum must hold J numbers")
     # ModeBasis refuses non-finite entries and a W of the wrong shape
-    if cfg["W-file"]:
-        W = np.load(cfg["W-file"])
-    else:
-        W = fock.pair_interaction_tensor(np.eye(J), float(cfg["g"]))
+    W = (np.load(cfg["W-file"]) if cfg["W-file"] else
+         fock.pair_interaction_tensor(np.eye(J), cfg["g"]))
     modes = fock.ModeBasis(e=e, W=W)
     if not 0 <= sector <= n_max:
         raise ValueError("need 0 <= sector <= Nmax")
@@ -341,9 +340,9 @@ def _parse_op(text):
 def cmd_symbols_check(cfg, out):
     from . import fock
 
-    z = complex(str(cfg["z"]).replace("i", "j"))
-    p, q = _parse_op(str(cfg["op"]))
-    n_max, Z, nodes = int(cfg["Nmax"]), float(cfg["Z"]), int(cfg["nodes"])
+    z = complex(cfg["z"].replace("i", "j"))
+    p, q = _parse_op(cfg["op"])
+    n_max, Z, nodes = cfg["Nmax"], cfg["Z"], cfg["nodes"]
     # coherent_state refuses a z whose Poisson tail P[N > Nmax] exceeds 1e-8
     tail = fock.coherent_state(z, n_max).truncation_error
     # op has degree <= 4: four more levels keep a^q from cutting the ket
@@ -373,9 +372,9 @@ def cmd_symbols_check(cfg, out):
 def cmd_heat_bound(cfg, out):
     from . import heatkernel
 
-    tokens = _tokens(cfg["V"])
+    tokens = cfg["V"]
     cfg["V"] = " ".join(tokens)  # echoed as one string
-    alpha, s, d = float(cfg["alpha"]), float(cfg["s"]), int(cfg["dim"])
+    alpha, s, d = cfg["alpha"], cfg["s"], cfg["dim"]
     if d not in (1, 3) or not alpha > 0 or not s >= 0:
         raise ValueError("need --dim 1 or 3, --alpha > 0 and --s >= 0")
     if tokens == ["harmonic"]:
@@ -416,9 +415,9 @@ _GP_DEFAULTS = {
 # subcommand -> (handler, help, config defaults); each key is also --key
 COMMANDS = {
     "solve-gp": (cmd_solve_gp, "minimize the GP energy", _GP_DEFAULTS),
-    "scan-omega": (cmd_scan_omega, "energy/Lz/winding vs rotation speed",
+    "scan-omega": (functools.partial(_scan, key="omega"), "energy/Lz/winding vs rotation speed",
                    {**_GP_DEFAULTS, "omega-min": 0.0, "omega-max": 0.9, "num": 10}),
-    "scan-a": (cmd_scan_a, "energy/mu vs coupling",
+    "scan-a": (functools.partial(_scan, key="a"), "energy/mu vs coupling",
                {**_GP_DEFAULTS, "a-min": 0.0, "a-max": 4.0, "num": 9}),
     "analyze": (cmd_analyze, "vortex report from a field dump", {"field": None}),
     "scattering": (cmd_scattering, "zero-energy scattering length",
@@ -486,10 +485,9 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         out = args.out or "."
-        os.makedirs(out, exist_ok=True)
         record, verdicts = args.func(cfg, out)
         if record is not None:
-            _write_json(os.path.join(out, "results.json"),
+            _write_json(_artifact(out, "results.json"),
                         {"config": cfg, **record, "verdicts": verdicts})
     # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -12,6 +12,9 @@ and an energy-monotone secant line search; its fixed points are exactly
 the solutions of the GP equation.  Each line-search trial costs one
 operator apply: its gradient g gives its energy as
 Re<phi, g> - 4 pi a int|phi|^4, and an accepted trial's g is reused.
+gp_minimize descends from each of a list of start specs, "gaussian",
+"random", "vortex:q" or a given field (one grammar, which initial_field
+parses), and keeps the lowest state.
 
 The CG loop writes in place wherever it can, and keeps every floating-point
 operation's operands and order, so its iterates are bitwise those of the
@@ -30,6 +33,7 @@ gp_gradient -> apply_gauge_kinetic, and each iteration makes one fftn and
 one ifftn call.
 """
 
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -88,20 +92,21 @@ class GpState:
     mu: float
     residual: float
     iterations: int
-    converged: bool
+    termination: str                 # "converged", "max_iter", "stalled" or "non_finite"
     restart_energies: list = dc_field(default_factory=list)
     boundary_ok: bool = True
-    termination: str = "converged"   # or "max_iter", "stalled" (step collapsed),
-                                     # "non_finite" (a trial was not finite)
     gradient_evals: int = 0          # operator applies of the minimizer
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
 
 
 @dataclass
 class GpSolverOptions:
     tol: float = 1e-7
     max_iter: int = 20000
-    restarts: int = 1
-    seed: int = 0
+    seed: int = 0                    # of the draws of the "random" starts
 
 
 def _check_normalized(phi: ComplexField, tol=1e-8):
@@ -144,21 +149,24 @@ def gp_residual(p: GpProblem, phi: ComplexField):
     return mu, norm(defect)
 
 
-def initial_field(p: GpProblem, strategy, rng) -> ComplexField:
-    """Build a starting field: 'gaussian', 'random', ('vortex', q) or a given
-    field.  Each is normalized once, which refuses a non-finite or zero field."""
-    if isinstance(strategy, ComplexField):
-        return strategy.normalized()
-    if strategy == "gaussian":
+def initial_field(p: GpProblem, start, rng) -> ComplexField:
+    """Build a starting field from its spec: "gaussian", "random" (a Gaussian
+    with phases and amplitudes drawn from rng), "vortex:q" for an integer
+    winding q, or a given field.  Each is normalized once, which refuses a
+    non-finite or zero field; any other spec is a ValueError."""
+    if isinstance(start, ComplexField):
+        return start.normalized()
+    if start == "gaussian":
         return gaussian_field(p.grid)
-    if strategy == "random":
+    if start == "random":
         base = gaussian_field(p.grid)
         phase = np.exp(2j * np.pi * rng.random(p.grid.shape))
         noise = 1.0 + 0.3 * rng.standard_normal(p.grid.shape)
         return ComplexField(p.grid, base.values * phase * noise).normalized()
-    if isinstance(strategy, tuple) and strategy[0] == "vortex":
-        return vortex_field(p.grid, winding=int(strategy[1]))
-    raise ValueError(f"unknown init strategy {strategy!r}")
+    vortex = isinstance(start, str) and re.fullmatch(r"vortex:([+-]?[0-9]+)", start)
+    if vortex:
+        return vortex_field(p.grid, winding=int(vortex.group(1)))
+    raise ValueError(f"start {start!r} is not 'gaussian', 'random', 'vortex:q' or a field")
 
 
 # Roundoff slack of the energy-monotone acceptance: energy differences drop
@@ -264,40 +272,32 @@ def _descend(p: GpProblem, phi: ComplexField, opts: GpSolverOptions) -> GpState:
         mu=mu,
         residual=res,
         iterations=it,
-        converged=converged,
-        boundary_ok=boundary_decay_ok(phi_out),
         termination="converged" if converged else stop or "max_iter",
+        boundary_ok=boundary_decay_ok(phi_out),
         gradient_evals=evals,
     )
 
 
-def gp_minimize(
-    p: GpProblem,
-    init="gaussian",
-    opts: Optional[GpSolverOptions] = None,
-    init_list=None,
-) -> GpState:
-    """Minimize the GP functional; best state over restarts.
+def gp_minimize(p: GpProblem, starts=("gaussian",),
+                opts: Optional[GpSolverOptions] = None) -> GpState:
+    """Minimize the GP functional from each start spec in turn (see
+    initial_field); the lowest state, with every start's final energy.
 
-    init_list, when given, is the explicit list of starting strategies (one
-    restart each); otherwise `init` is used for the first restart and
-    'random' for the remaining opts.restarts - 1.
+    The "random" starts draw, in order, from one default_rng(opts.seed).
     """
     opts = opts or GpSolverOptions()
-    if opts.restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {opts.restarts}")
     if not opts.tol > 0:
         raise ValueError(f"tol must be positive, got {opts.tol}")
     rng = np.random.default_rng(opts.seed)
-    if init_list is None:
-        init_list = [init] + ["random"] * (opts.restarts - 1)
     best = None
     energies = []
-    for strat in init_list:
-        phi0 = initial_field(p, strat, rng)
+    for start in starts:
+        phi0 = initial_field(p, start, rng)
         state = _descend(p, phi0, opts)
         energies.append(state.energy)
         if best is None or state.energy < best.energy - 1e-12:
             best = state
+    if best is None:
+        raise ValueError("need at least one start")
     best.restart_energies = energies
     return best

@@ -46,7 +46,7 @@ def multivortex():
     """Converged symmetry-broken minimizer above the multi-vortex threshold."""
     problem = gp.harmonic_problem(dim=2, n=96, length=20.0, omega=-0.9, a=50.0)
     opts = gp.GpSolverOptions(tol=1e-7, max_iter=40000)
-    state = gp.gp_minimize(problem, init=("vortex", 2), opts=opts)
+    state = gp.gp_minimize(problem, starts=["vortex:2"], opts=opts)
     return problem, state, opts
 
 
@@ -108,7 +108,7 @@ def test_criterion_4_vortex_onset(multivortex):
         problem = gp.harmonic_problem(dim=2, n=48, length=14.0, omega=-om, a=8.0)
         state = gp.gp_minimize(
             problem,
-            init_list=["gaussian", ("vortex", 1), ("vortex", 2)],
+            starts=["gaussian", "vortex:1", "vortex:2"],
             opts=gp.GpSolverOptions(tol=1e-7),
         )
         assert state.converged
@@ -132,7 +132,7 @@ def test_criterion_4_vortex_onset(multivortex):
     for theta in angles:
         rotated = analysis.rotate_field(state.phi, theta).normalized()
         # re-descend to strip the O(interpolation) noise of the shears
-        polished = gp.gp_minimize(problem, init=rotated, opts=opts)
+        polished = gp.gp_minimize(problem, starts=[rotated], opts=opts)
         worst = max(worst, abs(polished.energy - state.energy))
         copies.append(polished.phi)
     degeneracy_ok &= worst <= 5.0 * opts.tol

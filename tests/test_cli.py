@@ -158,6 +158,21 @@ class TestSolveGp:
         assert ra == rb
         assert (a / "field.f64").read_bytes() == (b / "field.f64").read_bytes()
 
+    def test_restarts_are_the_random_tail_of_the_starts(self, tmp_path):
+        from rotogp import gp
+
+        assert run(["solve-gp", "--dim", "2", "--n", "24", "--box", "12", "--a", "0.5",
+                    "--restarts", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        p = gp.harmonic_problem(dim=2, n=24, length=12.0, a=0.5)
+        state = gp.gp_minimize(p, ["gaussian", "random", "random"], gp.GpSolverOptions(seed=1))
+        assert [struct.pack("<d", e) for e in res["restart_energies"]] == \
+            [struct.pack("<d", e) for e in state.restart_energies]
+        for k in ("0", "-1"):
+            assert run(["solve-gp", "--dim", "2", "--n", "16", "--box", "8", "--restarts", k,
+                        "--out", str(tmp_path / "refused")]) == 2, k
+        assert not (tmp_path / "refused").exists()
+
 
 class TestAnalyzeAndScan:
     def test_analyze_report(self, tmp_path):
@@ -337,7 +352,8 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
                        ("n_float", '{"n": 16.0}'), ("n_bool", '{"n": true}'),
                        ("box_text", '{"box": "8"}'), ("box_bool", '{"box": false}'),
                        ("init_int", '{"init": 1}'), ("V_number", '{"V": 2}'),
-                       ("alpha_list", '{"alpha": [1.0]}')]:
+                       ("alpha_list", '{"alpha": [1.0]}'), ("scale_list", '{"scale": [1, 2]}'),
+                       ("W_int", '{"W-file": 5}'), ("e_int", '{"e": 2}')]:
         (configs / f"{name}.json").write_text(text)
     gp2d = ["solve-gp", "--dim", "2", "--n", "16", "--box", "8"]
     cases = [
@@ -362,6 +378,9 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         ["solve-gp", "--dim", "4"],
         ["solve-gp", "--box", "0"],
         ["solve-gp", "--init", "vortex:x"],
+        ["solve-gp", "--init", "vortex:"],
+        ["solve-gp", "--init", "vortex:2.5"],
+        ["solve-gp", "--init", "foo"],
         ["scattering", "--potential", "square", "1", "50", "--scale", "0"],
         ["scattering", "--potential", "square", "1", "-5"],
         ["scattering", "--potential", "hardcore", "x"],
@@ -413,6 +432,10 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         [*gp2d, "--config", str(configs / "init_int.json")],
         ["heat-bound", "--config", str(configs / "V_number.json")],
         ["heat-bound", "--config", str(configs / "alpha_list.json")],
+        ["scattering", "--potential", "square", "1", "50",
+         "--config", str(configs / "scale_list.json")],
+        ["fock-ed", "--config", str(configs / "W_int.json")],
+        ["fock-ed", "--config", str(configs / "e_int.json")],
         # sampled potentials must be finite and nonnegative (v >= 0 in the lemma)
         *(["scattering", "--potential", "file", str(configs / f"pot_{name}.npy")]
           for name in ("nan", "inf", "well")),
@@ -445,6 +468,49 @@ def test_config_values_of_their_defaults_type_run(tmp_path):
     assert run(["heat-bound", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     res = json.loads((tmp_path / "results.json").read_text())
     assert res["config"]["V"] == "log 2" and res["config"]["alpha"] == 1
+
+
+_CONFIG_KEYS = [(name, key) for name, (_, _, defaults) in cli.COMMANDS.items()
+                for key in defaults]
+
+
+@pytest.mark.parametrize("name, key", _CONFIG_KEYS, ids=[f"{n}-{k}" for n, k in _CONFIG_KEYS])
+def test_config_mapping_or_bool_exits_2(tmp_path, capsys, name, key):
+    # no flag parses to a mapping or a bool, whatever the key's default
+    out = tmp_path / "out"
+    for bad in ({"x": 1}, True):
+        (tmp_path / "c.json").write_text(json.dumps({key: bad}))
+        assert run([name, "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err, err
+        assert not out.exists()
+
+
+def test_refused_run_leaves_no_out_directory(tmp_path):
+    # the handler's own input checks run before its first write
+    for argv in (["fock-ed", "--e", "1", "2", "3"], ["scan-omega", "--num", "0"],
+                 ["analyze"], ["scattering", "--potential", "wedge", "1"]):
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2, argv
+        assert not (tmp_path / "out").exists(), argv
+
+
+@pytest.mark.parametrize("argv, file_cfg", [
+    (["fock-ed", "--J", "2", "--e", "1", "2", "--g", "0"], {"J": 2, "e": [1, 2], "g": 0}),
+    (["scattering", "--potential", "square", "1", "50"], {"potential": "square 1 50"}),
+    (["heat-bound", "--V", "log", "2", "--alpha", "1"], {"V": ["log", 2], "alpha": 1}),
+], ids=["fock-ed", "scattering", "heat-bound"])
+def test_config_file_values_parse_as_their_flags(tmp_path, argv, file_cfg):
+    # the flags, a config file with the same values, and the config that
+    # results.json echoes, fed back, write the same results
+    (tmp_path / "c.json").write_text(json.dumps(file_cfg))
+    runs = [argv, [argv[0], "--config", str(tmp_path / "c.json")],
+            [argv[0], "--config", str(tmp_path / "flags" / "echo.json")]]
+    results = []
+    for name, rest in zip(["flags", "file", "echo"], runs):
+        assert run([*rest, "--out", str(tmp_path / name)]) == 0, name
+        results.append(json.loads((tmp_path / name / "results.json").read_text()))
+        (tmp_path / name / "echo.json").write_text(json.dumps(results[-1]["config"]))
+    assert results[0] == results[1] == results[2]
 
 
 def test_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -645,7 +711,7 @@ def _then(change):
     return lambda f: lambda *a, **kw: change(f(*a, **kw))
 
 
-_not_converged = _then(lambda state: dataclasses.replace(state, converged=False))
+_not_converged = _then(lambda state: dataclasses.replace(state, termination="max_iter"))
 _DYSON_SMALL = ["dyson-check", "--J", "2", "--n", "16", "--box", "10"]
 # (argv, verdict, library value it reads, wrap that breaks that value alone)
 _FAILURES = [

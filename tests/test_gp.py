@@ -113,7 +113,7 @@ def test_minimize_interacting_residual_and_mu():
 
 def test_minimize_energy_never_increases_with_restarts():
     p = harmonic_problem(dim=2, n=32, length=12.0, a=0.5)
-    st = gp_minimize(p, opts=GpSolverOptions(restarts=3, seed=1))
+    st = gp_minimize(p, ["gaussian", "random", "random"], GpSolverOptions(seed=1))
     assert st.converged
     assert st.energy <= min(st.restart_energies) + 1e-12
 
@@ -135,9 +135,35 @@ def test_fused_energy_matches_direct_energy():
     assert abs(e - gp_energy(p, phi)) <= 1e-12 * abs(gp_energy(p, phi))
 
 
+def test_start_grammar():
+    from rotogp.fields import vortex_field
+    from rotogp.gp import initial_field
+
+    p = harmonic_problem(dim=2, n=16, length=10.0)
+    assert np.array_equal(initial_field(p, "vortex:2", None).values,
+                          vortex_field(p.grid, winding=2).values)
+    assert np.array_equal(initial_field(p, "vortex:-1", None).values,
+                          vortex_field(p.grid, winding=-1).values)
+    for bad in [("vortex", 2), "vortex:", "vortex:x", "vortex:2.5", "vortex:2:1", "foo", 2]:
+        with pytest.raises(ValueError, match="is not 'gaussian'"):
+            initial_field(p, bad, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one start"):
+        gp_minimize(p, [])
+
+
+def test_converged_is_the_stop_reason():
+    import dataclasses
+
+    st = gp_minimize(harmonic_problem(dim=2, n=16, length=10.0, a=0.5))
+    assert st.converged and st.termination == "converged"
+    assert not dataclasses.replace(st, termination="max_iter").converged
+    with pytest.raises(AttributeError):
+        st.converged = False
+
+
 def test_minimize_energy_is_gp_energy_of_result():
     p = harmonic_problem(dim=2, n=32, length=12.0, omega=-0.5, a=2.0)
-    st = gp_minimize(p, init=("vortex", 1))
+    st = gp_minimize(p, ["vortex:1"])
     assert st.converged and st.termination == "converged"
     assert abs(st.energy - gp_energy(p, st.phi)) <= 1e-12 * abs(st.energy)
 
@@ -178,7 +204,7 @@ def test_non_finite_inputs_rejected(monkeypatch):
 
     monkeypatch.setattr("rotogp.gp.gp_gradient", no_gradient)
     with pytest.raises(ValueError, match="finite"):
-        gp_minimize(p, init=ComplexField(p.grid, bad))
+        gp_minimize(p, [ComplexField(p.grid, bad)])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -189,11 +215,11 @@ def test_zero_start_rejected_before_normalizing(monkeypatch):
     monkeypatch.setattr("rotogp.gp.gp_gradient", no_gradient)
     p = harmonic_problem(dim=2, n=16, length=10.0, a=1.0)
     with pytest.raises(ValueError, match="zero norm"):
-        gp_minimize(p, init=ComplexField(p.grid, np.zeros(p.grid.shape, dtype=complex)))
+        gp_minimize(p, [ComplexField(p.grid, np.zeros(p.grid.shape, dtype=complex))])
     # a constructed start too: on 2 points per axis of a 100-wide box,
     # (x + iy) e^{-|x|^2/2} underflows to 0 at every sample
     with pytest.raises(ValueError, match="zero norm"):
-        gp_minimize(harmonic_problem(dim=2, n=2, length=100.0), init=("vortex", 1))
+        gp_minimize(harmonic_problem(dim=2, n=2, length=100.0), ["vortex:1"])
 
 
 def test_non_positive_tol_rejected(monkeypatch):
@@ -229,11 +255,11 @@ def test_non_finite_gradient_terminates(monkeypatch, bad_call):
 # Energies of the preconditioned residual descent at commit 12a0de9, the
 # minimizer CG replaced (6351 and 358 iterations there).
 @pytest.mark.parametrize("dim, n, length, omega, a, init, energy, ceiling", [
-    (2, 32, 12.0, -0.6, 4.0, ("vortex", 1), 6.060900715876088, 400),
+    (2, 32, 12.0, -0.6, 4.0, "vortex:1", 6.060900715876088, 400),
     (3, 24, 12.0, 0.0, 1.0, "gaussian", 3.622436098396141, 100),
 ], ids=["2d-vortex-start", "3d"])
 def test_cg_reproduces_descent_energy(dim, n, length, omega, a, init, energy, ceiling):
-    st = gp_minimize(harmonic_problem(dim, n, length, omega, a), init=init)
+    st = gp_minimize(harmonic_problem(dim, n, length, omega, a), [init])
     assert st.converged
     assert abs(st.energy / energy - 1.0) <= 1e-9
     assert st.iterations < ceiling
@@ -252,7 +278,7 @@ def test_cg_iteration_ceiling_vortex_pair():
     from rotogp.analysis import total_vortex_charge
 
     p = harmonic_problem(dim=2, n=64, length=16.0, omega=-0.9, a=20.0)
-    st = gp_minimize(p, init=("vortex", 2))
+    st = gp_minimize(p, ["vortex:2"])
     assert st.converged and st.iterations < 500
     assert total_vortex_charge(st.phi) == 2
 

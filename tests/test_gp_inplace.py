@@ -145,7 +145,7 @@ def test_preconditioned_step_is_bitwise_the_old_expression(problem_and_field):
 @pytest.mark.parametrize("max_iter", [20, 60], ids=["20-iterations", "past-a-rebuild"])
 def test_cg_iterates_are_bitwise_the_old_loop(max_iter):
     p = gp.harmonic_problem(2, 32, 12.0, -0.6, 4.0)
-    start = gp.initial_field(p, ("vortex", 1), None).values
+    start = gp.initial_field(p, "vortex:1", None).values
     opts = gp.GpSolverOptions(max_iter=max_iter)
     vals, it, evals, stop = gp._conjugate_gradient(p, start.copy(), opts)
     vals_ref, it_ref, evals_ref, stop_ref = _conjugate_gradient_reference(p, start.copy(), opts)
@@ -174,7 +174,7 @@ def test_one_gradient_per_trial_and_one_fft_pair_per_iteration(monkeypatch):
     for name in ("fftn", "ifftn", "fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     p = gp.harmonic_problem(2, 32, 12.0, -0.6, 4.0)
-    start = gp.initial_field(p, ("vortex", 1), None).values
+    start = gp.initial_field(p, "vortex:1", None).values
     _, it, evals, stop = gp._conjugate_gradient(p, start, gp.GpSolverOptions(max_iter=20))
     assert it == 20 and stop is None
     # the start's gradient, then one per line-search trial
