@@ -82,7 +82,11 @@ def _config_value(key, val, spec):
             isinstance(v, accepted) and not isinstance(v, bool) for v in items)):
         raise ValueError(f"{key} must be {'a list of' if many else 'a'} {kind.__name__}, "
                          f"got {val!r}")
-    items = [kind(v) for v in items]
+    try:
+        items = [kind(v) for v in items]
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{key} must be a finite {kind.__name__}, got an int "
+                         f"out of its range") from None
     return items if many else items[0]
 
 

@@ -17,7 +17,9 @@ terms are summed with += from the first axis on.  That is bitwise the sum
 of the separate expressions: a real-times-complex product only swaps its
 factors, which IEEE multiplication commutes, and += adds the same operands
 in the same order (sum()'s leading 0 is gone; it could only turn a -0.0
-into +0.0).  The GP solver's iterates depend on that: see gp.
+into +0.0).  norm4_pow4 sums by np.add.reduce, the call np.sum makes
+without its wrapper.  The GP solver's iterates depend on all of that: see
+gp, which keeps the same rules in its CG loop.
 """
 
 import json
@@ -193,7 +195,7 @@ def norm(f: ComplexField) -> float:
 
 def norm4_pow4(f: ComplexField) -> float:
     """The L4 norm to the fourth power, int |f|^4."""
-    return float(f.grid.spacing**f.grid.dim * np.sum(np.abs(f.values) ** 4))
+    return float(f.grid.spacing**f.grid.dim * np.add.reduce(np.abs(f.values) ** 4, axis=None))
 
 
 def boundary_decay_ok(f: ComplexField) -> bool:

@@ -112,16 +112,16 @@ class ModeBasis:
 
 
 def _two_body(mb: ModeBasis, basis: SectorBasis):
-    """sum W_ijkl a+_i a+_j a_k a_l on the sector as B^H (Wp x Id) B in one
+    """sum W_ijkl a+_i a+_j a_k a_l on the sector as (B^T (Wp x Id)) B in one
     sparse product.
 
     B stacks the pair annihilators B_p = a_k a_l over unordered pairs
     p = (k <= l), from sector N into sector N - 2; Wp[q, p] sums W over the
     orderings of both pairs, which is exact because a_k a_l = a_l a_k.
-    (Wp x Id) B is formed directly from B's entries, never as a Kronecker
-    product.  B is real, so B^H = B^T, built as CSR with the source states
-    as rows: the product is CSR x CSR and the larger (Wp x Id) B is never
-    converted to another format.
+    B is real, so B^H = B^T.  B^T (Wp x Id) is written directly as CSR, never
+    as a Kronecker product or through COO: its rows are the source states,
+    in order from np.nonzero, and row s holds Wp[q, p] B_q[t, s] at column
+    p m + t for each pair q that lowers s to t and every pair slot p.
     """
     J, n, N = mb.modes, len(basis), basis.total
     if N < 2:  # no pair to lower
@@ -139,14 +139,14 @@ def _two_body(mb: ModeBasis, basis: SectorBasis):
     fold[kk * J + ll, pairs] = 1.0
     fold[ll * J + kk, pairs] = 1.0
     Wp = fold.T @ mb.W.reshape(J * J, J * J) @ fold
-    BT = sparse.csr_matrix((amp, (src, pair * m + tgt)), shape=(n, kk.size * m))
-    rows = pairs[:, None] * m + tgt[None, :]
-    vals = Wp[:, pair] * amp[None, :]
-    WB = sparse.csr_matrix(
-        (vals.ravel(), (rows.ravel(), np.broadcast_to(src, rows.shape).ravel())),
-        shape=BT.shape[::-1],
+    B = sparse.csr_matrix((amp, (pair * m + tgt, src)), shape=(kk.size * m, n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n) * kk.size, out=indptr[1:])
+    BTW = sparse.csr_matrix(
+        ((Wp[pair] * amp[:, None]).ravel(), (pairs * m + tgt[:, None]).ravel(), indptr),
+        shape=B.shape[::-1],
     )
-    return BT @ WB
+    return BTW @ B
 
 
 def build_hamiltonian(mb: ModeBasis, basis: SectorBasis):

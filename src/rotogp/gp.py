@@ -22,17 +22,22 @@ plain expressions (tests/test_gp_inplace.py keeps them as references):
     - gp_gradient adds V phi, then 8 pi a |phi|^2 phi (the product written
       as before), to the kinetic term with +=;
     - the preconditioner forms z = D r, then applies fftn, *= (1 + k^2)^{-1},
-      ifftn and *= D to z itself (a real-times-complex product commutes);
+      ifftn and *= D to z itself (a real-times-complex product commutes),
+      each n-D transform as the 1D fft calls fftn itself makes;
     - beta (d - c vals) - z is d -= c vals, d *= beta, d -= z; vals + t d
-      is trial = t d, trial += vals; the residual r_t = g_t - c trial is
-      subtracted in g_t's own array, which is not read again.
+      is trial = t d, trial += vals, then scaled to unit norm by a real
+      multiply of its float view (_normalize); the residual r_t = g_t - c
+      trial is subtracted in g_t's own array, which is not read again;
+    - the loop's scalars take math.sqrt and math.isfinite, and its sums
+      np.add.reduce, the call np.sum makes, without numpy's wrappers.
 Nothing is reassociated or fused, and |phi|^2 and |phi|^4 are computed
 apart: a rounding-level change has moved the 64^2 vortex-pair solve between
 376 and 316 iterations.  Every operator apply still goes through
-gp_gradient -> apply_gauge_kinetic, and each iteration makes one fftn and
-one ifftn call.
+gp_gradient -> apply_gauge_kinetic, and each iteration's preconditioner
+makes dim fft and dim ifft calls.
 """
 
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -188,13 +193,33 @@ def _precond_weight(p: GpProblem, vals):
 
 
 def _precondition(r, dw, kp):
-    """z = D (1 - Lap)^{-1} D r in one fftn and one ifftn, both in place."""
+    """z = D (1 - Lap)^{-1} D r, the n-D transforms as 1D passes in place."""
     z = dw * r
-    np.fft.fftn(z, out=z)
+    axes = range(z.ndim - 1, -1, -1)  # fftn's order: the last axis first
+    for ax in axes:
+        np.fft.fft(z, axis=ax, out=z)
     z *= kp
-    np.fft.ifftn(z, out=z)
+    for ax in axes:
+        np.fft.ifft(z, axis=ax, out=z)
     z *= dw
     return z
+
+
+def _normalize(trial, w):
+    """Scale the complex array trial to unit norm in place; False, with trial
+    untouched, unless its norm is finite and positive.
+
+    The scale is a real multiply of trial's float view.  numpy divides a
+    complex array by a real c as (re + im 0) (1/c) and (im - re 0) (1/c):
+    the same values, and the same bits but that a -0.0 may come out +0.0.
+    """
+    # a finite, positive sum of squares means every entry is finite
+    norm_sq = w * np.add.reduce(np.abs(trial) ** 2, axis=None)
+    if not (math.isfinite(norm_sq) and norm_sq > 0.0):
+        return False
+    re_im = trial.view(float)
+    re_im *= 1.0 / math.sqrt(norm_sq)
+    return True
 
 
 def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
@@ -216,7 +241,7 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     evals, t, it = 1, _FIRST_STEP, 0
     while it < opts.max_iter:
         it += 1
-        if np.sqrt(w * np.vdot(r, r).real) <= opts.tol:
+        if math.sqrt(w * np.vdot(r, r).real) <= opts.tol:
             break
         if (it - 1) % _REBUILD == 0:
             dw, rz_old = _precond_weight(p, vals), None
@@ -237,14 +262,11 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
         while t > 1e-12:
             trial = t * d
             trial += vals
-            # a finite, positive sum of squares means every entry is finite
-            norm_sq = w * np.sum(np.abs(trial) ** 2)
-            if not (np.isfinite(norm_sq) and norm_sq > 0.0):
+            if not _normalize(trial, w):
                 return vals, it, evals, "non_finite"
-            trial /= np.sqrt(norm_sq)
             g_t, e_t = _gradient_energy(p, trial)
             evals += 1
-            if not np.isfinite(e_t):
+            if not math.isfinite(e_t):
                 return vals, it, evals, "non_finite"
             r_t = g_t
             r_t -= w * np.vdot(trial, g_t).real * trial
@@ -285,6 +307,9 @@ def gp_minimize(p: GpProblem, starts=("gaussian",),
 
     The "random" starts draw, in order, from one default_rng(opts.seed).
     """
+    if isinstance(starts, (str, ComplexField)):  # a str iterates its characters
+        raise ValueError(f"starts must be a list of start specs, got one "
+                         f"{type(starts).__name__}")
     opts = opts or GpSolverOptions()
     if not opts.tol > 0:
         raise ValueError(f"tol must be positive, got {opts.tol}")

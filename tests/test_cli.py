@@ -351,6 +351,7 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
                        ("dim_float", '{"dim": 2.5, "n": 16.7, "box": 8}'),
                        ("n_float", '{"n": 16.0}'), ("n_bool", '{"n": true}'),
                        ("box_text", '{"box": "8"}'), ("box_bool", '{"box": false}'),
+                       ("box_huge", '{"box": 1%s}' % ("0" * 400)),
                        ("init_int", '{"init": 1}'), ("V_number", '{"V": 2}'),
                        ("alpha_list", '{"alpha": [1.0]}'), ("scale_list", '{"scale": [1, 2]}'),
                        ("W_int", '{"W-file": 5}'), ("e_int", '{"e": 2}')]:
@@ -429,6 +430,8 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         [*gp2d, "--config", str(configs / "n_bool.json")],
         ["solve-gp", "--dim", "2", "--n", "16", "--config", str(configs / "box_text.json")],
         ["solve-gp", "--dim", "2", "--n", "16", "--config", str(configs / "box_bool.json")],
+        # an int past the float range, for a float key
+        ["solve-gp", "--dim", "2", "--n", "16", "--config", str(configs / "box_huge.json")],
         [*gp2d, "--config", str(configs / "init_int.json")],
         ["heat-bound", "--config", str(configs / "V_number.json")],
         ["heat-bound", "--config", str(configs / "alpha_list.json")],

@@ -151,6 +151,17 @@ def test_start_grammar():
         gp_minimize(p, [])
 
 
+def test_a_lone_start_is_refused_before_any_work(monkeypatch):
+    # a str would iterate its characters; a field is one spec, not a list
+    from rotogp import gp
+
+    p = harmonic_problem(dim=2, n=16, length=10.0)
+    monkeypatch.setattr(gp, "initial_field", lambda *args: pytest.fail("work was done"))
+    for lone in ["vortex:2", "gaussian", gaussian_field(p.grid)]:
+        with pytest.raises(ValueError, match="must be a list of start specs"):
+            gp_minimize(p, lone)
+
+
 def test_converged_is_the_stop_reason():
     import dataclasses
 

@@ -1,16 +1,19 @@
 """The GP hot path in place: bitwise the old expressions, the same call boundary.
 
 apply_gauge_kinetic, gp_gradient and the CG loop write into arrays they
-own instead of allocating a temporary per operation.  Every floating-point
-operation keeps its operands and its order; a product of a real and a
-complex array at most swaps its two factors, which IEEE multiplication
-commutes.  So the results must be equal, not close: the references below
-are the expressions the code used before, kept verbatim and compared with
-np.array_equal.  A reassociated sum or a shared |phi| would fail here; a
-rounding-level change has moved the vortex-pair solve between 376 and 316
-CG iterations.
+own instead of allocating a temporary per operation, and take numpy's fast
+paths: fftn as its own 1D fft calls, a real multiply of the float view for
+complex / real, math.sqrt and math.isfinite on scalars, np.add.reduce for
+np.sum.  Every floating-point operation keeps its operands and its order; a
+product of a real and a complex array at most swaps its two factors, which
+IEEE multiplication commutes.  So the results must be equal, not close: the
+references below are the expressions the code used before, kept verbatim
+and compared with np.array_equal, or bit for bit where no -0.0 can differ.
+A reassociated sum or a shared |phi| would fail here; a rounding-level
+change has moved the vortex-pair solve between 376 and 316 CG iterations.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -34,10 +37,20 @@ def _gradient_reference(p, vals):
     return out
 
 
+def _norm4_pow4_reference(f):
+    return float(f.grid.spacing**f.grid.dim * np.sum(np.abs(f.values) ** 4))
+
+
 def _gradient_energy_reference(p, vals):
     f = ComplexField(p.grid, vals)
     g = ComplexField(p.grid, _gradient_reference(p, vals))
-    return g.values, inner(f, g).real - 4.0 * np.pi * p.a * norm4_pow4(f)
+    return g.values, inner(f, g).real - 4.0 * np.pi * p.a * _norm4_pow4_reference(f)
+
+
+def _normalized_reference(trial, w):
+    norm_sq = w * np.sum(np.abs(trial) ** 2)
+    assert np.isfinite(norm_sq) and norm_sq > 0.0
+    return trial / np.sqrt(norm_sq)
 
 
 def _precondition_reference(r, dw, kp):
@@ -133,6 +146,42 @@ def test_gradient_and_energy_are_bitwise_the_old_expressions(problem_and_field):
     assert np.array_equal(phi.values, before)  # the input is never written
 
 
+def test_norm4_pow4_is_bitwise_the_old_sum(problem_and_field):
+    _, phi = problem_and_field
+    assert norm4_pow4(phi) == _norm4_pow4_reference(phi)
+
+
+def test_normalization_is_bitwise_the_old_division(problem_and_field):
+    p, phi = problem_and_field
+    w = p.grid.spacing**p.grid.dim
+    rng = np.random.default_rng(7)
+    # magnitudes from about 1e-130 to 1e130, random signs in both parts
+    wide = (rng.standard_normal(p.grid.shape) + 1j * rng.standard_normal(p.grid.shape)) \
+        * 10.0 ** rng.uniform(-130, 130, p.grid.shape)
+    for trial in [3.7 * phi.values, phi.values + 0.2 * _rough_field(p.grid, 5).values, wide]:
+        ref = _normalized_reference(trial, w)
+        assert gp._normalize(trial, w)
+        assert np.array_equal(trial.view(np.uint64), ref.view(np.uint64))  # sign bits too
+    # numpy's division may turn a -0.0 into +0.0; the values stay equal
+    zeros = np.array([-0.0 + 1j, complex(-1.0, -0.0), complex(-0.0, -0.0), 2.0 - 3j])
+    ref = _normalized_reference(zeros, 1.0)
+    assert gp._normalize(zeros, 1.0) and np.array_equal(zeros, ref)
+    # a norm that is not finite and positive: refused, the array untouched
+    for bad in [np.zeros(4, dtype=complex), np.array([1.0, np.nan, 0.0, 2.0 + 0j]),
+                np.array([1.0, 0.0, complex(0.0, -np.inf), 2.0])]:
+        before = bad.copy()
+        assert not gp._normalize(bad, 1.0)
+        assert np.array_equal(bad, before, equal_nan=True)
+
+
+def test_loop_scalars_are_bitwise_numpys():
+    rng = np.random.default_rng(3)
+    for x in 10.0 ** rng.uniform(-300, 300, 200):
+        assert math.sqrt(np.float64(x)) == np.sqrt(np.float64(x))
+    for x in [np.float64(1.5), np.float64(np.inf), np.float64(-np.inf), np.float64(np.nan)]:
+        assert math.isfinite(x) == bool(np.isfinite(x))
+
+
 def test_preconditioned_step_is_bitwise_the_old_expression(problem_and_field):
     p, phi = problem_and_field
     r = _rough_field(p.grid, seed=11).values
@@ -142,17 +191,30 @@ def test_preconditioned_step_is_bitwise_the_old_expression(problem_and_field):
     assert np.array_equal(r, r_before)
 
 
-@pytest.mark.parametrize("max_iter", [20, 60], ids=["20-iterations", "past-a-rebuild"])
-def test_cg_iterates_are_bitwise_the_old_loop(max_iter):
-    p = gp.harmonic_problem(2, 32, 12.0, -0.6, 4.0)
-    start = gp.initial_field(p, "vortex:1", None).values
+SOLVES = {
+    "20-iterations": (lambda: gp.harmonic_problem(2, 32, 12.0, -0.6, 4.0), "vortex:1", 20),
+    "past-a-rebuild": (lambda: gp.harmonic_problem(2, 32, 12.0, -0.6, 4.0), "vortex:1", 60),
+    # whole solves to tol: about 300 and 70 iterations
+    "vortex-pair-64-converged":
+        (lambda: gp.harmonic_problem(2, 64, 16.0, -0.9, 20.0), "vortex:2", 20000),
+    "3d-24-converged": (lambda: gp.harmonic_problem(3, 24, 12.0, 0.5, 5.0), "gaussian", 20000),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVES))
+def test_cg_iterates_are_bitwise_the_old_loop(case):
+    make, spec, max_iter = SOLVES[case]
+    p = make()
+    start = gp.initial_field(p, spec, None).values
     opts = gp.GpSolverOptions(max_iter=max_iter)
     vals, it, evals, stop = gp._conjugate_gradient(p, start.copy(), opts)
     vals_ref, it_ref, evals_ref, stop_ref = _conjugate_gradient_reference(p, start.copy(), opts)
     assert (it, evals, stop) == (it_ref, evals_ref, stop_ref)
-    assert np.array_equal(vals, vals_ref)
+    assert np.array_equal(vals.view(np.uint64), vals_ref.view(np.uint64))
     if max_iter == 20:
         assert it == 20 and stop is None  # all 20 iterations ran
+    if case.endswith("converged"):
+        assert it < max_iter and stop is None  # stopped at tol
 
 
 # -- the tracer's boundary ---------------------------------------------------
@@ -160,7 +222,8 @@ def test_cg_iterates_are_bitwise_the_old_loop(max_iter):
 def test_one_gradient_per_trial_and_one_fft_pair_per_iteration(monkeypatch):
     # perfbench counts these calls by name: every operator apply goes through
     # gp.gp_gradient -> fields.apply_gauge_kinetic, and the preconditioner
-    # makes exactly one numpy.fft.fftn and one numpy.fft.ifftn call
+    # makes one n-D transform pair as dim numpy.fft.fft and dim
+    # numpy.fft.ifft calls, with no fftn or ifftn wrapper
     counts = Counter()
 
     def counting(name, fn):
@@ -179,5 +242,6 @@ def test_one_gradient_per_trial_and_one_fft_pair_per_iteration(monkeypatch):
     assert it == 20 and stop is None
     # the start's gradient, then one per line-search trial
     assert counts["gradient"] == counts["gauge"] == evals > it
-    assert counts["fftn"] == counts["ifftn"] == it
-    assert counts["fft"] == counts["ifft"] == p.grid.dim * evals
+    assert counts["fftn"] == counts["ifftn"] == 0
+    # dim passes each way per iteration (preconditioner) and per apply
+    assert counts["fft"] == counts["ifft"] == p.grid.dim * (it + evals)
