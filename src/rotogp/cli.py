@@ -94,8 +94,10 @@ def _effective_config(args):
     """Table defaults <- config file <- explicit flags, in increasing priority.
 
     A config-file value is read as its flag reads it (_config_value), or is
-    null where the default is, and every float in the result, list items
-    included, must be finite.
+    null where the default is.  Every number in the result, list items
+    included, must be finite: a float neither inf nor nan, and an int, from
+    a flag or a file, within the float range, since the first float
+    operation on a larger one would fail mid-run.
     """
     cfg = dict(args.defaults)
     if args.config:
@@ -118,6 +120,8 @@ def _effective_config(args):
         for v in val if isinstance(val, list) else [val]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{key} must be finite, got {v}")
+            if isinstance(v, int) and abs(v) > sys.float_info.max:
+                raise ValueError(f"{key} must be finite, got an int past the float range")
     return cfg
 
 

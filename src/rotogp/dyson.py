@@ -28,18 +28,17 @@ potential whose range reaches the ball's wall is refused.
 
 The modified one-body operator K0 and the constant kappa(eta) that keeps
 it nonnegative are the lowest eigenvalues of spectral operators on the GP
-grid.  One preconditioned block eigensolver (LOBPCG) computes them, real
-at Omega = 0 and complex when rotating, with the operator's axis-separable
-part inverted exactly as its preconditioner; see _lowest_eigs.
+grid.  One preconditioned block eigensolver, lowest_eigenpairs (LOBPCG),
+computes them, real at Omega = 0 and complex when rotating, with the
+operator's axis-separable part inverted exactly as its preconditioner; see
+_lowest_eigs.
 """
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg.lapack import dsyevx
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevx
 
 from .gp import GpProblem
 from .quadrature import BesselChannel, gauss_pieces, sin_cos, weighted_nodes
@@ -202,6 +201,43 @@ def _lowest_eig(H):
     return float(w[0])
 
 
+# inverse-iteration steps before a block goes to dsyevx; the dyson-check
+# defaults take 2 to 5, a lowest pair with lam_1 / lam_2 near 1 hundreds
+_INVERSE_STEPS = 50
+
+
+def _settled_minimum(factor, k):
+    """Lowest eigenvalue of the block whose Cholesky factor is factor[:k, :k],
+    by inverse iteration from a fixed start: one dpotrs solve y = H_k^{-1} x
+    per step, until the Rayleigh quotient y.x / y.y (= y.H_k y / y.y)
+    changes by at most 4 ulp.  None if it has not settled in _INVERSE_STEPS.
+    """
+    block = np.asfortranarray(factor[:k, :k])
+    x, rho = np.full(k, k ** -0.5), np.inf
+    for _ in range(_INVERSE_STEPS):
+        y = dpotrs(block, x, lower=1)[0]
+        yy = y @ y
+        rho, last = (y @ x) / yy, rho
+        if abs(rho - last) <= 4.0 * np.spacing(rho):
+            return float(rho)
+        x = y / np.sqrt(yy)
+    return None
+
+
+def _nested_minima(H, sizes):
+    """Lowest eigenvalue of each leading block H[:k, :k] of the symmetric H.
+
+    The Cholesky factor of a leading block is the leading block of H's
+    factor, so one dpotrf serves every size (_settled_minimum).  Both this
+    and dsyevx are accurate to about eps ||H||.  Should dpotrf refuse H
+    (not positive definite), or a block's iteration not settle, that block
+    goes to _lowest_eig.
+    """
+    factor, info = dpotrf(H, lower=1)
+    minima = [None if info else _settled_minimum(factor, k) for k in sizes]
+    return [_lowest_eig(H[:k, :k]) if m is None else m for k, m in zip(sizes, minima)]
+
+
 def check_dyson_inequality(
     v: RadialPotential,
     sp: SoftPotentials,
@@ -217,8 +253,10 @@ def check_dyson_inequality(
     reaches L is refused (ValueError): the modes' Dirichlet wall, not the
     inequality, would decide the verdict.  Each channel's matrix is built
     once at the largest size; a smaller basis is its leading block, whose
-    lowest eigenvalue alone is computed (_lowest_eig, LAPACK's dsyevx at
-    absolute tolerance 2 dlamch('S')).  Returns a dict with the
+    lowest eigenvalue alone is computed from one Cholesky factor of the
+    largest (_nested_minima), or, where the channel is not positive
+    definite or the iteration does not settle, by LAPACK's dsyevx at
+    absolute tolerance 2 dlamch('S') (_lowest_eig).  Returns a dict with the
     per-channel minima at each basis size, the overall minimum at the finest
     size, the largest change of a channel's minimum between the two finest
     sizes (the refinement drift), int U_R on the nodes of the U_R piece, and
@@ -253,7 +291,7 @@ def check_dyson_inequality(
     table = {}
     for ell in ell_list:  # one matrix per channel; each size is a leading block
         H = BesselChannel(ell, K, L).matrix(kin, pieces)
-        table[ell] = [_lowest_eig(H[:k, :k]) for k in basis_sizes]
+        table[ell] = _nested_minima(H, basis_sizes)
     min_eig = min(table[ell][-1] for ell in ell_list)
     slack = 1e-6 * a_scatt * sp.UR_height if a_scatt > 0 else 1e-10
     drift = max(
@@ -274,10 +312,79 @@ def check_dyson_inequality(
 # ---------------------------------------------------------------------------
 
 # LOBPCG iterations before the residual rule is judged; the CLI defaults
-# take 21 (kappa) and 24 (K0), the tests' rotating 3D n = 12 grids up to 65
+# take 15 (kappa) and 20 (K0)
 _LOBPCG_MAXITER = 200
 # amplitude of the seeded random part of LOBPCG's start block, per entry
 _START_NOISE = 1e-2
+# SVQB drops the directions whose Gram eigenvalue is below this share of
+# the largest: near-dependent
+_DROP = 1e-12
+
+
+def _svqb(Z):
+    """T with Z T orthonormal: SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput.
+    23, 2165 (2002)), D V Lambda^{-1/2} from the eigenpairs of the
+    column-scaled Gram matrix D Z^H Z D, less its near-dependent directions
+    (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput. 40, C655 (2018))."""
+    d = 1.0 / np.linalg.norm(Z, axis=0)
+    lam, V = np.linalg.eigh(d[:, None] * (Z.conj().T @ Z) * d)
+    keep = lam > _DROP * lam[-1]
+    return d[:, None] * V[:, keep] / np.sqrt(lam[keep])
+
+
+def lowest_eigenpairs(apply, precondition, start, J):
+    """Lowest J eigenpairs (values ascending, orthonormal vectors as columns)
+    of the hermitian operator apply, by block LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23, 517 (2001)) from the block start, of J or more columns.
+
+    apply and precondition take and return (size, m) blocks; precondition
+    approximates the inverse.  Each step runs Rayleigh-Ritz on the
+    orthonormal basis [X, W, P]: the Ritz block X, W the preconditioned
+    residuals of X's columns that have not converged, P their last updates.
+    W and P are projected off X twice and orthonormalized together by
+    _svqb.  Only W goes through apply; A P and A X are carried as the same
+    combinations as P and X.  The solve stops once the J wanted columns
+    have residuals within half of sqrt(eps) max(1, |theta|); the other
+    columns guard the Jth against its neighbours and need not converge.
+
+    The J returned pairs' residuals are then recomputed, and each must meet
+    ||A x - theta x|| <= sqrt(eps) max(1, |theta|), else ArithmeticError.
+    For a hermitian operator a Ritz value theta with residual r lies within
+    ||r||^2 / gap of an eigenvalue, gap being its distance to the rest of
+    the spectrum (Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1):
+    eps theta^2 / gap, the eigenvalues at machine precision.
+    """
+    root_eps = np.sqrt(np.finfo(float).eps)
+    X = start @ _svqb(start)
+    AX = apply(X)
+    theta, C = np.linalg.eigh(X.conj().T @ AX)
+    X, AX, P = X @ C, AX @ C, None
+    for _ in range(_LOBPCG_MAXITER):
+        R = AX - X * theta
+        active = np.linalg.norm(R, axis=0) > 0.5 * root_eps * np.maximum(1.0, np.abs(theta))
+        if not active[:J].any():
+            break
+        Z = precondition(R[:, active])
+        AZ = apply(Z)
+        if P is not None:
+            Z, AZ = np.hstack([Z, P[:, active]]), np.hstack([AZ, AP[:, active]])
+        for _ in range(2):
+            Y = X.conj().T @ Z
+            Z, AZ = Z - X @ Y, AZ - AX @ Y
+        T = _svqb(Z)
+        Z, AZ = Z @ T, AZ @ T
+        S, AS = np.hstack([X, Z]), np.hstack([AX, AZ])
+        theta, C = np.linalg.eigh(S.conj().T @ AS)
+        theta, C = theta[:X.shape[1]], C[:, :X.shape[1]]
+        X, AX = S @ C, AS @ C
+        P, AP = Z @ C[X.shape[1]:], AZ @ C[X.shape[1]:]
+    vals, vecs = theta[:J], X[:, :J] / np.linalg.norm(X[:, :J], axis=0)
+    resid = np.linalg.norm(apply(vecs) - vecs * vals, axis=0)
+    if not np.all(resid <= root_eps * np.maximum(1.0, np.abs(vals))):
+        raise ArithmeticError(
+            f"eigensolver missed its residual rule: residuals {resid.tolist()} "
+            f"at Ritz values {vals.tolist()}")
+    return vals, vecs
 
 
 @dataclass
@@ -322,8 +429,8 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     2 A.p adds sum_i 2 A_i ifft_i(k_i fft_i V), one 1D pair along each axis:
     exact, since A_i does not depend on x_i (the split of fields).
 
-    One LOBPCG solve (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)) on a
-    block of J + 2 vectors, complex when rotating, serves both cases.  Its
+    One lowest_eigenpairs solve on a block of J + 2 vectors, complex when
+    rotating, serves both cases, and its eigenvectors are dropped.  Its
     preconditioner is the exact inverse of the separable part H0 = sum_d A_d
     (_separable_part), by fast diagonalization (Lynch, Rice & Thomas, Numer.
     Math. 6, 185 (1964)): Q^T, a division by lam_i + lam_j [+ lam_k], and Q
@@ -334,15 +441,8 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     with n.  Should H0 not be positive definite, its denominators are
     shifted up to its first gap.  The block starts at H0's J + 2 lowest
     eigenvectors, tensor products of the Q columns that the preconditioner
-    already holds, plus a seeded random part.
-
-    No eigenvector is returned.  Each returned Ritz pair's residual is
-    recomputed, and the solve must meet ||H x - theta x|| <= sqrt(eps)
-    max(1, |theta|) for unit x, or ArithmeticError is raised.  For a
-    hermitian operator a Ritz value theta with residual r lies within
-    ||r||^2 / gap of an eigenvalue, gap being its distance to the rest of
-    the spectrum (Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1):
-    eps theta^2 / gap, the eigenvalues at machine precision.
+    already holds, plus a seeded random part.  A solve that misses the
+    residual rule raises ArithmeticError (lowest_eigenpairs).
     """
     grid = p.grid
     rotating = bool(np.any(p.gauge.omega))
@@ -364,7 +464,6 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
         inverse, drift = sfft.irfftn, []
 
     def apply(X):
-        X = X.reshape(size, -1)
         V = X.reshape(shape + X.shape[1:])
         out = inverse(mult * forward(V, axes=axes), axes=axes)
         out += scalar[..., None] * V
@@ -388,14 +487,10 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     def precondition(X):
         # Q acts on real and imaginary parts alike: a complex block is
         # transformed as its float view, the columns' two halves side by side
-        X = np.ascontiguousarray(X.reshape(size, -1))
+        X = np.ascontiguousarray(X)
         Y = along_axes(X.view(float), True) / denom.reshape(size, 1)
         return along_axes(Y, False).view(X.dtype)
 
-    dtype = complex if rotating else float
-    op = LinearOperator((size, size), matvec=apply, matmat=apply, dtype=dtype)
-    prec = LinearOperator((size, size), matvec=precondition, matmat=precondition,
-                          dtype=dtype)
     # the random part reaches every symmetry sector, also those in which
     # H0's lowest eigenvectors have no component; on a grid of fewer than
     # J + 2 points the columns past its size are random alone
@@ -408,24 +503,7 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     if rotating:
         noise = noise + 1j * rng.standard_normal((size, block))
     X = along_axes(E, False) + _START_NOISE * noise
-    root_eps = np.sqrt(np.finfo(float).eps)
-    with warnings.catch_warnings():
-        # convergence is judged below, on recomputed residuals
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            vals, vecs = lobpcg(op, X, M=prec, tol=root_eps, maxiter=_LOBPCG_MAXITER,
-                                largest=False)
-        except ValueError as exc:  # a failed Rayleigh-Ritz step, not an input
-            raise ArithmeticError(f"eigensolver failed: {exc}") from exc
-    keep = np.argsort(vals)[:J]
-    vals, vecs = vals[keep], vecs[:, keep]
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    resid = np.linalg.norm(op.matmat(vecs) - vecs * vals, axis=0)
-    if not np.all(resid <= root_eps * np.maximum(1.0, np.abs(vals))):
-        raise ArithmeticError(
-            f"eigensolver missed its residual rule: residuals {resid.tolist()} "
-            f"at Ritz values {vals.tolist()}")
-    return vals
+    return lowest_eigenpairs(apply, precondition, X, J)[0]
 
 
 def kappa_eta(p: GpProblem, eta: float) -> float:

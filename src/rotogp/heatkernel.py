@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, integrate
+from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, integrate, weighted_nodes
 
 
 # A confining potential V is a plain callable, nonnegative, evaluated on
@@ -238,6 +238,18 @@ def _modes(H, alpha):
     return lam[keep], c[:, keep]
 
 
+def _heat_sum(H, B, alpha, step):
+    """sum_k e^{-alpha lam_k} (c_k^T B)^2 over the modes (lam_k, c_k) of H,
+    taken in step blocks H[q::step, q::step] against B[q::step] (step 2:
+    H couples only modes of equal parity), and H's lowest eigenvalue."""
+    total, low = 0.0, np.inf
+    for q in range(step):
+        lam, c = _modes(H[q::step, q::step], alpha)
+        total = total + np.exp(-alpha * lam) @ (c.T @ B[q::step]) ** 2
+        low = min(low, lam[0])
+    return total, low
+
+
 def _oracle_basis(V, alpha, L, d):
     """Basis size K and Gauss pieces of V on [0, L], two nodes per half-wave of mode K.
 
@@ -268,6 +280,11 @@ def brute_diag(V, alpha, xs, d=1):
     make the kinetic term diagonal, and the modes are evaluated at xs.
     Returns (diagonal, K, drift): the basis size, and the change at each
     point when every matrix is cut to its leading 3K/4 block.
+
+    The d = 1 sines of odd index k are even about x = 0, those of even k
+    odd.  Where V(-y) == V(y) exactly at the quadrature's offsets y, H
+    couples only modes of equal parity, up to rounding, and each parity
+    block is diagonalized alone: two half-size eigh for one full one.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if d not in (1, 3):
@@ -277,17 +294,18 @@ def brute_diag(V, alpha, xs, d=1):
     # d = 1 is channel 0 on [0, 2 box], whose modes times r are the sines
     L, r = (2.0 * box, xs + box) if d == 1 else (box, np.abs(xs))
     K, pieces = _oracle_basis(V, alpha, L, d)
+    offsets = np.concatenate([weighted_nodes(*piece)[0] for piece in pieces]) - L / 2
+    step = 2 if d == 1 and np.array_equal(V(offsets), V(-offsets)) else 1
     sub, out, coarse = 3 * K // 4, np.zeros(xs.size), np.zeros(xs.size)
     for ell in range(61 if d == 3 else 1):
         ch = BesselChannel(ell, K, L)
         H, B = ch.matrix(np.square, pieces), ch(r)
-        lam, c = _modes(H, alpha)
-        if ell > 0 and np.exp(-alpha * lam[0]) < 1e-14 * max(out.max(), 1e-300):
+        full, low = _heat_sum(H, B, alpha, step)
+        if ell > 0 and np.exp(-alpha * low) < 1e-14 * max(out.max(), 1e-300):
             break
         weight = (2.0 * ell + 1.0) / (4.0 * np.pi) if d == 3 else r * r
-        out += weight * (np.exp(-alpha * lam) @ (c.T @ B) ** 2)
-        lam, c = _modes(H[:sub, :sub], alpha)
-        coarse += weight * (np.exp(-alpha * lam) @ (c.T @ B[:sub]) ** 2)
+        out += weight * full
+        coarse += weight * _heat_sum(H[:sub, :sub], B[:sub], alpha, step)[0]
     return out, K, np.abs(out - coarse)
 
 

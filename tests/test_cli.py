@@ -352,6 +352,8 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
                        ("n_float", '{"n": 16.0}'), ("n_bool", '{"n": true}'),
                        ("box_text", '{"box": "8"}'), ("box_bool", '{"box": false}'),
                        ("box_huge", '{"box": 1%s}' % ("0" * 400)),
+                       ("n_huge", '{"n": 1%s}' % ("0" * 400)),
+                       ("Nmax_huge", '{"Nmax": 1%s}' % ("0" * 400)),
                        ("init_int", '{"init": 1}'), ("V_number", '{"V": 2}'),
                        ("alpha_list", '{"alpha": [1.0]}'), ("scale_list", '{"scale": [1, 2]}'),
                        ("W_int", '{"W-file": 5}'), ("e_int", '{"e": 2}')]:
@@ -432,6 +434,10 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         ["solve-gp", "--dim", "2", "--n", "16", "--config", str(configs / "box_bool.json")],
         # an int past the float range, for a float key
         ["solve-gp", "--dim", "2", "--n", "16", "--config", str(configs / "box_huge.json")],
+        # an int past the float range, for an int key, from a file or a flag
+        ["solve-gp", "--dim", "2", "--config", str(configs / "n_huge.json")],
+        ["solve-gp", "--dim", "2", "--n", "1" + "0" * 400],
+        ["symbols-check", "--config", str(configs / "Nmax_huge.json")],
         [*gp2d, "--config", str(configs / "init_int.json")],
         ["heat-bound", "--config", str(configs / "V_number.json")],
         ["heat-bound", "--config", str(configs / "alpha_list.json")],
@@ -788,12 +794,9 @@ def test_dyson_check_refuses_a_potential_past_its_ball(tmp_path):
 
 def test_dyson_check_exits_1_when_the_eigensolver_misses_its_residual_rule(
         tmp_path, monkeypatch):
-    from scipy.sparse.linalg import lobpcg
-
     from rotogp import dyson
 
-    monkeypatch.setattr(dyson, "lobpcg",
-                        lambda A, X, **kw: lobpcg(A, X, **{**kw, "maxiter": 2}))
+    monkeypatch.setattr(dyson, "_LOBPCG_MAXITER", 2)
     assert run([*_DYSON_SMALL, "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "results.json").exists()
 

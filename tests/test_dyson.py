@@ -1,10 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize, special
-from scipy.sparse.linalg import LinearOperator, eigsh, lobpcg
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from rotogp import dyson
 from rotogp.dyson import (
@@ -392,6 +390,47 @@ def test_channel_minima_match_a_full_eigvalsh(soft, recorded, pot, monkeypatch):
             assert abs(lam - eigvalsh(H[:k, :k])[0]) <= 1e-12, (ell, k)
 
 
+def test_cholesky_minima_match_dsyevx(soft, recorded, monkeypatch):
+    # the nine dyson-check default blocks: inverse iteration on the leading
+    # blocks of one Cholesky factor, dsyevx never called, against dsyevx
+    # block by block
+    pot = square_barrier(1.0, 4.0e4).scaled(8.0)
+    lowest_eig = dyson._lowest_eig
+
+    def refuse(H):
+        raise AssertionError("dsyevx called")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dyson, "_lowest_eig", refuse)
+        channels = check_dyson_inequality(pot, soft, scattering_length(pot))["channels"]
+    assert len(recorded) == 3
+    for ell, (_, _, H) in zip((0, 1, 2), recorded):
+        for k, lam in zip((150, 250, 350), channels[ell]):
+            assert abs(lam - lowest_eig(H[:k, :k])) <= 1e-12, (ell, k)
+
+
+def test_nested_minima_go_to_dsyevx_where_inverse_iteration_cannot(monkeypatch):
+    G = np.random.default_rng(3).standard_normal((60, 60))
+    # a lowest level far below the rest, as in the Dyson channels; and a
+    # lowest pair close together, which inverse iteration takes hundreds of
+    # steps to separate
+    separated = np.diag(np.r_[0.01, np.linspace(1.0, 5.0, 59)]) + 1e-3 * (G + G.T)
+    close = G @ G.T / 60.0 + np.eye(60)
+    sizes = (20, 40, 60)
+    lowest_eig, calls = dyson._lowest_eig, []
+    monkeypatch.setattr(dyson, "_lowest_eig", lambda B: calls.append(B.shape) or lowest_eig(B))
+    for k, lam in zip(sizes, dyson._nested_minima(separated, sizes)):
+        assert abs(lam - np.linalg.eigvalsh(separated[:k, :k])[0]) <= 1e-12
+    assert calls == []
+    # not positive definite, so dpotrf refuses it; not settled in 50 steps;
+    # not settled in 1
+    for H, steps in ((separated - 0.02 * np.eye(60), 50), (close, 50), (separated, 1)):
+        monkeypatch.setattr(dyson, "_INVERSE_STEPS", steps)
+        calls.clear()
+        assert dyson._nested_minima(H, sizes) == [lowest_eig(H[:k, :k]) for k in sizes]
+        assert calls == [(k, k) for k in sizes]
+
+
 def test_lowest_eig_refuses_a_matrix_with_nan():
     # dsyevx reports no eigenvalue and info 0 there, and leaves w[0] at 0
     H = np.diag([3.0, 1.0, 2.0])
@@ -402,15 +441,24 @@ def test_lowest_eig_refuses_a_matrix_with_nan():
 
 
 def _captured_solves(monkeypatch):
-    """(operator, preconditioner) of each lobpcg solve in rotogp.dyson."""
+    """(apply, precondition, start block) of each lowest_eigenpairs solve in
+    rotogp.dyson."""
     solves = []
+    solve = dyson.lowest_eigenpairs
 
-    def capture(A, X, **kw):
-        solves.append((A, kw["M"]))
-        return lobpcg(A, X, **kw)
+    def capture(apply, precondition, start, J):
+        solves.append((apply, precondition, start))
+        return solve(apply, precondition, start, J)
 
-    monkeypatch.setattr(dyson, "lobpcg", capture)
+    monkeypatch.setattr(dyson, "lowest_eigenpairs", capture)
     return solves
+
+
+def _operator(apply, start):
+    """apply, which takes (size, m) blocks, as a scipy LinearOperator."""
+    size = start.shape[0]
+    return LinearOperator((size, size), matvec=lambda x: apply(x.reshape(size, 1)),
+                          matmat=apply, dtype=start.dtype)
 
 
 def _separable_apply(grid, multiplier, scalar, vec):
@@ -452,24 +500,24 @@ def test_k0_operators_match_per_axis_formula(monkeypatch, dim, omega, n):
     ]
     rng = np.random.default_rng(5)
     size = grid.n**grid.dim
-    for (op, prec), (m, scalar) in zip(solves, refs):
+    for (op, prec, start), (m, scalar) in zip(solves, refs):
         # at Omega = 0 the operator is real symmetric: real probes
         rotating = bool(np.any(omega))
         dtype = complex if rotating else float
-        assert op.dtype == prec.dtype == dtype
+        assert start.dtype == op(start).dtype == prec(start).dtype == dtype
         X = rng.standard_normal((size, 3))
         if rotating:
             X = X + 1j * rng.standard_normal((size, 3))
         ref = np.stack([_fft_apply(grid, m, p.gauge, scalar, x) for x in X.T], axis=1)
         scale = np.max(np.abs(ref))
-        assert np.max(np.abs(op.matvec(X[:, 0]) - ref[:, 0])) <= 1e-12 * scale
-        assert np.max(np.abs(op.matmat(X) - ref)) <= 1e-12 * scale
+        assert np.max(np.abs(op(X[:, :1]) - ref[:, :1])) <= 1e-12 * scale
+        assert np.max(np.abs(op(X) - ref)) <= 1e-12 * scale
         # the preconditioner is the exact inverse of the separable part H0
         H0X = np.stack([_separable_apply(grid, m, scalar, x) for x in X.T], axis=1)
         if not rotating:
             H0X = H0X.real
-        assert np.max(np.abs(prec.matmat(H0X) - X)) <= 1e-12 * np.max(np.abs(X))
-        assert np.max(np.abs(prec.matvec(H0X[:, 0]) - X[:, 0])) <= 1e-12 * np.max(np.abs(X))
+        assert np.max(np.abs(prec(H0X) - X)) <= 1e-12 * np.max(np.abs(X))
+        assert np.max(np.abs(prec(H0X[:, :1]) - X[:, :1])) <= 1e-12 * np.max(np.abs(X))
 
 
 def test_k0_real_eigensolve_matches_complex_path(monkeypatch):
@@ -478,22 +526,18 @@ def test_k0_real_eigensolve_matches_complex_path(monkeypatch):
     real = build_K0(p, chi, eta=1.0, J=4)
 
     def lift(op):
-        # the real operator acting on complex vectors
-        def matmat(Z):
-            return op.matmat(Z.real) + 1j * op.matmat(Z.imag)
-        return LinearOperator(op.shape, matvec=matmat, matmat=matmat, dtype=complex)
+        # the real operator acting on complex blocks
+        return lambda Z: op(np.ascontiguousarray(Z.real)) + 1j * op(np.ascontiguousarray(Z.imag))
 
-    def complex_lobpcg(A, X, **kw):
-        # the same solve on a complex block; a complex eigenvector z of a
-        # real symmetric operator has real eigenvectors Re z and Im z, and
-        # the one of larger norm goes back for the residual check
+    solve = dyson.lowest_eigenpairs
+
+    def complex_solve(apply, precondition, X, J):
+        # the same solve on a complex block, its residual rule checked on
+        # the complex Ritz vectors
         Z = X + 1j * np.random.default_rng(1).standard_normal(X.shape)
-        vals, vecs = lobpcg(lift(A), Z, **{**kw, "M": lift(kw["M"])})
-        re, im = vecs.real, vecs.imag
-        pick = np.linalg.norm(re, axis=0) >= np.linalg.norm(im, axis=0)
-        return vals, np.where(pick, re, im)
+        return solve(lift(apply), lift(precondition), Z, J)
 
-    monkeypatch.setattr(dyson, "lobpcg", complex_lobpcg)
+    monkeypatch.setattr(dyson, "lowest_eigenpairs", complex_solve)
     cplx = build_K0(p, chi, eta=1.0, J=4)
     assert abs(real.kappa - cplx.kappa) <= 1e-10
     assert np.max(np.abs(real.e - cplx.e)) <= 1e-10
@@ -522,8 +566,9 @@ def test_k0_eigenvalues_match_full_precision_solve(monkeypatch, dim, omega, n, J
     solves = _captured_solves(monkeypatch)
     shipped = build_K0(p, CutoffFunction(3.5), eta=1.0, J=J)
     v0 = np.random.default_rng(0).standard_normal(n**dim)
-    exact = [np.sort(eigsh(op, k=k, which="SA", tol=0, v0=v0, return_eigenvectors=False))
-             for (op, _), k in zip(solves, (1, J))]
+    exact = [np.sort(eigsh(_operator(op, start), k=k, which="SA", tol=0, v0=v0,
+                           return_eigenvectors=False))
+             for (op, _, start), k in zip(solves, (1, J))]
     assert abs(shipped.kappa - exact[0][0]) <= 1e-10
     assert np.max(np.abs(shipped.e - exact[1])) <= 1e-10
 
@@ -534,37 +579,80 @@ def test_k0_on_a_grid_smaller_than_the_block(monkeypatch, J):
     # grid's size start random, and the solve matches the dense spectrum
     p = harmonic_problem(dim=2, n=4, length=12.0)
     solves = _captured_solves(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # lobpcg's dense fallback
-        mob = build_K0(p, CutoffFunction(3.5), eta=1.0, J=J)
-    dense = np.linalg.eigvalsh(solves[1][0].matmat(np.eye(16)))
+    mob = build_K0(p, CutoffFunction(3.5), eta=1.0, J=J)
+    dense = np.linalg.eigvalsh(solves[1][0](np.eye(16)))
     assert np.max(np.abs(mob.e - dense[:J])) <= 1e-10 * np.max(np.abs(dense))
 
 
 def test_k0_default_solves_apply_count(monkeypatch):
     # kappa(eta) and K0 at the CLI defaults took 1,251 ARPACK applies; the
     # preconditioned block solve took 222 column applies from a random
-    # start, and takes 191 from the separable part's lowest eigenvectors;
-    # the seeded start makes the count deterministic
-    applies = []  # column applies per solve
+    # start and 191 from the separable part's lowest eigenvectors in
+    # scipy's lobpcg, and takes 164 in lowest_eigenpairs, which stops at the
+    # J pairs it returns; the seeded start makes the count deterministic
+    applies = []  # column applies per solve, the residual check's 1 + 4 included
+    solve = dyson.lowest_eigenpairs
 
-    def counted_lobpcg(A, X, **kw):
+    def counted(apply, precondition, start, J):
         applies.append(0)
 
-        def matmat(Z):
+        def counted_apply(Z):
             applies[-1] += Z.shape[1]
-            return A.matmat(Z)
+            return apply(Z)
 
-        return lobpcg(LinearOperator(A.shape, matvec=matmat, matmat=matmat, dtype=A.dtype),
-                      X, **kw)
+        return solve(counted_apply, precondition, start, J)
 
-    monkeypatch.setattr(dyson, "lobpcg", counted_lobpcg)
+    monkeypatch.setattr(dyson, "lowest_eigenpairs", counted)
     p = harmonic_problem(dim=2, n=32, length=12.0)
     build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
     assert len(applies) == 2
-    # plus one apply per returned pair for the residual check: 1 + 4
-    assert sum(applies) + 5 <= 300
-    assert sum(applies) + 5 <= 200
+    assert sum(applies) <= 300
+    assert sum(applies) <= 170
+
+
+def _check_pairs(apply, vals, vecs, dense, J):
+    """vals against the dense spectrum; vecs orthonormal and within the
+    residual rule sqrt(eps) max(1, |theta|)."""
+    assert vals.shape == (J,) and vecs.shape == (dense.size, J)
+    assert np.max(np.abs(vals - dense[:J])) <= 1e-10 * max(1.0, np.max(np.abs(dense[:J])))
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(J))) <= 1e-12
+    resid = np.linalg.norm(apply(vecs) - vecs * vals, axis=0)
+    assert np.all(resid <= np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(vals)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lowest_eigenpairs_on_a_dense_hermitian_matrix(dtype):
+    # no preconditioner, a random start, and a doubly degenerate lowest level
+    rng = np.random.default_rng(11)
+    size, J = 60, 5
+    Q = np.linalg.qr(rng.standard_normal((size, size))
+                     + (1j * rng.standard_normal((size, size)) if dtype is complex else 0))[0]
+    spectrum = np.r_[1.0, 1.0, np.linspace(2.0, 30.0, size - 2)]
+    A = (Q * spectrum) @ Q.conj().T
+    start = rng.standard_normal((size, J + 2)).astype(dtype)
+    vals, vecs = dyson.lowest_eigenpairs(lambda X: A @ X, lambda X: X, start, J)
+    assert vecs.dtype == dtype
+    _check_pairs(lambda X: A @ X, vals, vecs, np.linalg.eigvalsh(A), J)
+
+
+@pytest.mark.parametrize("dim, omega, n, J", [
+    (2, 0.0, 12, 4), (2, 0.4, 12, 4), (3, 0.0, 12, 4), (2, 0.0, 4, 16),
+], ids=["real", "rotating", "3d-threefold", "grid-below-block"])
+def test_lowest_eigenpairs_match_dense_eigh(monkeypatch, dim, omega, n, J):
+    # K0's operators, real at Omega = 0 and complex when rotating; on 3D
+    # n = 12 its second level, 8.99547, is threefold; 16 points hold fewer
+    # than the J + 2 start columns
+    p = harmonic_problem(dim=dim, n=n, length=12.0, omega=omega)
+    solves = _captured_solves(monkeypatch)
+    build_K0(p, CutoffFunction(3.5), eta=1.0, J=J)
+    apply, precondition, start = solves[1]
+    A = apply(np.eye(start.shape[0], dtype=start.dtype))
+    assert np.max(np.abs(A - A.conj().T)) <= 1e-12 * np.max(np.abs(A))
+    vals, vecs = dyson.lowest_eigenpairs(apply, precondition, start, J)
+    dense = np.linalg.eigvalsh(A)
+    _check_pairs(apply, vals, vecs, dense, J)
+    if dim == 3:
+        assert np.ptp(vals[1:4]) <= 1e-10 and abs(vals[1] - 8.99547) <= 1e-5
 
 
 def test_k0_solve_with_indefinite_separable_part():
@@ -583,7 +671,7 @@ def test_k0_solve_with_indefinite_separable_part():
 
 def test_missed_residual_rule_raises(monkeypatch):
     # two iterations cannot reach sqrt(eps): the recomputed residuals fail
-    # the rule, whatever scipy reports
-    monkeypatch.setattr(dyson, "lobpcg", lambda A, X, **kw: lobpcg(A, X, **{**kw, "maxiter": 2}))
+    # the rule
+    monkeypatch.setattr(dyson, "_LOBPCG_MAXITER", 2)
     with pytest.raises(ArithmeticError, match="residual rule"):
         build_K0(harmonic_problem(dim=2, n=16, length=12.0), CutoffFunction(3.5), eta=1.0, J=2)

@@ -224,6 +224,30 @@ class TestDiagBound:
         full = hk.brute_diag(V, alpha, xs, d=d)[0]
         assert np.max(np.abs(windowed / full - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("V, alpha", [
+        (hk.harmonic_potential(), 1.0), (hk.log_potential(2.0), 0.1),
+    ], ids=["harmonic", "log"])
+    def test_parity_blocks_match_one_eigh(self, monkeypatch, V, alpha):
+        # the heat-bound d = 1 configs: an even V takes two parity blocks,
+        # for the K modes and their leading 3K/4, against one eigh each
+        xs, heat_sum, steps = np.linspace(0.0, 3.0, 9), hk._heat_sum, []
+        monkeypatch.setattr(hk, "_heat_sum", lambda H, B, alpha, step: (
+            steps.append(step), heat_sum(H, B, alpha, step))[1])
+        blocks, K, drift = hk.brute_diag(V, alpha, xs, d=1)
+        assert steps == [2, 2]
+        monkeypatch.setattr(hk, "_heat_sum", lambda H, B, alpha, step: heat_sum(H, B, alpha, 1))
+        single, K_single, drift_single = hk.brute_diag(V, alpha, xs, d=1)
+        assert K == K_single
+        assert np.max(np.abs(blocks / single - 1.0)) <= 1e-12
+        assert np.max(np.abs(drift - drift_single)) <= 1e-12 * single.max()
+
+    def test_asymmetric_potential_takes_one_eigh(self, monkeypatch):
+        heat_sum, steps = hk._heat_sum, []
+        monkeypatch.setattr(hk, "_heat_sum", lambda H, B, alpha, step: (
+            steps.append(step), heat_sum(H, B, alpha, step))[1])
+        hk.brute_diag(lambda x: (x - 0.3) ** 2, 1.0, np.linspace(0.0, 3.0, 9), d=1)
+        assert steps == [1, 1]
+
     @settings(max_examples=200, deadline=None)
     @given(r=st.floats(1e-8, 20.0), rho=st.floats(1e-8, 20.0),
            alpha=st.floats(0.05, 20.0))
