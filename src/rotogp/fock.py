@@ -25,7 +25,7 @@ from math import comb, factorial, perm
 
 import numpy as np
 from scipy import linalg, sparse, special
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .quadrature import gauss_legendre
 
@@ -111,67 +111,91 @@ class ModeBasis:
         return self.e.size
 
 
-def _two_body(mb: ModeBasis, basis: SectorBasis):
-    """sum W_ijkl a+_i a+_j a_k a_l on the sector as (B^T (Wp x Id)) B in one
-    sparse product.
+class SectorHamiltonian(LinearOperator):
+    """H = diag(D) + B^T (Wp x Id) B on one number sector, kept as its factors.
 
     B stacks the pair annihilators B_p = a_k a_l over unordered pairs
-    p = (k <= l), from sector N into sector N - 2; Wp[q, p] sums W over the
-    orderings of both pairs, which is exact because a_k a_l = a_l a_k.
-    B is real, so B^H = B^T.  B^T (Wp x Id) is written directly as CSR, never
-    as a Kronecker product or through COO: its rows are the source states,
-    in order from np.nonzero, and row s holds Wp[q, p] B_q[t, s] at column
-    p m + t for each pair q that lowers s to t and every pair slot p.
+    p = (k <= l), from sector N into sector N - 2, row p m + t for target t;
+    Wp[q, p] sums W over the orderings of both pairs, exact as a_k a_l =
+    a_l a_k.  B is real and kept as B^T, CSR with the source states as rows.
+    `@` applies H to vectors and blocks; `nnz` counts the factors' entries.
     """
-    J, n, N = mb.modes, len(basis), basis.total
-    if N < 2:  # no pair to lower
-        return sparse.csr_matrix((n, n))
-    m = comb(N + J - 3, J - 1)  # dimension of sector N - 2
-    occ = basis.states
+
+    def __init__(self, D, BT, Wp):
+        super().__init__(np.result_type(D, Wp), (D.size, D.size))
+        self.D, self.BT, self.B, self.Wp = D, BT, BT.T, Wp
+        self.nnz = D.size + BT.nnz + Wp.size
+
+    def _matmat(self, V):
+        BV = self.B @ V
+        WBV = (self.Wp @ BV.reshape(self.Wp.shape[0], -1)).reshape(BV.shape)
+        return (self.D * V.T).T + self.BT @ WBV
+
+    _matvec = _rmatvec = _matmat  # H is hermitian
+
+    def diagonal(self):
+        """D + sum_p B_p[t, s]^2 Wp[p, p]: no two pairs lower s to one t."""
+        m = self.BT.shape[1] // self.Wp.shape[0]
+        return self.D + self.BT.power(2) @ np.repeat(self.Wp.diagonal().real, m)
+
+    def toarray(self):
+        """Dense H, a P x P block per state t of sector N - 2: each pair p raises t to
+        one state s[t, p] with amplitude a[t, p], and a[t, p] Wp[p, q] a[t, q] adds at
+        (s[t, p], s[t, q])."""
+        coo, P = self.BT.tocoo(), self.Wp.shape[0]
+        s, a = np.zeros((2, self.BT.shape[1]))
+        s[coo.col], a[coo.col] = coo.row, coo.data
+        s, a = (v.reshape(P, v.size // P).T for v in (s.astype(np.int64), a))
+        H = np.diag(self.D).astype(self.dtype)
+        np.add.at(H, (s[:, :, None], s[:, None, :]), a[:, :, None] * self.Wp * a[:, None, :])
+        return H
+
+
+def build_hamiltonian(mb: ModeBasis, basis: SectorBasis) -> SectorHamiltonian:
+    """sum e_j n_j + sum W_ijkl a+_i a+_j a_k a_l on the basis's sector, with
+    B^T built as CSR from the nonzero amplitudes of a_k a_l in np.nonzero's
+    order: by source state, then by pair."""
+    if mb.modes != basis.modes:
+        raise ValueError("mode count mismatch")
+    J, n, N, occ = mb.modes, len(basis), basis.total, basis.states
+    D = occ.astype(float) @ mb.e
     kk, ll = np.triu_indices(J)
     pairs = np.arange(kk.size)
+    m = comb(N + J - 3, J - 1) if N >= 2 else 0  # dimension of sector N - 2
     amp = np.sqrt(occ[:, ll] * (occ[:, kk] - (kk == ll)))  # a_l first, then a_k
     src, pair = np.nonzero(amp)
     amp = amp[src, pair]
     one = np.eye(J, dtype=np.int64)
-    tgt = _rank(occ[src] - one[kk[pair]] - one[ll[pair]], N - 2)
+    tgt = _rank(occ[src] - one[kk[pair]] - one[ll[pair]], N - 2) if src.size else src
     fold = np.zeros((J * J, kk.size))
     fold[kk * J + ll, pairs] = 1.0
     fold[ll * J + kk, pairs] = 1.0
     Wp = fold.T @ mb.W.reshape(J * J, J * J) @ fold
-    B = sparse.csr_matrix((amp, (pair * m + tgt, src)), shape=(kk.size * m, n))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n) * kk.size, out=indptr[1:])
-    BTW = sparse.csr_matrix(
-        ((Wp[pair] * amp[:, None]).ravel(), (pairs * m + tgt[:, None]).ravel(), indptr),
-        shape=B.shape[::-1],
-    )
-    return BTW @ B
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    BT = sparse.csr_matrix((amp, pair * m + tgt, indptr), shape=(n, kk.size * m))
+    return SectorHamiltonian(D, BT, Wp)
 
 
-def build_hamiltonian(mb: ModeBasis, basis: SectorBasis):
-    """Sparse hermitian H = sum e_j n_j + two-body on the basis's sector."""
-    if mb.modes != basis.modes:
-        raise ValueError("mode count mismatch")
-    diag = basis.states.astype(float) @ mb.e
-    return (sparse.diags(diag) + _two_body(mb, basis)).tocsr()
+# ARPACK on the factors beats dense eigh above this (2 cores: even at 210-250 states)
+_DENSE_STATES = 200
 
 
 def ground_state(H, basis: SectorBasis, total: int):
     """(E0, vector) of H on the sector basis; residual <= 1e-10.
 
-    Up to 400 states, the lowest pair of the dense matrix alone (LAPACK's
-    MRRR driver); above, ARPACK from the occupation state of lowest
-    diagonal entry plus a seeded random part, so that repeated solves agree
-    bitwise.
+    Up to _DENSE_STATES states, the lowest pair of the dense matrix alone
+    (LAPACK's MRRR driver); above, ARPACK on H's factors from the occupation
+    state of lowest diagonal entry plus a seeded random part, so that
+    repeated solves agree bitwise, to a Ritz residual of 1e-12 |E0|.
     """
     n = basis.sector(total).size  # ValueError unless total is the basis's
-    if n <= 400:
+    if n <= _DENSE_STATES:
         w, v = linalg.eigh(H.toarray(), subset_by_index=[0, 0])
     else:
         v0 = 1e-3 * np.random.default_rng(0).standard_normal(n)
         v0[np.argmin(H.diagonal().real)] += 1.0
-        w, v = eigsh(H, k=1, which="SA", v0=v0)
+        w, v = eigsh(H, k=1, which="SA", v0=v0, tol=1e-12)
     e0, vec = float(w[0]), v[:, 0]
     resid = np.linalg.norm(H @ vec - e0 * vec)
     if resid > 1e-10 * max(1.0, abs(e0)):

@@ -5,30 +5,26 @@ The smoothing profile
     h_alpha(x) = (2/alpha) int_0^{alpha/4} (1 - 4t/alpha)^{-1/2} j_t(x) dt,
     j_t(x) = (4 pi t)^{-d/2} e^{-|x|^2 / 4t},
 
-integrates to one in any dimension.  The substitution t = (alpha/4)(1 - u^2)
-removes the endpoint square-root singularity exactly; parametrizing u = cos(theta)
-additionally cancels the t -> 0 blow-up of j_t in one dimension, leaving
+integrates to one in any dimension.  t = (alpha/4) sin^2(theta) makes it
+int_0^{pi/2} sin(theta) j_t(x) dtheta, and u = cot(theta), 4t = alpha/(1 + u^2),
 
-    h_alpha(x) = int_0^{pi/2} sin(theta) j_{(alpha/4) sin^2 theta}(x) dtheta
+    h_alpha(x) = (pi alpha)^{-d/2} e^{-x^2/alpha}
+                 int_0^inf (1 + u^2)^{(d-3)/2} e^{-u^2 x^2/alpha} du,
 
-with a bounded integrand (for d = 3 the x -> 0 singularity of h_alpha is
-genuine and integrable).  A 200-node Gauss rule in theta makes h_alpha a sum
-sum_k c_k e^{-x^2 / 4 t_k}, c_k = w_k (4 pi t_k)^{-d/2}: one cached kernel
-per alpha, whose coefficients every integrand below reads.  The diagonal
-bound reads
+that is (1/2) sqrt(pi/alpha) erfc(|x|/sqrt(alpha)) in d = 1 and
+e^{-x^2/alpha} / (2 pi alpha |x|) in d = 3, infinite but integrable at 0.
+The diagonal bound reads
 
     e^{alpha(Delta - V)}(x, x) <= (4 pi alpha)^{-d/2} (e^{-alpha V} * h_alpha)(x),
 
 checked against Galerkin eigenbases with an exact kinetic term: the sine
 basis (d = 1) or spherical-Bessel channels (d = 3, radial V).  The bound
-is adaptive Gauss-Kronrod quadrature graded toward the cusps, not FFT: V is
+is adaptive Gauss-Kronrod quadrature split at the cusps, not FFT: V is
 unbounded and periodic wraparound would corrupt the tails.  In d = 3 the
-shell average of h_alpha is closed-form per theta node, and the weighted
-trace reads every domain doubling off one profile on the largest domain,
-each point summing only the radii where neither factor is an exact zero.
+shell average of h_alpha is a difference of erfc, and the weighted trace
+reads every domain doubling off one profile on the largest domain, each
+point summing only the radii where neither factor is an exact zero.
 """
-
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -64,38 +60,19 @@ def _check_nonneg(V, span: float) -> None:
 # smoothing profile
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _theta_kernel(alpha, d):
-    """h_alpha(x) = sum_k c_k e^{-x^2 q_k} on the 200-node theta rule.
-
-    Returns the times t, the coefficients c = w (4 pi t)^{-d/2} and the rates
-    q = 1/4t, cached and read-only: every integrand of the bound reads them.
-    """
-    u, wu = gauss_legendre(200)
-    theta = 0.25 * np.pi * (u + 1.0)
-    t = (alpha / 4.0) * np.sin(theta) ** 2
-    c = np.sin(theta) * (0.25 * np.pi * wu) * (4.0 * np.pi * t) ** (-d / 2.0)
-    q = 0.25 / t
-    for a in (t, c, q):
-        a.flags.writeable = False
-    return t, c, q
-
-
 def h_alpha(x, alpha, d=1):
-    """h_alpha at radii x, any shape.  h_alpha(0) is infinite for d = 3."""
+    """h_alpha at radii x, any shape, one element at a time: (1/2) sqrt(pi/alpha)
+    erfc(|x|/sqrt(alpha)) in d = 1, e^{-x^2/alpha} / (2 pi alpha |x|) in d = 3,
+    infinite at x = 0."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    _, c, q = _theta_kernel(alpha, d)
-    # exp is 5-40 times slower where its result is subnormal or underflows:
-    # exponents are clamped at -700, which raises a term by at most e^{-700}
-    e = np.square(np.asarray(x, dtype=float))[..., None] * -q
-    return np.exp(np.maximum(e, -700.0, out=e), out=e) @ c
-
-
-def _graded(alpha):
-    """Panel edges' offsets from a cusp of h_alpha, 4 times wider each: one per scale."""
-    s0 = np.sqrt(_theta_kernel(alpha, 1)[0][0])  # the narrowest theta node's width
-    return s0 * 4.0 ** np.arange(np.ceil(np.log(12.0 * np.sqrt(alpha) / s0) / np.log(4.0)))
+    x = np.abs(np.asarray(x, dtype=float))
+    if d == 1:
+        return 0.5 * np.sqrt(np.pi / alpha) * special.erfc(x / np.sqrt(alpha))
+    if d == 3:
+        with np.errstate(divide="ignore"):
+            return np.exp(-np.square(x) / alpha) / (2.0 * np.pi * alpha * x)
+    raise ValueError("d must be 1 or 3")
 
 
 def h_alpha_integral(alpha, d=1):
@@ -103,33 +80,40 @@ def h_alpha_integral(alpha, d=1):
     if d not in (1, 3):
         raise ValueError("d must be 1 or 3")
     f = lambda r: r ** (d - 1) * h_alpha(r, alpha, d)
-    val = integrate(f, np.r_[0.0, _graded(alpha), 12.0 * np.sqrt(alpha)])[0]
+    val = integrate(f, np.r_[0.0, 12.0 * np.sqrt(alpha)])[0]
     return (2.0 if d == 1 else 4.0 * np.pi) * val
 
 
 def _shell_average(r, rho, alpha):
     """Average of h_alpha(|x - y|) over the sphere |y| = rho, |x| = r, d = 3.
 
-    Equals (1 / (2 r rho)) int_{|r-rho|}^{r+rho} sigma h(sigma) dsigma, exact
-    per node of the theta rule: int sigma c e^{-sigma^2 q} = 2 t c (1 - e^{-sigma^2 q}).
-    With (r+rho)^2 - (r-rho)^2 = 4 r rho the difference of the two ends is
-    e^{-(r-rho)^2 q} (1 - e^{-r rho/t}), free of cancellation; r and rho broadcast.
+    (1 / (2 r rho)) int_{|r-rho|}^{r+rho} sigma h(sigma) dsigma is the integral
+    of e^{-sigma^2/alpha} / (4 pi alpha r rho): (sqrt(pi alpha)/2) (erfc(a) - erfc(b))
+    with a, b the ends over sqrt(alpha).  As erfcx decreases, erfc(b) <= erfc(a)/e
+    where b^2 - a^2 = 4 r rho/alpha >= 1; closer ends would cancel, and their
+    window, 2 min(r, rho) < sqrt(alpha) wide, takes a 10-node Gauss rule: over
+    r rho the average is the rule's sum over 4 pi alpha max(r, rho), which at
+    r rho = 0 is h_alpha(max(r, rho)).  r and rho broadcast.
     """
-    t, c, q = _theta_kernel(alpha, 3)
-    prod = np.multiply(r, rho)
-    ends = np.square(np.subtract(r, rho))[..., None] * -q
-    np.exp(np.maximum(ends, -700.0, out=ends), out=ends)  # clamped as in h_alpha
-    g = -prod[..., None] / t
-    ends *= np.expm1(g, out=g)
-    zero = prod == 0.0
-    out = (ends @ (-c * t)) / np.where(zero, 1.0, prod)
-    return np.where(zero, h_alpha(np.maximum(r, rho), alpha, d=3), out) if zero.any() else out
+    r, rho = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(rho, dtype=float))
+    shape, r, rho = r.shape, r.ravel(), rho.ravel()
+    lo, root, out = np.abs(r - rho), np.sqrt(alpha), np.empty(r.size)
+    near = 4.0 * r * rho < alpha
+    far = ~near
+    out[far] = (special.erfc(lo[far] / root) - special.erfc((r[far] + rho[far]) / root)) / (
+        8.0 * np.sqrt(np.pi * alpha) * r[far] * rho[far])
+    u, w = gauss_legendre(10)
+    sigma = lo[near, None] + np.minimum(r[near], rho[near])[:, None] * (1.0 + u)
+    with np.errstate(divide="ignore"):  # r = rho = 0
+        out[near] = np.sum(np.exp(-np.square(sigma) / alpha) * w, axis=1) / (
+            4.0 * np.pi * alpha * np.maximum(r[near], rho[near]))
+    return out.reshape(shape)
 
 
 def diag_bound(V, alpha, xs, d=1):
     """(4 pi alpha)^{-d/2} (e^{-alpha V} * h_alpha)(x), all points in one
-    `quadrature.integrate`, panels graded toward the |x - y| cusp of h_alpha
-    and split at y = 0 (log1p|y|'s cusp), up to the (certified-negligible)
+    `quadrature.integrate`, panels split at the |x - y| cusp of h_alpha and
+    at y = 0 (log1p|y|'s cusp), up to the (certified-negligible)
     tail beyond y_max = max|x| + 12 sqrt(alpha) + 8.  No periodization, so
     unbounded V is handled exactly.  Returns rows bound and error estimate.
     """
@@ -144,10 +128,8 @@ def diag_bound(V, alpha, xs, d=1):
     else:
         x, lo = np.abs(xs), 0.0
         f = lambda y, r: 4.0 * np.pi * y * y * np.exp(-alpha * V(y)) * _shell_average(r, y, alpha)
-    g = _graded(alpha)
-    breaks = np.hstack([x[:, None] + np.r_[-g, 0.0, g], np.full((x.size, 3), [lo, 0.0, y_max])])
-    return (4.0 * np.pi * alpha) ** (-d / 2.0) * integrate(
-        f, np.sort(np.clip(breaks, lo, y_max), axis=1), x)
+    breaks = np.column_stack([np.full((x.size, 3), [lo, 0.0, y_max]), x])
+    return (4.0 * np.pi * alpha) ** (-d / 2.0) * integrate(f, np.sort(breaks, axis=1), x)
 
 
 # rows of the d = 3 trace profile per block of _diag_bound_grid
@@ -164,13 +146,10 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     pref = (4.0 * np.pi * alpha) ** (-d / 2.0)
     if d == 1:
-        span = 12.0 * np.sqrt(alpha)
         y = np.arange(-y_max, y_max + dy / 2, dy)
         ev = np.exp(-alpha * V(y))
-        half = int(np.ceil(span / dy))
-        # h_alpha is even: evaluate the offsets 0..half and mirror them
-        hv = h_alpha(np.arange(half + 1) * dy, alpha, d=1)
-        hv = np.concatenate([hv[:0:-1], hv])
+        half = int(np.ceil(12.0 * np.sqrt(alpha) / dy))
+        hv = h_alpha(np.arange(-half, half + 1) * dy, alpha, d=1)
         # convolve only ev's nonzero run: outside it e^{-alpha V} underflows
         # to exactly 0, and conv reaches one kernel half-width past its ends
         live = np.flatnonzero(ev)
@@ -187,16 +166,13 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
         rho = np.arange(dy, y_max, dy)
         ev = np.exp(-alpha * V(rho)) * rho * dy
         s_tab = np.linspace(0.0, y_max + np.abs(xs).max() + dy, 20000)
-        # past where every e^{-s^2 q} underflows, q >= q.min(), s h(s) is left 0
-        n_h = np.searchsorted(s_tab, np.sqrt(746.0 / _theta_kernel(alpha, 3)[2].min()))
+        # s h(s) = e^{-s^2/alpha} / (2 pi alpha), left 0 where it underflows and
+        # at s = 0: G is 1.07e-3 low at alpha = 1 (of 0.141), but the exact G
+        # moves the d = 3 trace -5.2e-5, past perfbench/references.json's 1e-6
+        n_h = np.searchsorted(s_tab, np.sqrt(746.0 * alpha))
         g_int = np.zeros(s_tab.size)
-        g_int[:n_h] = s_tab[:n_h] * h_alpha(s_tab[:n_h], alpha, d=3)
-        # s h(s) has a nonzero limit at 0: G is 1.07e-3 low at alpha = 1 (of 0.141);
-        # the exact G moves the d = 3 trace -5.2e-5, past perfbench/references.json's 1e-6
-        g_int[0] = 0.0
-        G = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))]
-        )
+        g_int[1:n_h] = np.exp(-np.square(s_tab[1:n_h]) / alpha) / (2.0 * np.pi * alpha)
+        G = np.concatenate([[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))])
         # G is constant from sat on and ev is 0 from rho[n_live] on, both exactly:
         # row r sums only the rho within sat of r and below rho[n_live]; a row
         # with no such rho stays exactly 0

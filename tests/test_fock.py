@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import product
 from math import comb, factorial, sqrt
-from scipy import sparse, special
+from scipy import special
 
 from rotogp import fock
 from rotogp.fock import (
@@ -168,9 +168,9 @@ def test_hamiltonian_hermitian_commutes_with_number():
     ref = np.diag(np.array(union, dtype=float) @ mb.e) + _two_body_reference(mb.W, union)
     spectra = []
     for N in range(n_max + 1):
-        H = build_hamiltonian(mb, SectorBasis(J, N))
+        H = build_hamiltonian(mb, SectorBasis(J, N)).toarray()
         assert abs(H - H.conj().T).max() <= 1e-12
-        spectra.append(np.linalg.eigvalsh(H.toarray()))
+        spectra.append(np.linalg.eigvalsh(H))
     assert np.allclose(np.sort(np.concatenate(spectra)), np.linalg.eigvalsh(ref),
                        rtol=0, atol=1e-12)
 
@@ -198,10 +198,10 @@ def test_assembly_properties(J, total, entries, g):
     u = 0.5 * (u + u.T)
     b = SectorBasis(J, total)
     mb = ModeBasis(e=np.arange(1.0, J + 1.0), W=pair_interaction_tensor(u, g))
-    H = build_hamiltonian(mb, b)
+    H = build_hamiltonian(mb, b).toarray()
     ref = np.diag(b.states.astype(float) @ mb.e) + _two_body_reference(mb.W, _states(b))
     scale = max(1.0, np.abs(ref).max())
-    assert np.abs(H.toarray() - ref).max() <= 1e-12 * scale
+    assert np.abs(H - ref).max() <= 1e-12 * scale
     assert abs(H - H.conj().T).max() <= 1e-12 * scale
 
 
@@ -212,11 +212,39 @@ def test_sector_assembly_matches_reference(J, N):
     g = rng.standard_normal((J, J))
     b = SectorBasis(J, N)
     mb = ModeBasis(e=np.arange(1.0, J + 1.0), W=pair_interaction_tensor(0.5 * (g + g.T), 0.3))
-    two_body = build_hamiltonian(mb, b) - sparse.diags(b.states.astype(float) @ mb.e)
+    two_body = build_hamiltonian(mb, b).toarray() - np.diag(b.states.astype(float) @ mb.e)
     ref = _two_body_reference(mb.W, _states(b))
-    assert np.abs(two_body.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    assert np.abs(two_body - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
     if N < 2:
-        assert two_body.count_nonzero() == 0 and not ref.any()
+        assert not two_body.any() and not ref.any()
+
+
+@pytest.mark.parametrize("J, N, complex_W", [(2, 0, False), (3, 4, False), (6, 5, False),
+                                              (2, 7, True)])
+def test_operator_applies_its_dense_matrix(J, N, complex_W):
+    # H @ V on a vector and on a block, against the assembled matrix; the
+    # diagonal and nnz, the entries of D, B^T and Wp, from the factors
+    rng = np.random.default_rng(J + N)
+    if complex_W:
+        e, W = _random_two_mode_model(J + N)
+    else:
+        g = rng.standard_normal((J, J))
+        e, W = np.arange(1.0, J + 1.0), pair_interaction_tensor(0.5 * (g + g.T), 0.3)
+    b = SectorBasis(J, N)
+    H = build_hamiltonian(ModeBasis(e=e, W=W), b)
+    dense = np.diag(b.states.astype(float) @ e) + _two_body_reference(W, _states(b))
+    assert np.abs(H.toarray() - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+    V = rng.standard_normal((len(b), 3))
+    if complex_W:
+        V = V + 1j * rng.standard_normal((len(b), 3))
+    ref = H.toarray() @ V
+    scale = max(1.0, np.abs(ref).max())
+    assert (H @ V).shape == (len(b), 3)
+    assert np.abs(H @ V - ref).max() <= 1e-13 * scale
+    assert np.abs(H @ V[:, 1] - ref[:, 1]).max() <= 1e-13 * scale
+    assert np.abs(H.diagonal() - np.diag(dense)).max() <= 1e-13 * max(1.0, np.abs(dense).max())
+    pairs = J * (J + 1) // 2
+    assert H.nnz == len(b) + np.count_nonzero(H.BT.toarray()) + pairs * pairs
 
 
 def test_pair_sector_matches_first_quantized():
@@ -508,21 +536,21 @@ def test_ground_state_repeatable_bitwise():
 
 @pytest.mark.parametrize("N", [2, 4, 5, 6])
 def test_ground_state_matches_full_dense_solve(N):
-    # up to 400 states (N <= 5 of J = 6) the dense branch computes the lowest
-    # pair alone: against every pair of the full matrix, the vector up to
-    # its phase; N = 6 holds 462 states, ARPACK's branch from the state of
-    # lowest diagonal entry
+    # up to fock._DENSE_STATES = 200 states (N <= 4 of J = 6) the dense branch
+    # computes the lowest pair alone: against every pair of the full matrix,
+    # the vector up to its phase; N = 5 and N = 6 hold 252 and 462 states,
+    # ARPACK's branch from the state of lowest diagonal entry
     rng = np.random.default_rng(3)
     g = rng.standard_normal((6, 6))
     b = SectorBasis(6, N)
     mb = ModeBasis(e=np.arange(1.0, 7.0), W=pair_interaction_tensor(0.5 * (g + g.T), 0.4 / N))
     H = build_hamiltonian(mb, b)
     e0, vec = ground_state(H, b, N)
-    if len(b) <= 400:
+    if len(b) <= fock._DENSE_STATES:
         w, v = np.linalg.eigh(H.toarray())
         assert w[1] - w[0] > 1e-3  # a simple level: its vector is defined
         assert abs(e0 - w[0]) <= 1e-12
         assert abs(abs(np.vdot(v[:, 0], vec)) - 1.0) <= 1e-12
     else:
-        assert len(b) == 462
+        assert len(b) in (252, 462)
         assert abs(e0 - np.linalg.eigvalsh(H.toarray())[0]) <= 1e-10

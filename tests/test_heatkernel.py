@@ -13,6 +13,21 @@ def _j_t(x, t, d=1):
     return (4.0 * np.pi * t) ** (-d / 2.0) * np.exp(-(x**2) / (4.0 * t))
 
 
+def _theta_rule(alpha, d, n=200):
+    """h_alpha(x) = sum_k c_k e^{-x^2 q_k} on an n-node Gauss rule in theta.
+
+    h_alpha(x) = int_0^{pi/2} sin(theta) j_{(alpha/4) sin^2 theta}(x) dtheta,
+    the integral that the closed forms evaluate exactly.  Returns the times
+    t, the coefficients c = w sin(theta) (4 pi t)^{-d/2} and the rates q = 1/4t.
+    Below x = 1e-3 sqrt(alpha) the rule misses the narrowest times (d = 3:
+    17% low at 1e-4 sqrt(alpha)); from 0.1 sqrt(alpha) on it is within 1.2e-13.
+    """
+    u, wu = gauss_legendre(n)
+    theta = 0.25 * np.pi * (u + 1.0)
+    t = (alpha / 4.0) * np.sin(theta) ** 2
+    return t, np.sin(theta) * (0.25 * np.pi * wu) * (4.0 * np.pi * t) ** (-d / 2.0), 0.25 / t
+
+
 def _xi_alpha_quadrature(xs, alpha, B, D, n_t=80, n_y=4001):
     """xi_alpha with each convolution by the trapezoid rule on n_y nodes."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -46,8 +61,8 @@ def _diag_bound_grid_full(V, alpha, xs, d, y_max, dy=0.01):
     rho = np.arange(dy, y_max, dy)
     ev = np.exp(-alpha * V(rho)) * rho * dy
     s_tab = np.linspace(0.0, y_max + np.abs(xs).max() + dy, 20000)
-    g_int = s_tab * hk.h_alpha(s_tab, alpha, d=3)
-    g_int[0] = 0.0
+    g_int = np.zeros(s_tab.size)  # s h(s) at s = 0 is left 0, as in diag_bound
+    g_int[1:] = s_tab[1:] * hk.h_alpha(s_tab[1:], alpha, d=3)
     G = np.concatenate([[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))])
     out = np.empty(xs.size)
     for i, r in enumerate(np.abs(xs)):
@@ -61,10 +76,10 @@ def _diag_bound_grid_per_point_3d(V, alpha, xs, y_max, dy=0.01):
     rho = np.arange(dy, y_max, dy)
     ev = np.exp(-alpha * V(rho)) * rho * dy
     s_tab = np.linspace(0.0, y_max + np.abs(xs).max() + dy, 20000)
-    n_h = np.searchsorted(s_tab, np.sqrt(746.0 / hk._theta_kernel(alpha, 3)[2].min()))
+    # past sqrt(746 alpha) e^{-s^2/alpha} underflows, and s h(s) is left 0
+    n_h = np.searchsorted(s_tab, np.sqrt(746.0 * alpha))
     g_int = np.zeros(s_tab.size)
-    g_int[:n_h] = s_tab[:n_h] * hk.h_alpha(s_tab[:n_h], alpha, d=3)
-    g_int[0] = 0.0
+    g_int[1:n_h] = s_tab[1:n_h] * hk.h_alpha(s_tab[1:n_h], alpha, d=3)
     G = np.concatenate([[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))])
     sat = s_tab[min(np.flatnonzero(np.diff(G))[-1] + 2, s_tab.size - 1)]
     n_live = ev.size - np.argmax(ev[::-1] != 0.0)
@@ -76,25 +91,12 @@ def _diag_bound_grid_per_point_3d(V, alpha, xs, y_max, dy=0.01):
     return (4.0 * np.pi * alpha) ** -1.5 * out
 
 
-def _per_call_kernels(alpha):
-    """h_alpha and the d = 3 shell average with the theta rule and (4 pi t)^{-d/2}
-    rebuilt in every call, for the kernels diag_bound reads from the shared cache."""
-    def theta_rule():
-        u, wu = gauss_legendre(200)
-        theta = 0.25 * np.pi * (u + 1.0)
-        return (alpha / 4.0) * np.sin(theta) ** 2, np.sin(theta) * (0.25 * np.pi * wu)
-
-    def h(x, alpha, d=1):
-        t, w = theta_rule()
-        return _j_t(np.asarray(x, dtype=float)[..., None], t, d=d) @ w
-
-    def shell(r, rho, alpha):
-        t, w = theta_rule()
-        r, rho = np.broadcast_arrays(r, rho)
-        ends = np.exp(-((r - rho) ** 2)[..., None] / (4.0 * t)) * -np.expm1(-(r * rho)[..., None] / t)
-        return (ends @ (w * 2.0 * t * (4.0 * np.pi * t) ** -1.5)) / (2.0 * r * rho)
-
-    return h, shell
+def _per_call_kernels():
+    """h_alpha and the d = 3 shell average called once per point, for the
+    kernels that diag_bound evaluates on whole blocks of nodes."""
+    h, shell = hk.h_alpha, hk._shell_average
+    return (np.vectorize(lambda x, alpha, d=1: float(h(x, alpha, d))),
+            np.vectorize(lambda r, rho, alpha: float(shell(r, rho, alpha))))
 
 
 def _weighted_trace_per_domain(V, alpha, s, d, L0=8.0, doublings=4, n_per_unit=8):
@@ -153,6 +155,32 @@ class TestProfile:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             hk.h_alpha(1.0, -1.0)
+        with pytest.raises(ValueError):
+            hk.h_alpha(1.0, 1.0, d=2)
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.5])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_closed_form_is_the_theta_rule(self, alpha, d):
+        # measured at most 1.2e-13, where e^{-x^2 q} amplifies x's rounding
+        x = np.linspace(0.1, 12.0, 500) * np.sqrt(alpha)
+        _, c, q = _theta_rule(alpha, d)
+        rule = np.exp(-np.square(x)[:, None] * q) @ c
+        assert np.max(np.abs(hk.h_alpha(x, alpha, d=d) / rule - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_pure_function_of_x(self, alpha, d):
+        # a point's value is the same bitwise alone, in any batch, at any
+        # position, and at +k dy and -k dy (the d = 1 trace's kernel is even)
+        dy = 0.01
+        x = np.arange(-2000, 2001) * dy
+        batch = hk.h_alpha(x, alpha, d=d)
+        assert np.array_equal(batch, batch[::-1])
+        for lo, step in ((1, 1), (3, 2), (0, 7), (5, 17)):
+            assert np.array_equal(hk.h_alpha(x[lo::step], alpha, d=d), batch[lo::step])
+        assert np.array_equal(hk.h_alpha(x.reshape(-1, 1), alpha, d=d).ravel(), batch)
+        for i in (0, 1, 999, 2000, 3000, 3999, 4000):
+            assert hk.h_alpha(x[i], alpha, d=d) == batch[i]
 
 
 class TestDiagBound:
@@ -270,14 +298,15 @@ class TestDiagBound:
         (hk.log_potential(2.0), 0.1, 1),
     ], ids=["harmonic-d1", "harmonic-d3", "log-d1"])
     def test_shared_kernel_matches_per_call_integrand(self, monkeypatch, V, alpha, d):
-        # the heat-bound points of each CLI config, on the same panels
+        # the heat-bound points of each CLI config, on the same panels: the
+        # kernels are pure functions of their points, so the bounds agree bitwise
         xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
         shared = hk.diag_bound(V, alpha, xs, d=d)[0]
-        h, shell = _per_call_kernels(alpha)
+        h, shell = _per_call_kernels()
         monkeypatch.setattr(hk, "h_alpha", h)
         monkeypatch.setattr(hk, "_shell_average", shell)
         ref = hk.diag_bound(V, alpha, xs, d=d)[0]
-        assert np.max(np.abs(shared / ref - 1.0)) <= 1e-13
+        assert np.array_equal(shared, ref)
 
     def test_negative_potential_rejected(self):
         with pytest.raises(ValueError):
@@ -439,9 +468,7 @@ class TestPerturbedBound:
 
 def _quad_oracle(V, alpha, xs, d):
     """diag_bound by scipy's quad, one call per panel between breakpoints that
-    sit 10^-k (k = 0..11) on either side of each cusp; returns (values, abserr).
-    Without them quad's abserr misses its error on these integrands by up to 13x:
-    its panels never see the narrowest theta nodes of h_alpha at the cusp."""
+    sit 10^-k (k = 0..11) on either side of each cusp; returns (values, abserr)."""
     y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
     grade = 10.0 ** -np.arange(12)
     out = []
@@ -479,13 +506,14 @@ def test_diag_bound_within_quad_abserr(V, alpha, d):
 
 @pytest.mark.parametrize("d, xs", [(1, np.linspace(0.0, 3.0, 9)), (3, np.linspace(0.2, 3.0, 8))])
 def test_harmonic_diag_bound_is_the_closed_form(d, xs):
-    # e^{-alpha y^2} against each Gaussian c e^{-|x - y|^2 q} of h_alpha is a Gaussian:
-    # c (pi / (alpha + q))^{d/2} e^{-|x|^2 alpha q / (alpha + q)}
+    # e^{-alpha y^2} against each Gaussian c e^{-|x - y|^2 q} of the theta rule for
+    # h_alpha is a Gaussian, c (pi / (alpha + q))^{d/2} e^{-|x|^2 alpha q / (alpha + q)};
+    # smooth in theta, so 400 nodes give the convolution to 1e-14
     alpha = 1.0
-    _, c, q = hk._theta_kernel(alpha, d)
+    _, c, q = _theta_rule(alpha, d, n=400)
     exact = (4.0 * np.pi * alpha) ** (-d / 2.0) * (
         np.exp(-np.square(xs)[:, None] * alpha * q / (alpha + q)) @ (c * (np.pi / (alpha + q)) ** (d / 2.0)))
     bound, err = hk.diag_bound(hk.harmonic_potential(), alpha, xs, d=d)
-    # measured 4.2e-14 (d = 1) and 1.2e-13 (d = 3); quad read up to 6.4e-10 and 8.8e-9
+    # measured 1.2e-14 in both; quad read up to 6.4e-10 and 8.8e-9
     assert np.max(np.abs(bound / exact - 1.0)) < 1e-12
     assert np.all(np.abs(bound - exact) <= err)

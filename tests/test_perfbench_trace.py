@@ -6,8 +6,11 @@ that fails on a changed signature, or a metric source that the tracer can
 no longer find would make that result unreadable or incomplete.  This test
 uses perfbench's files read-only: in a fresh interpreter it installs
 perfbench/tracer.Tracer, runs small solve-gp, analyze, fock-ed,
-symbols-check and dyson-check jobs through rotogp.cli.main and computes
-layer_metrics.compute on the trace.  The dyson-check job also runs
+symbols-check and dyson-check jobs, a heat-bound job and a fock-ed job on a
+sector above fock's dense cutoff (ARPACK on the sector operator) through
+rotogp.cli.main and computes layer_metrics.compute on the trace.  So the
+probes that read `build_hamiltonian(...).nnz`, `ground_state`'s basis and
+total and `diag_bound`'s xs run on every job kind that reaches them.  The dyson-check job also runs
 untraced in its own interpreter, and the two results.json files must agree
 as perfbench/run.py compares a traced pass with a plain one.
 """
@@ -19,6 +22,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from rotogp import fock
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,6 +44,8 @@ JOBS = [
     ["fock-ed", "--J", "3", "--Nmax", "4", "--sector", "3", "--g", "0.5", "--out", "fock"],
     ["symbols-check", "--op", "adag a", "--out", "symbols"],
     ["dyson-check", "--n", "16", "--out", "dyson"],
+    ["heat-bound", "--out", "heat"],
+    ["fock-ed", "--J", "6", "--Nmax", "5", "--sector", "5", "--out", "fock-large"],
 ]
 codes, subcommands = [], {}
 with contextlib.redirect_stdout(sys.stderr):
@@ -48,7 +55,7 @@ with contextlib.redirect_stdout(sys.stderr):
         codes.append(rotogp.cli.main(argv))
 values, missing = layer_metrics.compute(
     tracer.stats(), {"subcommands": subcommands, "bytes_written": 0},
-    ("fields.", "gp.", "analysis.", "fock.", "dyson.", "cli."))
+    ("fields.", "gp.", "analysis.", "fock.", "dyson.", "heatkernel.", "cli."))
 print(json.dumps({
     "codes": codes,
     "values": values,
@@ -79,7 +86,7 @@ def test_traced_jobs_give_finite_strict_json_metrics(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     # the result is the last line, and a strict parser accepts it
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject)
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0] * 7
     assert result["probe_errors"] == {}
     assert result["unwrapped"] == []
     assert result["missing"] == []
@@ -87,6 +94,9 @@ def test_traced_jobs_give_finite_strict_json_metrics(tmp_path, monkeypatch):
     # a strict parse still reads an overflowing literal such as 1e999 as inf
     assert all(math.isfinite(v) for v in values.values())
     assert values["gp.gradient_calls"] > 0 and values["fock.assembly_nnz"] > 0
+    # sectors C(5, 2) = 10 and C(10, 5) = 252, the second past the dense cutoff
+    assert values["fock.sector_dim"] == 10 + 252 and 252 > fock._DENSE_STATES
+    assert values["heatkernel.s_per_diag_point"] > 0
     assert values["fields.fft_per_grad"] > 0 and values["fields.io_bytes"] > 0
     assert {"dyson.k0_s", "dyson.inequality_s", "dyson.channel_solves"} <= values.keys()
     assert values["dyson.channel_solves"] > 0
