@@ -14,12 +14,12 @@ into sum_i (-i d_i + A_i)^2, each term the multiplier (k_i + A_i)^2 of the
 apply_gauge_kinetic is the GP solver's hot path, so it works in place: each
 axis's transform is multiplied and inverted in its own buffer, and the
 terms are summed with += from the first axis on.  That is bitwise the sum
-of the separate expressions: a real-times-complex product only swaps its
-factors, which IEEE multiplication commutes, and += adds the same operands
-in the same order (sum()'s leading 0 is gone; it could only turn a -0.0
-into +0.0).  norm4_pow4 sums by np.add.reduce, the call np.sum makes
-without its wrapper.  The GP solver's iterates depend on all of that: see
-gp, which keeps the same rules in its CG loop.
+of the separate expressions: the multipliers (k_i + A_i)^2 are cast to
+complex once, as numpy's multiply casts a real factor; a product only swaps
+its factors, which IEEE multiplication commutes; += adds the same operands
+in the same order (sum()'s leading 0 could only turn a -0.0 into +0.0).
+norm4_pow4 sums by np.add.reduce, np.sum's call without its wrapper.  gp's
+CG loop, whose iterates depend on all of that, keeps the same rules.
 """
 
 import json
@@ -152,8 +152,9 @@ class GaugeField:
                 0.5 * (wz * x[0] - wx * x[2]),
                 0.5 * (wx * x[1] - wy * x[0]),
             ]
-        # multipliers (k_i + A_i)^2 of apply_gauge_kinetic, axis by axis
-        self.symbols = [(k + a) ** 2 for k, a in zip(self.grid.kvecs(), self.components)]
+        # multipliers (k_i + A_i)^2 of apply_gauge_kinetic per axis, complex once
+        self.symbols = [((k + a) ** 2).astype(complex)
+                        for k, a in zip(self.grid.kvecs(), self.components)]
 
     def magnitude_sq(self) -> np.ndarray:
         return sum(a**2 for a in self.components)

@@ -21,18 +21,22 @@ operation's operands and order, so its iterates are bitwise those of the
 plain expressions (tests/test_gp_inplace.py keeps them as references):
     - gp_gradient adds V phi, then 8 pi a |phi|^2 phi (the product written
       as before), to the kinetic term with +=;
+    - V, (1 + k^2)^{-1} and D are cast to complex once per problem, solve
+      and rebuild: the cast numpy's multiply makes of a real factor;
     - the preconditioner forms z = D r, then applies fftn, *= (1 + k^2)^{-1},
-      ifftn and *= D to z itself (a real-times-complex product commutes),
-      each n-D transform as the 1D fft calls fftn itself makes;
+      ifftn and *= D to z itself, each n-D transform as fftn's 1D calls;
     - beta (d - c vals) - z is d -= c vals, d *= beta, d -= z; vals + t d
       is trial = t d, trial += vals, then scaled to unit norm by a real
       multiply of its float view (_normalize); the residual r_t = g_t - c
-      trial is subtracted in g_t's own array, which is not read again;
+      trial (c the energy's Re<trial, g_t>) is subtracted in g_t's own
+      array, which is not read again;
     - the loop's scalars take math.sqrt and math.isfinite, and its sums
       np.add.reduce, the call np.sum makes, without numpy's wrappers.
-Nothing is reassociated or fused, and |phi|^2 and |phi|^4 are computed
-apart: a rounding-level change has moved the 64^2 vortex-pair solve between
-376 and 316 iterations.  Every operator apply still goes through
+Nothing is reassociated or fused (a rounding-level change has moved the
+64^2 vortex-pair solve between 376 and 316 iterations) but a trial's
+energy, its int |phi|^4 the square of the |trial|^2 _normalize sums: only
+the accept test, with its 1e-11 |E| slack, sees that rounding, and
+gp_energy keeps norm4_pow4.  Every operator apply goes through
 gp_gradient -> apply_gauge_kinetic, and each iteration's preconditioner
 makes dim fft and dim ifft calls.
 """
@@ -82,6 +86,7 @@ class GpProblem:
             raise ValueError("coupling a must be nonnegative and finite")
         self.gauge = GaugeField(self.grid, self.omega)
         self.omega = self.gauge.omega
+        self.complex_potential = self.potential.astype(complex)  # gp_gradient's V
 
 
 def harmonic_problem(dim=3, n=32, length=14.0, omega=0.0, a=0.0) -> GpProblem:
@@ -129,11 +134,11 @@ def gp_energy(p: GpProblem, phi: ComplexField) -> float:
     return kin + pot + 4.0 * np.pi * p.a * norm4_pow4(phi)
 
 
-def _gradient_energy(p: GpProblem, vals):
-    """(gradient, energy) of the normalized field vals from one apply."""
-    f = ComplexField(p.grid, vals)
-    g = gp_gradient(p, f)
-    return g.values, inner(f, g).real - 4.0 * np.pi * p.a * norm4_pow4(f)
+def _gradient_energy(p: GpProblem, vals, quartic):
+    """One apply's g, mu = Re<vals, g> and E = mu - 4 pi a quartic (int |vals|^4)."""
+    g = gp_gradient(p, ComplexField(p.grid, vals)).values
+    mu = p.grid.spacing**p.grid.dim * np.vdot(vals, g).real
+    return g, mu, mu - 4.0 * np.pi * p.a * quartic
 
 
 def gp_gradient(p: GpProblem, phi: ComplexField) -> ComplexField:
@@ -141,7 +146,7 @@ def gp_gradient(p: GpProblem, phi: ComplexField) -> ComplexField:
     if phi.grid != p.grid:
         raise GridMismatchError("field grid does not match problem grid")
     out = apply_gauge_kinetic(phi, p.gauge).values
-    out += p.potential * phi.values
+    out += p.complex_potential * phi.values
     out += 8.0 * np.pi * p.a * np.abs(phi.values) ** 2 * phi.values
     return ComplexField(p.grid, out)
 
@@ -206,20 +211,24 @@ def _precondition(r, dw, kp):
 
 
 def _normalize(trial, w):
-    """Scale the complex array trial to unit norm in place; False, with trial
-    untouched, unless its norm is finite and positive.
+    """Scale the complex array trial to unit norm in place and return its new
+    int |trial|^4; None, trial untouched, unless its norm is finite and > 0.
 
     The scale is a real multiply of trial's float view.  numpy divides a
     complex array by a real c as (re + im 0) (1/c) and (im - re 0) (1/c):
     the same values, and the same bits but that a -0.0 may come out +0.0.
+    The quartic squares |trial|^2 times the scale squared: each term <= 1/w.
     """
+    sq = np.abs(trial) ** 2
+    norm_sq = w * np.add.reduce(sq, axis=None)
     # a finite, positive sum of squares means every entry is finite
-    norm_sq = w * np.add.reduce(np.abs(trial) ** 2, axis=None)
     if not (math.isfinite(norm_sq) and norm_sq > 0.0):
-        return False
+        return None
+    scale = 1.0 / math.sqrt(norm_sq)
     re_im = trial.view(float)
-    re_im *= 1.0 / math.sqrt(norm_sq)
-    return True
+    re_im *= scale
+    sq *= scale * scale
+    return w * np.add.reduce(np.square(sq, out=sq), axis=None)
 
 
 def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
@@ -235,16 +244,16 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     trial and to [t/10, t/2] after a rejected one.
     """
     w = p.grid.spacing**p.grid.dim
-    kp = 1.0 / (1.0 + p.grid.ksq())
-    g, energy = _gradient_energy(p, vals)
-    r = g - w * np.vdot(vals, g).real * vals
+    kp = (1.0 / (1.0 + p.grid.ksq())).astype(complex)
+    g, mu, energy = _gradient_energy(p, vals, norm4_pow4(ComplexField(p.grid, vals)))
+    r = g - mu * vals
     evals, t, it = 1, _FIRST_STEP, 0
     while it < opts.max_iter:
         it += 1
         if math.sqrt(w * np.vdot(r, r).real) <= opts.tol:
             break
         if (it - 1) % _REBUILD == 0:
-            dw, rz_old = _precond_weight(p, vals), None
+            dw, rz_old = _precond_weight(p, vals).astype(complex), None
         z = _precondition(r, dw, kp)
         z -= w * np.vdot(vals, z).real * vals
         rz = w * np.vdot(r, z).real
@@ -262,14 +271,14 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
         while t > 1e-12:
             trial = t * d
             trial += vals
-            if not _normalize(trial, w):
+            if (quartic := _normalize(trial, w)) is None:
                 return vals, it, evals, "non_finite"
-            g_t, e_t = _gradient_energy(p, trial)
+            g_t, mu_t, e_t = _gradient_energy(p, trial, quartic)
             evals += 1
             if not math.isfinite(e_t):
                 return vals, it, evals, "non_finite"
             r_t = g_t
-            r_t -= w * np.vdot(trial, g_t).real * trial
+            r_t -= mu_t * trial
             s_t = 2.0 * w * np.vdot(r_t, d).real
             root = t * slope / (slope - s_t) if s_t > slope else np.inf
             if e_t <= energy + _SLACK * max(1.0, abs(energy)):

@@ -127,12 +127,18 @@ def test_fused_energy_matches_direct_energy():
                        * np.exp(2j * np.pi * rng.random(p.grid.shape))).normalized()
     fused = inner(phi, gp_gradient(p, phi)).real - 4.0 * np.pi * p.a * norm4_pow4(phi)
     assert abs(fused - gp_energy(p, phi)) <= 1e-12 * abs(gp_energy(p, phi))
-    # the line search's trial energy is this formula
-    from rotogp.gp import _gradient_energy
+    # the line search's energy is this formula, its int |phi|^4 handed in:
+    # the start's from norm4_pow4, a trial's from its normalization
+    from rotogp.gp import _gradient_energy, _normalize
 
-    g, e = _gradient_energy(p, phi.values)
+    g, mu, e = _gradient_energy(p, phi.values, norm4_pow4(phi))
     assert np.array_equal(g, gp_gradient(p, phi).values)
+    assert mu == inner(phi, gp_gradient(p, phi)).real
     assert abs(e - gp_energy(p, phi)) <= 1e-12 * abs(gp_energy(p, phi))
+    trial = 2.5 * phi.values
+    _, _, e_trial = _gradient_energy(p, trial, _normalize(trial, p.grid.spacing**2))
+    e_direct = gp_energy(p, ComplexField(p.grid, trial))
+    assert abs(e_trial - e_direct) <= 1e-12 * abs(e_direct)
 
 
 def test_start_grammar():
