@@ -261,7 +261,9 @@ def cmd_dyson_check(cfg, out):
     pot = (_parse_potential(cfg["potential"]) if cfg["potential"] else
            scattering.square_barrier(cfg["R0"], cfg["W0"]))
     pot_n = pot.scaled(cfg["N"])
-    a_n = scattering.scattering_length(pot_n)
+    # a(w_N) = a(w) / N: exact in the continuum, and the RK4 steps scale with it
+    a = scattering.scattering_length(pot)
+    a_n = a / cfg["N"]
 
     chi = dyson.CutoffFunction(s)
     sp = dyson.build_soft_potentials(chi, R, eps)
@@ -273,7 +275,7 @@ def cmd_dyson_check(cfg, out):
     k0 = dyson.build_K0(problem, chi, cfg["eta"], cfg["J"])
 
     record = {
-        "a": scattering.scattering_length(pot),
+        "a": a,
         "a_N": a_n,
         "int_UR": check["int_UR"],
         "int_wR": sp.int_wR,

@@ -5,8 +5,11 @@ The reduced radial problem is integrated outward,
     u''(r) = 2 w(r) u(r),     u ~ const * (r - a)  beyond the range,
 
 and since w vanishes past the range R, u is affine there: a = R - u(R)/u'(R)
-exactly.  The 2 is the pair problem's in units where hbar = 2m = 1: the
-reduced-mass kinetic term carries an extra 2.
+exactly.  The 2 makes `a` the scattering length of 4w in the convention
+u'' = w u / 2 of the GP term 4 pi a |phi|^4 and the Dyson operator's v/2:
+on `square 1 1` it gives 0.3718 where that convention gives 0.1389.  The
+switch to u'' = w u / 2 waits for ROADMAP item 6, with a revision of the
+references.
 
 A hard core of radius r_c is handled exactly by starting the integration
 at r_c with u(r_c) = 0.
@@ -92,83 +95,50 @@ def _rk4_step(u, v, h, w0, wh, w1):
             h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0)
 
 
-def _compose(E, hi, lo, cols):
-    """Columns cols of E[hi] <- those of (I + E[hi])(I + E[lo]) - I.
-
-    Entry by entry, (E_hi + E_lo) + E_hi E_lo: the O(h) steps are never
-    rounded against the 1 on the diagonal.
-    """
-    H, L = E[..., hi], E[..., lo]
-    new = []
-    for c in cols:
-        prod = H[:, 0] * L[0, c]
-        prod += H[:, 1] * L[1, c]
-        col = H[:, c] + L[:, c]
-        col += prod
-        new.append(col)
-    for c, col in zip(cols, new):
-        H[:, c] = col
-
-
 def _rk4_outward(h, wvals):
-    """RK4 for u'' = 2 w u from (u, u') = (0, 1); w on half-step nodes.
+    """End state (u, u') of RK4 for u'' = 2 w u from (u, u') = (0, 1); w on half-step nodes.
 
-    Returns the u samples and the final derivative u'.  The equation is
-    linear, so step k maps (u, u') by a 2x2 matrix I + E_k and the samples
-    are the second columns of the prefix products, kept as offsets from the
-    identity.  A work-efficient scan (Blelloch, CMU-CS-90-190, 1990; the
-    Brent-Kung order) builds them in about 2 n products instead of n log2 n:
-    the up-sweep leaves at index i = 2^m j - 1 the product of the 2^m steps
-    ending there, so every i = 2^m - 1 holds a whole prefix; the down-sweep
-    then completes, stride by stride, each index halfway between two whole
-    prefixes from the one below it, and only the second column is read.
+    The equation is linear, so step k maps (u, u') by a 2x2 matrix I + E_k and
+    the end state is the second column of the product of all steps.  The
+    product is reduced pairwise, later step on the left, each pair kept as an
+    offset from the identity: (I + E_hi)(I + E_lo) - I = (E_hi + E_lo) +
+    E_hi E_lo, so the O(h) steps are never rounded against the 1 on the
+    diagonal.  An odd count is padded with E = 0, the identity.  A barrier
+    too tall for double precision overflows to inf or nan, quietly: the
+    caller checks the end state.
     """
-    fw = 2.0 * wvals
-    w0, wh, w1 = fw[:-1:2], fw[1::2], fw[2::2]
-    n, s = wh.size, 1
-    E = np.empty((2, 2, n))  # step index last
-    E[0, 0], E[1, 0] = _rk4_step(1.0, 0.0, h, w0, wh, w1)
-    E[0, 1], E[1, 1] = _rk4_step(0.0, 1.0, h, w0, wh, w1)
-    while 2 * s <= n:
-        _compose(E, slice(2 * s - 1, n, 2 * s), slice(s - 1, n - s, 2 * s), (0, 1))
-        s *= 2
-    while s > 1:
-        s //= 2
-        _compose(E, slice(3 * s - 1, n, 2 * s), slice(2 * s - 1, n - s, 2 * s), (1,))
-    return np.concatenate([[0.0], E[0, 1]]), 1.0 + E[1, 1, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fw = 2.0 * wvals
+        w0, wh, w1 = fw[:-1:2], fw[1::2], fw[2::2]
+        E = np.empty((2, 2, wh.size))  # step index last
+        E[0, 0], E[1, 0] = _rk4_step(1.0, 0.0, h, w0, wh, w1)
+        E[0, 1], E[1, 1] = _rk4_step(0.0, 1.0, h, w0, wh, w1)
+        while E.shape[2] > 1:
+            if E.shape[2] % 2:
+                E = np.concatenate([E, np.zeros((2, 2, 1))], axis=2)
+            H, L = E[..., 1::2], E[..., 0::2]
+            E = (H + L) + (H[:, :1] * L[:1] + H[:, 1:] * L[1:])
+    return E[0, 1, 0], 1.0 + E[1, 1, 0]
 
 
 def radial_solution(pot: RadialPotential, n_steps: int = 20000):
-    """(r, u) for the zero-energy radial solution out to 2 * rrange.
-
-    Integration stops at rrange, where w may be discontinuous; past it the
-    equation is u'' = 0 and the solution is continued affinely, which is
-    exact.
-    """
+    """(u(R), u'(R)) at R = rrange, where w may jump, from (u, u') = (0, 1) at the core."""
     r0 = pot.core
-    rr = pot.rrange
-    if rr > r0:
-        h = (rr - r0) / n_steps
-        half_nodes = r0 + 0.5 * h * np.arange(2 * n_steps + 1)
-        us, v_end = _rk4_outward(h, pot.func(half_nodes))
-        r_in = r0 + h * np.arange(n_steps + 1)
-    else:  # pure hard sphere: nothing to integrate
-        us, v_end = np.array([0.0]), 1.0
-        r_in = np.array([r0])
-    r_out = np.linspace(rr, 2.0 * rr, n_steps + 1)[1:]
-    u_out = us[-1] + v_end * (r_out - rr)
-    return np.concatenate([r_in, r_out]), np.concatenate([us, u_out])
+    if pot.rrange == r0:  # pure hard sphere: nothing to integrate
+        return 0.0, 1.0
+    h = (pot.rrange - r0) / n_steps
+    return _rk4_outward(h, pot.func(r0 + 0.5 * h * np.arange(2 * n_steps + 1)))
 
 
 def scattering_length(pot: RadialPotential, n_steps: int = 20000) -> float:
     """a = R - u(R)/u'(R), R = rrange: exact, since u is affine past R."""
-    r, u = radial_solution(pot, n_steps=n_steps)
-    # the last n_steps samples are the affine continuation on (R, 2R]
-    R, u_R = pot.rrange, u[-n_steps - 1]
-    slope = (u[-1] - u_R) / (r[-1] - R)
-    if slope == 0.0:
+    u, du = radial_solution(pot, n_steps=n_steps)
+    if not (np.isfinite(u) and np.isfinite(du)):
+        raise ArithmeticError("u(R) overflows: the barrier is too tall for double "
+                              "precision; 'hardcore R0' is its limit")
+    if du == 0.0:
         raise ArithmeticError("outer solution is flat; scattering length undefined")
-    return float(R - u_R / slope)
+    return float(pot.rrange - u / du)
 
 
 def square_barrier_length(radius: float, height: float) -> float:

@@ -243,6 +243,13 @@ class TestScattering:
         assert run(["scattering", "--potential", "wedge", "1",
                     "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_barrier_too_tall_is_numerical_failure(self, tmp_path, capsys):
+        assert run(["scattering", "--potential", "square", "1.0", "1e6",
+                    "--out", str(tmp_path)]) == 1
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
+
 
 class TestFockAndSymbols:
     def test_single_mode_closed_form(self, tmp_path):
