@@ -266,10 +266,10 @@ def cmd_dyson_check(cfg, out):
     a_n = a / cfg["N"]
 
     chi = dyson.CutoffFunction(s)
-    sp = dyson.build_soft_potentials(chi, R, eps)
-    check = dyson.check_dyson_inequality(pot_n, sp, a_n)
+    sp = dyson.build_soft_potentials(chi, R)
+    check = dyson.check_dyson_inequality(pot_n, sp, a_n, eps)
 
-    scaling = dyson.verify_wr_scaling(s, np.geomspace(0.03 * s, 0.3 * s, 5), epsilon=eps)
+    scaling = dyson.verify_wr_scaling(s)
 
     problem = gp.harmonic_problem(dim=2, n=cfg["n"], length=cfg["box"])
     k0 = dyson.build_K0(problem, chi, cfg["eta"], cfg["J"])

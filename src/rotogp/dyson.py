@@ -15,11 +15,11 @@ Everything is radial, so f_R reduces exactly to a 1D extremum:
 sup over the window rho in [| |x| - R |, |x| + R] of |h(rho) - h(|x|)|
 (every such rho is attained by some |y| <= R, and no others are).
 
-The operator inequality
+f_R, w_R and U_R do not depend on eps; it enters only the operator inequality
 
-    -grad chi(p)^2 grad + v/2 >= (1-eps) a U_R - (a/eps) w_R
+    -grad chi(p)^2 grad + v/2 >= (1-eps) a U_R - (a/eps) w_R,
 
-is checked per angular-momentum channel by Galerkin compression in the
+checked per angular-momentum channel by Galerkin compression in the
 Dirichlet spherical-Bessel basis on a large ball, where the momentum
 multiplier is diagonal.  A compression of a nonnegative operator is
 nonnegative, so the test is meaningful at any basis size; stability of
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevx
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .gp import GpProblem
 from .quadrature import BesselChannel, gauss_pieces, sin_cos, weighted_nodes
@@ -106,9 +106,10 @@ def _h_radial(chi: CutoffFunction, r_max, n):
 
 @dataclass
 class SoftPotentials:
+    """f_R on a radial grid, and w_R and U_R from it: fixed by chi and R alone."""
+
     chi: CutoffFunction
     R: float
-    epsilon: float
     r: np.ndarray          # radial grid
     fR: np.ndarray         # f_R samples on r
     int_fR: float          # int f_R over R^3
@@ -155,12 +156,10 @@ def _windowed_extremes(h, r, R):
     return hmin, hmax
 
 
-def build_soft_potentials(chi: CutoffFunction, R, epsilon) -> SoftPotentials:
+def build_soft_potentials(chi: CutoffFunction, R) -> SoftPotentials:
     """Sample h and f_R on 6000 radii out to 25 s and package the soft potentials."""
-    if R <= 0 or not (0 < epsilon < 1):
-        raise ValueError("need R > 0 and 0 < epsilon < 1")
-    if R > chi.s:
-        raise ValueError("validity window requires R <= cutoff scale s")
+    if not 0 < R <= chi.s:
+        raise ValueError("validity window requires 0 < R <= cutoff scale s")
     r_max = 25.0 * chi.s
     r = np.linspace(0.0, r_max + R, 6000)
     h = _h_radial(chi, r_max + R, 6000)
@@ -169,15 +168,15 @@ def build_soft_potentials(chi: CutoffFunction, R, epsilon) -> SoftPotentials:
     fR = np.maximum(hmax - h, h - hmin)[:n_keep]
     r = r[:n_keep]
     int_fR = 4.0 * np.pi * np.trapezoid(fR * r * r, r)
-    return SoftPotentials(chi=chi, R=R, epsilon=epsilon, r=r, fR=fR, int_fR=int_fR)
+    return SoftPotentials(chi=chi, R=R, r=r, fR=fR, int_fR=int_fR)
 
 
-def verify_wr_scaling(s, R_values, epsilon=0.5):
-    """Log-log slope of int w_R over an R sweep at fixed s."""
-    R_values = np.asarray(R_values, dtype=float)
-    if R_values.size < 3 or R_values.max() / R_values.min() < 8.0:
-        raise ValueError("R sweep should span about a decade")
-    integrals = [build_soft_potentials(CutoffFunction(s), R, epsilon).int_wR for R in R_values]
+def verify_wr_scaling(s):
+    """Log-log slope of int w_R over the five radii R = geomspace(0.03 s, 0.3 s)
+    at fixed s, a decade inside the validity window R <= s."""
+    chi = CutoffFunction(s)
+    R_values = np.geomspace(0.03 * s, 0.3 * s, 5)
+    integrals = [build_soft_potentials(chi, R).int_wR for R in R_values]
     return {"slope": float(np.polyfit(np.log(R_values), np.log(integrals), 1)[0])}
 
 
@@ -186,22 +185,16 @@ def verify_wr_scaling(s, R_values, epsilon=0.5):
 # ---------------------------------------------------------------------------
 
 def _lowest_eig(H):
-    """Lowest eigenvalue of the symmetric H (its lower triangle), alone.
-
-    LAPACK's dsyevx bisects the tridiagonal form for that one value, to the
-    absolute tolerance 2 dlamch('S'), its most accurate: with the default
-    eps ||T||, minima of 2e-6 moved by up to 9e-11 from a full eigvalsh.
-    A matrix with a NaN yields no eigenvalue (found = 0) and info 0, so the
-    count is checked too.
-    """
-    w, _, found, _, info = dsyevx(H, compute_v=0, range="I", il=1, iu=1, lower=1,
-                                  abstol=2.0 * np.finfo(float).tiny)
-    if info or found != 1:
-        raise np.linalg.LinAlgError(f"dsyevx found {found} eigenvalues (info {info})")
+    """Lowest eigenvalue of the symmetric H (its lower triangle), from all of
+    them by numpy's eigvalsh.  A matrix with a NaN yields NaN eigenvalues
+    rather than an error, so they are checked to be finite."""
+    w = np.linalg.eigvalsh(H)
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("eigenvalues of a matrix that is not finite")
     return float(w[0])
 
 
-# inverse-iteration steps before a block goes to dsyevx; the dyson-check
+# inverse-iteration steps before a block goes to _lowest_eig; the dyson-check
 # defaults take 2 to 5, a lowest pair with lam_1 / lam_2 near 1 hundreds
 _INVERSE_STEPS = 50
 
@@ -229,7 +222,7 @@ def _nested_minima(H, sizes):
 
     The Cholesky factor of a leading block is the leading block of H's
     factor, so one dpotrf serves every size (_settled_minimum).  Both this
-    and dsyevx are accurate to about eps ||H||.  Should dpotrf refuse H
+    and eigvalsh are accurate to about eps ||H||.  Should dpotrf refuse H
     (not positive definite), or a block's iteration not settle, that block
     goes to _lowest_eig.
     """
@@ -242,10 +235,12 @@ def check_dyson_inequality(
     v: RadialPotential,
     sp: SoftPotentials,
     a_scatt: float,
+    epsilon: float,
     ell_list=(0, 1, 2),
     basis_sizes=(150, 250, 350),
 ):
-    """Minimal eigenvalue of (kinetic + v/2) - ((1-eps) a U_R - (a/eps) w_R).
+    """Minimal eigenvalue of (kinetic + v/2) - ((1-eps) a U_R - (a/eps) w_R),
+    eps = epsilon in (0, 1).
 
     The Bessel channels live on the ball of radius L = max(4 s, 10 R), and
     each piece of the potential is integrated on Gauss panels sized for the
@@ -255,17 +250,18 @@ def check_dyson_inequality(
     once at the largest size; a smaller basis is its leading block, whose
     lowest eigenvalue alone is computed from one Cholesky factor of the
     largest (_nested_minima), or, where the channel is not positive
-    definite or the iteration does not settle, by LAPACK's dsyevx at
-    absolute tolerance 2 dlamch('S') (_lowest_eig).  Returns a dict with the
-    per-channel minima at each basis size, the overall minimum at the finest
-    size, the largest change of a channel's minimum between the two finest
-    sizes (the refinement drift), int U_R on the nodes of the U_R piece, and
-    a pass flag at slack 1e-6 * a * ||U_R||_inf.
+    definite or the iteration does not settle, by numpy's eigvalsh
+    (_lowest_eig).  Returns a dict with the per-channel minima at each basis
+    size, the overall minimum at the finest size, the largest change of a
+    channel's minimum between the two finest sizes (the refinement drift),
+    int U_R on the nodes of the U_R piece, and a pass flag at slack
+    1e-6 * a * ||U_R||_inf.
     """
     if v.core > 0:
         raise ValueError("approximate a hard core by a tall finite barrier")
+    if not 0 < epsilon < 1:
+        raise ValueError("need 0 < epsilon < 1")
     chi = sp.chi
-    eps = sp.epsilon
     L = float(max(4.0 * chi.s, 10.0 * sp.R))
     if v.rrange >= L:
         raise ValueError(f"the potential's range {v.rrange:g} reaches the ball's "
@@ -284,8 +280,8 @@ def check_dyson_inequality(
     pieces = [
         *gauss_pieces([0.0, *(k for k in v.knots if 0.0 < k < v.rrange), v.rrange],
                       lambda r: 0.5 * v(r), K, L),
-        (*hat[:3], lambda r: -(1.0 - eps) * a_scatt * sp.UR(r)),
-        *gauss_pieces((0.0, L), lambda r: (a_scatt / eps) * sp.wR(r), K, L),
+        (*hat[:3], lambda r: -(1.0 - epsilon) * a_scatt * sp.UR(r)),
+        *gauss_pieces((0.0, L), lambda r: (a_scatt / epsilon) * sp.wR(r), K, L),
     ]
 
     table = {}

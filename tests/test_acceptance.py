@@ -175,16 +175,20 @@ def test_criterion_5_scattering_lengths():
 
 def test_criterion_6_dyson_suite():
     chi = dyson.CutoffFunction(3.5)
-    sp = dyson.build_soft_potentials(chi, 0.35, 0.5)
+    sp = dyson.build_soft_potentials(chi, 0.35)
 
-    scaling = dyson.verify_wr_scaling(3.5, np.geomspace(0.105, 1.05, 5))
+    scaling = dyson.verify_wr_scaling(3.5)
     slope_ok = scaling["slope"] >= 1.9
 
     pot = scattering.square_barrier(1.0, 4.0e4).scaled(8.0)
     a_n = scattering.scattering_length(pot)
-    check = dyson.check_dyson_inequality(pot, sp, a_n)
+    check = dyson.check_dyson_inequality(pot, sp, a_n, 0.5)
     int_ok = abs(check["int_UR"] - 4.0 * np.pi) < 1e-12
     ineq_ok = check["passed"] and check["min_eig"] >= -check["slack"]
+    # the verdict can fail: at 5 a_N channel 0 is not positive definite
+    # (min_eig -4.9e-4), and its blocks go to the eigvalsh fallback
+    too_large = dyson.check_dyson_inequality(pot, sp, 5.0 * a_n, 0.5)
+    fails_ok = not too_large["passed"]
 
     problem = gp.harmonic_problem(dim=2, n=32, length=12.0)
     k0 = dyson.build_K0(problem, chi, 1.0, 3)
@@ -193,10 +197,10 @@ def test_criterion_6_dyson_suite():
     ratios = np.array([k / eta for eta, k in kappas.items()])
     linear_ok = np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-8
 
-    ok = int_ok and slope_ok and ineq_ok and k0_ok and linear_ok
+    ok = int_ok and slope_ok and ineq_ok and fails_ok and k0_ok and linear_ok
     _report(6, "soft-potential suite", ok,
             f"slope={scaling['slope']:.3f} min_eig={check['min_eig']:.1e} "
-            f"K0 min={np.min(k0.e):.4f}")
+            f"min_eig(5a)={too_large['min_eig']:.1e} K0 min={np.min(k0.e):.4f}")
 
 
 def test_criterion_7_symbol_suite():

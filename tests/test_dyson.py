@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize, special
+from scipy.linalg.lapack import dsyevx
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from rotogp import dyson
@@ -22,7 +23,7 @@ from rotogp.scattering import RadialPotential, from_samples, scattering_length, 
 
 @pytest.fixture(scope="module")
 def soft():
-    return build_soft_potentials(CutoffFunction(3.5), 0.35, 0.5)
+    return build_soft_potentials(CutoffFunction(3.5), 0.35)
 
 
 def _sampled_direction_fR(sp, r_values, n_radii=8):
@@ -63,7 +64,8 @@ def test_hat_potential_integral_exact(soft):
     # 6 R^{-3} * (4 pi / 3)(R^3 - R^3/2) = 4 pi; the inequality's Gauss
     # nodes on the shell integrate the hat's r^2 exactly, up to rounding
     v0 = RadialPotential(rrange=0.125, func=lambda r: np.zeros_like(r))
-    int_UR = check_dyson_inequality(v0, soft, 0.0, ell_list=(0,), basis_sizes=(20,))["int_UR"]
+    int_UR = check_dyson_inequality(v0, soft, 0.0, 0.5,
+                                    ell_list=(0,), basis_sizes=(20,))["int_UR"]
     assert int_UR == pytest.approx(4.0 * np.pi, rel=1e-14, abs=0.0)
     assert soft.UR_height == 6.0 / 0.35**3
     r = np.linspace(0, 1, 2001)
@@ -100,33 +102,38 @@ def test_direction_sampled_fr_is_tight_lower_bound(soft):
 
 
 def test_wr_integral_scaling():
-    R = np.geomspace(0.035, 0.35, 6)
-    assert verify_wr_scaling(3.5, R)["slope"] >= 1.9
+    assert verify_wr_scaling(3.5)["slope"] >= 1.9
     chi = CutoffFunction(3.5)
-    ratio = np.array([build_soft_potentials(chi, r, 0.5).int_wR for r in R]) / (R / 3.5) ** 2
+    R = np.geomspace(0.105, 1.05, 5)  # verify_wr_scaling's sweep at s = 3.5
+    ratio = np.array([build_soft_potentials(chi, r).int_wR for r in R]) / (R / 3.5) ** 2
     assert ratio.max() / ratio.min() < 3.0
     # halving R shrinks the integral by about 4x
-    i1 = build_soft_potentials(chi, 0.3, 0.5).int_wR
-    i2 = build_soft_potentials(chi, 0.15, 0.5).int_wR
+    i1 = build_soft_potentials(chi, 0.3).int_wR
+    i2 = build_soft_potentials(chi, 0.15).int_wR
     assert i1 / i2 == pytest.approx(4.0, rel=0.1)
     # fixed R, doubling s also shrinks it by about 4x
-    i3 = build_soft_potentials(CutoffFunction(7.0), 0.3, 0.5).int_wR
+    i3 = build_soft_potentials(CutoffFunction(7.0), 0.3).int_wR
     assert i1 / i3 == pytest.approx(4.0, rel=0.15)
 
 
 def test_soft_potentials_validation():
     chi = CutoffFunction(1.0)
     with pytest.raises(ValueError):
-        build_soft_potentials(chi, 2.0, 0.5)  # R > s
+        build_soft_potentials(chi, 2.0)  # R > s
     with pytest.raises(ValueError):
-        build_soft_potentials(chi, 0.5, 1.5)
-    with pytest.raises(ValueError):
-        verify_wr_scaling(3.5, [0.1, 0.2])
+        build_soft_potentials(chi, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
+def test_inequality_refuses_eps_outside_the_unit_interval(soft, eps):
+    v0 = RadialPotential(rrange=0.125, func=lambda r: np.zeros_like(r))
+    with pytest.raises(ValueError, match="epsilon"):
+        check_dyson_inequality(v0, soft, 0.0, eps, ell_list=(0,), basis_sizes=(20,))
 
 
 def test_inequality_trivial_positive(soft):
     v0 = RadialPotential(rrange=0.125, func=lambda r: np.zeros_like(r))
-    out = check_dyson_inequality(v0, soft, 0.0, basis_sizes=(60, 90))
+    out = check_dyson_inequality(v0, soft, 0.0, 0.5, basis_sizes=(60, 90))
     assert out["min_eig"] >= -1e-10
 
 
@@ -139,22 +146,20 @@ def test_inequality_tall_barrier_passes(soft):
     a_n = scattering_length(v_n)
     assert a_n == pytest.approx(scattering_length(w) / n_part, rel=1e-9)
     # R = 0.35 sits inside the validity window N^{-2/3} << R << N^{-1/3}
-    out = check_dyson_inequality(v_n, soft, a_n)
+    out = check_dyson_inequality(v_n, soft, a_n, 0.5)
     assert out["passed"]
     assert out["min_eig"] >= -out["slack"]
     # margin stable under basis refinement
     assert out["refinement_drift"] < 1e-3
 
 
-def test_inequality_margin_grows_with_eps():
-    chi = CutoffFunction(3.5)
+def test_inequality_margin_grows_with_eps(soft):
     v_n = square_barrier(1.0, 4.0e4).scaled(8)
     a_n = scattering_length(v_n)
     margins_l0 = []
     for eps in (0.3, 0.5, 0.7):
-        sp = build_soft_potentials(chi, 0.35, eps)
         out = check_dyson_inequality(
-            v_n, sp, a_n, ell_list=(0, 1), basis_sizes=(120,)
+            v_n, soft, a_n, eps, ell_list=(0, 1), basis_sizes=(120,)
         )
         assert out["min_eig"] >= -out["slack"]
         margins_l0.append(out["channels"][0][0])
@@ -169,7 +174,7 @@ def test_hard_core_rejected(soft):
     from rotogp.scattering import hard_sphere
 
     with pytest.raises(ValueError):
-        check_dyson_inequality(hard_sphere(0.125), soft, 0.125)
+        check_dyson_inequality(hard_sphere(0.125), soft, 0.125, 0.5)
 
 
 def test_kappa_linear_in_eta():
@@ -321,7 +326,7 @@ def test_nested_galerkin_blocks_match_one_solve_per_size(soft, recorded):
     v_n = square_barrier(1.0, 50.0).scaled(4)
     a_n = scattering_length(v_n)
     sizes = (90, 120, 60)  # unsorted, the largest in the middle
-    nested = check_dyson_inequality(v_n, soft, a_n, ell_list=(0, 1), basis_sizes=sizes)
+    nested = check_dyson_inequality(v_n, soft, a_n, 0.5, ell_list=(0, 1), basis_sizes=sizes)
     kin, pieces, _ = recorded[0]
     for ell in (0, 1):
         for K, lam in zip(sizes, nested["channels"][ell]):
@@ -342,11 +347,11 @@ def test_potential_reaching_the_ball_is_refused(soft):
     edge = RadialPotential(rrange=14.0, func=far.func)
     for v in (far, edge):
         with pytest.raises(ValueError, match="reaches the ball"):
-            check_dyson_inequality(v, soft, scattering_length(far),
+            check_dyson_inequality(v, soft, scattering_length(far), 0.5,
                                    ell_list=(0, 1), basis_sizes=(60, 120))
     # --N 0.1 scales the range to 10, inside the ball: it runs
     near = square_barrier(1.0, 4.0e4).scaled(0.1)
-    check_dyson_inequality(near, soft, scattering_length(near),
+    check_dyson_inequality(near, soft, scattering_length(near), 0.5,
                            ell_list=(0,), basis_sizes=(60,))
 
 
@@ -366,7 +371,7 @@ def test_channel_minima_converge_in_the_gauss_nodes(soft, pot):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dyson, "gauss_pieces",
                        lambda *a: [(lo, hi, m * n, f) for lo, hi, n, f in rule(*a)])
-            channels = check_dyson_inequality(pot, soft, a_n)["channels"]
+            channels = check_dyson_inequality(pot, soft, a_n, 0.5)["channels"]
         minima.append(np.array([channels[ell] for ell in (0, 1, 2)]))
     assert np.max(np.abs(minima[1] - minima[0])) <= 1e-10
     assert np.max(np.abs(minima[2] - minima[0])) <= 1e-10
@@ -374,8 +379,8 @@ def test_channel_minima_converge_in_the_gauss_nodes(soft, pot):
 
 @_BARRIERS
 def test_channel_minima_match_a_full_eigvalsh(soft, recorded, pot, monkeypatch):
-    # the lowest eigenvalue alone (dsyevx to 2 dlamch('S')) against every
-    # eigenvalue of the same leading block
+    # the Cholesky minima, the eigvalsh fallback never called, against
+    # every eigenvalue of the same leading block
     eigvalsh = np.linalg.eigvalsh
 
     def refuse(*args, **kwargs):
@@ -383,33 +388,58 @@ def test_channel_minima_match_a_full_eigvalsh(soft, recorded, pot, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "eigvalsh", refuse)
-        channels = check_dyson_inequality(pot, soft, scattering_length(pot))["channels"]
+        channels = check_dyson_inequality(pot, soft, scattering_length(pot), 0.5)["channels"]
     assert len(recorded) == 3
     for ell, (_, _, H) in zip((0, 1, 2), recorded):
         for k, lam in zip((150, 250, 350), channels[ell]):
             assert abs(lam - eigvalsh(H[:k, :k])[0]) <= 1e-12, (ell, k)
 
 
-def test_cholesky_minima_match_dsyevx(soft, recorded, monkeypatch):
+def _bisected_lowest(H):
+    """Lowest eigenvalue of the symmetric H by LAPACK's dsyevx: bisection
+    for that one value, at its finest absolute tolerance 2 dlamch('S')."""
+    w, _, found, _, info = dsyevx(H, compute_v=0, range="I", il=1, iu=1, lower=1,
+                                  abstol=2.0 * np.finfo(float).tiny)
+    assert info == 0 and found == 1
+    return w[0]
+
+
+def test_cholesky_minima_and_fallback_match_bisection(soft, recorded, monkeypatch):
     # the nine dyson-check default blocks: inverse iteration on the leading
-    # blocks of one Cholesky factor, dsyevx never called, against dsyevx
-    # block by block
+    # blocks of one Cholesky factor, the fallback _lowest_eig never called,
+    # against dsyevx block by block; _lowest_eig on the same blocks too
     pot = square_barrier(1.0, 4.0e4).scaled(8.0)
-    lowest_eig = dyson._lowest_eig
 
     def refuse(H):
-        raise AssertionError("dsyevx called")
+        raise AssertionError("_lowest_eig called")
 
     with monkeypatch.context() as mp:
         mp.setattr(dyson, "_lowest_eig", refuse)
-        channels = check_dyson_inequality(pot, soft, scattering_length(pot))["channels"]
+        channels = check_dyson_inequality(pot, soft, scattering_length(pot), 0.5)["channels"]
     assert len(recorded) == 3
     for ell, (_, _, H) in zip((0, 1, 2), recorded):
         for k, lam in zip((150, 250, 350), channels[ell]):
-            assert abs(lam - lowest_eig(H[:k, :k])) <= 1e-12, (ell, k)
+            reference = _bisected_lowest(H[:k, :k])
+            assert abs(lam - reference) <= 1e-12, (ell, k)
+            assert abs(dyson._lowest_eig(H[:k, :k]) - reference) <= 1e-13, (ell, k)
 
 
-def test_nested_minima_go_to_dsyevx_where_inverse_iteration_cannot(monkeypatch):
+def test_fallback_matches_bisection_where_dpotrf_refuses(soft, recorded, monkeypatch):
+    # at 5 a_N channel 0 is not positive definite (criterion 6's failing
+    # case): dpotrf refuses it, and each of its three blocks goes to
+    # _lowest_eig
+    pot = square_barrier(1.0, 4.0e4).scaled(8.0)
+    lowest_eig, calls = dyson._lowest_eig, []
+    monkeypatch.setattr(dyson, "_lowest_eig", lambda B: calls.append(B.shape) or lowest_eig(B))
+    out = check_dyson_inequality(pot, soft, 5.0 * scattering_length(pot), 0.5, ell_list=(0,))
+    assert calls == [(150, 150), (250, 250), (350, 350)]
+    assert not out["passed"]
+    (_, _, H), = recorded
+    for k, lam in zip((150, 250, 350), out["channels"][0]):
+        assert abs(lam - _bisected_lowest(H[:k, :k])) <= 1e-13, k
+
+
+def test_nested_minima_fall_back_where_inverse_iteration_cannot(monkeypatch):
     G = np.random.default_rng(3).standard_normal((60, 60))
     # a lowest level far below the rest, as in the Dyson channels; and a
     # lowest pair close together, which inverse iteration takes hundreds of
@@ -432,7 +462,7 @@ def test_nested_minima_go_to_dsyevx_where_inverse_iteration_cannot(monkeypatch):
 
 
 def test_lowest_eig_refuses_a_matrix_with_nan():
-    # dsyevx reports no eigenvalue and info 0 there, and leaves w[0] at 0
+    # eigvalsh returns NaN eigenvalues there, and raises nothing
     H = np.diag([3.0, 1.0, 2.0])
     assert dyson._lowest_eig(H) == 1.0
     H[0, 1] = H[1, 0] = np.nan

@@ -112,10 +112,10 @@ def dyson_pieces():
             return np.eye(self.p.size)
 
     pot = square_barrier(1.0, 4.0e4).scaled(8.0)
-    sp = dyson.build_soft_potentials(dyson.CutoffFunction(3.5), 0.35, 0.5)
+    sp = dyson.build_soft_potentials(dyson.CutoffFunction(3.5), 0.35)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dyson, "BesselChannel", Recorder)
-        dyson.check_dyson_inequality(pot, sp, scattering_length(pot))
+        dyson.check_dyson_inequality(pot, sp, scattering_length(pot), 0.5)
     kin, pieces = seen[0]
     # v/2 on its range 1/8, the U_R shell, and the w_R piece on the whole ball
     assert [(lo, hi) for lo, hi, _, _ in pieces] == [
