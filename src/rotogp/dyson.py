@@ -65,8 +65,8 @@ class CutoffFunction:
     s: float
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("cutoff scale must be positive")
+        if not self.s > 0:
+            raise ValueError(f"cutoff scale s must be positive, got {self.s}")
 
     @staticmethod
     def ell(p):
@@ -504,8 +504,8 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
 
 def kappa_eta(p: GpProblem, eta: float) -> float:
     """inf spec(-eta Lap + 2 p.A + eta |x|^4) on the problem's grid."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
     return float(_lowest_eigs(p, eta * p.grid.ksq(), eta * p.grid.radius_sq() ** 2, 1)[0])
 
 
@@ -513,8 +513,8 @@ def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedO
     """Lowest J eigenvalues of
     -grad (1 - chi^2) grad - 2 eta Lap + 2 p.A + A^2 + V + eta |x|^4 - kappa(eta).
     """
-    if eta <= 0 or J < 1:
-        raise ValueError("need eta > 0 and J >= 1")
+    if J < 1:  # eta is refused by kappa_eta
+        raise ValueError(f"need J >= 1 eigenvalues, got {J}")
     grid = p.grid
     kappa = kappa_eta(p, eta)
     kmag = np.sqrt(grid.ksq())

@@ -50,6 +50,14 @@ def zero_potential():
     return lambda x: np.zeros_like(x)
 
 
+def _check_inputs(alpha, d) -> None:
+    """Opens every public function that takes alpha or d; a NaN alpha fails it."""
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if d not in (1, 3):
+        raise ValueError(f"d must be 1 or 3, got {d}")
+
+
 def _check_nonneg(V, span: float) -> None:
     probe = np.linspace(0.0, span, 64)
     if np.min(V(probe)) < -1e-12:
@@ -64,21 +72,17 @@ def h_alpha(x, alpha, d=1):
     """h_alpha at radii x, any shape, one element at a time: (1/2) sqrt(pi/alpha)
     erfc(|x|/sqrt(alpha)) in d = 1, e^{-x^2/alpha} / (2 pi alpha |x|) in d = 3,
     infinite at x = 0."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_inputs(alpha, d)
     x = np.abs(np.asarray(x, dtype=float))
     if d == 1:
         return 0.5 * np.sqrt(np.pi / alpha) * special.erfc(x / np.sqrt(alpha))
-    if d == 3:
-        with np.errstate(divide="ignore"):
-            return np.exp(-np.square(x) / alpha) / (2.0 * np.pi * alpha * x)
-    raise ValueError("d must be 1 or 3")
+    with np.errstate(divide="ignore"):
+        return np.exp(-np.square(x) / alpha) / (2.0 * np.pi * alpha * x)
 
 
 def h_alpha_integral(alpha, d=1):
     """Integral of h_alpha over |x| <= 12 sqrt(alpha) in R^d, radially reduced."""
-    if d not in (1, 3):
-        raise ValueError("d must be 1 or 3")
+    _check_inputs(alpha, d)
     f = lambda r: r ** (d - 1) * h_alpha(r, alpha, d)
     val = integrate(f, np.r_[0.0, 12.0 * np.sqrt(alpha)])[0]
     return (2.0 if d == 1 else 4.0 * np.pi) * val
@@ -117,8 +121,7 @@ def diag_bound(V, alpha, xs, d=1):
     tail beyond y_max = max|x| + 12 sqrt(alpha) + 8.  No periodization, so
     unbounded V is handled exactly.  Returns rows bound and error estimate.
     """
-    if d not in (1, 3):
-        raise ValueError("d must be 1 or 3")
+    _check_inputs(alpha, d)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
     _check_nonneg(V, y_max)
@@ -160,42 +163,40 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
             a, b = max(lo - half, 0), min(hi + half, y.size)
             conv[a:b] = part[a - lo + half : b - lo + half]
         return pref * np.interp(xs, y, conv)
-    if d == 3:
-        # angular average via the cumulative kernel G(s) = int_0^s u h(u) du:
-        # (e^{-aV} * h)(r) = (2 pi / r) int rho e^{-aV(rho)} [G(r+rho) - G(|r-rho|)] drho
-        rho = np.arange(dy, y_max, dy)
-        ev = np.exp(-alpha * V(rho)) * rho * dy
-        s_tab = np.linspace(0.0, y_max + np.abs(xs).max() + dy, 20000)
-        # s h(s) = e^{-s^2/alpha} / (2 pi alpha), left 0 where it underflows and
-        # at s = 0: G is 1.07e-3 low at alpha = 1 (of 0.141), but the exact G
-        # moves the d = 3 trace -5.2e-5, past perfbench/references.json's 1e-6
-        n_h = np.searchsorted(s_tab, np.sqrt(746.0 * alpha))
-        g_int = np.zeros(s_tab.size)
-        g_int[1:n_h] = np.exp(-np.square(s_tab[1:n_h]) / alpha) / (2.0 * np.pi * alpha)
-        G = np.concatenate([[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))])
-        # G is constant from sat on and ev is 0 from rho[n_live] on, both exactly:
-        # row r sums only the rho within sat of r and below rho[n_live]; a row
-        # with no such rho stays exactly 0
-        sat = s_tab[min(np.flatnonzero(np.diff(G))[-1] + 2, s_tab.size - 1)]
-        n_live = ev.size - np.argmax(ev[::-1] != 0.0)
-        r = np.abs(xs)
-        lo, hi = np.searchsorted(rho[:n_live], [r - sat, r + sat])
-        rows = np.flatnonzero(hi > lo)
-        out = np.zeros(xs.size)
-        # _TRACE_ROWS rows at a time, each window padded to the block's widest
-        # with weight 0, which bounds the transients
-        for b in range(0, rows.size, _TRACE_ROWS):
-            i = rows[b:b + _TRACE_ROWS]
-            idx = lo[i, None] + np.arange((hi[i] - lo[i]).max())
-            pad = idx >= hi[i, None]
-            idx[pad] = lo[i[0]]
-            y, rb = rho[idx], r[i, None]
-            inner = np.interp(rb + y, s_tab, G) - np.interp(np.abs(rb - y), s_tab, G)
-            w = ev[idx]
-            w[pad] = 0.0
-            out[i] = 2.0 * np.pi / np.maximum(r[i], dy) * np.sum(w * inner, axis=1)
-        return pref * out
-    raise ValueError("d must be 1 or 3")
+    # d = 3: angular average via the cumulative kernel G(s) = int_0^s u h(u) du:
+    # (e^{-aV} * h)(r) = (2 pi / r) int rho e^{-aV(rho)} [G(r+rho) - G(|r-rho|)] drho
+    rho = np.arange(dy, y_max, dy)
+    ev = np.exp(-alpha * V(rho)) * rho * dy
+    s_tab = np.linspace(0.0, y_max + np.abs(xs).max() + dy, 20000)
+    # s h(s) = e^{-s^2/alpha} / (2 pi alpha), left 0 where it underflows and
+    # at s = 0: G is 1.07e-3 low at alpha = 1 (of 0.141), but the exact G
+    # moves the d = 3 trace -5.2e-5, past perfbench/references.json's 1e-6
+    n_h = np.searchsorted(s_tab, np.sqrt(746.0 * alpha))
+    g_int = np.zeros(s_tab.size)
+    g_int[1:n_h] = np.exp(-np.square(s_tab[1:n_h]) / alpha) / (2.0 * np.pi * alpha)
+    G = np.concatenate([[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))])
+    # G is constant from sat on and ev is 0 from rho[n_live] on, both exactly:
+    # row r sums only the rho within sat of r and below rho[n_live]; a row
+    # with no such rho stays exactly 0
+    sat = s_tab[min(np.flatnonzero(np.diff(G))[-1] + 2, s_tab.size - 1)]
+    n_live = ev.size - np.argmax(ev[::-1] != 0.0)
+    r = np.abs(xs)
+    lo, hi = np.searchsorted(rho[:n_live], [r - sat, r + sat])
+    rows = np.flatnonzero(hi > lo)
+    out = np.zeros(xs.size)
+    # _TRACE_ROWS rows at a time, each window padded to the block's widest
+    # with weight 0, which bounds the transients
+    for b in range(0, rows.size, _TRACE_ROWS):
+        i = rows[b:b + _TRACE_ROWS]
+        idx = lo[i, None] + np.arange((hi[i] - lo[i]).max())
+        pad = idx >= hi[i, None]
+        idx[pad] = lo[i[0]]
+        y, rb = rho[idx], r[i, None]
+        inner = np.interp(rb + y, s_tab, G) - np.interp(np.abs(rb - y), s_tab, G)
+        w = ev[idx]
+        w[pad] = 0.0
+        out[i] = 2.0 * np.pi / np.maximum(r[i], dy) * np.sum(w * inner, axis=1)
+    return pref * out
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +263,8 @@ def brute_diag(V, alpha, xs, d=1):
     couples only modes of equal parity, up to rounding, and each parity
     block is diagonalized alone: two half-size eigh for one full one.
     """
+    _check_inputs(alpha, d)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if d not in (1, 3):
-        raise ValueError("d must be 1 or 3")
     box = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
     _check_nonneg(V, box)
     # d = 1 is channel 0 on [0, 2 box], whose modes times r are the sines
@@ -287,6 +287,7 @@ def brute_diag(V, alpha, xs, d=1):
 
 def mehler_diag(alpha, xs):
     """Closed-form diagonal of e^{alpha(Delta - x^2)} in one dimension."""
+    _check_inputs(alpha, 1)
     xs = np.asarray(xs, dtype=float)
     return (2.0 * np.pi * np.sinh(2.0 * alpha)) ** -0.5 * np.exp(
         -(xs**2) * np.tanh(alpha)
@@ -310,10 +311,9 @@ def weighted_trace(V, alpha, s, d=1):
     doublings, partial k being the trapezoid rule over |x| <= 8 2^k: each x
     sees only y within 12 sqrt(alpha), inside every domain's y range.
     """
-    if s < 0:
-        raise ValueError("weight exponent must be nonnegative")
-    if d not in (1, 3):
-        raise ValueError("d must be 1 or 3")
+    _check_inputs(alpha, d)
+    if not s >= 0:
+        raise ValueError(f"weight exponent s must be nonnegative, got {s}")
     L = 8.0 * 2**_DOUBLINGS
     n = max(int(L * _PER_UNIT) | 1, 129)
     x = np.linspace(-L, L, n) if d == 1 else np.linspace(0.0, L, n)[1:]
@@ -342,8 +342,9 @@ def xi_alpha(xs, alpha, B, D):
     (j_t * Phi)(x) = (sqrt(B)/2) [e^{D^2 t - D x} erfc((2Dt - x)/sqrt(4t))
                                   + e^{-x^2/4t} erfcx((2Dt + x)/sqrt(4t))].
     """
-    if B < 0 or D <= 0 or alpha <= 0:
-        raise ValueError("need B >= 0, D > 0, alpha > 0")
+    _check_inputs(alpha, 1)
+    if not (B >= 0 and D > 0):
+        raise ValueError(f"need B >= 0 and D > 0, got B = {B}, D = {D}")
     x = np.abs(np.atleast_1d(np.asarray(xs, dtype=float)))
     if B == 0:
         return np.zeros(x.size)
@@ -370,6 +371,7 @@ def perturbed_bound_check(V, alpha, B, D, box=14.0, n=1400):
     evaluated on n equispaced points, the ends included.  A negative return
     value means the bound dominates everywhere tested.
     """
+    _check_inputs(alpha, 1)
     _check_nonneg(V, box)
     grid = np.linspace(-box, box, n)
     K, pieces = _oracle_basis(V, alpha, 2.0 * box, 1)

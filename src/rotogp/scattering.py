@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+N_STEPS = 20000  # RK4 steps over the potential's range, both integrators' default
+
 
 @dataclass(frozen=True)
 class RadialPotential:
@@ -121,7 +123,7 @@ def _rk4_outward(h, wvals):
     return E[0, 1, 0], 1.0 + E[1, 1, 0]
 
 
-def radial_solution(pot: RadialPotential, n_steps: int = 20000):
+def radial_solution(pot: RadialPotential, n_steps: int = N_STEPS):
     """(u(R), u'(R)) at R = rrange, where w may jump, from (u, u') = (0, 1) at the core."""
     r0 = pot.core
     if pot.rrange == r0:  # pure hard sphere: nothing to integrate
@@ -130,7 +132,7 @@ def radial_solution(pot: RadialPotential, n_steps: int = 20000):
     return _rk4_outward(h, pot.func(r0 + 0.5 * h * np.arange(2 * n_steps + 1)))
 
 
-def scattering_length(pot: RadialPotential, n_steps: int = 20000) -> float:
+def scattering_length(pot: RadialPotential, n_steps: int = N_STEPS) -> float:
     """a = R - u(R)/u'(R), R = rrange: exact, since u is affine past R."""
     u, du = radial_solution(pot, n_steps=n_steps)
     if not (np.isfinite(u) and np.isfinite(du)):

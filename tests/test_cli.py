@@ -377,6 +377,10 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         ["heat-bound", "--dim", "3", "--alpha", "0.005"],
         ["dyson-check", "--eps", "1.5"],
         ["dyson-check", "--R", "-1"],
+        # R past the cutoff scale s = 3.5
+        ["dyson-check", "--R", "4"],
+        ["dyson-check", "--eta", "0"],
+        ["dyson-check", "--J", "0"],
         # inputs the library rejects with ValueError
         ["fock-ed", "--e", "2", "1"],
         # --e must hold J numbers, and a --W-file a (J, J, J, J) tensor
@@ -475,6 +479,16 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
     assert "non-finite" in capsys.readouterr().err
     assert run(["analyze", "--field", str(configs / "nan.f64"), "--out", str(tmp_path)]) == 2
     assert "nan.f64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dyson-check", "--eps", "1.5"], "need 0 < epsilon < 1"),
+    (["heat-bound", "--alpha", "0"], "alpha must be positive and finite"),
+], ids=["dyson-check", "heat-bound"])
+def test_refusal_names_the_library_check(tmp_path, capsys, argv, message):
+    # the library function that uses the input refuses it; the CLI has no copy
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_values_of_their_defaults_type_run(tmp_path):

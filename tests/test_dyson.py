@@ -60,6 +60,11 @@ def test_cutoff_plateaus_and_monotone():
         CutoffFunction(-1.0)
 
 
+def test_cutoff_refuses_nan():
+    with pytest.raises(ValueError, match="cutoff scale"):
+        CutoffFunction(np.nan)
+
+
 def test_hat_potential_integral_exact(soft):
     # 6 R^{-3} * (4 pi / 3)(R^3 - R^3/2) = 4 pi; the inequality's Gauss
     # nodes on the shell integrate the hat's r^2 exactly, up to rounding
@@ -210,6 +215,12 @@ def test_build_k0_validation():
         kappa_eta(p, 0.0)
     with pytest.raises(ValueError):  # J = 5 eigenvalues of a 2 x 2 grid
         build_K0(harmonic_problem(dim=2, n=2, length=4.0), CutoffFunction(2.0), eta=1.0, J=5)
+
+
+def test_kappa_refuses_nan_eta():
+    # an input error, not the LinAlgError (a ValueError subclass) of a NaN operator
+    with pytest.raises(ValueError, match="eta must be positive"):
+        kappa_eta(harmonic_problem(dim=2, n=16, length=10.0), np.nan)
 
 
 def test_bessel_zeros_channel0_are_n_pi():

@@ -465,6 +465,58 @@ class TestPerturbedBound:
         with pytest.raises(ValueError):
             hk.xi_alpha([0.0], 1.0, -1.0, 1.0)
 
+    # a NaN alpha: test_public_functions_refuse_alpha
+    @pytest.mark.parametrize("B,D", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_xi_refuses_nan(self, B, D):
+        with pytest.raises(ValueError, match="need B >= 0 and D > 0"):
+            hk.xi_alpha([0.0], 1.0, B, D)
+
+
+_V = hk.harmonic_potential()
+# every public function that takes alpha, called at (alpha, d); the last
+# three are one-dimensional and take no d
+_ALPHA_CALLS = {
+    "h_alpha": lambda alpha, d: hk.h_alpha([0.5], alpha, d=d),
+    "h_alpha_integral": lambda alpha, d: hk.h_alpha_integral(alpha, d=d),
+    "diag_bound": lambda alpha, d: hk.diag_bound(_V, alpha, [0.5], d=d),
+    "brute_diag": lambda alpha, d: hk.brute_diag(_V, alpha, [0.5], d=d),
+    "weighted_trace": lambda alpha, d: hk.weighted_trace(_V, alpha, 2.0, d=d),
+    "mehler_diag": lambda alpha, d: hk.mehler_diag(alpha, [0.5]),
+    "xi_alpha": lambda alpha, d: hk.xi_alpha([0.5], alpha, 1.0, 1.0),
+    "perturbed_bound_check": lambda alpha, d: hk.perturbed_bound_check(
+        _V, alpha, 1.0, 1.0, box=4.0, n=50),
+}
+
+
+# the RuntimeWarning filter in pyproject.toml makes any numpy division by a
+# zero alpha an error, so a pass also shows the check runs before numpy does
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", list(_ALPHA_CALLS))
+def test_public_functions_refuse_alpha(name, alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        _ALPHA_CALLS[name](alpha, 1)
+
+
+@pytest.mark.parametrize("name", list(_ALPHA_CALLS)[:5])
+def test_public_functions_refuse_dimension_2(name):
+    with pytest.raises(ValueError, match="d must be 1 or 3"):
+        _ALPHA_CALLS[name](1.0, 2)
+
+
+def test_public_functions_open_with_the_one_check(monkeypatch):
+    def refuse(alpha, d):
+        raise LookupError(alpha, d)
+
+    monkeypatch.setattr(hk, "_check_inputs", refuse)
+    for name, call in _ALPHA_CALLS.items():
+        with pytest.raises(LookupError):
+            call(1.0, 1)
+
+
+def test_weighted_trace_refuses_nan_exponent():
+    with pytest.raises(ValueError, match="weight exponent"):
+        hk.weighted_trace(_V, 1.0, np.nan)
+
 
 def _quad_oracle(V, alpha, xs, d):
     """diag_bound by scipy's quad, one call per panel between breakpoints that
