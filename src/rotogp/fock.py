@@ -8,9 +8,10 @@ The model Hamiltonian
 conserves the total particle number N, so it is built and diagonalized on
 one sector: the C(N + J - 1, J - 1) occupation vectors (n_1, ..., n_J) with
 sum N, in lexicographic order.  A state's index is its lexicographic rank,
-which the combinatorial number system gives in closed form; the pair
-annihilators a_k a_l map sector N into sector N - 2 and find their targets
-by that rank.
+which the combinatorial number system gives in closed form.  The pair
+operators are one raise table: each state t of sector N - 2, raised by
+a+_k a+_l, lands on one state of sector N, found by that rank; the
+annihilators a_k a_l are its transpose.
 
 Coherent states, the lower and upper symbols of one normal-ordered
 monomial (a+)^p a^q in closed form, and the coherent-state resolution
@@ -115,15 +116,19 @@ class SectorHamiltonian(LinearOperator):
     """H = diag(D) + B^T (Wp x Id) B on one number sector, kept as its factors.
 
     B stacks the pair annihilators B_p = a_k a_l over unordered pairs
-    p = (k <= l), from sector N into sector N - 2, row p m + t for target t;
-    Wp[q, p] sums W over the orderings of both pairs, exact as a_k a_l =
-    a_l a_k.  B is real and kept as B^T, CSR with the source states as rows.
-    `@` applies H to vectors and blocks; `nnz` counts the factors' entries.
+    p = (k <= l), from sector N into sector N - 2: row p m + t holds a[t, p] at
+    column s[t, p] alone, from the raise table (build_hamiltonian).  Wp[q, p]
+    sums W over the orderings of both pairs, exact as a_k a_l = a_l a_k.  B is
+    real and kept as B^T, CSR with the source states as rows.  `@` applies H
+    to vectors and blocks; `nnz` counts the factors' entries.
     """
 
-    def __init__(self, D, BT, Wp):
+    def __init__(self, D, s, a, Wp):
         super().__init__(np.result_type(D, Wp), (D.size, D.size))
-        self.D, self.BT, self.B, self.Wp = D, BT, BT.T, Wp
+        # one entry per column of B^T; CSC to CSR orders each row by pair
+        BT = sparse.csc_matrix((a.T.ravel(), s.T.ravel(), np.arange(s.size + 1)),
+                               shape=(D.size, s.size)).tocsr()
+        self.D, self.s, self.a, self.BT, self.B, self.Wp = D, s, a, BT, BT.T, Wp
         self.nnz = D.size + BT.nnz + Wp.size
 
     def _matmat(self, V):
@@ -134,47 +139,37 @@ class SectorHamiltonian(LinearOperator):
     _matvec = _rmatvec = _matmat  # H is hermitian
 
     def diagonal(self):
-        """D + sum_p B_p[t, s]^2 Wp[p, p]: no two pairs lower s to one t."""
-        m = self.BT.shape[1] // self.Wp.shape[0]
-        return self.D + self.BT.power(2) @ np.repeat(self.Wp.diagonal().real, m)
+        """D + a[t, p]^2 Wp[p, p] at s[t, p], added in B^T's row order: only
+        q = p reaches the diagonal, as no two pairs raise one t to one state."""
+        w = self.a**2 * self.Wp.diagonal().real
+        return self.D + np.bincount(self.s.T.ravel(), w.T.ravel(), self.D.size)
 
     def toarray(self):
-        """Dense H, a P x P block per state t of sector N - 2: each pair p raises t to
-        one state s[t, p] with amplitude a[t, p], and a[t, p] Wp[p, q] a[t, q] adds at
-        (s[t, p], s[t, q])."""
-        coo, P = self.BT.tocoo(), self.Wp.shape[0]
-        s, a = np.zeros((2, self.BT.shape[1]))
-        s[coo.col], a[coo.col] = coo.row, coo.data
-        s, a = (v.reshape(P, v.size // P).T for v in (s.astype(np.int64), a))
+        """Dense H, a P x P block per state t of sector N - 2: a[t, p] Wp[p, q]
+        a[t, q] adds at (s[t, p], s[t, q])."""
+        s, a = self.s, self.a
         H = np.diag(self.D).astype(self.dtype)
         np.add.at(H, (s[:, :, None], s[:, None, :]), a[:, :, None] * self.Wp * a[:, None, :])
         return H
 
 
 def build_hamiltonian(mb: ModeBasis, basis: SectorBasis) -> SectorHamiltonian:
-    """sum e_j n_j + sum W_ijkl a+_i a+_j a_k a_l on the basis's sector, with
-    B^T built as CSR from the nonzero amplitudes of a_k a_l in np.nonzero's
-    order: by source state, then by pair."""
+    """sum e_j n_j + sum W_ijkl a+_i a+_j a_k a_l on the basis's sector.  Its raise
+    table: a+_k a+_l, p = (k <= l), takes state t of sector N - 2 (none for N < 2)
+    to the state ranked s[t, p], with a[t, p] = sqrt((t_k + 1)(t_l + 1 + delta_kl))."""
     if mb.modes != basis.modes:
         raise ValueError("mode count mismatch")
-    J, n, N, occ = mb.modes, len(basis), basis.total, basis.states
-    D = occ.astype(float) @ mb.e
+    J, N = mb.modes, basis.total
+    D = basis.states.astype(float) @ mb.e
     kk, ll = np.triu_indices(J)
-    pairs = np.arange(kk.size)
-    m = comb(N + J - 3, J - 1) if N >= 2 else 0  # dimension of sector N - 2
-    amp = np.sqrt(occ[:, ll] * (occ[:, kk] - (kk == ll)))  # a_l first, then a_k
-    src, pair = np.nonzero(amp)
-    amp = amp[src, pair]
+    low = SectorBasis(J, N - 2).states if N >= 2 else np.zeros((0, J), dtype=np.int64)
     one = np.eye(J, dtype=np.int64)
-    tgt = _rank(occ[src] - one[kk[pair]] - one[ll[pair]], N - 2) if src.size else src
+    s = _rank((low[:, None] + one[kk] + one[ll]).reshape(-1, J), N).reshape(-1, kk.size)
+    a = np.sqrt((low[:, kk] + 1) * (low[:, ll] + 1 + (kk == ll)))
     fold = np.zeros((J * J, kk.size))
-    fold[kk * J + ll, pairs] = 1.0
-    fold[ll * J + kk, pairs] = 1.0
+    fold[[kk * J + ll, ll * J + kk], np.arange(kk.size)] = 1.0
     Wp = fold.T @ mb.W.reshape(J * J, J * J) @ fold
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    BT = sparse.csr_matrix((amp, pair * m + tgt, indptr), shape=(n, kk.size * m))
-    return SectorHamiltonian(D, BT, Wp)
+    return SectorHamiltonian(D, s, a, Wp)
 
 
 # ARPACK on the factors beats dense eigh above this (2 cores: even at 210-250 states)

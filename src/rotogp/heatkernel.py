@@ -58,9 +58,9 @@ def _check_inputs(alpha, d) -> None:
         raise ValueError(f"d must be 1 or 3, got {d}")
 
 
-def _check_nonneg(V, span: float) -> None:
-    probe = np.linspace(0.0, span, 64)
-    if np.min(V(probe)) < -1e-12:
+def _check_nonneg(V, span: float, d) -> None:
+    probe = np.linspace(-span, span, 127) if d == 1 else np.linspace(0.0, span, 64)
+    if not np.all(V(probe) >= -1e-12):  # NaN fails too
         raise ValueError("confining potential must be nonnegative")
 
 
@@ -124,7 +124,7 @@ def diag_bound(V, alpha, xs, d=1):
     _check_inputs(alpha, d)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     y_max = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
-    _check_nonneg(V, y_max)
+    _check_nonneg(V, y_max, d)
     if d == 1:
         x, lo = xs, -y_max
         f = lambda y, x: np.exp(-alpha * V(y)) * h_alpha(x - y, alpha, d=1)
@@ -266,7 +266,7 @@ def brute_diag(V, alpha, xs, d=1):
     _check_inputs(alpha, d)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     box = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
-    _check_nonneg(V, box)
+    _check_nonneg(V, box, d)
     # d = 1 is channel 0 on [0, 2 box], whose modes times r are the sines
     L, r = (2.0 * box, xs + box) if d == 1 else (box, np.abs(xs))
     K, pieces = _oracle_basis(V, alpha, L, d)
@@ -372,7 +372,7 @@ def perturbed_bound_check(V, alpha, B, D, box=14.0, n=1400):
     value means the bound dominates everywhere tested.
     """
     _check_inputs(alpha, 1)
-    _check_nonneg(V, box)
+    _check_nonneg(V, box, 1)
     grid = np.linspace(-box, box, n)
     K, pieces = _oracle_basis(V, alpha, 2.0 * box, 1)
     ch = BesselChannel(0, K, 2.0 * box)

@@ -63,7 +63,8 @@ def integrate(f, breaks, *args):
     holds a value per row, passed to f beside the row's nodes y, (panels, 15).
     A panel is kept when its 15- and 7-point values differ by at most its
     width's share of 1e-8 times the integral, or by 1e-14 of its value, else
-    it is bisected, at most 48 times.  Each round evaluates all live panels,
+    it is bisected, at most 48 times; one whose 15- or 7-point value is not
+    finite raises ArithmeticError.  Each round evaluates all live panels,
     about _BLOCK nodes per call.  Returns rows value and error: the kept
     15-point values and their differences, summed per integral.
     """
@@ -80,6 +81,9 @@ def integrate(f, breaks, *args):
         fy = np.concatenate([f(y[j:j + step], *(a[row[j:j + step]] for a in args))
                              for j in range(0, lo.size, step)])
         kron, err = half * (fy @ _KRONROD), np.abs(half * (fy @ _CHECK))
+        if not (finite := np.isfinite(kron) & np.isfinite(err)).all():  # bisection cannot settle it
+            j = np.argmin(finite)
+            raise ArithmeticError(f"integrand not finite on panel [{lo[j]}, {hi[j]}]")
         tol = share[row] * np.abs(acc[0] + np.bincount(row, kron, m))[row] * (hi - lo)
         keep = (err <= np.maximum(tol, 1e-14 * np.abs(kron))) | (i == 47)
         acc += [np.bincount(row[keep], v[keep], m) for v in (kron, err)]

@@ -219,6 +219,27 @@ def test_sector_assembly_matches_reference(J, N):
         assert not two_body.any() and not ref.any()
 
 
+@pytest.mark.parametrize("N", [0, 1, 4, 8])
+@pytest.mark.parametrize("J", [1, 2, 6])
+def test_raise_table_lands_on_the_raised_state(J, N):
+    # a+_k a+_l, p = (k <= l) in np.triu_indices order, takes state t of sector
+    # N - 2 to the state ranked s[t, p] in sector N, with a[t, p]^2 =
+    # (t_k + 1)(t_l + 1 + delta_kl); sector N - 2 is empty for N < 2
+    b = SectorBasis(J, N)
+    H = build_hamiltonian(ModeBasis(e=np.arange(1.0, J + 1.0), W=np.zeros((J,) * 4)), b)
+    low = SectorBasis(J, N - 2).states.tolist() if N >= 2 else []
+    pairs = [(k, l) for k in range(J) for l in range(k, J)]
+    assert H.s.shape == H.a.shape == (len(low), len(pairs))
+    for t, occ in enumerate(low):
+        for p, (k, l) in enumerate(pairs):
+            raised = list(occ)
+            raised[k] += 1
+            raised[l] += 1
+            assert b.states[H.s[t, p]].tolist() == raised
+            assert H.a[t, p] ** 2 == pytest.approx((occ[k] + 1) * (occ[l] + 1 + (k == l)),
+                                                   rel=1e-15)
+
+
 @pytest.mark.parametrize("J, N, complex_W", [(2, 0, False), (3, 4, False), (6, 5, False),
                                               (2, 7, True)])
 def test_operator_applies_its_dense_matrix(J, N, complex_W):

@@ -316,6 +316,19 @@ class TestDiagBound:
         with pytest.raises(ValueError):
             hk.diag_bound(hk.zero_potential(), 1.0, [0.0], d=2)
 
+    def test_potential_negative_left_of_the_origin_rejected(self):
+        # the d = 1 integrals run over [-span, span], so the probe does too
+        V = lambda x: x**2 - 5.0 * (x < -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            hk.diag_bound(V, 1.0, [0.0, -2.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            hk.brute_diag(V, 1.0, [0.0, -2.0])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_potential_with_nan_rejected(self, d):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hk._check_nonneg(lambda x: np.where(x > 2, np.nan, x**2), 5.0, d)
+
 
 class TestWeightedTrace:
     def test_harmonic_converges(self):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import warnings
 
@@ -291,6 +292,15 @@ def test_integrate_resolves_a_narrow_gaussian():
     value, error = integrate(lambda y: np.exp(-0.5 * ((y - c) / s) ** 2),
                              [0.0, c - 10 * s, c + 10 * s, 1.0])
     assert abs(value - exact) <= error <= 1e-8 * exact
+
+
+def test_integrate_refuses_a_nan_integrand_at_once():
+    # bisection never settles a NaN panel: 48 rounds would double the live
+    # panels until memory runs out, so the first panel's value stops it
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r"panel \[0.0, 1.0\]"):
+        integrate(lambda y: np.full_like(y, np.nan), np.r_[0.0, 1.0])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_integrate_rows_match_single_integrals_and_calls_stay_in_blocks():
