@@ -230,8 +230,9 @@ def _parse_potential(tokens):
     if kind == "square" and len(tokens) == 3:
         return scattering.square_barrier(float(tokens[1]), float(tokens[2]))
     if kind == "file" and len(tokens) == 2:
-        data = np.load(tokens[1])
-        return scattering.from_samples(data[0], data[1])
+        if (data := np.asarray(np.load(tokens[1]))).ndim != 2 or len(data) != 2:
+            raise ValueError(f"need a (2, n) array of radii and values, got shape {data.shape}")
+        return scattering.from_samples(*data)
     raise ValueError(
         "potential must be 'hardcore R0', 'square R0 W0', or 'file <path.npy>'"
     )
@@ -241,11 +242,10 @@ def cmd_scattering(cfg, out):
     pot = _parse_potential(cfg["potential"])
     if cfg["scale"] is not None:
         pot = pot.scaled(cfg["scale"])
-    a = scattering.scattering_length(pot)
-    # RK4 step doubling: the relative change from half as many steps
-    a_half = scattering.scattering_length(pot, n_steps=scattering.N_STEPS // 2)
-    residual = abs(a - a_half) / max(abs(a), 1e-300)
-    return {"a": a, "residual": residual}, {"residual": residual < 1e-10}
+    a, (lo, hi) = scattering.scattering_length(pot), scattering.scattering_bracket(pot)
+    slack = 1e-12 * pot.rrange  # rounding: a = R - u(R)/u'(R) is rounded against R
+    return ({"a": a, "a_lower": lo, "a_upper": hi, "residual": (hi - lo) / max(abs(a), 1e-300)},
+            {"a": lo - slack <= a <= hi + slack})
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def cmd_dyson_check(cfg, out):
     pot = (_parse_potential(cfg["potential"]) if cfg["potential"] else
            scattering.square_barrier(cfg["R0"], cfg["W0"]))
     pot_n = pot.scaled(cfg["N"])
-    # a(w_N) = a(w) / N: exact in the continuum, and the RK4 steps scale with it
+    # a(w_N) = a(w) / N: exact in the continuum, and the piece matrices scale with it
     a = scattering.scattering_length(pot)
     a_n = a / cfg["N"]
 

@@ -225,19 +225,46 @@ class TestScattering:
         from rotogp.scattering import square_barrier_length
         assert abs(res["a"] - square_barrier_length(1.0, 4.0e4) / 10.0) < 1e-7
 
-    def test_residual_is_step_doubling_error(self, tmp_path):
+    def test_residual_is_bracket_width(self, tmp_path):
+        # a square barrier is one constant piece, its own minorant and
+        # majorant: a zero-width bracket at the closed form
         assert run(["scattering", "--potential", "square", "1.0", "50.0",
                     "--out", str(tmp_path)]) == 0
         res = json.loads((tmp_path / "results.json").read_text())
-        assert res["residual"] < 1e-10
-        from rotogp.scattering import (scattering_length, square_barrier,
-                                       square_barrier_length)
-        pot = square_barrier(1.0, 50.0)
-        a, a_half = scattering_length(pot), scattering_length(pot, n_steps=10000)
-        assert res["residual"] == abs(a - a_half) / abs(a)
-        # the estimate bounds the true error, up to a few ulp of rounding
-        err = abs(res["a"] - square_barrier_length(1.0, 50.0))
-        assert err <= res["residual"] * abs(res["a"]) + 4 * np.spacing(res["a"])
+        assert abs(res["a"] - 0.9000000004122307) <= 2 * np.spacing(0.9000000004122307)
+        assert res["a_lower"] == res["a"] == res["a_upper"]
+        assert res["residual"] == 0.0 and res["verdicts"] == {"a": True}
+
+    def test_file_potential_matches_the_library(self, tmp_path):
+        from rotogp.scattering import from_samples, scattering_bracket, scattering_length
+        r = np.linspace(0.0, 1.0, 7)
+        w = 20.0 * (1.0 - np.abs(2.0 * r - 1.0))
+        np.save(tmp_path / "tent.npy", np.stack([r, w]))
+        assert run(["scattering", "--potential", "file", str(tmp_path / "tent.npy"),
+                    "--scale", "2", "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        pot = from_samples(r, w).scaled(2.0)
+        assert res["a"] == scattering_length(pot)
+        assert (res["a_lower"], res["a_upper"]) == scattering_bracket(pot)
+        assert res["residual"] == (res["a_upper"] - res["a_lower"]) / res["a"]
+        assert res["a_lower"] < res["a"] < res["a_upper"] and res["verdicts"] == {"a": True}
+
+    @pytest.mark.parametrize("command", ["scattering", "dyson-check"])
+    def test_potential_file_must_hold_two_rows(self, tmp_path, capsys, command):
+        # square 1 50 sampled: stored as columns it read as a = 49.9, a third
+        # row went unread, and an .npz archive ended in a traceback
+        r = np.linspace(0.0, 1.0, 11)
+        w = np.full_like(r, 50.0)
+        np.savez(tmp_path / "rows.npz", r=r, w=w)
+        for name, data in [("cols", np.stack([r, w], axis=1)), ("rows3", np.stack([r, w, w])),
+                           ("flat", r), ("rows.npz", None)]:
+            if data is not None:
+                np.save(tmp_path / f"{name}.npy", data)
+            path = tmp_path / (name if data is None else f"{name}.npy")
+            assert run([command, "--potential", "file", str(path),
+                        "--out", str(tmp_path / "out")]) == 2, name
+            assert "(2, n) array" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_potential_exits_2(self, tmp_path):
         assert run(["scattering", "--potential", "wedge", "1",
@@ -339,6 +366,7 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         w = np.full_like(r, 25.0)
         w[10:20] = bad
         np.save(configs / f"pot_{name}.npy", np.stack([r, w]))
+    np.save(configs / "pot_negr.npy", np.stack([r - 0.5, np.full_like(r, 25.0)]))
     from rotogp import fields
     field = fields.gaussian_field(fields.Grid(2, 16, 8.0))
     sidecars = {"nan": [0.0, 0.0, math.nan], "short": [0.0, 0.0], "text": "abc"}
@@ -456,11 +484,12 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
          "--config", str(configs / "scale_list.json")],
         ["fock-ed", "--config", str(configs / "W_int.json")],
         ["fock-ed", "--config", str(configs / "e_int.json")],
-        # sampled potentials must be finite and nonnegative (v >= 0 in the lemma)
+        # sampled potentials must be finite and nonnegative (v >= 0 in the
+        # lemma), their radii from r = 0
         *(["scattering", "--potential", "file", str(configs / f"pot_{name}.npy")]
-          for name in ("nan", "inf", "well")),
+          for name in ("nan", "inf", "well", "negr")),
         *(["dyson-check", "--potential", "file", str(configs / f"pot_{name}.npy")]
-          for name in ("nan", "inf", "well")),
+          for name in ("nan", "inf", "well", "negr")),
         ["fock-ed", "--W-file", str(configs / "W_nan.npy")],
         # a field dump with a NaN sample, sidecars with a malformed omega
         ["analyze", "--field", str(configs / "nan.f64")],
@@ -745,9 +774,8 @@ _not_converged = _then(lambda state: dataclasses.replace(state, termination="max
 _DYSON_SMALL = ["dyson-check", "--J", "2", "--n", "16", "--box", "10"]
 # (argv, verdict, library value it reads, wrap that breaks that value alone)
 _FAILURES = [
-    (["scattering", "--potential", "square", "1", "50"], "residual",
-     "scattering.scattering_length",
-     lambda f: lambda pot, n_steps=20000: f(pot, n_steps) + 1e-6 * (n_steps == 10000)),
+    (["scattering", "--potential", "square", "1", "50"], "a", "scattering.scattering_bracket",
+     _then(lambda bracket: (bracket[0] + 1e-6, bracket[1] + 1e-6))),
     (_DYSON_SMALL, "dyson_passed", "dyson.check_dyson_inequality",
      _then(lambda check: {**check, "passed": False})),
     (_DYSON_SMALL, "int_UR", "dyson.check_dyson_inequality",

@@ -68,7 +68,7 @@ def test_cutoff_refuses_nan():
 def test_hat_potential_integral_exact(soft):
     # 6 R^{-3} * (4 pi / 3)(R^3 - R^3/2) = 4 pi; the inequality's Gauss
     # nodes on the shell integrate the hat's r^2 exactly, up to rounding
-    v0 = RadialPotential(rrange=0.125, func=lambda r: np.zeros_like(r))
+    v0 = RadialPotential((0.125,), (0.0,))
     int_UR = check_dyson_inequality(v0, soft, 0.0, 0.5,
                                     ell_list=(0,), basis_sizes=(20,))["int_UR"]
     assert int_UR == pytest.approx(4.0 * np.pi, rel=1e-14, abs=0.0)
@@ -131,13 +131,13 @@ def test_soft_potentials_validation():
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5])
 def test_inequality_refuses_eps_outside_the_unit_interval(soft, eps):
-    v0 = RadialPotential(rrange=0.125, func=lambda r: np.zeros_like(r))
+    v0 = RadialPotential((0.125,), (0.0,))
     with pytest.raises(ValueError, match="epsilon"):
         check_dyson_inequality(v0, soft, 0.0, eps, ell_list=(0,), basis_sizes=(20,))
 
 
 def test_inequality_trivial_positive(soft):
-    v0 = RadialPotential(rrange=0.125, func=lambda r: np.zeros_like(r))
+    v0 = RadialPotential((0.125,), (0.0,))
     out = check_dyson_inequality(v0, soft, 0.0, 0.5, basis_sizes=(60, 90))
     assert out["min_eig"] >= -1e-10
 
@@ -355,7 +355,7 @@ def test_potential_reaching_the_ball_is_refused(soft):
     # radius 14, where the modes end, and the Dirichlet wall would decide
     # the verdict; a range of exactly 14 reaches the wall too
     far = square_barrier(1.0, 4.0e4).scaled(0.05)
-    edge = RadialPotential(rrange=14.0, func=far.func)
+    edge = RadialPotential((14.0,), far.values)
     for v in (far, edge):
         with pytest.raises(ValueError, match="reaches the ball"):
             check_dyson_inequality(v, soft, scattering_length(far), 0.5,

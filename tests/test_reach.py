@@ -213,7 +213,7 @@ def test_scan_sees_the_package():
     assert "gp.GpState.restart_energies" in {label for label, *_ in fields()}
     assert "dyson.verify_wr_scaling['slope']" in {label for label, _ in _returned_keys()}
     opts = {label for label, *_ in options()}
-    assert {"scattering.scattering_length(n_steps)", "gp.GpSolverOptions.tol"} <= opts
+    assert {"dyson.check_dyson_inequality(ell_list)", "gp.GpSolverOptions.tol"} <= opts
 
 
 def test_every_public_name_is_reached():
