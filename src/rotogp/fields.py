@@ -259,6 +259,8 @@ def read_field(path: str):
     if not isinstance(side, dict) or not side.keys() >= keys:
         raise ValueError(f"sidecar {path}.json must be an object with {sorted(keys)}")
     grid = Grid(int(side["dim"]), int(side["n"]), float(side["L"]))
+    if (grid.dim, grid.n) != (side["dim"], side["n"]):
+        raise ValueError(f"sidecar {path}.json: dim and n must be integers")
     size, expected = os.path.getsize(path), 16 * grid.n**grid.dim
     if size != expected:
         raise ValueError(f"dump holds {size} bytes, its sidecar implies {expected}")

@@ -18,9 +18,13 @@ The diagonal bound reads
     e^{alpha(Delta - V)}(x, x) <= (4 pi alpha)^{-d/2} (e^{-alpha V} * h_alpha)(x),
 
 checked against Galerkin eigenbases with an exact kinetic term: the sine
-basis (d = 1) or spherical-Bessel channels (d = 3, radial V).  The bound
-is adaptive Gauss-Kronrod quadrature split at the cusps, not FFT: V is
-unbounded and periodic wraparound would corrupt the tails.  In d = 3 the
+basis (d = 1) or spherical-Bessel channels (d = 3, radial V), on a box
+reaching 12 sqrt(alpha) past the farthest point.  For V >= 0 the box's
+Dirichlet kernel at (x, x) trails the whole-space one by at most
+(4 pi alpha)^{-d/2} times the chance that a Brownian bridge of duration alpha
+leaves B(x, 12 sqrt(alpha)), at most 2d e^{-144/d} < 1e-20 for d <= 3.
+The bound is adaptive Gauss-Kronrod quadrature split at the cusps, not FFT:
+V is unbounded and periodic wraparound would corrupt the tails.  In d = 3 the
 shell average of h_alpha is a difference of erfc, and the weighted trace
 reads every domain doubling off one profile on the largest domain, each
 point summing only the radii where neither factor is an exact zero.
@@ -203,8 +207,10 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
 # brute-force diagonals
 # ---------------------------------------------------------------------------
 
-# dense K x K solves on 2 cores: one channel in d = 1 (0.5 s at K = 948), up to 61
-# channels in d = 3 (5.2 s at K = 376)
+# dense K x K solves on 2 cores: one channel in two parity blocks in d = 1
+# (0.1 s at K = 985, alpha = 0.00065), up to 61 channels in d = 3 (2.2 s at
+# K = 301, alpha = 0.002; 3.7 s at K = 389, alpha = 0.0011).  For the
+# harmonic heat-bound points the caps bind near alpha = 0.00063 and 0.00103.
 MAX_ORACLE_MODES = {1: 1000, 3: 400}
 
 
@@ -253,7 +259,10 @@ def brute_diag(V, alpha, xs, d=1):
     d = 1: the sine basis of [-box, box].  d = 3 (radial V): partial-wave
     sum over spherical-Bessel channels ell <= 60 on the ball of radius box,
     truncated once a channel's lowest eigenvalue no longer contributes.
-    The box reaches 12 sqrt(alpha) + 8 beyond the farthest point.  Both bases
+    The box reaches 12 sqrt(alpha) beyond the farthest point: by domain
+    monotonicity (Feynman-Kac) its Dirichlet walls lower the diagonal by at
+    most (4 pi alpha)^{-d/2} 2d e^{-144/d}, the bridge-exit bound, so a
+    wider box adds modes (K grows with it) but no accuracy.  Both bases
     make the kinetic term diagonal, and the modes are evaluated at xs.
     Returns (diagonal, K, drift): the basis size, and the change at each
     point when every matrix is cut to its leading 3K/4 block.
@@ -265,7 +274,7 @@ def brute_diag(V, alpha, xs, d=1):
     """
     _check_inputs(alpha, d)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    box = np.abs(xs).max() + 12.0 * np.sqrt(alpha) + 8.0
+    box = np.abs(xs).max() + 12.0 * np.sqrt(alpha)
     _check_nonneg(V, box, d)
     # d = 1 is channel 0 on [0, 2 box], whose modes times r are the sines
     L, r = (2.0 * box, xs + box) if d == 1 else (box, np.abs(xs))

@@ -374,6 +374,9 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         fields.write_field(field, str(configs / f"omega_{name}.f64"))
         (configs / f"omega_{name}.f64.json").write_text(
             json.dumps({"dim": 2, "n": 16, "L": 8.0, "omega": omega}))
+    fields.write_field(field, str(configs / "frac.f64"))
+    (configs / "frac.f64.json").write_text(
+        json.dumps({"dim": 2.7, "n": 16.9, "L": 8.0, "omega": [0.0, 0.0, 0.0]}))
     field.values[3, 5] = np.nan
     fields.write_field(field, str(configs / "nan.f64"))
     W_nan = np.zeros((2, 2, 2, 2))
@@ -402,7 +405,7 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         ["heat-bound", "--V", "log", "-1"],
         # the Galerkin oracle's basis grows like 1/sqrt(alpha)
         ["heat-bound", "--alpha", "1e-4"],
-        ["heat-bound", "--dim", "3", "--alpha", "0.005"],
+        ["heat-bound", "--dim", "3", "--alpha", "0.001"],
         ["dyson-check", "--eps", "1.5"],
         ["dyson-check", "--R", "-1"],
         # R past the cutoff scale s = 3.5
@@ -494,6 +497,8 @@ def test_certificate_config_errors_exit_2(tmp_path, tmp_path_factory, capsys):
         # a field dump with a NaN sample, sidecars with a malformed omega
         ["analyze", "--field", str(configs / "nan.f64")],
         *(["analyze", "--field", str(configs / f"omega_{name}.f64")] for name in sidecars),
+        # a sidecar whose dim and n are not integers, though the bytes fit 16^2
+        ["analyze", "--field", str(configs / "frac.f64")],
         # the vortex start underflows to zero at every sample
         ["solve-gp", "--dim", "2", "--n", "2", "--box", "100", "--init", "vortex:1"],
     ]

@@ -196,15 +196,35 @@ class TestDiagBound:
         xs = np.linspace(0.0, 3.0, 7)
         brute = hk.brute_diag(hk.harmonic_potential(), 1.0, xs, d=1)[0]
         exact = hk.mehler_diag(1.0, xs)
-        # measured 3.2e-13; a finite-difference Laplacian is O(h^2) off
-        assert np.max(np.abs(brute / exact - 1.0)) < 1e-11
+        # measured 9.1e-14; a finite-difference Laplacian is O(h^2) off
+        assert np.max(np.abs(brute / exact - 1.0)) < 1e-12
 
     def test_brute_matches_closed_form_oscillator_3d(self):
         # e^{alpha(Delta - |x|^2)} factorizes: Mehler along x times Mehler(0)^2
         xs = np.linspace(0.2, 3.0, 8)
         brute = hk.brute_diag(hk.harmonic_potential(), 1.0, xs, d=3)[0]
         exact = hk.mehler_diag(1.0, xs) * hk.mehler_diag(1.0, 0.0) ** 2
-        assert np.max(np.abs(brute / exact - 1.0)) < 1e-11
+        # measured 1.4e-13
+        assert np.max(np.abs(brute / exact - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("V, alpha, d, K_wide, rel", [
+        (hk.harmonic_potential(), 1.0, 1, 179, 5e-13),  # measured 2.0e-13
+        (hk.harmonic_potential(), 1.0, 3, 89, 5e-13),  # measured 2.5e-13
+        (hk.log_potential(2.0), 0.1, 1, 356, None),
+    ], ids=["harmonic-d1", "harmonic-d3", "log-d1"])
+    def test_box_margin_12_sqrt_alpha_suffices(self, V, alpha, d, K_wide, rel):
+        # a far point at x = 11 widens the box to 3 + 12 sqrt(alpha) + 8, and
+        # the points of each CLI config come out as in the tight box: the
+        # Dirichlet walls 12 sqrt(alpha) away weigh below 2d e^{-144/d}
+        xs = np.linspace(0.2, 3.0, 8) if d == 3 else np.linspace(0.0, 3.0, 9)
+        tight, K, drift = hk.brute_diag(V, alpha, xs, d=d)
+        wide, K_far = hk.brute_diag(V, alpha, np.r_[xs, 11.0], d=d)[:2]
+        assert K_far == K_wide > K
+        if rel is not None:
+            assert np.max(np.abs(wide[:-1] / tight - 1.0)) <= rel
+        else:
+            # the log cusp: measured 1.3e-7, against its reported drift 1.8e-5
+            assert np.max(np.abs(wide[:-1] - tight)) <= drift.max()
 
     def test_log_cusp_oracle_resolution(self):
         # the heat-bound --V log 2.0 --alpha 0.1 points: the bound holds at all nine
