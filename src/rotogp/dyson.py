@@ -195,23 +195,25 @@ def _lowest_eig(H):
 
 
 # inverse-iteration steps before a block goes to _lowest_eig; the dyson-check
-# defaults take 2 to 5, a lowest pair with lam_1 / lam_2 near 1 hundreds
+# defaults take 4 to 8, a lowest pair with lam_1 / lam_2 near 1 hundreds
 _INVERSE_STEPS = 50
 
 
 def _settled_minimum(factor, k):
     """Lowest eigenvalue of the block whose Cholesky factor is factor[:k, :k],
     by inverse iteration from a fixed start: one dpotrs solve y = H_k^{-1} x
-    per step, until the Rayleigh quotient y.x / y.y (= y.H_k y / y.y)
-    changes by at most 4 ulp.  None if it has not settled in _INVERSE_STEPS.
+    per step, until the Rayleigh quotient y.x / y.y (= y.H_k y / y.y) is
+    within 4 ulp of its value one or two steps back; the latter ends a
+    rounding-level cycle between two values.  None if it has not settled in
+    _INVERSE_STEPS.
     """
     block = np.asfortranarray(factor[:k, :k])
-    x, rho = np.full(k, k ** -0.5), np.inf
+    x, rho, last = np.full(k, k ** -0.5), np.inf, np.inf
     for _ in range(_INVERSE_STEPS):
         y = dpotrs(block, x, lower=1)[0]
         yy = y @ y
-        rho, last = (y @ x) / yy, rho
-        if abs(rho - last) <= 4.0 * np.spacing(rho):
+        rho, last, before = (y @ x) / yy, rho, last
+        if min(abs(rho - last), abs(rho - before)) <= 4.0 * np.spacing(rho):
             return float(rho)
         x = y / np.sqrt(yy)
     return None

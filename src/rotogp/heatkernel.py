@@ -284,7 +284,7 @@ def brute_diag(V, alpha, xs, d=1):
     sub, out, coarse = 3 * K // 4, np.zeros(xs.size), np.zeros(xs.size)
     for ell in range(61 if d == 3 else 1):
         ch = BesselChannel(ell, K, L)
-        H, B = ch.matrix(np.square, pieces), ch(r)
+        H, B = ch.matrix(np.square, pieces, at=r)
         full, low = _heat_sum(H, B, alpha, step)
         if ell > 0 and np.exp(-alpha * low) < 1e-14 * max(out.max(), 1e-300):
             break

@@ -96,33 +96,62 @@ def sin_cos(x):
     """(sin x, cos x) = (t c, c - 1), c = 2 / (1 + t^2), from one t = tan(x/2):
     numpy vectorises tan but not sin or cos.  In place, as fresh blocks
     page-fault."""
-    t = np.tan(0.5 * x)
-    c = 2.0 / (1.0 + t * t)
+    t = np.multiply(x, 0.5)
+    c = np.multiply(np.tan(t, out=t), t)
+    c += 1.0
+    np.divide(2.0, c, out=c)
     return np.multiply(t, c, out=t), np.subtract(c, 1.0, out=c)
 
 
+def _recur(ns, f, g, x, scratch):
+    """Steps (f, g) -> ((2n + 1) f / x - g, f) of the spherical-Bessel
+    recurrence for n in ns, in place: the new value overwrites g."""
+    for n in ns:
+        np.multiply(f, 2 * n + 1, out=scratch)
+        np.divide(scratch, x, out=scratch)
+        f, g = np.subtract(scratch, g, out=g), f
+    return f, g
+
+
 def _upward(ell, x):
+    """(j_ell(x), j_{ell+1}(x)) upward from j_0 = sin x / x and
+    j_1 = (j_0 - cos x) / x; accurate where x >= max(ell, 1)."""
     s, c = sin_cos(x)
     j0 = np.divide(s, x, out=s)
-    j1 = np.divide(j0 - c, x, out=c)
-    for n in range(1, ell + 1):
-        j0, j1 = j1, np.subtract((2 * n + 1) * j1 / x, j0, out=j0)
+    j1 = np.divide(np.subtract(j0, c, out=c), x, out=c)
+    j1, j0 = _recur(range(1, ell + 1), j1, j0, x, np.empty_like(x))
     return j0, j1
 
 
+@lru_cache(maxsize=128)
+def _series_coefficients(m):
+    """Coefficients of j_m(x) / x^m in powers of x^2, to x^18; read-only, as
+    every call of an order shares them."""
+    c = np.cumprod([1.0 / math.prod(range(1, 2 * m + 2, 2))]
+                   + [-0.5 / (k * (2 * m + 2 * k + 1)) for k in range(1, 10)])
+    c.flags.writeable = False
+    return c
+
+
 def _series(ell, x):
+    # Horner's rule in place, numpy's polyval on x^2 operation for operation
+    x2 = x * x
     for m in (ell, ell + 1):
-        c = np.cumprod([1.0 / math.prod(range(1, 2 * m + 2, 2))]
-                       + [-0.5 / (k * (2 * m + 2 * k + 1)) for k in range(1, 10)])
-        yield x**m * np.polynomial.polynomial.polyval(x * x, c)
+        c = _series_coefficients(m)
+        s = np.full_like(x, c[-1])
+        for ck in c[-2::-1]:
+            s *= x2
+            s += ck
+        s *= x**m
+        yield s
 
 
 def _miller(ell, x):
-    f_next, f = np.zeros_like(x), np.ones_like(x)
-    for n in range(ell + 10 + int(6 * ell ** (1 / 3)), 0, -1):
-        f_next, f = f, np.subtract((2 * n + 1) * f / x, f_next, out=f_next)
-        if n == ell + 1:
-            top = np.array([f, f_next])  # a copy, as the two buffers are reused
+    scratch = np.empty_like(x)
+    f, f_next = _recur(range(ell + 10 + int(6 * ell ** (1 / 3)), ell, -1),
+                       np.ones_like(x), np.zeros_like(x), x, scratch)
+    top = np.array([f, f_next])  # a copy, as the two buffers are reused
+    f, f_next = _recur(range(ell, 0, -1), f, f_next, x, scratch)
     norm = np.hypot(f, f_next)
     j0, j1 = _upward(0, x)
     return top * (((f / norm) * j0 + (f_next / norm) * j1) / norm)
@@ -132,10 +161,13 @@ def _spherical_jn_pair(ell, x):
     """(j_ell(x), j_{ell+1}(x)) on an array x >= 0, ell <= 110, within about 1e-15:
     upward recurrence where x >= max(ell, 1); the power series where x < 1;
     Miller's downward recurrence between, from order ell + 10 + 6 ell^(1/3)
-    past the Airy layer, fitted to (j_0, j_1) as j_0 alone has zeros.
+    past the Airy layer, fitted to (j_0, j_1) as j_0 alone has zeros.  The
+    upward recurrence runs on all of x, its overflow and 0 / 0 below
+    max(ell, 1) silenced and then overwritten.
     """
     upward, small = x >= max(ell, 1), x < 1.0
-    pair = _upward(ell, x if upward.all() else np.where(upward, x, ell + 1.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pair = _upward(ell, x)
     for mask, part in ((small, _series), (~(upward | small), _miller)):
         if mask.any():
             pair[0][mask], pair[1][mask] = part(ell, x[mask])
@@ -169,13 +201,15 @@ def bessel_zeros(ell, count):
         return np.pi * np.arange(1, count + 1)
     # j_ell > 0 on (0, first zero), and the count-th zero lies below
     # (count + ell/2) pi: one scan brackets every zero, the secant through
-    # each bracket starts Newton steps with j_ell' = (ell/x) j_ell - j_{ell+1}
+    # each bracket starts Newton steps with j_ell' = (ell/x) j_ell - j_{ell+1}.
+    # The zeros exceed ell + 1/2: every x and z lies where the upward
+    # recurrence holds, x >= max(1, ell)
     x = np.arange(max(1.0, ell), (count + 0.5 * ell + 1.0) * np.pi, 0.1)
-    fx = _spherical_jn_pair(ell, x)[0]
+    fx = _upward(ell, x)[0]
     idx = np.nonzero((fx[:-1] == 0.0) | (fx[:-1] * fx[1:] < 0.0))[0][:count]
     z = x[idx] - 0.1 * fx[idx] / (fx[idx + 1] - fx[idx])
     for _ in range(4):
-        j, j_next = _spherical_jn_pair(ell, z)
+        j, j_next = _upward(ell, z)
         z = z + j / (j_next - ell * j / z)
     return z
 
@@ -194,23 +228,27 @@ class BesselChannel:
         self.ell, self.L = ell, L
         alph = bessel_zeros(ell, K)
         self.p = alph / L
-        self.norms = np.sqrt(L**3 / 2.0) * np.abs(_spherical_jn_pair(ell, alph)[1])
+        self.norms = np.sqrt(L**3 / 2.0) * np.abs(_upward(ell, alph)[1])
 
     def __call__(self, r):
         """Mode values at radii r, shape (K, r.size).  A mode's values do not
         depend on K, so a smaller basis is a leading block."""
         x = np.multiply.outer(self.p, np.asarray(r, dtype=float))
-        return _spherical_jn_pair(self.ell, x)[0] / self.norms[:, None]
+        j = _spherical_jn_pair(self.ell, x)[0]
+        j /= self.norms[:, None]
+        return j
 
-    def _nodes(self, pieces):
+    def _nodes(self, pieces, at=None):
         # pieces: (r_lo, r_hi, n_quad, func) Gauss-Legendre segments, each
-        # walked in blocks of _BLOCK nodes
-        for piece in pieces:
-            r, wq = weighted_nodes(*piece)
-            for i in range(0, r.size, _BLOCK):
-                yield self(r[i:i + _BLOCK]), wq[i:i + _BLOCK]
+        # walked in blocks of _BLOCK nodes; radii `at` join the last block's
+        # table as its trailing columns, one kernel call for both
+        blocks = [(r[i:i + _BLOCK], wq[i:i + _BLOCK])
+                  for r, wq in (weighted_nodes(*piece) for piece in pieces)
+                  for i in range(0, r.size, _BLOCK)]
+        for i, (r, wq) in enumerate(blocks, 1):
+            yield self(r if at is None or i < len(blocks) else np.r_[r, at]), wq
 
-    def matrix(self, kin_mult, pieces):
+    def matrix(self, kin_mult, pieces, at=None):
         """diag(kin_mult(p)) plus int mode_i func mode_j r^2 dr over the pieces.
 
         Channel 0 assembles by product to sum: r mode_k is sqrt(2/L)
@@ -220,7 +258,8 @@ class BesselChannel:
         weight (_cosine_sums), for m <= 2K: no K x nodes mode table.  Other
         channels sum (B wq) B^T over blocks of mode tables B.  Entry (i, j)
         depends on modes i and j only, so the matrix of the first K' < K
-        modes is exactly its leading K' x K' block.
+        modes is exactly its leading K' x K' block.  Given radii `at`, returns
+        (matrix, mode values at `at`), the latter from the last block's table.
         """
         if self.ell == 0:
             K, rows = self.p.size, 2 * self.p.size // _FINE + 1
@@ -230,11 +269,13 @@ class BesselChannel:
             toeplitz = sliding_window_view(np.r_[F[K - 1:0:-1], F[:K]], K)[::-1]
             H = (toeplitz - sliding_window_view(F[2:], K)) / self.L
             H[np.diag_indices(K)] += kin_mult(self.p)
-            return H
+            return H if at is None else (H, self(at))
         H = np.diag(kin_mult(self.p))
-        for B, wq in self._nodes(pieces):
-            H += (B * wq) @ B.T
-        return 0.5 * (H + H.T)
+        for B, wq in self._nodes(pieces, at):
+            n = wq.size
+            H += (B[:, :n] * wq) @ B[:, :n].T
+        H = 0.5 * (H + H.T)
+        return H if at is None else (H, B[:, n:])
 
     def project(self, pieces):
         """int mode_k func r^2 dr over the pieces, for every k."""

@@ -472,6 +472,33 @@ def test_nested_minima_fall_back_where_inverse_iteration_cannot(monkeypatch):
         assert calls == [(k, k) for k in sizes]
 
 
+def test_inverse_iteration_settles_a_rounding_cycle(monkeypatch):
+    # solves that differ in their last bits from one step to the next, as a
+    # reordered assembly's rounding can make them: every other solve scaled
+    # by 1 + 2^-49 (8 ulp of 1) moves the Rayleigh quotient by 8 ulp, past
+    # the 4-ulp rule, so that it alternates between two values for good.
+    # Compared with its value two steps back it settles, and eigvalsh is
+    # never called
+    G = np.random.default_rng(3).standard_normal((60, 60))
+    H = np.diag(np.r_[0.01, np.linspace(1.0, 5.0, 59)]) + 1e-3 * (G + G.T)
+    reference = np.linalg.eigvalsh(H)[0]
+    solve, solves = dyson.dpotrs, []
+
+    def alternating(*args, **kwargs):
+        y, info = solve(*args, **kwargs)
+        solves.append(y)
+        return (y * (1.0 + 2.0**-49) if len(solves) % 2 else y), info
+
+    def refuse(B):
+        raise AssertionError("_lowest_eig called")
+
+    monkeypatch.setattr(dyson, "dpotrs", alternating)
+    monkeypatch.setattr(dyson, "_lowest_eig", refuse)
+    lam, = dyson._nested_minima(H, (60,))
+    assert abs(lam - reference) <= np.finfo(float).eps * np.linalg.norm(H, 2)
+    assert 2 < len(solves) < dyson._INVERSE_STEPS
+
+
 def test_lowest_eig_refuses_a_matrix_with_nan():
     # eigvalsh returns NaN eigenvalues there, and raises nothing
     H = np.diag([3.0, 1.0, 2.0])

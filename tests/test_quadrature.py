@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from rotogp import dyson, heatkernel, quadrature
+from rotogp import heatkernel, quadrature
 from rotogp.quadrature import (BesselChannel, bessel_zeros, gauss_legendre, gauss_pieces,
                                integrate, weighted_nodes)
-from rotogp.scattering import scattering_length, square_barrier
 
 
 @pytest.mark.parametrize("n", [1, 2, 48, 400, 2400])
@@ -98,32 +97,6 @@ def test_gauss_pieces_put_two_nodes_per_half_wave_of_mode_K():
     r, wq = weighted_nodes(1.5, 7.0, 126, np.ones_like)
     assert np.all((r > 1.5) & (r < 7.0))
     assert wq.sum() == pytest.approx((7.0**3 - 1.5**3) / 3.0, rel=1e-14, abs=0.0)
-
-
-@pytest.fixture(scope="module")
-def dyson_pieces():
-    """Kinetic multiplier and Gauss pieces of check_dyson_inequality at the
-    dyson-check defaults: int(2K(hi - lo)/L) + 16 nodes per piece for K = 350
-    on the ball of radius L = 14, that is 22, 19 and 716."""
-    seen = []
-
-    class Recorder(BesselChannel):
-        def matrix(self, kin_mult, pieces):
-            seen.append((kin_mult, pieces))
-            return np.eye(self.p.size)
-
-    pot = square_barrier(1.0, 4.0e4).scaled(8.0)
-    sp = dyson.build_soft_potentials(dyson.CutoffFunction(3.5), 0.35)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dyson, "BesselChannel", Recorder)
-        dyson.check_dyson_inequality(pot, sp, scattering_length(pot), 0.5)
-    kin, pieces = seen[0]
-    # v/2 on its range 1/8, the U_R shell, and the w_R piece on the whole ball
-    assert [(lo, hi) for lo, hi, _, _ in pieces] == [
-        (0.0, 0.125), (2.0 ** (-1.0 / 3.0) * 0.35, 0.35), (0.0, 14.0)]
-    assert [n for _, _, n, _ in pieces] == [22, 19, 716]
-    assert all(n == int(2 * 350 * (hi - lo) / 14.0) + 16 for lo, hi, n, _ in pieces)
-    return kin, pieces
 
 
 def _unblocked(ell, K, L, pieces):
