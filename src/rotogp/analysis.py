@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, Grid, GridMismatchError, inner
+from .fields import ComplexField, Grid, GridMismatchError, apply_symbols, inner
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +97,8 @@ def total_vortex_charge(phi: ComplexField) -> int:
 
 def angular_momentum_z(phi: ComplexField) -> float:
     """<phi| x p_y - y p_x |phi>, p_i = ifft_i(k_i fft_i(phi)) by 1D transforms
-    along axis i, as in fields.apply_gauge_kinetic."""
-    px, py = (np.fft.ifft(k * np.fft.fft(phi.values, axis=ax), axis=ax)
+    along axis i (fields.apply_symbols)."""
+    px, py = (apply_symbols(phi.values, [(ax, k)])
               for ax, k in enumerate(phi.grid.kvecs()[:2]))
     x, y = phi.grid.coords()[:2]
     return inner(phi, ComplexField(phi.grid, x * py - y * px)).real
@@ -110,13 +110,8 @@ def angular_momentum_z(phi: ComplexField) -> float:
 
 def _shear(values, grid: Grid, axis, amount):
     """Shift rows along `axis` by amount * (transverse coordinate)."""
-    k = grid.wavenumbers
-    c = grid.axis
-    if axis == 0:
-        ramp = np.exp(-1j * np.outer(k, amount * c))
-    else:
-        ramp = np.exp(-1j * np.outer(amount * c, k))
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * ramp, axis=axis)
+    k, c = grid.kvecs()[axis], grid.coords()[1 - axis]
+    return apply_symbols(values, [(axis, np.exp(-1j * (k * (amount * c))))])
 
 
 def rotate_field(phi: ComplexField, theta: float) -> ComplexField:

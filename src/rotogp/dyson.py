@@ -40,6 +40,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from .fields import apply_multiplier, apply_symbols
 from .gp import GpProblem
 from .quadrature import BesselChannel, gauss_pieces, sin_cos, weighted_nodes
 from .scattering import RadialPotential
@@ -423,9 +424,10 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     n-D transform pair over the grid axes for the multiplier.  At
     Omega = 0, A = 0 and the operator is real symmetric (the multiplier is
     real and even in k), so the pair is the real half-spectrum one
-    (scipy.fft.rfftn/irfftn).  When rotating it is the complex pair, and
-    2 A.p adds sum_i 2 A_i ifft_i(k_i fft_i V), one 1D pair along each axis:
-    exact, since A_i does not depend on x_i (the split of fields).
+    (scipy.fft.rfftn/irfftn).  When rotating it is the complex pair
+    (fields.apply_multiplier), and 2 A.p adds sum_i ifft_i(2 A_i k_i fft_i V),
+    one 1D pair along each axis (fields.apply_symbols): exact, since A_i
+    does not depend on x_i.
 
     One lowest_eigenpairs solve on a block of J + 2 vectors, complex when
     rotating, serves both cases, and its eigenvectors are dropped.  Its
@@ -449,24 +451,21 @@ def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
     if J > size:
         raise ValueError(f"J = {J} eigenvalues need a grid of at least {J} points")
 
-    axes = tuple(range(dim))
-    if rotating:
-        mult, forward, inverse = multiplier[..., None], sfft.fftn, sfft.ifftn
-        drift = [(ax, k[..., None], 2.0 * a[..., None])
-                 for ax, (k, a) in enumerate(zip(grid.kvecs(), p.gauge.components))]
-    else:
-        # the last axis's first n//2 + 1 frequencies are rfftn's, up to the
-        # sign of the Nyquist one, which an even multiplier does not see;
-        # irfftn's default length along that axis, 2 (n//2), is n (n is even)
-        mult, forward = multiplier[..., : grid.n // 2 + 1, None], sfft.rfftn
-        inverse, drift = sfft.irfftn, []
+    drift = [(ax, 2.0 * a * k)  # the symbols of 2 A.p, used when rotating
+             for ax, (k, a) in enumerate(zip(grid.kvecs(), p.gauge.components))]
+    # the last axis's first n//2 + 1 frequencies are rfftn's, up to the sign
+    # of the Nyquist one, which an even multiplier does not see; irfftn's
+    # default length along that axis, 2 (n//2), is n (n is even)
+    half, axes = multiplier[..., : grid.n // 2 + 1, None], tuple(range(dim))
 
     def apply(X):
         V = X.reshape(shape + X.shape[1:])
-        out = inverse(mult * forward(V, axes=axes), axes=axes)
+        if rotating:
+            out = apply_multiplier(V.copy(), multiplier)
+            out += apply_symbols(V, drift)
+        else:
+            out = sfft.irfftn(half * sfft.rfftn(V, axes=axes), axes=axes)
         out += scalar[..., None] * V
-        for ax, k, two_a in drift:
-            out += two_a * sfft.ifft(k * sfft.fft(V, axis=ax), axis=ax)
         return out.reshape(X.shape)
 
     pairs = _separable_part(grid, multiplier, scalar)

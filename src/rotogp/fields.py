@@ -11,15 +11,19 @@ into sum_i (-i d_i + A_i)^2, each term the multiplier (k_i + A_i)^2 of the
 1D transform along axis i.  Each Grid caches its wavenumber grids
 (read-only) and each GaugeField builds its multipliers once.
 
-apply_gauge_kinetic is the GP solver's hot path, so it works in place: each
-axis's transform is multiplied and inverted in its own buffer, and the
-terms are summed with += from the first axis on.  That is bitwise the sum
-of the separate expressions: the multipliers (k_i + A_i)^2 are cast to
-complex once, as numpy's multiply casts a real factor; a product only swaps
-its factors, which IEEE multiplication commutes; += adds the same operands
-in the same order (sum()'s leading 0 could only turn a -0.0 into +0.0).
-norm4_pow4 sums by np.add.reduce, np.sum's call without its wrapper.  gp's
-CG loop, whose iterates depend on all of that, keeps the same rules.
+Every complex transform of the package is one of two functions, on the
+grid's axes, a block's trailing column axis riding along: apply_symbols,
+sum_i ifft_i(symbol_i fft_i(values)) (the gauge kinetic term, L_z, the
+shears, K0's 2 A.p), and apply_multiplier, ifftn(mult fftn(z)) in place as
+fftn's own 1D passes (the GP preconditioner, K0's multiplier).  In the GP
+hot path each term is multiplied and inverted in its own buffer and summed
+with +=, in order.  That is bitwise the sum of the separate expressions:
+the multipliers (k_i + A_i)^2 are cast to complex once, as numpy's multiply
+casts a real factor; a product only swaps its factors, which IEEE
+multiplication commutes; += adds the same operands in the same order
+(sum()'s leading 0 could only turn a -0.0 into +0.0).  norm4_pow4 sums by
+np.add.reduce, np.sum's call without its wrapper.  gp's CG loop, whose
+iterates depend on all of that, keeps the same rules.
 """
 
 import json
@@ -71,14 +75,10 @@ class Grid:
         """Broadcastable coordinate arrays, one per axis."""
         return self._per_axis(self.axis)
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        """1D wavenumber axis 2*pi*k/L, k = -n/2 .. n/2-1, fft order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-
     @cached_property
     def _spectrum(self):
-        k = self.wavenumbers
+        # the wavenumbers 2 pi k / L, k = -n/2 .. n/2-1, in fft order
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
         k.setflags(write=False)  # the per-axis views inherit the flag
         kv = self._per_axis(k)
         ksq = sum(kk**2 for kk in kv)
@@ -142,16 +142,10 @@ class GaugeField:
             raise ValueError("omega must be a finite scalar (z component) or 3-vector")
         if self.grid.dim == 2 and (self.omega[0] != 0 or self.omega[1] != 0):
             raise ValueError("2D grids support rotation about z only")
-        x = self.grid.coords()
+        x, y, z = self.grid.coords() + [0.0] * (3 - self.grid.dim)  # z = 0 in 2D
         wx, wy, wz = self.omega
-        if self.grid.dim == 2:
-            self.components = [-0.5 * wz * x[1], 0.5 * wz * x[0]]
-        else:
-            self.components = [
-                0.5 * (wy * x[2] - wz * x[1]),
-                0.5 * (wz * x[0] - wx * x[2]),
-                0.5 * (wx * x[1] - wy * x[0]),
-            ]
+        self.components = [0.5 * (wy * z - wz * y), 0.5 * (wz * x - wx * z),
+                           0.5 * (wx * y - wy * x)][: self.grid.dim]
         # multipliers (k_i + A_i)^2 of apply_gauge_kinetic per axis, complex once
         self.symbols = [((k + a) ** 2).astype(complex)
                         for k, a in zip(self.grid.kvecs(), self.components)]
@@ -168,20 +162,36 @@ def _check_same_grid(*objs):
     return g0
 
 
-def apply_gauge_kinetic(phi: ComplexField, A: GaugeField) -> ComplexField:
-    """(-i grad + A)^2 phi = sum_i ifft_i((k_i + A_i)^2 fft_i(phi)): dim 1D
-    transform pairs, about two n-D transforms, a bare Laplacian's cost at Omega = 0."""
-    _check_same_grid(phi, A)
+def apply_symbols(values: np.ndarray, terms) -> np.ndarray:
+    """sum over (axis, symbol) in terms of ifft_axis(symbol fft_axis(values))."""
     out = None
-    for ax, sym in enumerate(A.symbols):
-        term = np.fft.fft(phi.values, axis=ax)
-        term *= sym
+    for ax, sym in terms:
+        term = np.fft.fft(values, axis=ax)
+        term *= sym.reshape(sym.shape + (1,) * (term.ndim - sym.ndim))
         np.fft.ifft(term, axis=ax, out=term)
         if out is None:
             out = term
         else:
             out += term
-    return ComplexField(phi.grid, out)
+    return out
+
+
+def apply_multiplier(z: np.ndarray, mult) -> np.ndarray:
+    """z = ifftn(mult fftn(z)) over mult's axes, in place."""
+    axes = range(mult.ndim - 1, -1, -1)
+    for ax in axes:
+        np.fft.fft(z, axis=ax, out=z)
+    z *= mult.reshape(mult.shape + (1,) * (z.ndim - mult.ndim))
+    for ax in axes:
+        np.fft.ifft(z, axis=ax, out=z)
+    return z
+
+
+def apply_gauge_kinetic(phi: ComplexField, A: GaugeField) -> ComplexField:
+    """(-i grad + A)^2 phi = sum_i ifft_i((k_i + A_i)^2 fft_i(phi)): dim 1D
+    transform pairs, about two n-D transforms, a bare Laplacian's cost at Omega = 0."""
+    _check_same_grid(phi, A)
+    return ComplexField(phi.grid, apply_symbols(phi.values, enumerate(A.symbols)))
 
 
 def inner(f: ComplexField, g: ComplexField) -> complex:

@@ -24,7 +24,7 @@ plain expressions (tests/test_gp_inplace.py keeps them as references):
     - V, (1 + k^2)^{-1} and D are cast to complex once per problem, solve
       and rebuild: the cast numpy's multiply makes of a real factor;
     - the preconditioner forms z = D r, then applies fftn, *= (1 + k^2)^{-1},
-      ifftn and *= D to z itself, each n-D transform as fftn's 1D calls;
+      ifftn (fields.apply_multiplier, fftn's 1D calls) and *= D to z itself;
     - beta (d - c vals) - z is d -= c vals, d *= beta, d -= z; vals + t d
       is trial = t d, trial += vals, then scaled to unit norm by a real
       multiply of its float view (_normalize); the residual r_t = g_t - c
@@ -54,6 +54,7 @@ from .fields import (
     Grid,
     GridMismatchError,
     apply_gauge_kinetic,
+    apply_multiplier,
     boundary_decay_ok,
     gaussian_field,
     inner,
@@ -198,14 +199,8 @@ def _precond_weight(p: GpProblem, vals):
 
 
 def _precondition(r, dw, kp):
-    """z = D (1 - Lap)^{-1} D r, the n-D transforms as 1D passes in place."""
-    z = dw * r
-    axes = range(z.ndim - 1, -1, -1)  # fftn's order: the last axis first
-    for ax in axes:
-        np.fft.fft(z, axis=ax, out=z)
-    z *= kp
-    for ax in axes:
-        np.fft.ifft(z, axis=ax, out=z)
+    """z = D (1 - Lap)^{-1} D r, the n-D transform pair in place."""
+    z = apply_multiplier(dw * r, kp)
     z *= dw
     return z
 

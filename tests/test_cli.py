@@ -936,6 +936,28 @@ def test_no_module_imports_optimize_integrate_or_numba():
     assert found == []
 
 
+def test_every_transform_call_is_in_fields():
+    # a static scan of every call of a transform attribute: the complex ones
+    # go through fields.apply_symbols and fields.apply_multiplier, and dyson
+    # keeps only the real pair of its Omega = 0 blocks and its circulant
+    names = {"fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"}
+    elsewhere, in_fields = [], 0
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "rotogp").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in names):
+                    if path.name == "fields.py":
+                        in_fields += 1
+                    else:
+                        elsewhere.append((path.name, getattr(top, "name", None),
+                                          node.func.attr))
+    assert in_fields > 0
+    assert sorted(elsewhere) == [("dyson.py", "_lowest_eigs", "irfftn"),
+                                 ("dyson.py", "_lowest_eigs", "rfftn"),
+                                 ("dyson.py", "_separable_part", "ifft")]
+
+
 def test_certify_path_imports_no_integrate_or_optimize(tmp_path):
     # heat-bound integrates with quadrature.integrate and fock minimizes in
     # closed form: no module imports scipy.optimize or scipy.integrate

@@ -36,7 +36,7 @@ def test_grid_validation():
         Grid(2, 16, -1.0)
     g = Grid(3, 16, 8.0)
     assert g.spacing == 0.5
-    k = np.sort(g.wavenumbers)
+    k = np.sort(g.kvecs()[0].ravel())
     expected = 2 * np.pi * np.arange(-8, 8) / 8.0
     assert np.allclose(k, np.sort(expected))
 
@@ -44,7 +44,7 @@ def test_grid_validation():
 def test_gauge_kinetic_plane_wave_eigenfunction():
     g = Grid(2, 32, 8.0)
     A = GaugeField(g, 0.0)
-    k = g.wavenumbers
+    k = g.kvecs()[0].ravel()
     kx, ky = k[2], k[5]
     x = g.coords()
     f = ComplexField(g, np.exp(1j * (kx * x[0] + ky * x[1])))
