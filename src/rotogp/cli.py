@@ -357,8 +357,8 @@ def cmd_symbols_check(cfg, out):
     ket = fock.coherent_state(z, n_max + 4).vector
     lower = fock.lower_symbol(p, q, z)
     coherent_err = abs(np.vdot(ket, fock.monomial_matrix(p, q, n_max + 4) @ ket) - lower)
-    identity_err = fock.verify_resolution(0, 0, n_max, Z=Z, n_angle=nodes)
-    recon_err = fock.verify_resolution(p, q, n_max, Z=Z, n_angle=nodes)
+    identity_err, recon_err = fock.verify_resolution([(0, 0), (p, q)], n_max, Z=Z,
+                                                     n_angle=nodes)
     record = {
         "lower_symbol": lower,
         "upper_symbol": fock.upper_symbol(p, q, z),

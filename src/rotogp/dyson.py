@@ -200,38 +200,47 @@ def _lowest_eig(H):
 _INVERSE_STEPS = 50
 
 
-def _settled_minimum(factor, k):
+def _settled_minimum(factor, k, start=None):
     """Lowest eigenvalue of the block whose Cholesky factor is factor[:k, :k],
-    by inverse iteration from a fixed start: one dpotrs solve y = H_k^{-1} x
-    per step, until the Rayleigh quotient y.x / y.y (= y.H_k y / y.y) is
-    within 4 ulp of its value one or two steps back; the latter ends a
-    rounding-level cycle between two values.  None if it has not settled in
-    _INVERSE_STEPS.
+    and the unit vector it settled on, by inverse iteration from start (a
+    shorter unit vector, padded with zeros) or else from a flat one: one
+    dpotrs solve y = H_k^{-1} x per step, until the Rayleigh quotient
+    y.x / y.y (= y.H_k y / y.y) is within 4 ulp of its value one or two
+    steps back; the latter ends a rounding-level cycle between two values.
+    (None, None) if it has not settled in _INVERSE_STEPS.
     """
     block = np.asfortranarray(factor[:k, :k])
-    x, rho, last = np.full(k, k ** -0.5), np.inf, np.inf
+    x = np.full(k, k ** -0.5) if start is None else np.pad(start, (0, k - start.size))
+    rho, last = np.inf, np.inf
     for _ in range(_INVERSE_STEPS):
         y = dpotrs(block, x, lower=1)[0]
         yy = y @ y
         rho, last, before = (y @ x) / yy, rho, last
-        if min(abs(rho - last), abs(rho - before)) <= 4.0 * np.spacing(rho):
-            return float(rho)
         x = y / np.sqrt(yy)
-    return None
+        if min(abs(rho - last), abs(rho - before)) <= 4.0 * np.spacing(rho):
+            return float(rho), x
+    return None, None
 
 
 def _nested_minima(H, sizes):
     """Lowest eigenvalue of each leading block H[:k, :k] of the symmetric H.
 
     The Cholesky factor of a leading block is the leading block of H's
-    factor, so one dpotrf serves every size (_settled_minimum).  Both this
-    and eigvalsh are accurate to about eps ||H||.  Should dpotrf refuse H
-    (not positive definite), or a block's iteration not settle, that block
-    goes to _lowest_eig.
+    factor, so one dpotrf serves every size (_settled_minimum).  Each
+    block's iteration starts from the vector the block before it settled
+    on, padded with zeros, unless that block was larger or did not settle.
+    Both this and eigvalsh are accurate to about eps ||H||.  Should dpotrf
+    refuse H (not positive definite), or a block's iteration not settle,
+    that block goes to _lowest_eig.
     """
     factor, info = dpotrf(H, lower=1)
-    minima = [None if info else _settled_minimum(factor, k) for k in sizes]
-    return [_lowest_eig(H[:k, :k]) if m is None else m for k, m in zip(sizes, minima)]
+    minima, vec = [], None
+    for k in sizes:
+        if vec is not None and vec.size > k:
+            vec = None
+        m, vec = (None, None) if info else _settled_minimum(factor, k, vec)
+        minima.append(_lowest_eig(H[:k, :k]) if m is None else m)
+    return minima
 
 
 def check_dyson_inequality(

@@ -320,15 +320,17 @@ def _coherent_rows(z, count):
     return V
 
 
-def verify_resolution(p, q, n_max: int, Z=6.0, n_angle=64):
+def verify_resolution(ops, n_max: int, Z=6.0, n_angle=64):
     """Largest entry error of int dz U(z) Pi(z) against (a+)^p a^q, U its
-    upper symbol; (p, q) = (0, 0) checks the resolution of identity.
+    upper symbol, for each (p, q) in ops, in order; (0, 0) checks the
+    resolution of identity.
 
-    80-node Gauss-Legendre radius on [0, Z], uniform angle.  The coherent
-    rows <n|z> at the nodes come by recurrence in n (_coherent_rows).
-    Compared on the n <= 3 block, whose entries the closed form gives
-    exactly (monomial_matrix at n_max 3) and the coherent projector
-    reproduces once Z covers them; n_max only has to lie above that block.
+    80-node Gauss-Legendre radius on [0, Z], uniform angle: one node set
+    and one table of coherent rows <n|z> at the nodes, by recurrence in n
+    (_coherent_rows), serve every (p, q).  Compared on the n <= 3 block,
+    whose entries the closed form gives exactly (monomial_matrix at n_max 3)
+    and the coherent projector reproduces once Z covers them; n_max only
+    has to lie above that block.
     """
     if n_max <= 3:
         raise ValueError("the n <= 3 block must sit strictly below the truncation")
@@ -341,10 +343,11 @@ def verify_resolution(p, q, n_max: int, Z=6.0, n_angle=64):
     zg = np.outer(r, np.exp(1j * th)).ravel()
     wg = np.outer(wr * r, np.full(n_angle, 2.0 * np.pi / n_angle)).ravel() / np.pi
     V = _coherent_rows(zg, 4)  # only the compared n <= 3
-    u = upper_symbol(p, q, zg)
-    target = monomial_matrix(p, q, 3).toarray()
-    M = (V * (wg * u)[None, :]) @ V.conj().T
-    return float(np.abs(M - target).max())
+    Vh, errors = V.conj().T, []
+    for p, q in ops:
+        M = (V * (wg * upper_symbol(p, q, zg))[None, :]) @ Vh
+        errors.append(float(np.abs(M - monomial_matrix(p, q, 3).toarray()).max()))
+    return errors
 
 
 # ---------------------------------------------------------------------------

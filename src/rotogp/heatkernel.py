@@ -31,6 +31,7 @@ point summing only the radii where neither factor is an exact zero.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .quadrature import BesselChannel, gauss_legendre, gauss_pieces, integrate, weighted_nodes
@@ -139,7 +140,7 @@ def diag_bound(V, alpha, xs, d=1):
     return (4.0 * np.pi * alpha) ** (-d / 2.0) * integrate(f, np.sort(breaks, axis=1), x)
 
 
-# rows of the d = 3 trace profile per block of _diag_bound_grid
+# rows of the trace profile per block of _diag_bound_grid
 _TRACE_ROWS = 32
 
 
@@ -156,16 +157,24 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
         y = np.arange(-y_max, y_max + dy / 2, dy)
         ev = np.exp(-alpha * V(y))
         half = int(np.ceil(12.0 * np.sqrt(alpha) / dy))
-        hv = h_alpha(np.arange(-half, half + 1) * dy, alpha, d=1)
-        # convolve only ev's nonzero run: outside it e^{-alpha V} underflows
-        # to exactly 0, and conv reaches one kernel half-width past its ends
+        # the kernel reversed, at offsets half dy down to -half dy
+        rev = h_alpha(np.arange(half, -half - 1, -1) * dy, alpha, d=1)
+        # np.interp reads conv only at j and j + 1 for y[j] <= x < y[j + 1],
+        # clipped to the grid; outside ev's nonzero run e^{-alpha V}
+        # underflows to exactly 0, and conv is 0 past one kernel half-width
+        # from its ends.  Each read sample there is one window of the run,
+        # zero-padded by a kernel width, times the reversed kernel
         live = np.flatnonzero(ev)
         conv = np.zeros(y.size)
         if live.size:
             lo, hi = live[0], live[-1] + 1
-            part = np.convolve(ev[lo:hi], hv) * dy
-            a, b = max(lo - half, 0), min(hi + half, y.size)
-            conv[a:b] = part[a - lo + half : b - lo + half]
+            j = np.searchsorted(y, xs, side="right") - 1
+            reads = np.unique(np.clip(np.r_[j, j + 1], 0, y.size - 1))
+            reads = reads[(reads >= lo - half) & (reads < hi + half)]
+            windows = sliding_window_view(np.pad(ev[lo:hi], 2 * half), rev.size)
+            for b in range(0, reads.size, _TRACE_ROWS):
+                i = reads[b:b + _TRACE_ROWS]
+                conv[i] = windows[i - lo + half] @ rev * dy
         return pref * np.interp(xs, y, conv)
     # d = 3: angular average via the cumulative kernel G(s) = int_0^s u h(u) du:
     # (e^{-aV} * h)(r) = (2 pi / r) int rho e^{-aV(rho)} [G(r+rho) - G(|r-rho|)] drho
@@ -181,7 +190,8 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
     G = np.concatenate([[0.0], np.cumsum(0.5 * (g_int[1:] + g_int[:-1]) * np.diff(s_tab))])
     # G is constant from sat on and ev is 0 from rho[n_live] on, both exactly:
     # row r sums only the rho within sat of r and below rho[n_live]; a row
-    # with no such rho stays exactly 0
+    # with no such rho stays exactly 0, and a block of rows at or past sat
+    # reads G(r + rho) as G[-1]
     sat = s_tab[min(np.flatnonzero(np.diff(G))[-1] + 2, s_tab.size - 1)]
     n_live = ev.size - np.argmax(ev[::-1] != 0.0)
     r = np.abs(xs)
@@ -196,7 +206,8 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
         pad = idx >= hi[i, None]
         idx[pad] = lo[i[0]]
         y, rb = rho[idx], r[i, None]
-        inner = np.interp(rb + y, s_tab, G) - np.interp(np.abs(rb - y), s_tab, G)
+        outer = G[-1] if r[i].min() >= sat else np.interp(rb + y, s_tab, G)
+        inner = outer - np.interp(np.abs(rb - y), s_tab, G)
         w = ev[idx]
         w[pad] = 0.0
         out[i] = 2.0 * np.pi / np.maximum(r[i], dy) * np.sum(w * inner, axis=1)

@@ -217,11 +217,7 @@ def test_criterion_7_symbol_suite():
         and abs(fock.lower_symbol(*pair, z) - m2**2) < 1e-15
         and abs(fock.upper_symbol(*pair, z) - (m2**2 - 4 * m2 + 2.0)) < 1e-14
     )
-    errors = [
-        fock.verify_resolution(0, 0, 8, Z=6.0),
-        fock.verify_resolution(*num, 8, Z=6.0),
-        fock.verify_resolution(*pair, 8, Z=6.0),
-    ]
+    errors = fock.verify_resolution([(0, 0), num, pair], 8, Z=6.0)
     recon_ok = max(errors) < 1e-6
     _report(7, "coherent symbol suite", exact_ok and recon_ok,
             f"reconstruction errors={[f'{e:.1e}' for e in errors]}")

@@ -307,6 +307,28 @@ class TestFockAndSymbols:
         res = json.loads((tmp_path / "results.json").read_text())
         assert res["coherent_error"] < 1e-8
 
+    @pytest.mark.parametrize("flags, identity, reconstruction", [
+        ([], "0x1.158000000009ep-39", "0x1.379a000000007p-34"),
+        (["--op", "adag adag a a", "--Nmax", "12", "--nodes", "96"],
+         "0x1.1590000000de4p-39", "0x1.4bd2380000000p-29"),
+        (["--op", "adag adag a", "--Nmax", "12", "--nodes", "96"],
+         "0x1.1590000000de4p-39", "0x1.0658400000009p-33"),
+    ], ids=["defaults", "nn", "n3"])
+    def test_symbols_check_builds_the_coherent_rows_once(self, tmp_path, monkeypatch,
+                                                         flags, identity, reconstruction):
+        # one node set and one table of coherent rows serve both errors,
+        # each the value of a separate table per error, bit for bit
+        from rotogp import fock
+
+        rows, tables = fock._coherent_rows, []
+        monkeypatch.setattr(fock, "_coherent_rows",
+                            lambda z, count: tables.append(z.size) or rows(z, count))
+        assert run(["symbols-check", *flags, "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "results.json").read_text())
+        assert len(tables) == 1
+        assert res["identity_error"] == float.fromhex(identity)
+        assert res["reconstruction_error"] == float.fromhex(reconstruction)
+
     def test_bad_operator_exits_2(self, tmp_path):
         assert run(["symbols-check", "--op", "adag b",
                     "--out", str(tmp_path)]) == 2
@@ -792,9 +814,9 @@ _FAILURES = [
     (["fock-ed"], "residual", "fock.ground_state",
      _then(lambda ev: (ev[0] + 1.0, ev[1]))),
     (["symbols-check"], "identity_error", "fock.verify_resolution",
-     lambda f: lambda p, q, *a, **kw: f(p, q, *a, **kw) + ((p, q) == (0, 0))),
+     lambda f: lambda ops, *a, **kw: [e + (pq == (0, 0)) for pq, e in zip(ops, f(ops, *a, **kw))]),
     (["symbols-check"], "reconstruction_error", "fock.verify_resolution",
-     lambda f: lambda p, q, *a, **kw: f(p, q, *a, **kw) + ((p, q) != (0, 0))),
+     lambda f: lambda ops, *a, **kw: [e + (pq != (0, 0)) for pq, e in zip(ops, f(ops, *a, **kw))]),
     (["symbols-check"], "coherent_error", "fock.lower_symbol", _then(lambda z: z + 1.0)),
     (["heat-bound"], "max_violation", "heatkernel.diag_bound", _then(lambda b: b - 1.0)),
     (["heat-bound"], "int_h", "heatkernel.h_alpha_integral", _then(lambda v: v + 0.1)),

@@ -472,18 +472,18 @@ def test_antinormal_coefficients_reorder_the_monomial():
 
 def test_resolution_of_identity():
     # (0, 0) is the identity; every monomial of degree <= 4 is rebuilt
-    for p in range(5):
-        for q in range(5 - p):
-            assert verify_resolution(p, q, 12, Z=6.0) < 1e-6, (p, q)
+    ops = [(p, q) for p in range(5) for q in range(5 - p)]
+    for pq, err in zip(ops, verify_resolution(ops, 12, Z=6.0), strict=True):
+        assert err < 1e-6, pq
     with pytest.raises(ValueError):
-        verify_resolution(0, 0, 3)  # no room above the n <= 3 block
+        verify_resolution([(0, 0)], 3)  # no room above the n <= 3 block
 
 
 def test_resolution_error_is_independent_of_the_truncation():
     # the n <= 3 block comes from the closed form, which n_max never enters
-    for p, q in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)]:
-        errs = {verify_resolution(p, q, n_max, n_angle=96) for n_max in (4, 8, 12, 40)}
-        assert len(errs) == 1, (p, q, errs)
+    ops = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)]
+    errs = {tuple(verify_resolution(ops, n_max, n_angle=96)) for n_max in (4, 8, 12, 40)}
+    assert len(errs) == 1, errs
 
 
 def _coherent_rows_exp_log(z, count):
@@ -504,7 +504,7 @@ def test_resolution_rows_match_the_closed_form(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(fock, "_coherent_rows", recording)
-    verify_resolution(1, 1, 12, Z=6.0, n_angle=96)
+    verify_resolution([(1, 1)], 12, Z=6.0, n_angle=96)
     (z, V), = seen
     assert V.shape == (4, 80 * 96)
     power = np.array([z**n * np.exp(-0.5 * np.abs(z) ** 2) / sqrt(factorial(n))
@@ -515,9 +515,10 @@ def test_resolution_rows_match_the_closed_form(monkeypatch):
 
 @pytest.mark.parametrize("p, q", [(0, 0), (1, 1), (2, 2), (2, 1)])
 def test_resolution_error_matches_the_exp_log_rows(monkeypatch, p, q):
-    new = verify_resolution(p, q, 12, n_angle=96)
+    new, = verify_resolution([(p, q)], 12, n_angle=96)
     monkeypatch.setattr(fock, "_coherent_rows", _coherent_rows_exp_log)
-    assert abs(new - verify_resolution(p, q, 12, n_angle=96)) <= 1e-13
+    old, = verify_resolution([(p, q)], 12, n_angle=96)
+    assert abs(new - old) <= 1e-13
 
 
 def test_error_constants_limits():

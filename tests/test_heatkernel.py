@@ -440,22 +440,61 @@ class TestWeightedTrace:
         if np.exp(-alpha * V(y_max)) == 0.0:
             assert ref[-1] == 0.0
 
-    @pytest.mark.parametrize("V, alpha, L", [
-        (hk.harmonic_potential(), 1.0, 128.0),
-        (hk.harmonic_potential(), 0.3, 64.0),
-        (hk.log_potential(2.0), 0.1, 128.0),
-        (lambda x: (x - 30.0) ** 2, 1.0, 32.0),
-        (lambda x: (x + 31.9) ** 2, 1.0, 32.0),
-    ], ids=["harmonic-1", "harmonic-0.3", "log", "right-edge", "left-edge"])
-    def test_live_run_matches_full_convolution_1d(self, V, alpha, L):
+    @pytest.mark.parametrize("V, alpha, L, spread", [
+        (hk.harmonic_potential(), 1.0, 128.0, None),
+        (hk.harmonic_potential(), 0.3, 64.0, None),
+        (hk.log_potential(2.0), 0.1, 128.0, None),
+        (lambda x: (x - 30.0) ** 2, 1.0, 32.0, None),
+        (lambda x: (x + 31.9) ** 2, 1.0, 32.0, None),
+        (hk.harmonic_potential(), 1.0, 32.0, np.random.default_rng(5).permutation),
+        (hk.log_potential(2.0), 1.0, 32.0, lambda x: 1.5 * x),
+    ], ids=["harmonic-1", "harmonic-0.3", "log", "right-edge", "left-edge",
+            "unsorted", "past-the-ends"])
+    def test_live_run_matches_full_convolution_1d(self, V, alpha, L, spread):
         # e^{-alpha V} is exactly 0 outside a run of samples (none for log);
         # the run's convolution also reaches past the grid's ends (the edge
-        # cases), where the full "same" convolution cuts it
+        # cases), where the full "same" convolution cuts it.  The points may
+        # come in any order, and past +-y_max np.interp reads the grid's end
+        # samples, which e^{-alpha V} = (1 + |y|)^{-2} keeps nonzero there
         x = np.linspace(-L, L, int(8 * L) + 1)
         y_max = L + 12.0 * np.sqrt(alpha)
+        if spread is not None:
+            x = spread(x)
         live = hk._diag_bound_grid(V, alpha, x, 1, y_max)
         full = _diag_bound_grid_full(V, alpha, x, 1, y_max)
         assert np.all(np.abs(live - full) <= 1e-14 * np.abs(full))
+
+    @pytest.mark.parametrize("V, alpha", [
+        (hk.harmonic_potential(), 1.0),
+        (hk.log_potential(2.0), 0.1),
+    ], ids=["heat-bound.d1", "heat-bound.log"])
+    def test_trace_profile_sums_only_the_samples_it_reads_1d(self, monkeypatch, V, alpha):
+        # a cost guard: np.interp reads at most two samples per point, and
+        # only those are summed, one window each, not all 7,859 (harmonic)
+        # or 27,120 (log) samples of the live run's convolution
+        points, rows = [], []
+        grid, windows = hk._diag_bound_grid, hk.sliding_window_view
+
+        class Counting:
+            def __init__(self, view):
+                self.view = view
+
+            def __getitem__(self, i):
+                rows.append(np.size(i))
+                return self.view[i]
+
+        monkeypatch.setattr(hk, "_diag_bound_grid",
+                            lambda V, alpha, xs, *a: points.append(xs.size) or grid(V, alpha, xs, *a))
+        monkeypatch.setattr(hk, "sliding_window_view", lambda *a: Counting(windows(*a)))
+        hk.weighted_trace(V, alpha, 2.0, d=1)
+        n, = points
+        assert 0 < sum(rows) <= 2 * n + 2
+
+    def test_trace_value_3d_is_pinned(self):
+        # the row blocks past G's saturation read its constant tail G[-1]
+        # for G(r + rho), bit for bit the table's value there
+        rep = hk.weighted_trace(hk.harmonic_potential(), 1.0, 2.0, d=3)
+        assert rep["value"] == float.fromhex("0x1.4003ed39d9af1p-2")
 
     def test_partials_nondecreasing_3d(self):
         # the integrand is nonnegative; separate G tables per domain made the
