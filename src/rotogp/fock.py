@@ -177,7 +177,8 @@ _DENSE_STATES = 200
 
 
 def ground_state(H, basis: SectorBasis, total: int):
-    """(E0, vector) of H on the sector basis; residual <= 1e-10.
+    """(E0, vector) of H on the sector basis, with ||H v - E0 v|| <= 1e-10
+    max(1, |E0|), else an ArithmeticError.
 
     Up to _DENSE_STATES states, the lowest pair of the dense matrix alone
     (LAPACK's MRRR driver); above, ARPACK on H's factors from the occupation

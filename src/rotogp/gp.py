@@ -12,9 +12,11 @@ and an energy-monotone secant line search; its fixed points are exactly
 the solutions of the GP equation.  Each line-search trial costs one
 operator apply: its gradient g gives its energy as
 Re<phi, g> - 4 pi a int|phi|^4, and an accepted trial's g is reused.
-gp_minimize descends from each of a list of start specs, "gaussian",
-"random", "vortex:q" or a given field (one grammar, which initial_field
-parses), and keeps the lowest state.
+The loop hands back, with the iterate it stopped on, that iterate's mu, the
+residual ||g - mu phi|| its tol test reads and the stop reason, so no apply
+follows it.  gp_minimize descends from each of a list of start specs,
+"gaussian", "random", "vortex:q" or a given field (one grammar, which
+initial_field parses), and keeps the lowest state.
 
 The CG loop writes in place wherever it can, and keeps every floating-point
 operation's operands and order, so its iterates are bitwise those of the
@@ -152,14 +154,6 @@ def gp_gradient(p: GpProblem, phi: ComplexField) -> ComplexField:
     return ComplexField(p.grid, out)
 
 
-def gp_residual(p: GpProblem, phi: ComplexField):
-    """(mu, ||grad - mu phi||_2), the GP-equation defect of phi."""
-    grad = gp_gradient(p, phi)
-    mu = inner(phi, grad).real
-    defect = ComplexField(p.grid, grad.values - mu * phi.values)
-    return mu, norm(defect)
-
-
 def initial_field(p: GpProblem, start, rng) -> ComplexField:
     """Build a starting field from its spec: "gaussian", "random" (a Gaussian
     with phases and amplitudes drawn from rng), "vortex:q" for an integer
@@ -229,10 +223,13 @@ def _normalize(trial, w):
 def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     """Preconditioned nonlinear CG (Polak-Ribiere+) on the unit sphere.
 
-    Returns (vals, iterations, gradient evaluations, stop): stop is
-    "stalled" when the step collapsed, "non_finite" when a trial's norm or
-    energy was not finite (vals is then the last finite iterate), and None
-    otherwise.  The trial (vals + t d)/|vals + t d| is accepted unless its
+    Returns (vals, mu, residual, iterations, gradient evaluations,
+    termination), mu = Re<vals, g> and residual = ||g - mu vals|| from the
+    gradient g of the returned vals, the residual the tol test reads.  The
+    termination is "converged" whenever that residual is <= tol, and
+    otherwise "stalled" when the step collapsed, "non_finite" when a trial's
+    norm or energy was not finite (vals is then the last finite iterate), or
+    "max_iter".  The trial (vals + t d)/|vals + t d| is accepted unless its
     energy rises above the roundoff slack.  The next step is the root of a
     secant on the directional derivative s(t) = 2 Re<r(t), d>, which each
     trial's gradient gives for free, clamped to [t/4, 4t] after an accepted
@@ -242,10 +239,11 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
     kp = (1.0 / (1.0 + p.grid.ksq())).astype(complex)
     g, mu, energy = _gradient_energy(p, vals, norm4_pow4(ComplexField(p.grid, vals)))
     r = g - mu * vals
+    res = math.sqrt(w * np.vdot(r, r).real)
     evals, t, it = 1, _FIRST_STEP, 0
     while it < opts.max_iter:
         it += 1
-        if math.sqrt(w * np.vdot(r, r).real) <= opts.tol:
+        if res <= opts.tol:
             break
         if (it - 1) % _REBUILD == 0:
             dw, rz_old = _precond_weight(p, vals).astype(complex), None
@@ -267,41 +265,24 @@ def _conjugate_gradient(p: GpProblem, vals, opts: GpSolverOptions):
             trial = t * d
             trial += vals
             if (quartic := _normalize(trial, w)) is None:
-                return vals, it, evals, "non_finite"
+                return vals, mu, res, it, evals, "non_finite"
             g_t, mu_t, e_t = _gradient_energy(p, trial, quartic)
             evals += 1
             if not math.isfinite(e_t):
-                return vals, it, evals, "non_finite"
+                return vals, mu, res, it, evals, "non_finite"
             r_t = g_t
             r_t -= mu_t * trial
             s_t = 2.0 * w * np.vdot(r_t, d).real
             root = t * slope / (slope - s_t) if s_t > slope else np.inf
             if e_t <= energy + _SLACK * max(1.0, abs(energy)):
-                vals, r, energy = trial, r_t, min(energy, e_t)
+                vals, r, mu, energy = trial, r_t, mu_t, min(energy, e_t)
+                res = math.sqrt(w * np.vdot(r, r).real)
                 t = min(max(root, 0.25 * t), 4.0 * t)
                 break
             t = min(max(root, 0.1 * t), 0.5 * t)
         else:
-            return vals, it, evals, "stalled"
-    return vals, it, evals, None
-
-
-def _descend(p: GpProblem, phi: ComplexField, opts: GpSolverOptions) -> GpState:
-    """Minimize by CG from one start."""
-    vals, it, evals, stop = _conjugate_gradient(p, phi.values, opts)
-    phi_out = ComplexField(p.grid, vals)
-    mu, res = gp_residual(p, phi_out)
-    converged = res <= opts.tol and stop != "non_finite"
-    return GpState(
-        phi=phi_out,
-        energy=gp_energy(p, phi_out),
-        mu=mu,
-        residual=res,
-        iterations=it,
-        termination="converged" if converged else stop or "max_iter",
-        boundary_ok=boundary_decay_ok(phi_out),
-        gradient_evals=evals,
-    )
+            return vals, mu, res, it, evals, "stalled"
+    return vals, mu, res, it, evals, "converged" if res <= opts.tol else "max_iter"
 
 
 def gp_minimize(p: GpProblem, starts=("gaussian",),
@@ -321,8 +302,12 @@ def gp_minimize(p: GpProblem, starts=("gaussian",),
     best = None
     energies = []
     for start in starts:
-        phi0 = initial_field(p, start, rng)
-        state = _descend(p, phi0, opts)
+        vals, mu, res, it, evals, termination = _conjugate_gradient(
+            p, initial_field(p, start, rng).values, opts)
+        phi = ComplexField(p.grid, vals)
+        state = GpState(phi=phi, energy=gp_energy(p, phi), mu=mu, residual=res,
+                        iterations=it, termination=termination,
+                        boundary_ok=boundary_decay_ok(phi), gradient_evals=evals)
         energies.append(state.energy)
         if best is None or state.energy < best.energy - 1e-12:
             best = state

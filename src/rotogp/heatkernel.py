@@ -140,11 +140,18 @@ def diag_bound(V, alpha, xs, d=1):
     return (4.0 * np.pi * alpha) ** (-d / 2.0) * integrate(f, np.sort(breaks, axis=1), x)
 
 
-# rows of the trace profile per block of _diag_bound_grid
+# the trace profile's grid spacing; bytes of the window rows that one block
+# of the d = 1 profile copies out for its matrix-vector product, whatever
+# the kernel's width (32 rows at alpha = 1, 101 at alpha = 0.1); rows per
+# block of the d = 3 profile, whose trace moves with the block size.  BLAS's
+# gemv sums some row counts' last rows in another order (31 rows at
+# alpha = 1 move the trace's last bit), so a new size is checked bit for bit
+_DY = 0.01
+_TRACE_BYTES = 620_000
 _TRACE_ROWS = 32
 
 
-def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
+def _diag_bound_grid(V, alpha, xs, d, y_max):
     """Fixed-spacing convolution on an equispaced grid, for trace scans.
 
     The spacing is independent of the domain size so that doubling the
@@ -153,6 +160,7 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     pref = (4.0 * np.pi * alpha) ** (-d / 2.0)
+    dy = _DY
     if d == 1:
         y = np.arange(-y_max, y_max + dy / 2, dy)
         ev = np.exp(-alpha * V(y))
@@ -172,8 +180,9 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
             reads = np.unique(np.clip(np.r_[j, j + 1], 0, y.size - 1))
             reads = reads[(reads >= lo - half) & (reads < hi + half)]
             windows = sliding_window_view(np.pad(ev[lo:hi], 2 * half), rev.size)
-            for b in range(0, reads.size, _TRACE_ROWS):
-                i = reads[b:b + _TRACE_ROWS]
+            block = max(1, _TRACE_BYTES // rev.nbytes)
+            for b in range(0, reads.size, block):
+                i = reads[b:b + block]
                 conv[i] = windows[i - lo + half] @ rev * dy
         return pref * np.interp(xs, y, conv)
     # d = 3: angular average via the cumulative kernel G(s) = int_0^s u h(u) du:
@@ -182,8 +191,10 @@ def _diag_bound_grid(V, alpha, xs, d, y_max, dy=0.01):
     ev = np.exp(-alpha * V(rho)) * rho * dy
     s_tab = np.linspace(0.0, y_max + np.abs(xs).max() + dy, 20000)
     # s h(s) = e^{-s^2/alpha} / (2 pi alpha), left 0 where it underflows and
-    # at s = 0: G is 1.07e-3 low at alpha = 1 (of 0.141), but the exact G
-    # moves the d = 3 trace -5.2e-5, past perfbench/references.json's 1e-6
+    # at s = 0: G is 1.07e-3 low at alpha = 1 (of 0.141), an offset that
+    # G(r + rho) - G(|r - rho|) cancels.  Reading G linearly between the
+    # nodes is what puts the s = 2 trace 4.8e-5 high at alpha = 1; the exact
+    # G moves it -5.2e-5, past perfbench/references.json's 1e-6
     n_h = np.searchsorted(s_tab, np.sqrt(746.0 * alpha))
     g_int = np.zeros(s_tab.size)
     g_int[1:n_h] = np.exp(-np.square(s_tab[1:n_h]) / alpha) / (2.0 * np.pi * alpha)
@@ -295,7 +306,7 @@ def brute_diag(V, alpha, xs, d=1):
     sub, out, coarse = 3 * K // 4, np.zeros(xs.size), np.zeros(xs.size)
     for ell in range(61 if d == 3 else 1):
         ch = BesselChannel(ell, K, L)
-        H, B = ch.matrix(np.square, pieces, at=r)
+        H, B = ch.matrix(np.square, pieces), ch(r)
         full, low = _heat_sum(H, B, alpha, step)
         if ell > 0 and np.exp(-alpha * low) < 1e-14 * max(out.max(), 1e-300):
             break

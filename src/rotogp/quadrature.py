@@ -238,17 +238,14 @@ class BesselChannel:
         j /= self.norms[:, None]
         return j
 
-    def _nodes(self, pieces, at=None):
+    def _nodes(self, pieces):
         # pieces: (r_lo, r_hi, n_quad, func) Gauss-Legendre segments, each
-        # walked in blocks of _BLOCK nodes; radii `at` join the last block's
-        # table as its trailing columns, one kernel call for both
-        blocks = [(r[i:i + _BLOCK], wq[i:i + _BLOCK])
-                  for r, wq in (weighted_nodes(*piece) for piece in pieces)
-                  for i in range(0, r.size, _BLOCK)]
-        for i, (r, wq) in enumerate(blocks, 1):
-            yield self(r if at is None or i < len(blocks) else np.r_[r, at]), wq
+        # walked in blocks of _BLOCK nodes
+        for r, wq in (weighted_nodes(*piece) for piece in pieces):
+            for i in range(0, r.size, _BLOCK):
+                yield self(r[i:i + _BLOCK]), wq[i:i + _BLOCK]
 
-    def matrix(self, kin_mult, pieces, at=None):
+    def matrix(self, kin_mult, pieces):
         """diag(kin_mult(p)) plus int mode_i func mode_j r^2 dr over the pieces.
 
         Channel 0 assembles by product to sum: r mode_k is sqrt(2/L)
@@ -258,8 +255,7 @@ class BesselChannel:
         weight (_cosine_sums), for m <= 2K: no K x nodes mode table.  Other
         channels sum (B wq) B^T over blocks of mode tables B.  Entry (i, j)
         depends on modes i and j only, so the matrix of the first K' < K
-        modes is exactly its leading K' x K' block.  Given radii `at`, returns
-        (matrix, mode values at `at`), the latter from the last block's table.
+        modes is exactly its leading K' x K' block.
         """
         if self.ell == 0:
             K, rows = self.p.size, 2 * self.p.size // _FINE + 1
@@ -269,13 +265,11 @@ class BesselChannel:
             toeplitz = sliding_window_view(np.r_[F[K - 1:0:-1], F[:K]], K)[::-1]
             H = (toeplitz - sliding_window_view(F[2:], K)) / self.L
             H[np.diag_indices(K)] += kin_mult(self.p)
-            return H if at is None else (H, self(at))
+            return H
         H = np.diag(kin_mult(self.p))
-        for B, wq in self._nodes(pieces, at):
-            n = wq.size
-            H += (B[:, :n] * wq) @ B[:, :n].T
-        H = 0.5 * (H + H.T)
-        return H if at is None else (H, B[:, n:])
+        for B, wq in self._nodes(pieces):
+            H += (B * wq) @ B.T
+        return 0.5 * (H + H.T)
 
     def project(self, pieces):
         """int mode_k func r^2 dr over the pieces, for every k."""

@@ -80,8 +80,8 @@ def _zeros_reference(ell, count):
 
 class _ReferenceChannel(BesselChannel):
     """The old channel: its own zeros, norms and tables, one table per node
-    block and another for the radii `at`.  Channel 0's matrix is the cosine
-    sums, which take the old sin_cos where the caller patches it in."""
+    block.  Channel 0's matrix is the cosine sums, which take the old
+    sin_cos where the caller patches it in."""
 
     def __init__(self, ell, K, L):
         self.ell, self.L = ell, L
@@ -93,7 +93,7 @@ class _ReferenceChannel(BesselChannel):
         x = np.multiply.outer(self.p, np.asarray(r, dtype=float))
         return _pair_reference(self.ell, x)[0] / self.norms[:, None]
 
-    def matrix(self, kin_mult, pieces, at=None):
+    def matrix(self, kin_mult, pieces):
         if self.ell == 0:
             H = super().matrix(kin_mult, pieces)
         else:
@@ -104,7 +104,7 @@ class _ReferenceChannel(BesselChannel):
                     B = self(r[i:i + quadrature._BLOCK])
                     H += (B * wq[i:i + quadrature._BLOCK]) @ B.T
             H = 0.5 * (H + H.T)
-        return H if at is None else (H, self(at))
+        return H
 
 
 # -- the tables against it ----------------------------------------------------
@@ -126,7 +126,7 @@ _ORACLES = {
 @pytest.mark.parametrize("config", sorted(_ORACLES))
 def test_oracle_matches_the_old_kernel_bitwise_with_one_table_per_channel(config, monkeypatch):
     # the heat-bound configs: (diagonal, K, drift) equal to the old kernel's,
-    # and one kernel call per channel, for its node block and points together
+    # and one table of the points per channel
     V, alpha, xs, d = _ORACLES[config]
     channels, tables, pair = [], [], quadrature._spherical_jn_pair
 
@@ -137,7 +137,8 @@ def test_oracle_matches_the_old_kernel_bitwise_with_one_table_per_channel(config
 
     with monkeypatch.context() as mp:
         mp.setattr(heatkernel, "BesselChannel", Counting)
-        mp.setattr(quadrature, "_spherical_jn_pair", lambda *a: tables.append(a[0]) or pair(*a))
+        mp.setattr(quadrature, "_spherical_jn_pair",
+                   lambda *a: tables.append((a[0], a[1].shape[1])) or pair(*a))
         diag, K, drift = heatkernel.brute_diag(V, alpha, xs, d=d)
     with monkeypatch.context() as mp:
         mp.setattr(heatkernel, "BesselChannel", _ReferenceChannel)
@@ -145,9 +146,13 @@ def test_oracle_matches_the_old_kernel_bitwise_with_one_table_per_channel(config
         diag_ref, K_ref, drift_ref = heatkernel.brute_diag(V, alpha, xs, d=d)
     assert K == K_ref
     assert np.array_equal(diag, diag_ref) and np.array_equal(drift, drift_ref)
-    # the first channel, _oracle_basis's 32-mode bound on lam_0, makes no table
-    assert tables == channels[1:] == list(range(len(tables)))
-    assert len(tables) > 1 if d == 3 else tables == [0]
+    # the first channel, _oracle_basis's 32-mode bound on lam_0, makes no
+    # table; each later one makes one of the points besides those of its node
+    # blocks (channel 0's matrix makes none)
+    points = [ell for ell, columns in tables if columns == xs.size]
+    assert points == channels[1:] == list(range(len(points)))
+    assert [ell for ell, _ in tables] == sorted(ell for ell, _ in tables)
+    assert len(points) > 1 if d == 3 else tables == [(0, xs.size)]
 
 
 def test_zeros_match_the_old_kernel_bitwise():

@@ -9,11 +9,17 @@ from rotogp.gp import (
     gp_energy,
     gp_gradient,
     gp_minimize,
-    gp_residual,
     harmonic_problem,
 )
 
 GAUSS4 = (2.0 * np.pi) ** -1.5  # int of the normalized 3D Gaussian to the 4th power
+
+
+def _mu_residual(p, phi):
+    """(mu, ||g - mu phi||) of phi from one more apply g = gp_gradient(p, phi)."""
+    g = gp_gradient(p, phi)
+    mu = inner(phi, g).real
+    return mu, norm(ComplexField(p.grid, g.values - mu * phi.values))
 
 
 def test_gaussian_energy_noninteracting():
@@ -72,7 +78,7 @@ def test_mu_identity_at_any_point():
     # E + 4 pi a ||phi||_4^4 analytically
     p = harmonic_problem(dim=3, n=32, length=14.0, a=1.0)
     phi = gaussian_field(p.grid)
-    mu, _ = gp_residual(p, phi)
+    mu, _ = _mu_residual(p, phi)
     e = gp_energy(p, phi)
     assert mu == pytest.approx(e + 4.0 * np.pi * norm4_pow4(phi), abs=1e-10)
 
@@ -103,7 +109,7 @@ def test_minimize_interacting_residual_and_mu():
     p = harmonic_problem(dim=3, n=32, length=16.0, a=1.0)
     st = gp_minimize(p)
     assert st.converged and st.residual <= 1e-7
-    mu2, res = gp_residual(p, st.phi)
+    mu2, res = _mu_residual(p, st.phi)
     assert mu2 == pytest.approx(st.mu)
     # mu = E + 4 pi a ||phi||_4^4 at a stationary point
     assert abs(st.mu - st.energy - 4.0 * np.pi * norm4_pow4(st.phi)) <= 1e-8 * abs(st.mu)
@@ -183,6 +189,23 @@ def test_minimize_energy_is_gp_energy_of_result():
     st = gp_minimize(p, ["vortex:1"])
     assert st.converged and st.termination == "converged"
     assert abs(st.energy - gp_energy(p, st.phi)) <= 1e-12 * abs(st.energy)
+
+
+def test_minimize_applies_only_inside_the_loop(monkeypatch):
+    # mu, the residual and the stop reason come from the loop's last
+    # gradient: no apply follows it, and each start's evals count them all
+    p = harmonic_problem(dim=2, n=32, length=12.0, omega=-0.5, a=2.0)
+    starts = ["gaussian", "vortex:1"]
+    evals = [gp_minimize(p, [start]).gradient_evals for start in starts]
+    calls = []
+
+    def counting(p, phi):
+        calls.append(None)
+        return gp_gradient(p, phi)
+
+    monkeypatch.setattr("rotogp.gp.gp_gradient", counting)
+    gp_minimize(p, starts)
+    assert len(calls) == sum(evals)
 
 
 def test_termination_reasons(monkeypatch):
@@ -298,4 +321,6 @@ def test_cg_iteration_ceiling_vortex_pair():
     st = gp_minimize(p, ["vortex:2"])
     assert st.converged and st.iterations < 500
     assert total_vortex_charge(st.phi) == 2
+    # the report is the loop's last gradient, bitwise one more apply's
+    assert (st.mu, st.residual) == _mu_residual(p, st.phi)
 

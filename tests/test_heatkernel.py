@@ -356,6 +356,22 @@ class TestWeightedTrace:
         assert rep["converged"]
         assert rep["value"] > 0
 
+    @pytest.mark.parametrize("d, s, exact", [
+        (1, 0.0, 1.0 / 2.0),
+        (1, 2.0, 5.0 / 12.0),
+        (3, 2.0, 5.0 / 16.0),
+        pytest.param(3, 0.0, 1.0 / 8.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "the d = 3 profile starts at x_1 = 1/8, so the trapezoid drops "
+            "[0, x_1]: 1.1e-3 low"))),
+    ], ids=["d1-s0", "d1-s2", "d3-s2", "d3-s0"])
+    def test_harmonic_trace_matches_closed_form(self, d, s, exact):
+        # V = |x|^2, alpha = 1: int |x|^s (e^{-alpha V} * h_alpha) is
+        # int |y|^2 e^{-alpha V} + m_2 int e^{-alpha V} for s = 2, with
+        # m_2 = int |z|^2 h_alpha = alpha/3 (d = 1) or alpha (d = 3), and
+        # int e^{-alpha V} = pi^{d/2} for s = 0; times (4 pi alpha)^{-d/2}
+        rep = hk.weighted_trace(hk.harmonic_potential(), 1.0, s, d=d)
+        assert rep["value"] == pytest.approx(exact, rel=1e-4)
+
     def test_log_potential_small_alpha_diverges(self):
         rep = hk.weighted_trace(hk.log_potential(2.0), 0.1, 4, d=1)
         assert not rep["converged"]
