@@ -187,7 +187,7 @@ def _scan(cfg, out, key):
         run_cfg[key] = float(val)
         _, state = _solve(run_cfg)
         all_ok &= state.converged
-        winding = analysis.total_vortex_charge(state.phi) if run_cfg["dim"] == 2 else 0
+        winding = analysis.total_vortex_charge(state.phi) if run_cfg["dim"] == 2 else None
         rows.append((val, state.energy, state.mu,
                      analysis.angular_momentum_z(state.phi), winding))
     _write_csv(_artifact(out, f"scan_{key}.csv"),

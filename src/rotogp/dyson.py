@@ -27,20 +27,15 @@ the minimal eigenvalue under refinement is reported alongside.  A
 potential whose range reaches the ball's wall is refused.
 
 The modified one-body operator K0 and the constant kappa(eta) that keeps
-it nonnegative are the lowest eigenvalues of spectral operators on the GP
-grid.  One preconditioned block eigensolver, lowest_eigenpairs (LOBPCG),
-computes them, real at Omega = 0 and complex when rotating, with the
-operator's axis-separable part inverted exactly as its preconditioner; see
-_lowest_eigs.
+it nonnegative are lowest eigenvalues on the GP grid (fields.lowest_modes).
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import fft as sfft
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .fields import apply_multiplier, apply_symbols
+from .fields import lowest_modes
 from .gp import GpProblem
 from .quadrature import BesselChannel, gauss_pieces, sin_cos, weighted_nodes
 from .scattering import RadialPotential
@@ -319,204 +314,17 @@ def check_dyson_inequality(
 # modified one-body operator
 # ---------------------------------------------------------------------------
 
-# LOBPCG iterations before the residual rule is judged; the CLI defaults
-# take 15 (kappa) and 20 (K0)
-_LOBPCG_MAXITER = 200
-# amplitude of the seeded random part of LOBPCG's start block, per entry
-_START_NOISE = 1e-2
-# SVQB drops the directions whose Gram eigenvalue is below this share of
-# the largest: near-dependent
-_DROP = 1e-12
-
-
-def _svqb(Z):
-    """T with Z T orthonormal: SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput.
-    23, 2165 (2002)), D V Lambda^{-1/2} from the eigenpairs of the
-    column-scaled Gram matrix D Z^H Z D, less its near-dependent directions
-    (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput. 40, C655 (2018))."""
-    d = 1.0 / np.linalg.norm(Z, axis=0)
-    lam, V = np.linalg.eigh(d[:, None] * (Z.conj().T @ Z) * d)
-    keep = lam > _DROP * lam[-1]
-    return d[:, None] * V[:, keep] / np.sqrt(lam[keep])
-
-
-def lowest_eigenpairs(apply, precondition, start, J):
-    """Lowest J eigenpairs (values ascending, orthonormal vectors as columns)
-    of the hermitian operator apply, by block LOBPCG (Knyazev, SIAM J. Sci.
-    Comput. 23, 517 (2001)) from the block start, of J or more columns.
-
-    apply and precondition take and return (size, m) blocks; precondition
-    approximates the inverse.  Each step runs Rayleigh-Ritz on the
-    orthonormal basis [X, W, P]: the Ritz block X, W the preconditioned
-    residuals of X's columns that have not converged, P their last updates.
-    W and P are projected off X twice and orthonormalized together by
-    _svqb.  Only W goes through apply; A P and A X are carried as the same
-    combinations as P and X.  The solve stops once the J wanted columns
-    have residuals within half of sqrt(eps) max(1, |theta|); the other
-    columns guard the Jth against its neighbours and need not converge.
-
-    The J returned pairs' residuals are then recomputed, and each must meet
-    ||A x - theta x|| <= sqrt(eps) max(1, |theta|), else ArithmeticError.
-    For a hermitian operator a Ritz value theta with residual r lies within
-    ||r||^2 / gap of an eigenvalue, gap being its distance to the rest of
-    the spectrum (Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1):
-    eps theta^2 / gap, the eigenvalues at machine precision.
-    """
-    root_eps = np.sqrt(np.finfo(float).eps)
-    X = start @ _svqb(start)
-    AX = apply(X)
-    theta, C = np.linalg.eigh(X.conj().T @ AX)
-    X, AX, P = X @ C, AX @ C, None
-    for _ in range(_LOBPCG_MAXITER):
-        R = AX - X * theta
-        active = np.linalg.norm(R, axis=0) > 0.5 * root_eps * np.maximum(1.0, np.abs(theta))
-        if not active[:J].any():
-            break
-        Z = precondition(R[:, active])
-        AZ = apply(Z)
-        if P is not None:
-            Z, AZ = np.hstack([Z, P[:, active]]), np.hstack([AZ, AP[:, active]])
-        for _ in range(2):
-            Y = X.conj().T @ Z
-            Z, AZ = Z - X @ Y, AZ - AX @ Y
-        T = _svqb(Z)
-        Z, AZ = Z @ T, AZ @ T
-        S, AS = np.hstack([X, Z]), np.hstack([AX, AZ])
-        theta, C = np.linalg.eigh(S.conj().T @ AS)
-        theta, C = theta[:X.shape[1]], C[:, :X.shape[1]]
-        X, AX = S @ C, AS @ C
-        P, AP = Z @ C[X.shape[1]:], AZ @ C[X.shape[1]:]
-    vals, vecs = theta[:J], X[:, :J] / np.linalg.norm(X[:, :J], axis=0)
-    resid = np.linalg.norm(apply(vecs) - vecs * vals, axis=0)
-    if not np.all(resid <= root_eps * np.maximum(1.0, np.abs(vals))):
-        raise ArithmeticError(
-            f"eigensolver missed its residual rule: residuals {resid.tolist()} "
-            f"at Ritz values {vals.tolist()}")
-    return vals, vecs
-
-
 @dataclass
 class ModifiedOneBody:
     kappa: float
     e: np.ndarray           # lowest J eigenvalues of K0
 
 
-def _separable_part(grid, multiplier, potential):
-    """Eigenpairs (lam_d, Q_d) of H0 = sum_d A_d, one n x n operator per axis.
-
-    A_d is the multiplier along the k_d axis plus the potential along the
-    x_d axis through the origin, each less (dim - 1)/dim of its value at
-    k = 0 or x = 0, so that the constants add up once.  The multiplier is
-    real and even, so A_d's kinetic part is a real symmetric circulant
-    (eigh reads its lower triangle).
-    """
-    n, dim = grid.n, grid.dim
-    share = (dim - 1) / dim
-    lag = (np.arange(n)[:, None] - np.arange(n)) % n
-    pairs = []
-    for d in range(dim):
-        k_axis = [0] * dim
-        x_axis = [n // 2] * dim  # x = 0 sits at index n/2
-        k_axis[d] = x_axis[d] = slice(None)
-        m = multiplier[tuple(k_axis)] - share * multiplier[(0,) * dim]
-        w = potential[tuple(x_axis)] - share * potential[(n // 2,) * dim]
-        A = sfft.ifft(m).real[lag]  # the circulant of the multiplier
-        A[np.diag_indices(n)] += w
-        pairs.append(np.linalg.eigh(A))
-    return pairs
-
-
-def _lowest_eigs(p: GpProblem, multiplier, scalar, J):
-    """Lowest J eigenvalues, ascending, of multiplier(k) + 2 A.p + scalar(x).
-
-    A block of vectors, its columns on a trailing axis, goes through one
-    n-D transform pair over the grid axes for the multiplier.  At
-    Omega = 0, A = 0 and the operator is real symmetric (the multiplier is
-    real and even in k), so the pair is the real half-spectrum one
-    (scipy.fft.rfftn/irfftn).  When rotating it is the complex pair
-    (fields.apply_multiplier), and 2 A.p adds sum_i ifft_i(2 A_i k_i fft_i V),
-    one 1D pair along each axis (fields.apply_symbols): exact, since A_i
-    does not depend on x_i.
-
-    One lowest_eigenpairs solve on a block of J + 2 vectors, complex when
-    rotating, serves both cases, and its eigenvectors are dropped.  Its
-    preconditioner is the exact inverse of the separable part H0 = sum_d A_d
-    (_separable_part), by fast diagonalization (Lynch, Rice & Thomas, Numer.
-    Math. 6, 185 (1964)): Q^T, a division by lam_i + lam_j [+ lam_k], and Q
-    along each axis.  What H0 leaves out is small next to it: the cross
-    terms 2 eta x_i^2 x_j^2 of eta |x|^4 and the cutoff's k^2 (1 - chi^2) on
-    |k| < 2/s, both >= 0, and the rotation's 2 A.p, with |A|^2's cross
-    terms when the axis is off z.  So the iteration count does not grow
-    with n.  Should H0 not be positive definite, its denominators are
-    shifted up to its first gap.  The block starts at H0's J + 2 lowest
-    eigenvectors, tensor products of the Q columns that the preconditioner
-    already holds, plus a seeded random part.  A solve that misses the
-    residual rule raises ArithmeticError (lowest_eigenpairs).
-    """
-    grid = p.grid
-    rotating = bool(np.any(p.gauge.omega))
-    shape, dim = grid.shape, grid.dim
-    size = int(np.prod(shape))
-    if J > size:
-        raise ValueError(f"J = {J} eigenvalues need a grid of at least {J} points")
-
-    drift = [(ax, 2.0 * a * k)  # the symbols of 2 A.p, used when rotating
-             for ax, (k, a) in enumerate(zip(grid.kvecs(), p.gauge.components))]
-    # the last axis's first n//2 + 1 frequencies are rfftn's, up to the sign
-    # of the Nyquist one, which an even multiplier does not see; irfftn's
-    # default length along that axis, 2 (n//2), is n (n is even)
-    half, axes = multiplier[..., : grid.n // 2 + 1, None], tuple(range(dim))
-
-    def apply(X):
-        V = X.reshape(shape + X.shape[1:])
-        if rotating:
-            out = apply_multiplier(V.copy(), multiplier)
-            out += apply_symbols(V, drift)
-        else:
-            out = sfft.irfftn(half * sfft.rfftn(V, axes=axes), axes=axes)
-        out += scalar[..., None] * V
-        return out.reshape(X.shape)
-
-    pairs = _separable_part(grid, multiplier, scalar)
-    denom = sum(lam.reshape((1,) * d + (-1,) + (1,) * (dim - d - 1))
-                for d, (lam, _) in enumerate(pairs))
-    if denom.min() <= 0.0:
-        gap = min(lam[1] - lam[0] for lam, _ in pairs)
-        denom = denom - denom.min() + gap
-
-    def along_axes(Y, trans):
-        # Q^T (trans) or Q along every grid axis of a real (size, m) block
-        for d, (_, Q) in enumerate(pairs):
-            Y = np.matmul(Q.T if trans else Q, Y.reshape(grid.n**d, grid.n, -1))
-        return Y.reshape(size, -1)
-
-    def precondition(X):
-        # Q acts on real and imaginary parts alike: a complex block is
-        # transformed as its float view, the columns' two halves side by side
-        X = np.ascontiguousarray(X)
-        Y = along_axes(X.view(float), True) / denom.reshape(size, 1)
-        return along_axes(Y, False).view(X.dtype)
-
-    # the random part reaches every symmetry sector, also those in which
-    # H0's lowest eigenvectors have no component; on a grid of fewer than
-    # J + 2 points the columns past its size are random alone
-    block = J + 2
-    lowest = np.argsort(denom.ravel(), kind="stable")[:block]
-    E = np.zeros((size, block))
-    E[lowest, np.arange(lowest.size)] = 1.0
-    rng = np.random.default_rng(0)
-    noise = rng.standard_normal((size, block))
-    if rotating:
-        noise = noise + 1j * rng.standard_normal((size, block))
-    X = along_axes(E, False) + _START_NOISE * noise
-    return lowest_eigenpairs(apply, precondition, X, J)[0]
-
-
 def kappa_eta(p: GpProblem, eta: float) -> float:
     """inf spec(-eta Lap + 2 p.A + eta |x|^4) on the problem's grid."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    return float(_lowest_eigs(p, eta * p.grid.ksq(), eta * p.grid.radius_sq() ** 2, 1)[0])
+    return float(lowest_modes(p.gauge, eta * p.grid.ksq(), eta * p.grid.radius_sq() ** 2, 1)[0][0])
 
 
 def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedOneBody:
@@ -527,8 +335,6 @@ def build_K0(p: GpProblem, chi: CutoffFunction, eta: float, J: int) -> ModifiedO
         raise ValueError(f"need J >= 1 eigenvalues, got {J}")
     grid = p.grid
     kappa = kappa_eta(p, eta)
-    kmag = np.sqrt(grid.ksq())
-    mult = grid.ksq() * (1.0 - chi(kmag) ** 2) + 2.0 * eta * grid.ksq()
-    quartic = grid.radius_sq() ** 2
-    scalar = p.gauge.magnitude_sq() + p.potential + eta * quartic - kappa
-    return ModifiedOneBody(kappa=kappa, e=_lowest_eigs(p, mult, scalar, J))
+    mult = grid.ksq() * (1.0 - chi(np.sqrt(grid.ksq())) ** 2) + 2.0 * eta * grid.ksq()
+    scalar = p.gauge.magnitude_sq() + p.potential + eta * grid.radius_sq() ** 2 - kappa
+    return ModifiedOneBody(kappa=kappa, e=lowest_modes(p.gauge, mult, scalar, J)[0])

@@ -11,19 +11,22 @@ into sum_i (-i d_i + A_i)^2, each term the multiplier (k_i + A_i)^2 of the
 1D transform along axis i.  Each Grid caches its wavenumber grids
 (read-only) and each GaugeField builds its multipliers once.
 
-Every complex transform of the package is one of two functions, on the
-grid's axes, a block's trailing column axis riding along: apply_symbols,
-sum_i ifft_i(symbol_i fft_i(values)) (the gauge kinetic term, L_z, the
-shears, K0's 2 A.p), and apply_multiplier, ifftn(mult fftn(z)) in place as
-fftn's own 1D passes (the GP preconditioner, K0's multiplier).  In the GP
-hot path each term is multiplied and inverted in its own buffer and summed
-with +=, in order.  That is bitwise the sum of the separate expressions:
-the multipliers (k_i + A_i)^2 are cast to complex once, as numpy's multiply
-casts a real factor; a product only swaps its factors, which IEEE
-multiplication commutes; += adds the same operands in the same order
-(sum()'s leading 0 could only turn a -0.0 into +0.0).  norm4_pow4 sums by
-np.add.reduce, np.sum's call without its wrapper.  gp's CG loop, whose
-iterates depend on all of that, keeps the same rules.
+Every transform of the package lives here.  The complex ones are two
+functions, on the grid's axes, a block's trailing column axis riding along:
+apply_symbols, sum_i ifft_i(symbol_i fft_i(values)) (the gauge kinetic
+term, L_z, the shears, lowest_modes' 2 A.p), and apply_multiplier,
+ifftn(mult fftn(z)) in place as fftn's own 1D passes (the GP
+preconditioner, lowest_modes' rotating multiplier).  lowest_modes, the grid
+eigensolver, adds scipy.fft's real rfftn/irfftn pair at Omega = 0 and the
+ifft of its preconditioner's circulants.  In the GP hot path each term is
+multiplied and inverted in its own buffer and summed with +=, in order.
+That is bitwise the sum of the separate expressions: the multipliers
+(k_i + A_i)^2 are cast to complex once, as numpy's multiply casts a real
+factor; a product only swaps its factors, which IEEE multiplication
+commutes; += adds the same operands in the same order (sum()'s leading 0
+could only turn a -0.0 into +0.0).  norm4_pow4 sums by np.add.reduce,
+np.sum's call without its wrapper.  gp's CG loop, whose iterates depend on
+all of that, keeps the same rules.
 """
 
 import json
@@ -220,6 +223,197 @@ def boundary_decay_ok(f: ComplexField) -> bool:
     faces = sum(np.sum(np.abs(np.take(f.values, 0, axis=ax)) ** 2)
                 for ax in range(f.grid.dim))
     return bool(faces <= 1e-8 * total)
+
+
+# -- lowest eigenpairs of a grid operator -----------------------------------
+
+# LOBPCG iterations before the residual rule is judged; the CLI defaults
+# take 15 (kappa) and 20 (K0)
+_LOBPCG_MAXITER = 200
+# amplitude of the seeded random part of LOBPCG's start block, per entry
+_START_NOISE = 1e-2
+# SVQB drops the directions whose Gram eigenvalue is below this share of
+# the largest: near-dependent
+_DROP = 1e-12
+
+
+def _svqb(Z):
+    """T with Z T orthonormal: SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput.
+    23, 2165 (2002)), D V Lambda^{-1/2} from the eigenpairs of the
+    column-scaled Gram matrix D Z^H Z D, less its near-dependent directions
+    (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput. 40, C655 (2018))."""
+    d = 1.0 / np.linalg.norm(Z, axis=0)
+    lam, V = np.linalg.eigh(d[:, None] * (Z.conj().T @ Z) * d)
+    keep = lam > _DROP * lam[-1]
+    return d[:, None] * V[:, keep] / np.sqrt(lam[keep])
+
+
+def lowest_eigenpairs(apply, precondition, start, J):
+    """Lowest J eigenpairs (values ascending, orthonormal vectors as columns)
+    of the hermitian operator apply, by block LOBPCG (Knyazev, SIAM J. Sci.
+    Comput. 23, 517 (2001)) from the block start, of J or more columns.
+
+    apply and precondition take and return (size, m) blocks; precondition
+    approximates the inverse.  Each step runs Rayleigh-Ritz on the
+    orthonormal basis [X, W, P]: the Ritz block X, W the preconditioned
+    residuals of X's columns that have not converged, P their last updates.
+    W and P are projected off X twice and orthonormalized together by
+    _svqb.  Only W goes through apply; A P and A X are carried as the same
+    combinations as P and X.  The solve stops once the J wanted columns
+    have residuals within half of sqrt(eps) max(1, |theta|); the other
+    columns guard the Jth against its neighbours and need not converge.
+
+    The J returned pairs' residuals are then recomputed, and each must meet
+    ||A x - theta x|| <= sqrt(eps) max(1, |theta|), else ArithmeticError.
+    For a hermitian operator a Ritz value theta with residual r lies within
+    ||r||^2 / gap of an eigenvalue, gap being its distance to the rest of
+    the spectrum (Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1):
+    eps theta^2 / gap, the eigenvalues at machine precision.
+    """
+    root_eps = np.sqrt(np.finfo(float).eps)
+    X = start @ _svqb(start)
+    AX = apply(X)
+    theta, C = np.linalg.eigh(X.conj().T @ AX)
+    X, AX, P = X @ C, AX @ C, None
+    for _ in range(_LOBPCG_MAXITER):
+        R = AX - X * theta
+        active = np.linalg.norm(R, axis=0) > 0.5 * root_eps * np.maximum(1.0, np.abs(theta))
+        if not active[:J].any():
+            break
+        Z = precondition(R[:, active])
+        AZ = apply(Z)
+        if P is not None:
+            Z, AZ = np.hstack([Z, P[:, active]]), np.hstack([AZ, AP[:, active]])
+        for _ in range(2):
+            Y = X.conj().T @ Z
+            Z, AZ = Z - X @ Y, AZ - AX @ Y
+        T = _svqb(Z)
+        Z, AZ = Z @ T, AZ @ T
+        S, AS = np.hstack([X, Z]), np.hstack([AX, AZ])
+        theta, C = np.linalg.eigh(S.conj().T @ AS)
+        theta, C = theta[:X.shape[1]], C[:, :X.shape[1]]
+        X, AX = S @ C, AS @ C
+        P, AP = Z @ C[X.shape[1]:], AZ @ C[X.shape[1]:]
+    vals, vecs = theta[:J], X[:, :J] / np.linalg.norm(X[:, :J], axis=0)
+    resid = np.linalg.norm(apply(vecs) - vecs * vals, axis=0)
+    if not np.all(resid <= root_eps * np.maximum(1.0, np.abs(vals))):
+        raise ArithmeticError(
+            f"eigensolver missed its residual rule: residuals {resid.tolist()} "
+            f"at Ritz values {vals.tolist()}")
+    return vals, vecs
+
+
+def _separable_part(grid, multiplier, potential):
+    """Eigenpairs (lam_d, Q_d) of H0 = sum_d A_d, one n x n operator per axis.
+
+    A_d is the multiplier along the k_d axis plus the potential along the
+    x_d axis through the origin, each less (dim - 1)/dim of its value at
+    k = 0 or x = 0, so that the constants add up once.  The multiplier is
+    real and even, so A_d's kinetic part is a real symmetric circulant
+    (eigh reads its lower triangle).
+    """
+    from scipy import fft as sfft  # not at import: the GP path runs without scipy
+    n, dim = grid.n, grid.dim
+    share = (dim - 1) / dim
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    pairs = []
+    for d in range(dim):
+        k_axis = [0] * dim
+        x_axis = [n // 2] * dim  # x = 0 sits at index n/2
+        k_axis[d] = x_axis[d] = slice(None)
+        m = multiplier[tuple(k_axis)] - share * multiplier[(0,) * dim]
+        w = potential[tuple(x_axis)] - share * potential[(n // 2,) * dim]
+        A = sfft.ifft(m).real[lag]  # the circulant of the multiplier
+        A[np.diag_indices(n)] += w
+        pairs.append(np.linalg.eigh(A))
+    return pairs
+
+
+def lowest_modes(gauge: GaugeField, multiplier, scalar, J):
+    """Lowest J eigenpairs of multiplier(k) + 2 A.p + scalar(x) on gauge's
+    grid, (-i grad + A)^2 + V for multiplier k^2 and scalar |A|^2 + V: the
+    values ascending, the vectors as orthonormal columns of a (size, J)
+    block over the flattened grid (unit sum of squares).
+
+    A block of vectors, its columns on a trailing axis, goes through one
+    n-D transform pair over the grid axes for the multiplier.  At
+    Omega = 0, A = 0 and the operator is real symmetric (the multiplier is
+    real and even in k), so the pair is scipy.fft's real half-spectrum
+    rfftn/irfftn, and the vectors are real.  When rotating it is the
+    complex pair (apply_multiplier), and 2 A.p adds
+    sum_i ifft_i(2 A_i k_i fft_i V), one 1D pair along each axis
+    (apply_symbols): exact, since A_i does not depend on x_i.
+
+    One lowest_eigenpairs solve on a block of J + 2 vectors serves both
+    cases.  Its preconditioner is the exact inverse of the separable part
+    H0 = sum_d A_d (_separable_part), by fast diagonalization (Lynch, Rice
+    & Thomas, Numer. Math. 6, 185 (1964)): Q^T, a division by
+    lam_i + lam_j [+ lam_k], and Q along each axis.  What H0 leaves out
+    (for K0: eta |x|^4's cross terms and the cutoff's k^2 (1 - chi^2) on
+    |k| < 2/s, both >= 0, the rotation's 2 A.p and |A|^2's cross terms off
+    z) is small next to it, so the iteration count does not grow with n.
+    Should H0 not be positive definite, its denominators are shifted up to
+    its first gap.  The block starts at H0's J + 2 lowest eigenvectors, the
+    Q columns' tensor products, plus a seeded random part.  A solve that
+    misses the residual rule raises ArithmeticError (lowest_eigenpairs).
+    """
+    from scipy import fft as sfft  # not at import: the GP path runs without scipy
+    grid = gauge.grid
+    rotating = bool(np.any(gauge.omega))
+    shape, dim, size = grid.shape, grid.dim, grid.n**grid.dim
+    if J > size:
+        raise ValueError(f"J = {J} eigenvalues need a grid of at least {J} points")
+
+    drift = [(ax, 2.0 * a * k)  # the symbols of 2 A.p, used when rotating
+             for ax, (k, a) in enumerate(zip(grid.kvecs(), gauge.components))]
+    # the last axis's first n//2 + 1 frequencies are rfftn's, up to the sign
+    # of the Nyquist one, which an even multiplier does not see; irfftn's
+    # default length along that axis, 2 (n//2), is n (n is even)
+    half, axes = multiplier[..., : grid.n // 2 + 1, None], tuple(range(dim))
+
+    def apply(X):
+        V = X.reshape(shape + X.shape[1:])
+        if rotating:
+            out = apply_multiplier(V.copy(), multiplier)
+            out += apply_symbols(V, drift)
+        else:
+            out = sfft.irfftn(half * sfft.rfftn(V, axes=axes), axes=axes)
+        out += scalar[..., None] * V
+        return out.reshape(X.shape)
+
+    pairs = _separable_part(grid, multiplier, scalar)
+    denom = sum(lam.reshape((1,) * d + (-1,) + (1,) * (dim - d - 1))
+                for d, (lam, _) in enumerate(pairs))
+    if denom.min() <= 0.0:
+        gap = min(lam[1] - lam[0] for lam, _ in pairs)
+        denom = denom - denom.min() + gap
+
+    def along_axes(Y, trans):
+        # Q^T (trans) or Q along every grid axis of a real (size, m) block
+        for d, (_, Q) in enumerate(pairs):
+            Y = np.matmul(Q.T if trans else Q, Y.reshape(grid.n**d, grid.n, -1))
+        return Y.reshape(size, -1)
+
+    def precondition(X):
+        # Q acts on real and imaginary parts alike: a complex block is
+        # transformed as its float view, the columns' two halves side by side
+        X = np.ascontiguousarray(X)
+        Y = along_axes(X.view(float), True) / denom.reshape(size, 1)
+        return along_axes(Y, False).view(X.dtype)
+
+    # the random part reaches every symmetry sector, also those in which
+    # H0's lowest eigenvectors have no component; on a grid of fewer than
+    # J + 2 points the columns past its size are random alone
+    block = J + 2
+    lowest = np.argsort(denom.ravel(), kind="stable")[:block]
+    E = np.zeros((size, block))
+    E[lowest, np.arange(lowest.size)] = 1.0
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal((size, block))
+    if rotating:
+        noise = noise + 1j * rng.standard_normal((size, block))
+    X = along_axes(E, False) + _START_NOISE * noise
+    return lowest_eigenpairs(apply, precondition, X, J)
 
 
 def gaussian_field(grid: Grid) -> ComplexField:

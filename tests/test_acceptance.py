@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rotogp import analysis, dyson, fock, gp, heatkernel, scattering
-from rotogp.fields import norm4_pow4
+from rotogp.fields import lowest_modes, norm4_pow4
 
 
 def _report(num, name, ok, detail=""):
@@ -197,10 +197,24 @@ def test_criterion_6_dyson_suite():
     ratios = np.array([k / eta for eta, k in kappas.items()])
     linear_ok = np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-8
 
-    ok = int_ok and slope_ok and ineq_ok and fails_ok and k0_ok and linear_ok
+    # the rotating branch of the eigensolver on the GP's own operator
+    # (-i grad + A)^2 + |x|^2 at fast rotation: its lowest levels are the
+    # Fock-Darwin ones 2 sqrt(c) (1 + 2 n_r + |m|) + Omega m, c = 1 + Omega^2/4
+    omega = -0.9
+    fast = gp.harmonic_problem(dim=2, n=32, length=12.0, omega=omega)
+    levels = lowest_modes(fast.gauge, fast.grid.ksq(),
+                          fast.gauge.magnitude_sq() + fast.potential, 4)[0]
+    root_c = np.sqrt(1.0 + omega**2 / 4.0)
+    fock_darwin = np.sort([2.0 * root_c * (1 + 2 * n_r + abs(m)) + omega * m
+                           for n_r in range(3) for m in range(-4, 5)])[:4]
+    fd_err = float(np.max(np.abs(levels - fock_darwin)))
+    rotating_ok = fd_err <= 1e-10
+
+    ok = int_ok and slope_ok and ineq_ok and fails_ok and k0_ok and linear_ok and rotating_ok
     _report(6, "soft-potential suite", ok,
             f"slope={scaling['slope']:.3f} min_eig={check['min_eig']:.1e} "
-            f"min_eig(5a)={too_large['min_eig']:.1e} K0 min={np.min(k0.e):.4f}")
+            f"min_eig(5a)={too_large['min_eig']:.1e} K0 min={np.min(k0.e):.4f} "
+            f"Fock-Darwin err={fd_err:.1e}")
 
 
 def test_criterion_7_symbol_suite():

@@ -210,6 +210,15 @@ class TestAnalyzeAndScan:
         energies = [float(l.split(",")[1]) for l in lines[1:]]
         assert energies == sorted(energies)   # energy increases with coupling
 
+    def test_3d_scan_writes_no_winding(self, tmp_path):
+        # the vortex census runs in 2D only: a 3D point's winding is null,
+        # as in solve-gp's results.json
+        assert run(["scan-omega", "--dim", "3", "--n", "8", "--box", "8",
+                    "--omega-min", "0.5", "--omega-max", "0.5", "--num", "1",
+                    "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "scan_omega.csv").read_text().strip().splitlines()
+        assert lines[1].split(",")[4] == "null"
+
 
 class TestScattering:
     def test_hard_sphere(self, tmp_path):
@@ -870,9 +879,9 @@ def test_dyson_check_refuses_a_potential_past_its_ball(tmp_path):
 
 def test_dyson_check_exits_1_when_the_eigensolver_misses_its_residual_rule(
         tmp_path, monkeypatch):
-    from rotogp import dyson
+    from rotogp import fields
 
-    monkeypatch.setattr(dyson, "_LOBPCG_MAXITER", 2)
+    monkeypatch.setattr(fields, "_LOBPCG_MAXITER", 2)
     assert run([*_DYSON_SMALL, "--out", str(tmp_path)]) == 1
     assert not (tmp_path / "results.json").exists()
 
@@ -959,9 +968,9 @@ def test_no_module_imports_optimize_integrate_or_numba():
 
 
 def test_every_transform_call_is_in_fields():
-    # a static scan of every call of a transform attribute: the complex ones
-    # go through fields.apply_symbols and fields.apply_multiplier, and dyson
-    # keeps only the real pair of its Omega = 0 blocks and its circulant
+    # a static scan of every call of a transform attribute: each one is in
+    # fields, the complex ones in fields.apply_symbols and
+    # fields.apply_multiplier
     names = {"fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"}
     elsewhere, in_fields = [], 0
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "rotogp").glob("*.py")):
@@ -975,9 +984,7 @@ def test_every_transform_call_is_in_fields():
                         elsewhere.append((path.name, getattr(top, "name", None),
                                           node.func.attr))
     assert in_fields > 0
-    assert sorted(elsewhere) == [("dyson.py", "_lowest_eigs", "irfftn"),
-                                 ("dyson.py", "_lowest_eigs", "rfftn"),
-                                 ("dyson.py", "_separable_part", "ifft")]
+    assert elsewhere == []
 
 
 def test_certify_path_imports_no_integrate_or_optimize(tmp_path):

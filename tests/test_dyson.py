@@ -5,7 +5,7 @@ from scipy import optimize, special
 from scipy.linalg.lapack import dsyevx
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from rotogp import dyson
+from rotogp import dyson, fields
 from rotogp.dyson import (
     CutoffFunction,
     build_K0,
@@ -540,15 +540,15 @@ def test_lowest_eig_refuses_a_matrix_with_nan():
 
 def _captured_solves(monkeypatch):
     """(apply, precondition, start block) of each lowest_eigenpairs solve in
-    rotogp.dyson."""
+    rotogp.fields."""
     solves = []
-    solve = dyson.lowest_eigenpairs
+    solve = fields.lowest_eigenpairs
 
     def capture(apply, precondition, start, J):
         solves.append((apply, precondition, start))
         return solve(apply, precondition, start, J)
 
-    monkeypatch.setattr(dyson, "lowest_eigenpairs", capture)
+    monkeypatch.setattr(fields, "lowest_eigenpairs", capture)
     return solves
 
 
@@ -627,7 +627,7 @@ def test_k0_real_eigensolve_matches_complex_path(monkeypatch):
         # the real operator acting on complex blocks
         return lambda Z: op(np.ascontiguousarray(Z.real)) + 1j * op(np.ascontiguousarray(Z.imag))
 
-    solve = dyson.lowest_eigenpairs
+    solve = fields.lowest_eigenpairs
 
     def complex_solve(apply, precondition, X, J):
         # the same solve on a complex block, its residual rule checked on
@@ -635,7 +635,7 @@ def test_k0_real_eigensolve_matches_complex_path(monkeypatch):
         Z = X + 1j * np.random.default_rng(1).standard_normal(X.shape)
         return solve(lift(apply), lift(precondition), Z, J)
 
-    monkeypatch.setattr(dyson, "lowest_eigenpairs", complex_solve)
+    monkeypatch.setattr(fields, "lowest_eigenpairs", complex_solve)
     cplx = build_K0(p, chi, eta=1.0, J=4)
     assert abs(real.kappa - cplx.kappa) <= 1e-10
     assert np.max(np.abs(real.e - cplx.e)) <= 1e-10
@@ -689,7 +689,7 @@ def test_k0_default_solves_apply_count(monkeypatch):
     # scipy's lobpcg, and takes 164 in lowest_eigenpairs, which stops at the
     # J pairs it returns; the seeded start makes the count deterministic
     applies = []  # column applies per solve, the residual check's 1 + 4 included
-    solve = dyson.lowest_eigenpairs
+    solve = fields.lowest_eigenpairs
 
     def counted(apply, precondition, start, J):
         applies.append(0)
@@ -700,7 +700,7 @@ def test_k0_default_solves_apply_count(monkeypatch):
 
         return solve(counted_apply, precondition, start, J)
 
-    monkeypatch.setattr(dyson, "lowest_eigenpairs", counted)
+    monkeypatch.setattr(fields, "lowest_eigenpairs", counted)
     p = harmonic_problem(dim=2, n=32, length=12.0)
     build_K0(p, CutoffFunction(3.5), eta=1.0, J=4)
     assert len(applies) == 2
@@ -728,7 +728,7 @@ def test_lowest_eigenpairs_on_a_dense_hermitian_matrix(dtype):
     spectrum = np.r_[1.0, 1.0, np.linspace(2.0, 30.0, size - 2)]
     A = (Q * spectrum) @ Q.conj().T
     start = rng.standard_normal((size, J + 2)).astype(dtype)
-    vals, vecs = dyson.lowest_eigenpairs(lambda X: A @ X, lambda X: X, start, J)
+    vals, vecs = fields.lowest_eigenpairs(lambda X: A @ X, lambda X: X, start, J)
     assert vecs.dtype == dtype
     _check_pairs(lambda X: A @ X, vals, vecs, np.linalg.eigvalsh(A), J)
 
@@ -746,7 +746,7 @@ def test_lowest_eigenpairs_match_dense_eigh(monkeypatch, dim, omega, n, J):
     apply, precondition, start = solves[1]
     A = apply(np.eye(start.shape[0], dtype=start.dtype))
     assert np.max(np.abs(A - A.conj().T)) <= 1e-12 * np.max(np.abs(A))
-    vals, vecs = dyson.lowest_eigenpairs(apply, precondition, start, J)
+    vals, vecs = fields.lowest_eigenpairs(apply, precondition, start, J)
     dense = np.linalg.eigvalsh(A)
     _check_pairs(apply, vals, vecs, dense, J)
     if dim == 3:
@@ -761,8 +761,8 @@ def test_k0_solve_with_indefinite_separable_part():
     ksq = grid.ksq()
     mult = ksq * (1.0 - chi(np.sqrt(ksq)) ** 2) + 2.0 * eta * ksq
     scalar = p.potential + eta * grid.radius_sq() ** 2
-    base = dyson._lowest_eigs(p, mult, scalar, 4)
-    shifted = dyson._lowest_eigs(p, mult, scalar - 10.0, 4)
+    base = fields.lowest_modes(p.gauge, mult, scalar, 4)[0]
+    shifted = fields.lowest_modes(p.gauge, mult, scalar - 10.0, 4)[0]
     assert base[0] - 10.0 < 0.0
     assert np.max(np.abs(shifted - (base - 10.0))) <= 1e-10
 
@@ -770,6 +770,6 @@ def test_k0_solve_with_indefinite_separable_part():
 def test_missed_residual_rule_raises(monkeypatch):
     # two iterations cannot reach sqrt(eps): the recomputed residuals fail
     # the rule
-    monkeypatch.setattr(dyson, "_LOBPCG_MAXITER", 2)
+    monkeypatch.setattr(fields, "_LOBPCG_MAXITER", 2)
     with pytest.raises(ArithmeticError, match="residual rule"):
         build_K0(harmonic_problem(dim=2, n=16, length=12.0), CutoffFunction(3.5), eta=1.0, J=2)

@@ -12,6 +12,7 @@ from rotogp.fields import (
     boundary_decay_ok,
     gaussian_field,
     inner,
+    lowest_modes,
     norm,
     norm4_pow4,
     read_field,
@@ -115,6 +116,24 @@ def test_gauge_kinetic_matches_five_fft_reference(dim, half_n, length, omega, se
     assert np.max(np.abs(hf.values - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert abs(inner(f, hh) - inner(hf, h)) <= 1e-12 * norm(f) * norm(hh)
     assert inner(f, hf).real >= -1e-12
+
+
+@pytest.mark.parametrize("dim, omega, n", [(2, 0.4, 16), (3, (0.3, 0.0, 0.8), 10)],
+                         ids=["2d", "3d-offaxis"])
+def test_lowest_modes_are_eigenvectors_of_the_gauge_kinetic_apply(dim, omega, n):
+    # lowest_modes applies k^2 + 2 A.k + |A|^2, apply_gauge_kinetic
+    # sum_i (k_i + A_i)^2: its vectors must be eigenvectors of the latter
+    g = Grid(dim, n, 10.0)
+    A = GaugeField(g, omega)
+    V = g.radius_sq()
+    J = 4
+    vals, vecs = lowest_modes(A, g.ksq(), A.magnitude_sq() + V, J)
+    assert vals.shape == (J,) and vecs.shape == (n**dim, J)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(J))) <= 1e-12
+    for theta, v in zip(vals, vecs.T):
+        phi = ComplexField(g, v.reshape(g.shape))
+        resid = apply_gauge_kinetic(phi, A).values + (V - theta) * phi.values
+        assert np.linalg.norm(resid) <= np.sqrt(np.finfo(float).eps) * max(1.0, abs(theta))
 
 
 def test_cached_k_grids_are_read_only():
